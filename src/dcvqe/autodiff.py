@@ -7,12 +7,16 @@ compares analytic gradients against central finite differences and is the
 ground truth the rest of the package is validated against.
 
 Broadcasting is deliberately restricted to scalar-with-tensor and
-same-shape operands; anything else needs an explicit reshape/repeat op.
-This keeps every backward rule a few lines and auditable.
+same-shape operands, with two exceptions: ``matmul`` broadcasts leading
+(batch) axes, and the mask of ``softmax_masked`` broadcasts to the logits.
+Anything else needs an explicit reshape or gather. Every backward rule sums
+its gradient back to the shape of its input, so each stays a few lines and
+auditable.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import threading
 from dataclasses import dataclass, field
@@ -169,23 +173,40 @@ def zero_grads(params: Sequence[Tensor]) -> None:
 # primitive operations
 # ---------------------------------------------------------------------------
 
+def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a broadcast gradient over the axes its operand was broadcast along."""
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape)
+                                      if n == 1 and g.shape[lead + i] != 1)
+    return g.sum(axis=axes).reshape(shape) if axes else g
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul needs [m,k] @ [k,n], got {a.shape} and {b.shape}")
-    out = a.data @ b.data
+    """Matrix product over the last two axes; leading axes broadcast."""
+    out = None
+    if a.data.ndim >= 2 and b.data.ndim >= 2:
+        with contextlib.suppress(ValueError):  # inner sizes or leading axes disagree
+            out = a.data @ b.data
+    if out is None:
+        raise ShapeError(f"matmul needs [...,m,k] @ [...,k,n] with broadcastable leading "
+                         f"axes, got {a.shape} and {b.shape}")
 
     def bw(g):
-        ga = g @ b.data.T if a.requires_grad else None
-        gb = a.data.T @ g if b.requires_grad else None
+        ga = _sum_to(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
+        gb = _sum_to(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
         return ga, gb
 
     return _record("matmul", (a, b), out, bw)
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-d tensor, got {x.shape}")
-    return _record("transpose", (x,), x.data.T, lambda g: (g.T,))
+def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
+    """Permute the axes of ``x``: output axis i is input axis ``axes[i]``."""
+    axes = tuple(axes)
+    if sorted(axes) != list(range(x.data.ndim)):
+        raise ShapeError(f"transpose axes {axes} are not a permutation for shape {x.shape}")
+    inverse = tuple(np.argsort(axes))
+    return _record("transpose", (x,), np.transpose(x.data, axes),
+                   lambda g: (np.transpose(g, inverse),))
 
 
 def _binary_kind(a: Tensor, b: Tensor, op: str) -> None:
@@ -256,37 +277,6 @@ def mean_axis(x: Tensor, axis: int | None = None) -> Tensor:
     return _record("mean_axis", (x,), out, bw)
 
 
-def std_axis(x: Tensor, axis: int | None = None, eps: float = 1e-12) -> Tensor:
-    """Population standard deviation (divide by count, not count-1).
-
-    ``eps`` sits inside the square root so the derivative stays finite at
-    zero variance.
-    """
-    if axis is None:
-        mu = x.data.mean()
-        dev = x.data - mu
-        sigma = math.sqrt((dev * dev).mean() + eps)
-        n = x.size
-        out = np.float64(sigma)
-
-        def bw(g):
-            return (np.asarray(g).item() * dev / (n * sigma),)
-    else:
-        if not -x.data.ndim <= axis < x.data.ndim:
-            raise ShapeError(f"std_axis axis {axis} out of range for shape {x.shape}")
-        mu = x.data.mean(axis=axis, keepdims=True)
-        dev = x.data - mu
-        var = (dev * dev).mean(axis=axis, keepdims=True)
-        sigma = np.sqrt(var + eps)
-        n = x.shape[axis]
-        out = sigma
-
-        def bw(g):
-            return (g * dev / (n * sigma),)
-
-    return _record("std_axis", (x,), out, bw)
-
-
 def max0(x: Tensor) -> Tensor:
     """Rectifier max(0, x). Subgradient at 0 is defined as 0."""
     pos = x.data > 0
@@ -313,27 +303,32 @@ def softplus(x: Tensor) -> Tensor:
 
 
 def softmax_masked(logits: Tensor, admissible: np.ndarray) -> Tensor:
-    """Row-wise softmax over the admitted entries of a 2-d logit matrix.
+    """Softmax along the last axis over the admitted entries of the logits.
 
-    Masked entries are exactly 0 in the output and receive exactly zero
-    gradient; every row renormalizes over its admitted set. A row with no
-    admitted entry is a contract violation.
+    ``admissible`` is a boolean mask that broadcasts to the logits (one
+    [n, m] mask serves every clip and head of a batch). Masked entries are
+    exactly 0 in the output and receive exactly zero gradient; every row
+    renormalizes over its admitted set. A row with no admitted entry is a
+    contract violation.
     """
-    if logits.data.ndim != 2:
-        raise ShapeError(f"softmax_masked needs a 2-d tensor, got {logits.shape}")
     admissible = np.asarray(admissible, dtype=bool)
-    if admissible.shape != logits.shape:
-        raise ShapeError(f"mask shape {admissible.shape} != logits shape {logits.shape}")
-    rows_ok = admissible.any(axis=1)
+    try:
+        fits = np.broadcast_shapes(admissible.shape, logits.shape) == logits.shape
+    except ValueError:
+        fits = False
+    if not fits or logits.data.ndim < 1:
+        raise ShapeError(f"mask shape {admissible.shape} does not broadcast to logits shape "
+                         f"{logits.shape}")
+    rows_ok = admissible.any(axis=-1).reshape(-1)
     if not rows_ok.all():
         raise DegenerateMaskError(f"mask admits no positions in row {int(np.argmin(rows_ok))}")
     z = np.where(admissible, logits.data, -np.inf)
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)  # exp(-inf) == 0.0, so masked entries are exact zeros
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
     return _record("softmax_masked", (logits,), y, bw)
@@ -357,24 +352,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return _record("concat_rows", tuple(parts), out, bw)
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ShapeError("concat_cols needs at least one tensor")
-    for t in parts:
-        if t.data.ndim != 2 or t.shape[0] != parts[0].shape[0]:
-            raise ShapeError(f"concat_cols needs 2-d tensors with equal heights, got "
-                             f"{[p.shape for p in parts]}")
-    out = np.concatenate([t.data for t in parts], axis=1)
-    sizes = [t.shape[1] for t in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] if parts[i].requires_grad else None
-                     for i in range(len(parts)))
-
-    return _record("concat_cols", tuple(parts), out, bw)
-
-
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     if x.data.ndim not in (1, 2):
         raise ShapeError(f"slice_rows needs a 1-d or 2-d tensor, got {x.shape}")
@@ -390,29 +367,25 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     return _record("slice_rows", (x,), out, bw)
 
 
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"slice_cols needs a 2-d tensor, got {x.shape}")
-    if not 0 <= start < stop <= x.shape[1]:
-        raise ShapeError(f"column slice [{start}:{stop}] out of range for shape {x.shape}")
-    out = x.data[:, start:stop]
+def take(x: Tensor, index: np.ndarray) -> Tensor:
+    """Gather rows: the output is ``x[index]``, of shape index.shape + x.shape[1:].
+
+    Indices may repeat; the gradient of a repeated row is the sum over its
+    copies.
+    """
+    index = np.asarray(index)
+    if x.data.ndim < 1 or index.dtype.kind not in "iu":
+        raise ShapeError(f"take needs a tensor with rows and integer indices, got shape "
+                         f"{x.shape} and index dtype {index.dtype}")
+    if index.size and not (0 <= index.min() and index.max() < x.shape[0]):
+        raise ShapeError(f"take index out of range for {x.shape[0]} rows")
 
     def bw(g):
         full = np.zeros(x.shape)
-        full[:, start:stop] = g
+        np.add.at(full, index, g)
         return (full,)
 
-    return _record("slice_cols", (x,), out, bw)
-
-
-def repeat_rows(x: Tensor, times: int) -> Tensor:
-    """Tile a 1-row matrix into ``times`` identical rows (the explicit form
-    of row-broadcasting, kept as its own op so the gradient is a plain
-    column-sum)."""
-    if x.data.ndim != 2 or x.shape[0] != 1:
-        raise ShapeError(f"repeat_rows needs a [1,d] tensor, got {x.shape}")
-    out = np.repeat(x.data, times, axis=0)
-    return _record("repeat_rows", (x,), out, lambda g: (g.sum(axis=0, keepdims=True),))
+    return _record("take", (x,), x.data[index], bw)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -73,11 +73,11 @@ def build_parser() -> _Parser:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--config", type=Path)
     p.add_argument("--seed", type=int)
-    p.add_argument("--videos", type=int, default=500)
-    p.add_argument("--min-len", type=int, default=60)
-    p.add_argument("--max-len", type=int, default=300)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--noise", type=float, default=0.1)
+    p.add_argument("--videos", type=int)
+    p.add_argument("--min-len", type=int)
+    p.add_argument("--max-len", type=int)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--noise", type=float)
 
     p = sub.add_parser("train", help="fit a model, keep the best-validation checkpoint")
     p.add_argument("--manifest", type=Path, required=True)
@@ -197,11 +197,11 @@ def _cmd_synth(args) -> int:
     file_cfg = _load_config_file(args.config)
     seed = _resolve_seed(args, file_cfg)
     manifest = data_io.synth_dataset(
-        args.out, n_videos=int(file_cfg.get("videos", args.videos)),
-        len_range=(int(file_cfg.get("min_len", args.min_len)),
-                   int(file_cfg.get("max_len", args.max_len))),
-        dim=int(file_cfg.get("dim", args.dim)),
-        noise_sigma=float(file_cfg.get("noise", args.noise)), seed=seed)
+        args.out, n_videos=int(_pick(args.videos, file_cfg, "videos", 500)),
+        len_range=(int(_pick(args.min_len, file_cfg, "min_len", 60)),
+                   int(_pick(args.max_len, file_cfg, "max_len", 300))),
+        dim=int(_pick(args.dim, file_cfg, "dim", 64)),
+        noise_sigma=float(_pick(args.noise, file_cfg, "noise", 0.1)), seed=seed)
     print(f"wrote {len(manifest)} videos to {args.out} (manifest.jsonl)")
     return EXIT_OK
 

@@ -97,8 +97,9 @@ class AttentionCost:
 
     macs: dict[tuple[int, str], int] = field(default_factory=dict)
 
-    def add(self, key: tuple[int, str], seq_len: int, width: int) -> None:
-        self.macs[key] = self.macs.get(key, 0) + 2 * seq_len * seq_len * width
+    def add(self, key: tuple[int, str], seq_len: int, width: int, clips: int = 1) -> None:
+        """Count ``clips`` attention calls over ``seq_len`` positions each."""
+        self.macs[key] = self.macs.get(key, 0) + 2 * clips * seq_len * seq_len * width
 
     def layer_stage(self, layer: int, stage: str) -> int:
         return self.macs.get((layer, stage), 0)
@@ -147,37 +148,37 @@ def multi_head_attention(x: Tensor, proj: AttentionProjections, num_heads: int,
                          attn_sink: list[np.ndarray] | None = None) -> Tensor:
     """Scaled dot-product attention with heads split along the feature axis.
 
-    Each of the query/key/value projections is D x D; head h uses columns
-    [h*D/H, (h+1)*D/H). Scores are scaled by 1/sqrt(D/H). ``admissible``
-    restricts attention (None means fully admissible). No output projection,
-    no residual: callers add those as the surrounding module dictates.
+    ``x`` is one sequence [n, D] or a batch of equal-length sequences
+    [..., n, D]. Each of the query/key/value projections is D x D; head h
+    uses columns [h*D/H, (h+1)*D/H). Scores are scaled by 1/sqrt(D/H).
+    ``admissible`` [n, n] restricts attention in every sequence and head
+    (None means fully admissible). ``attn_sink`` receives one [H, n, n]
+    weight array per sequence. No output projection, no residual: callers
+    add those as the surrounding module dictates.
     """
-    n, dim = x.shape
+    *lead, n, dim = x.shape
     if dim % num_heads != 0:
         raise ValueError(f"feature width {dim} not divisible by {num_heads} heads")
     head_dim = dim // num_heads
     if admissible is None:
         admissible = np.ones((n, n), dtype=bool)
-    q = ad.matmul(x, proj.query)
-    k = ad.matmul(x, proj.key)
-    v = ad.matmul(x, proj.value)
     if cost is not None:
-        cost.add(cost_key, n, dim)
-    heads = []
-    weights = []
-    for h in range(num_heads):
-        lo, hi = h * head_dim, (h + 1) * head_dim
-        qh = ad.slice_cols(q, lo, hi)
-        kh = ad.slice_cols(k, lo, hi)
-        vh = ad.slice_cols(v, lo, hi)
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / math.sqrt(head_dim))
-        attn = ad.softmax_masked(scores, admissible)
-        if attn_sink is not None:
-            weights.append(attn.data)
-        heads.append(ad.matmul(attn, vh))
+        cost.add(cost_key, n, dim, clips=math.prod(lead))
+    b = len(lead)
+    heads_first = (*range(b), b + 1, b, b + 2)  # [..., n, H, D/H] <-> [..., H, n, D/H]
+
+    def project(weight: Tensor, axes: tuple[int, ...]) -> Tensor:
+        split = ad.reshape(ad.matmul(x, weight), (*lead, n, num_heads, head_dim))
+        return ad.transpose(split, axes)
+
+    q = project(proj.query, heads_first)
+    k_t = project(proj.key, (*range(b), b + 1, b + 2, b))
+    v = project(proj.value, heads_first)
+    scores = ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(head_dim))
+    attn = ad.softmax_masked(scores, admissible)
     if attn_sink is not None:
-        attn_sink.append(np.stack(weights))
-    return ad.concat_cols(heads)
+        attn_sink.extend(attn.data.reshape(-1, num_heads, n, n))
+    return ad.reshape(ad.transpose(ad.matmul(attn, v), heads_first), (*lead, n, dim))
 
 
 def transformer_d(proj: AttentionProjections, num_heads: int, video_qe: Tensor,
@@ -185,21 +186,29 @@ def transformer_d(proj: AttentionProjections, num_heads: int, video_qe: Tensor,
                   cost: AttentionCost | None = None,
                   cost_key: tuple[int, str] = (0, "divide"),
                   attn_sink: list[np.ndarray] | None = None) -> tuple[Tensor, Tensor]:
-    """Divide-stage attention over one clip, with the video slot at position 0.
+    """Divide-stage attention over one clip [L, D] or a batch of C
+    equal-length clips [C, L, D], with the video slot at position 0 of each.
 
-    The input sequence [video_qe; frames] goes through masked multi-head
-    attention, and the module input is added back (residual). Output row 0
-    is the clip-level embedding, rows 1.. the updated frame embeddings.
+    Each sequence [video_qe; frames] goes through masked multi-head
+    attention, and the module input is added back (residual). Returns the
+    clip-level embeddings ([1, D], or [C, 1, D]) and the updated frame
+    embeddings (the shape of ``clip_frames``).
     """
-    n_frames = clip_frames.shape[0]
+    *lead, n_frames, dim = clip_frames.shape
     if mask.size != n_frames + 1:
         raise ad.ShapeError(f"mask size {mask.size} != clip length {n_frames} + 1")
-    x = ad.concat_rows([video_qe, clip_frames])
+    clips, seq_len = math.prod(lead), n_frames + 1
+    # row 0 of ``rows`` is the video embedding, row 1 + c*L + j frame j of clip c
+    rows = ad.concat_rows([video_qe, ad.reshape(clip_frames, (clips * n_frames, dim))])
+    gather = np.arange(clips)[:, None] * n_frames + np.arange(seq_len)
+    gather[:, 0] = 0
+    x = ad.take(rows, gather.reshape(*lead, seq_len))
     attended = multi_head_attention(x, proj, num_heads, mask.admissible,
                                     cost=cost, cost_key=cost_key, attn_sink=attn_sink)
-    out = ad.add(x, attended)
-    clip_qe = ad.slice_rows(out, 0, 1)
-    frames = ad.slice_rows(out, 1, n_frames + 1)
+    out = ad.reshape(ad.add(x, attended), (clips * seq_len, dim))
+    firsts = np.arange(clips)[:, None] * seq_len
+    clip_qe = ad.take(out, firsts.reshape(*lead, 1))
+    frames = ad.take(out, (firsts + np.arange(1, seq_len)).reshape(*lead, n_frames))
     return clip_qe, frames
 
 
@@ -271,9 +280,8 @@ class DCVQEModel:
         if features.data.ndim != 2 or features.shape[1] != self.config.input_dim:
             raise ad.ShapeError(f"features must be [S,{self.config.input_dim}], "
                                 f"got {features.shape}")
-        n = features.shape[0]
-        return ad.add(ad.matmul(features, self.params["input.weight"]),
-                      ad.repeat_rows(self.params["input.bias"], n))
+        bias = ad.take(self.params["input.bias"], np.zeros(features.shape[0], dtype=int))
+        return ad.add(ad.matmul(features, self.params["input.weight"]), bias)
 
     def add_positional(self, frames: Tensor) -> tuple[Tensor, Tensor]:
         """Attach positional embeddings; index 0 is reserved for the video token.
@@ -297,26 +305,33 @@ class DCVQEModel:
         """One divide-and-conquer layer.
 
         Splits the frames into clips of ``base_clip_len * 2**(layer-1)``,
-        runs the divide transformer per clip (shared weights, same input
-        video embedding at position 0), then the conquer transformer plus
-        pooling over the collected clip embeddings.
+        runs the divide transformer once over all full-length clips as one
+        batch and once more over a shorter last clip if there is one (shared
+        weights, same input video embedding at position 0), then the
+        conquer transformer plus pooling over the collected clip embeddings.
         """
         cfg = self.config
+        n, dim = frames.shape
         clip_len = cfg.base_clip_len * 2 ** (layer - 1)
-        bounds = split_clips(frames.shape[0], clip_len)
+        bounds = split_clips(n, clip_len)
         d_proj = self._projections(layer, "divide")
         c_proj = self._projections(layer, "conquer")
         divide_sink: list[np.ndarray] | None = [] if record_attention else None
         conquer_sink: list[np.ndarray] | None = [] if record_attention else None
 
+        full = n - n % clip_len  # frames in full-length clips
         clip_qes, new_frames = [], []
-        for start, stop in bounds:
-            mask = AttentionMask.banded(stop - start + 1, cfg.temporal_range)
+        for start, stop, length in ((0, full, clip_len), (full, n, n - full)):
+            if stop == start:
+                continue
+            clips = (stop - start) // length
             clip_qe, clip_frames = transformer_d(
-                d_proj, cfg.num_heads, video_qe, ad.slice_rows(frames, start, stop),
-                mask, cost=cost, cost_key=(layer, "divide"), attn_sink=divide_sink)
-            clip_qes.append(clip_qe)
-            new_frames.append(clip_frames)
+                d_proj, cfg.num_heads, video_qe,
+                ad.reshape(ad.slice_rows(frames, start, stop), (clips, length, dim)),
+                AttentionMask.banded(length + 1, cfg.temporal_range),
+                cost=cost, cost_key=(layer, "divide"), attn_sink=divide_sink)
+            clip_qes.append(ad.reshape(clip_qe, (clips, dim)))
+            new_frames.append(ad.reshape(clip_frames, (stop - start, dim)))
         frames_out = ad.concat_rows(new_frames)
         clip_matrix = ad.concat_rows(clip_qes)
         video_out = transformer_c(c_proj, cfg.num_heads, clip_matrix,

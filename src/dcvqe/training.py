@@ -219,13 +219,22 @@ def load_checkpoint(path) -> Checkpoint:
     version, header_len = struct.unpack_from("<II", raw, 4)
     if version != CHECKPOINT_VERSION:
         raise data_io.FormatError(f"unsupported checkpoint version {version}", offset=4)
-    try:
+    try:  # a malformed header surfaces as one of these while it is read
         header = json.loads(raw[12:12 + header_len])
-    except json.JSONDecodeError as exc:
-        raise data_io.FormatError(f"corrupt checkpoint header: {exc}", offset=12) from exc
-    cfg = DCVQEConfig(**header["config"])
-    names = [p["name"] for p in header["params"]]
-    shapes = {p["name"]: tuple(p["shape"]) for p in header["params"]}
+        config = header["config"]
+        keys = set(_config_to_dict(DCVQEConfig()))
+        if not (isinstance(config, dict) and set(config) == keys and all(
+                type(v) is int or (k == "temporal_range" and v is None)
+                for k, v in config.items())):
+            raise ValueError(f"config {config} is not a model configuration")
+        cfg = DCVQEConfig(**config)
+        names = [p["name"] for p in header["params"]]
+        shapes = {p["name"]: tuple(int(d) for d in p["shape"]) for p in header["params"]}
+        adam_step = int(header["adam_step"])
+        best_val_loss = float(header["best_val_loss"])
+        epoch = int(header["epoch"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise data_io.FormatError(f"corrupt checkpoint header: {exc!r}", offset=12) from exc
     offset = 12 + header_len
     groups = []
     for _ in range(3):
@@ -243,9 +252,8 @@ def load_checkpoint(path) -> Checkpoint:
     if offset != len(raw):
         raise data_io.FormatError(f"{len(raw) - offset} trailing bytes", offset=offset)
     return Checkpoint(version=version, config=cfg, params=groups[0], adam_m=groups[1],
-                      adam_v=groups[2], adam_step_count=int(header["adam_step"]),
-                      best_val_loss=float(header["best_val_loss"]),
-                      epoch=int(header["epoch"]))
+                      adam_v=groups[2], adam_step_count=adam_step,
+                      best_val_loss=best_val_loss, epoch=epoch)
 
 
 # ---------------------------------------------------------------------------

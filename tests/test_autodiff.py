@@ -1,8 +1,7 @@
 """Tensor op semantics and gradient correctness against independent oracles.
 
 Oracles here are deliberately primitive: scalar triple loops for matmul,
-a scalar softmax, population-std by loop, and central finite differences
-for every gradient claim.
+a scalar softmax, and central finite differences for every gradient claim.
 """
 
 import math
@@ -35,6 +34,12 @@ def softmax_oracle(row):
     exps = [math.exp(v - zmax) for v in row]
     total = sum(exps)
     return [e / total for e in exps]
+
+
+# admits every row somewhere; column 3 is masked in every row
+HEAD_MASK = np.array([[True, False, True, False],
+                      [True, True, False, False],
+                      [True, False, True, False]])
 
 
 def fd_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -123,6 +128,22 @@ class TestSoftmaxMasked:
         with pytest.raises(DegenerateMaskError, match="row 1"):
             ad.softmax_masked(Tensor(np.zeros((2, 2))), mask)
 
+    def test_mask_broadcasts_over_leading_axes(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(2, 3, 3, 4)), requires_grad=True)
+        with Graph() as g:
+            y = ad.softmax_masked(x, HEAD_MASK)
+            loss = ad.sum_all(ad.mul(y, y))
+        backward(loss, g)
+        for c in range(2):
+            for h in range(3):
+                want = ad.softmax_masked(Tensor(x.data[c, h]), HEAD_MASK).data
+                assert np.array_equal(y.data[c, h], want)
+        assert (y.data[..., ~HEAD_MASK] == 0.0).all()
+        assert (x.grad[..., ~HEAD_MASK] == 0.0).all()
+        with pytest.raises(ShapeError):
+            ad.softmax_masked(x, np.ones((4, 3), dtype=bool))
+
     def test_gradient_zero_at_masked_entries(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
@@ -151,20 +172,6 @@ class TestElementwise:
     def test_mean_axis_all(self):
         assert ad.mean_axis(Tensor([1.0, 2.0, 3.0])).item() == 2.0
 
-    def test_std_population_oracle(self):
-        xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-        mu = sum(xs) / len(xs)
-        var = sum((v - mu) ** 2 for v in xs) / len(xs)  # population: divide by count
-        assert abs(ad.std_axis(Tensor(xs)).item() - math.sqrt(var)) < 1e-9
-        assert math.sqrt(var) == 2.0
-
-    def test_std_axis_keepdims(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(4, 3))
-        out = ad.std_axis(Tensor(x), axis=0).data
-        assert out.shape == (1, 3)
-        np.testing.assert_allclose(out, x.std(axis=0, keepdims=True), atol=1e-9)
-
     def test_scalar_broadcast(self):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]])
         s = Tensor(10.0)
@@ -186,15 +193,30 @@ class TestElementwise:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 6))
         t = Tensor(x)
-        np.testing.assert_array_equal(ad.transpose(t).data, x.T)
+        np.testing.assert_array_equal(ad.transpose(t, (1, 0)).data, x.T)
         np.testing.assert_array_equal(ad.slice_rows(t, 1, 3).data, x[1:3])
-        np.testing.assert_array_equal(ad.slice_cols(t, 2, 5).data, x[:, 2:5])
         np.testing.assert_array_equal(
             ad.concat_rows([ad.slice_rows(t, 0, 2), ad.slice_rows(t, 2, 4)]).data, x)
+        # column blocks split off as a leading axis, as attention splits heads
+        blocks = ad.transpose(ad.reshape(t, (4, 2, 3)), (1, 0, 2))
+        np.testing.assert_array_equal(blocks.data[0], x[:, 0:3])
+        np.testing.assert_array_equal(blocks.data[1], x[:, 3:6])
         np.testing.assert_array_equal(
-            ad.concat_cols([ad.slice_cols(t, 0, 3), ad.slice_cols(t, 3, 6)]).data, x)
+            ad.reshape(ad.transpose(blocks, (1, 0, 2)), (4, 6)).data, x)
         row = Tensor(x[:1])
-        np.testing.assert_array_equal(ad.repeat_rows(row, 3).data, np.repeat(x[:1], 3, axis=0))
+        np.testing.assert_array_equal(ad.take(row, np.zeros(3, dtype=int)).data,
+                                      np.repeat(x[:1], 3, axis=0))
+        index = np.array([[3, 0, 3], [1, 2, 1]])
+        np.testing.assert_array_equal(ad.take(t, index).data, x[index])
+
+    def test_structural_ops_reject_bad_operands(self):
+        t = Tensor(np.zeros((4, 6)))
+        with pytest.raises(ShapeError):
+            ad.transpose(t, (0, 0))
+        with pytest.raises(ShapeError):
+            ad.take(t, np.array([0, 4]))
+        with pytest.raises(ShapeError):
+            ad.take(t, np.array([0.0]))
 
 
 class TestBackward:
@@ -314,6 +336,25 @@ class TestGradientCheck:
         with pytest.raises(ValueError):
             gradient_check(lambda: Tensor(0.0), [], h=0.0)
 
+    @pytest.mark.parametrize("op, shapes", [
+        (ad.matmul, [(4, 5), (3, 5, 2)]),
+        (ad.matmul, [(3, 4, 5), (5, 2)]),
+        (ad.matmul, [(2, 1, 4, 5), (3, 5, 2)]),
+        (lambda x: ad.transpose(x, (2, 0, 1)), [(2, 3, 4)]),
+        (lambda x: ad.softmax_masked(x, HEAD_MASK), [(2, 2, 3, 4)]),
+        (lambda x: ad.take(x, np.array([[2, 0, 2], [1, 2, 2]])), [(3, 4)]),
+    ], ids=["matmul_broadcast_left", "matmul_broadcast_right", "matmul_broadcast_unit_axis",
+            "transpose_permutation", "softmax_mask_over_heads", "take_repeated_rows"])
+    def test_batched_ops(self, op, shapes):
+        rng = np.random.default_rng(12)
+        params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        weights = Tensor(rng.normal(size=op(*params).shape))
+
+        def f():
+            return ad.sum_all(ad.mul(op(*params), weights))
+
+        assert gradient_check(f, params, h=1e-6).max_rel_error <= 1e-4
+
 
 class TestThreadConfinement:
     def test_distinct_graphs_on_distinct_threads(self):
@@ -339,11 +380,17 @@ class TestDeterminism:
         mask[:, 0] = True
 
         def run():
-            t = Tensor(a)
-            y = ad.softmax_masked(ad.matmul(t, ad.transpose(t)), mask)
-            return ad.std_axis(y, axis=1).data.copy()
+            t = Tensor(a, requires_grad=True)
+            with Graph() as g:
+                batch = ad.take(t, np.array([[0, 1, 2, 3, 4, 5], [5, 3, 1, 0, 2, 4]]))
+                scores = ad.matmul(batch, ad.transpose(batch, (0, 2, 1)))
+                y = ad.softmax_masked(scores, mask)
+                loss = ad.sum_all(ad.mul(y, y))
+            backward(loss, g)
+            return y.data.copy(), t.grad
 
-        assert np.array_equal(run(), run())
+        (y1, g1), (y2, g2) = run(), run()
+        assert np.array_equal(y1, y2) and np.array_equal(g1, g2)
 
 
 finite_vectors = st.lists(st.floats(min_value=-100, max_value=100,
@@ -355,14 +402,6 @@ finite_vectors = st.lists(st.floats(min_value=-100, max_value=100,
 def test_mean_matches_numpy(xs):
     assert math.isclose(ad.mean_axis(Tensor(xs)).item(), float(np.mean(xs)),
                         rel_tol=1e-12, abs_tol=1e-12)
-
-
-@given(finite_vectors)
-def test_std_matches_population_loop(xs):
-    mu = sum(xs) / len(xs)
-    var = sum((v - mu) ** 2 for v in xs) / len(xs)
-    assert math.isclose(ad.std_axis(Tensor(xs)).item(), math.sqrt(var + 1e-12),
-                        rel_tol=1e-9, abs_tol=1e-9)
 
 
 @settings(max_examples=30)

@@ -1,18 +1,23 @@
 """End-to-end command-line flows: synth -> train -> eval -> predict, plus the
 diagnostic subcommands, exit codes, and config/flag/env precedence."""
 
+import dataclasses
 import json
+import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dcvqe import data as data_io
-from dcvqe.cli import main
+from dcvqe.cli import (_load_config_file, _model_config, _resolve_seed, _train_config,
+                       build_parser, main)
 from dcvqe.model import DCVQEConfig, DCVQEModel
 from dcvqe.training import AdamState, Checkpoint, load_checkpoint, save_checkpoint
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 TINY_MODEL = {"model_dim": 8, "num_heads": 2, "num_layers": 2, "base_clip_len": 4,
               "temporal_range": 2, "max_seq_len": 12}
 
@@ -52,6 +57,17 @@ class TestSynth:
         manifest = data_io.load_manifest(tmp_path / "d" / "manifest.jsonl")
         assert len(manifest) == 6
         assert "wrote 6 videos" in capsys.readouterr().out
+
+    def test_flags_win_over_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({"videos": 6, "min_len": 4, "max_len": 8, "dim": 5}))
+        code = main(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg),
+                     "--videos", "8", "--seed", "3"])
+        assert code == 0
+        manifest = data_io.load_manifest(tmp_path / "d" / "manifest.jsonl")
+        assert len(manifest) == 8  # the flag, not the file's 6
+        seq = data_io.read_features(manifest.resolve(manifest.entries[0]))
+        assert seq.feature_dim == 5 and 4 <= seq.num_frames <= 8  # the file, no flags
 
 
 class TestTrainEvalPredict:
@@ -124,6 +140,29 @@ class TestExitCodes:
         code = main(["predict", "--checkpoint", str(trained_checkpoint), str(bad)])
         assert code == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["config"].update(extra=1),
+        lambda h: h.pop("params"),
+        lambda h: h["config"].update(num_heads="2"),
+    ], ids=["extra_config_key", "no_params", "string_num_heads"])
+    def test_malformed_checkpoint_header_is_two(self, tmp_path, trained_checkpoint,
+                                                dataset_dir, edit, capsys):
+        raw = trained_checkpoint.read_bytes()
+        version, length = struct.unpack_from("<II", raw, 4)
+        header = json.loads(raw[12:12 + length])
+        edit(header)
+        blob = json.dumps(header, sort_keys=True).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw[:4] + struct.pack("<II", version, len(blob)) + blob
+                        + raw[12 + length:])
+        with pytest.raises(data_io.FormatError):
+            load_checkpoint(bad)
+        manifest = data_io.load_manifest(dataset_dir / "manifest.jsonl")
+        code = main(["predict", "--checkpoint", str(bad),
+                     str(manifest.resolve(manifest.entries[0]))])
+        assert code == 2
+        assert "data error: corrupt checkpoint header" in capsys.readouterr().err
+
     def test_zero_model_eval_degenerate_is_three(self, tmp_path, dataset_dir, capsys):
         cfg = DCVQEConfig(input_dim=6, **{k: v for k, v in TINY_MODEL.items()})
         model = DCVQEModel.initialize(cfg, seed=0)
@@ -172,6 +211,27 @@ class TestSeedPrecedence:
                      "--epochs", "1", "--temporal-range", "all"])
         assert code == 0
         assert load_checkpoint(out).config.temporal_range is None
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("name", ["example.json", "ablate.json"])
+    def test_every_key_reaches_the_run(self, name):
+        file_cfg = _load_config_file(CONFIGS / name)
+        args = build_parser().parse_args(["ablate", "--manifest", "m.jsonl"])
+        runs = [dict(file_cfg, **overrides) for overrides in file_cfg.get("grid", [{}])]
+        for run in runs:
+            run.pop("grid", None)
+            model_cfg = _model_config(args, run, input_dim=64)
+            train_cfg = _train_config(args, run, _resolve_seed(args, run))
+            resolved = dict(dataclasses.asdict(model_cfg), seed=train_cfg.seed,
+                            epochs=train_cfg.max_epochs, batch_size=train_cfg.batch_size,
+                            learning_rate=train_cfg.learning_rate,
+                            repetitions=train_cfg.repetitions, alpha=train_cfg.loss.alpha,
+                            beta=train_cfg.loss.beta, loss=train_cfg.loss.variant)
+            assert {key: resolved[key] for key in run} == run
+        if "grid" in file_cfg:  # the five-point alpha/beta table
+            assert [(g["alpha"], g["beta"]) for g in file_cfg["grid"]] == [
+                (1.0, 0.0), (0.7, 0.3), (0.5, 0.5), (0.3, 0.7), (0.0, 1.0)]
 
 
 class TestDumpEmbeddings:
