@@ -12,6 +12,12 @@ same-shape operands, with two exceptions: ``matmul`` broadcasts leading
 Anything else needs an explicit reshape or gather. Every backward rule sums
 its gradient back to the shape of its input, so each stays a few lines and
 auditable.
+
+``attention`` is the one fused op: multi-head scaled dot-product attention
+over a batch of sequences (projections, masked softmax and weighted sum)
+recorded as a single tape node with a hand-written backward. It shares the
+masked-softmax rule with ``softmax_masked``, and ``gradient_check`` checks
+it like every other op.
 """
 
 from __future__ import annotations
@@ -199,16 +205,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", (a, b), out, bw)
 
 
-def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
-    """Permute the axes of ``x``: output axis i is input axis ``axes[i]``."""
-    axes = tuple(axes)
-    if sorted(axes) != list(range(x.data.ndim)):
-        raise ShapeError(f"transpose axes {axes} are not a permutation for shape {x.shape}")
-    inverse = tuple(np.argsort(axes))
-    return _record("transpose", (x,), np.transpose(x.data, axes),
-                   lambda g: (np.transpose(g, inverse),))
-
-
 def _binary_kind(a: Tensor, b: Tensor, op: str) -> None:
     # only same-shape or scalar-with-tensor; anything else is a contract error
     if a.shape == b.shape or a.size == 1 or b.size == 1:
@@ -302,6 +298,38 @@ def softplus(x: Tensor) -> Tensor:
     return _record("softplus", (x,), out, lambda g: (g * sig,))
 
 
+def _softmax_forward(z: np.ndarray, admissible: np.ndarray | None) -> np.ndarray:
+    """Masked softmax along the last axis, computed in place on the float
+    array ``z``, which is returned. ``admissible`` broadcasts to ``z``; None
+    admits every entry."""
+    if admissible is not None:
+        admissible = np.asarray(admissible, dtype=bool)
+        try:
+            fits = np.broadcast_shapes(admissible.shape, z.shape) == z.shape
+        except ValueError:
+            fits = False
+        if not fits or z.ndim < 1:
+            raise ShapeError(f"mask shape {admissible.shape} does not broadcast to logits "
+                             f"shape {z.shape}")
+        rows_ok = admissible.any(axis=-1).reshape(-1)
+        if not rows_ok.all():
+            raise DegenerateMaskError(f"mask admits no positions in row "
+                                      f"{int(np.argmin(rows_ok))}")
+        np.copyto(z, -np.inf, where=~admissible)
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)  # exp(-inf) == 0.0, so masked entries are exact zeros
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+def _softmax_vjp(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Vector-Jacobian product of the softmax output ``y`` (last axis),
+    computed in place on the incoming gradient ``g``, which is returned."""
+    g -= (g * y).sum(axis=-1, keepdims=True)
+    g *= y
+    return g
+
+
 def softmax_masked(logits: Tensor, admissible: np.ndarray) -> Tensor:
     """Softmax along the last axis over the admitted entries of the logits.
 
@@ -311,27 +339,66 @@ def softmax_masked(logits: Tensor, admissible: np.ndarray) -> Tensor:
     renormalizes over its admitted set. A row with no admitted entry is a
     contract violation.
     """
-    admissible = np.asarray(admissible, dtype=bool)
-    try:
-        fits = np.broadcast_shapes(admissible.shape, logits.shape) == logits.shape
-    except ValueError:
-        fits = False
-    if not fits or logits.data.ndim < 1:
-        raise ShapeError(f"mask shape {admissible.shape} does not broadcast to logits shape "
-                         f"{logits.shape}")
-    rows_ok = admissible.any(axis=-1).reshape(-1)
-    if not rows_ok.all():
-        raise DegenerateMaskError(f"mask admits no positions in row {int(np.argmin(rows_ok))}")
-    z = np.where(admissible, logits.data, -np.inf)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)  # exp(-inf) == 0.0, so masked entries are exact zeros
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax_forward(logits.data.copy(), admissible)
+    # the incoming gradient may be shared with another input's, so copy it
+    return _record("softmax_masked", (logits,), y, lambda g: (_softmax_vjp(y, g.copy()),))
+
+
+def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
+              admissible: np.ndarray | None, sink: list[np.ndarray] | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention as one tape op.
+
+    ``x`` is [..., n, D]: one sequence or a batch of equal-length sequences.
+    The projections ``wq``, ``wk`` and ``wv`` are [D, D]; head h uses columns
+    [h*D/H, (h+1)*D/H) of each. Q is scaled by 1/sqrt(D/H) before the scores
+    are formed, and the scores go through the masked softmax of
+    ``softmax_masked`` with ``admissible`` ([n, n], or any mask that
+    broadcasts to the [..., H, n, n] scores; None admits every position).
+    ``sink`` receives one [H, n, n] weight array per sequence. The output is
+    [..., n, D] with the heads side by side along the feature axis; there is
+    no output projection.
+
+    The tape keeps only the attention weights and the per-head Q, K and V,
+    and the backward is written out by hand: the input gradient, and one
+    GEMM over all rows for each projection gradient.
+    """
+    if x.data.ndim < 2:
+        raise ShapeError(f"attention needs x of shape [..., n, D], got {x.shape}")
+    *lead, n, dim = x.shape
+    if num_heads < 1 or dim % num_heads:
+        raise ShapeError(f"feature width {dim} not divisible by {num_heads} heads")
+    for w in (wq, wk, wv):
+        if w.shape != (dim, dim):
+            raise ShapeError(f"attention projections must be [{dim}, {dim}], got {w.shape}")
+    head_dim = dim // num_heads
+    c = 1.0 / math.sqrt(head_dim)
+    rows = x.data.reshape(-1, dim)
+
+    def split(a):  # [..., n, D] -> [..., H, n, D/H], a view
+        return np.swapaxes(a.reshape(*lead, n, num_heads, head_dim), -2, -3)
+
+    def merge(a):  # [..., H, n, D/H] -> [rows, D], a copy
+        return np.swapaxes(a, -2, -3).reshape(-1, dim)
+
+    q = split(rows @ wq.data) * c
+    k = split(rows @ wk.data)
+    v = split(rows @ wv.data)
+    p = _softmax_forward(q @ np.swapaxes(k, -1, -2), admissible)
+    if sink is not None:
+        sink.extend(p.reshape(-1, num_heads, n, n))
 
     def bw(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
+        g = split(g)
+        ds = _softmax_vjp(p, g @ np.swapaxes(v, -1, -2))
+        dq = merge(ds @ k)
+        dq *= c
+        dk = merge(np.swapaxes(ds, -1, -2) @ q)
+        dv = merge(np.swapaxes(p, -1, -2) @ g)
+        dx = dq @ wq.data.T + dk @ wk.data.T + dv @ wv.data.T if x.requires_grad else None
+        return (dx, *(rows.T @ d if w.requires_grad else None
+                      for w, d in ((wq, dq), (wk, dk), (wv, dv))))
 
-    return _record("softmax_masked", (logits,), y, bw)
+    return _record("attention", (x, wq, wk, wv), merge(p @ v).reshape(x.shape), bw)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -371,7 +438,8 @@ def take(x: Tensor, index: np.ndarray) -> Tensor:
     """Gather rows: the output is ``x[index]``, of shape index.shape + x.shape[1:].
 
     Indices may repeat; the gradient of a repeated row is the sum over its
-    copies.
+    copies. Without repeats the gradient is scattered by plain assignment,
+    which is many times faster than the accumulating ``np.add.at``.
     """
     index = np.asarray(index)
     if x.data.ndim < 1 or index.dtype.kind not in "iu":
@@ -380,9 +448,14 @@ def take(x: Tensor, index: np.ndarray) -> Tensor:
     if index.size and not (0 <= index.min() and index.max() < x.shape[0]):
         raise ShapeError(f"take index out of range for {x.shape[0]} rows")
 
+    repeats = index.size > 0 and np.bincount(index.reshape(-1)).max() > 1
+
     def bw(g):
         full = np.zeros(x.shape)
-        np.add.at(full, index, g)
+        if repeats:
+            np.add.at(full, index, g)
+        else:
+            full[index] = g
         return (full,)
 
     return _record("take", (x,), x.data[index], bw)

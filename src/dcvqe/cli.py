@@ -112,6 +112,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+# every key a config file may hold, over all commands; README "CLI" lists them
+CONFIG_KEYS = frozenset({
+    "input_dim", "model_dim", "num_heads", "num_layers", "base_clip_len", "temporal_range",
+    "max_seq_len", "epochs", "batch_size", "learning_rate", "alpha", "beta", "loss", "seed",
+    "repetitions", "videos", "min_len", "max_len", "dim", "noise", "grid"})
+
+
+def _reject_unknown_keys(cfg: dict, allowed: frozenset, where: str) -> None:
+    unknown = sorted(set(cfg) - allowed)
+    if unknown:
+        raise FormatError(f"{where}: unknown config key(s) {', '.join(map(repr, unknown))} "
+                          f"(known: {', '.join(sorted(allowed))})")
+
+
 def _load_config_file(path: Path | None) -> dict:
     if path is None:
         return {}
@@ -123,6 +137,13 @@ def _load_config_file(path: Path | None) -> dict:
         raise FormatError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise FormatError(f"config file {path} must hold a JSON object")
+    _reject_unknown_keys(cfg, CONFIG_KEYS, f"config file {path}")
+    grid = cfg.get("grid")
+    for i, overrides in enumerate(grid if isinstance(grid, list) else []):
+        if not isinstance(overrides, dict):
+            raise FormatError(f"config file {path}: grid entry {i} must be a JSON object")
+        _reject_unknown_keys(overrides, CONFIG_KEYS - {"grid"},
+                             f"config file {path}, grid entry {i}")
     return cfg
 
 

@@ -11,6 +11,7 @@ produces the scalar quality score.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -65,7 +66,8 @@ class AttentionMask:
     Position 0 is reserved for the video-level embedding: row 0 and column 0
     are always admissible. Frame positions i, j >= 1 are admissible iff
     |i - j| <= temporal_range (always, when the range is None). The matrix
-    is symmetric with an admissible diagonal.
+    is symmetric with an admissible diagonal. ``banded`` returns one shared,
+    read-only mask per (size, temporal_range).
     """
 
     size: int
@@ -73,6 +75,7 @@ class AttentionMask:
     temporal_range: int | None
 
     @classmethod
+    @functools.lru_cache(maxsize=256)
     def banded(cls, size: int, temporal_range: int | None) -> "AttentionMask":
         if size < 1:
             raise ValueError(f"mask size must be >= 1, got {size}")
@@ -83,6 +86,7 @@ class AttentionMask:
             adm = np.abs(idx[:, None] - idx[None, :]) <= temporal_range
             adm[0, :] = True
             adm[:, 0] = True
+        adm.flags.writeable = False
         return cls(size=size, admissible=adm, temporal_range=temporal_range)
 
 
@@ -154,31 +158,15 @@ def multi_head_attention(x: Tensor, proj: AttentionProjections, num_heads: int,
     ``admissible`` [n, n] restricts attention in every sequence and head
     (None means fully admissible). ``attn_sink`` receives one [H, n, n]
     weight array per sequence. No output projection, no residual: callers
-    add those as the surrounding module dictates.
+    add those as the surrounding module dictates. The whole computation is
+    one ``autodiff.attention`` node on the tape.
     """
-    *lead, n, dim = x.shape
-    if dim % num_heads != 0:
-        raise ValueError(f"feature width {dim} not divisible by {num_heads} heads")
-    head_dim = dim // num_heads
-    if admissible is None:
-        admissible = np.ones((n, n), dtype=bool)
+    out = ad.attention(x, proj.query, proj.key, proj.value, num_heads, admissible,
+                       sink=attn_sink)
     if cost is not None:
+        *lead, n, dim = x.shape
         cost.add(cost_key, n, dim, clips=math.prod(lead))
-    b = len(lead)
-    heads_first = (*range(b), b + 1, b, b + 2)  # [..., n, H, D/H] <-> [..., H, n, D/H]
-
-    def project(weight: Tensor, axes: tuple[int, ...]) -> Tensor:
-        split = ad.reshape(ad.matmul(x, weight), (*lead, n, num_heads, head_dim))
-        return ad.transpose(split, axes)
-
-    q = project(proj.query, heads_first)
-    k_t = project(proj.key, (*range(b), b + 1, b + 2, b))
-    v = project(proj.value, heads_first)
-    scores = ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(head_dim))
-    attn = ad.softmax_masked(scores, admissible)
-    if attn_sink is not None:
-        attn_sink.extend(attn.data.reshape(-1, num_heads, n, n))
-    return ad.reshape(ad.transpose(ad.matmul(attn, v), heads_first), (*lead, n, dim))
+    return out
 
 
 def transformer_d(proj: AttentionProjections, num_heads: int, video_qe: Tensor,

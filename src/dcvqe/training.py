@@ -295,6 +295,9 @@ def fit(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
         t0 = time.perf_counter()
         train_loss = train_epoch(model, train_seqs, cfg, state, epoch_index)
         val_loss = validation_loss(model, val_seqs, cfg.loss)
+        if not math.isfinite(val_loss):  # a NaN would never compare as worse than "best"
+            raise FloatingPointError(f"non-finite validation loss {val_loss} in epoch "
+                                     f"{epoch_index + 1}")
         record = EpochRecord(epoch=epoch_index + 1, train_loss=train_loss,
                              val_loss=val_loss, wall_time_s=time.perf_counter() - t0)
         history.append(record)

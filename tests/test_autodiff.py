@@ -193,16 +193,14 @@ class TestElementwise:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 6))
         t = Tensor(x)
-        np.testing.assert_array_equal(ad.transpose(t, (1, 0)).data, x.T)
         np.testing.assert_array_equal(ad.slice_rows(t, 1, 3).data, x[1:3])
         np.testing.assert_array_equal(
             ad.concat_rows([ad.slice_rows(t, 0, 2), ad.slice_rows(t, 2, 4)]).data, x)
-        # column blocks split off as a leading axis, as attention splits heads
-        blocks = ad.transpose(ad.reshape(t, (4, 2, 3)), (1, 0, 2))
-        np.testing.assert_array_equal(blocks.data[0], x[:, 0:3])
-        np.testing.assert_array_equal(blocks.data[1], x[:, 3:6])
-        np.testing.assert_array_equal(
-            ad.reshape(ad.transpose(blocks, (1, 0, 2)), (4, 6)).data, x)
+        # column blocks split off as their own axis, as attention splits heads
+        blocks = ad.reshape(t, (4, 2, 3))
+        np.testing.assert_array_equal(blocks.data[:, 0], x[:, 0:3])
+        np.testing.assert_array_equal(blocks.data[:, 1], x[:, 3:6])
+        np.testing.assert_array_equal(ad.reshape(blocks, (4, 6)).data, x)
         row = Tensor(x[:1])
         np.testing.assert_array_equal(ad.take(row, np.zeros(3, dtype=int)).data,
                                       np.repeat(x[:1], 3, axis=0))
@@ -211,8 +209,13 @@ class TestElementwise:
 
     def test_structural_ops_reject_bad_operands(self):
         t = Tensor(np.zeros((4, 6)))
-        with pytest.raises(ShapeError):
-            ad.transpose(t, (0, 0))
+        w = Tensor(np.zeros((6, 6)))
+        with pytest.raises(ShapeError, match="divisible"):
+            ad.attention(t, w, w, w, 4, None)
+        with pytest.raises(ShapeError, match="projections"):
+            ad.attention(t, w, w, Tensor(np.zeros((6, 3))), 2, None)
+        with pytest.raises(ShapeError, match="mask shape"):
+            ad.attention(t, w, w, w, 2, np.ones((3, 3), dtype=bool))
         with pytest.raises(ShapeError):
             ad.take(t, np.array([0, 4]))
         with pytest.raises(ShapeError):
@@ -340,11 +343,11 @@ class TestGradientCheck:
         (ad.matmul, [(4, 5), (3, 5, 2)]),
         (ad.matmul, [(3, 4, 5), (5, 2)]),
         (ad.matmul, [(2, 1, 4, 5), (3, 5, 2)]),
-        (lambda x: ad.transpose(x, (2, 0, 1)), [(2, 3, 4)]),
         (lambda x: ad.softmax_masked(x, HEAD_MASK), [(2, 2, 3, 4)]),
         (lambda x: ad.take(x, np.array([[2, 0, 2], [1, 2, 2]])), [(3, 4)]),
+        (lambda x: ad.take(x, np.array([[3, 0], [1, 2]])), [(4, 3)]),
     ], ids=["matmul_broadcast_left", "matmul_broadcast_right", "matmul_broadcast_unit_axis",
-            "transpose_permutation", "softmax_mask_over_heads", "take_repeated_rows"])
+            "softmax_mask_over_heads", "take_repeated_rows", "take_unique_rows"])
     def test_batched_ops(self, op, shapes):
         rng = np.random.default_rng(12)
         params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
@@ -354,6 +357,77 @@ class TestGradientCheck:
             return ad.sum_all(ad.mul(op(*params), weights))
 
         assert gradient_check(f, params, h=1e-6).max_rel_error <= 1e-4
+
+
+class TestTakeBackward:
+    @pytest.mark.parametrize("index", [np.array([[3, 0], [1, 4]]),
+                                       np.array([[3, 0, 3], [1, 3, 0]])],
+                             ids=["unique", "repeated"])
+    def test_matches_add_at_reference_exactly(self, index):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        g_out = rng.normal(size=index.shape + (3,))
+        with Graph() as g:
+            loss = ad.sum_all(ad.mul(ad.take(x, index), Tensor(g_out)))
+        backward(loss, g)
+        want = np.zeros((5, 3))
+        np.add.at(want, index, g_out)
+        assert np.array_equal(x.grad, want)
+
+
+def banded_mask(n: int, radius: int) -> np.ndarray:
+    """The divide-stage mask: a band of ``radius`` plus an always-admitted slot 0."""
+    idx = np.arange(n)
+    mask = np.abs(idx[:, None] - idx[None, :]) <= radius
+    mask[0, :] = mask[:, 0] = True
+    return mask
+
+
+class TestAttention:
+    CLIPS, N, DIM, HEADS = 3, 5, 4, 2
+
+    def operands(self, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(self.CLIPS, self.N, self.DIM)), requires_grad=True,
+                   name="x")
+        ws = [Tensor(rng.normal(size=(self.DIM, self.DIM)), requires_grad=True, name=n)
+              for n in ("wq", "wk", "wv")]
+        return x, ws
+
+    @pytest.mark.parametrize("mask", [banded_mask(5, 1), None], ids=["banded", "unmasked"])
+    def test_gradient_check(self, mask):
+        if mask is not None:
+            assert not mask.all(axis=0).all()  # some columns are masked in some rows
+        x, ws = self.operands(21)
+        weights = Tensor(np.random.default_rng(22).normal(size=x.shape))
+
+        def f():
+            return ad.sum_all(ad.mul(ad.attention(x, *ws, self.HEADS, mask), weights))
+
+        report = gradient_check(f, [x, *ws], h=1e-6)
+        assert [p.name for p in report.per_parameter] == ["x", "wq", "wk", "wv"]
+        assert report.max_rel_error <= 1e-4
+
+    def test_forward_matches_composition(self):
+        x, (wq, wk, wv) = self.operands(23)
+        mask = banded_mask(self.N, 1)
+        sink = []
+        out = ad.attention(x, wq, wk, wv, self.HEADS, mask, sink=sink).data
+        d = self.DIM // self.HEADS
+
+        def heads(w):  # [C, n, D] @ [D, D] -> [C, H, n, d]
+            return ad.reshape(ad.matmul(x, w), (self.CLIPS, self.N, self.HEADS, d)
+                              ).data.swapaxes(1, 2)
+
+        scores = ad.matmul(Tensor(heads(wq)), Tensor(heads(wk).swapaxes(2, 3)))
+        attn = ad.softmax_masked(ad.scale(scores, 1.0 / math.sqrt(d)), mask)
+        want = ad.matmul(attn, Tensor(heads(wv))).data.swapaxes(1, 2).reshape(x.shape)
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+        assert len(sink) == self.CLIPS
+        for c, weights in enumerate(sink):
+            assert weights.shape == (self.HEADS, self.N, self.N)
+            np.testing.assert_allclose(weights, attn.data[c], rtol=0, atol=1e-12)
+            assert (weights[:, ~mask] == 0.0).all()
 
 
 class TestThreadConfinement:
@@ -383,14 +457,14 @@ class TestDeterminism:
             t = Tensor(a, requires_grad=True)
             with Graph() as g:
                 batch = ad.take(t, np.array([[0, 1, 2, 3, 4, 5], [5, 3, 1, 0, 2, 4]]))
-                scores = ad.matmul(batch, ad.transpose(batch, (0, 2, 1)))
-                y = ad.softmax_masked(scores, mask)
-                loss = ad.sum_all(ad.mul(y, y))
+                y = ad.softmax_masked(ad.matmul(batch, t), mask)
+                z = ad.attention(batch, t, t, t, 2, mask)
+                loss = ad.add(ad.sum_all(ad.mul(y, y)), ad.sum_all(ad.mul(z, z)))
             backward(loss, g)
-            return y.data.copy(), t.grad
+            return y.data.copy(), z.data.copy(), t.grad
 
-        (y1, g1), (y2, g2) = run(), run()
-        assert np.array_equal(y1, y2) and np.array_equal(g1, g2)
+        first, second = run(), run()
+        assert all(np.array_equal(u, v) for u, v in zip(first, second))
 
 
 finite_vectors = st.lists(st.floats(min_value=-100, max_value=100,

@@ -3,6 +3,7 @@ diagnostic subcommands, exit codes, and config/flag/env precedence."""
 
 import dataclasses
 import json
+import math
 import struct
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from dcvqe import data as data_io
+from dcvqe import training
 from dcvqe.cli import (_load_config_file, _model_config, _resolve_seed, _train_config,
                        build_parser, main)
 from dcvqe.model import DCVQEConfig, DCVQEModel
@@ -162,6 +164,32 @@ class TestExitCodes:
                      str(manifest.resolve(manifest.entries[0]))])
         assert code == 2
         assert "data error: corrupt checkpoint header" in capsys.readouterr().err
+
+    def test_unknown_config_key_is_two(self, tmp_path, dataset_dir, capsys):
+        cfg_path = tmp_path / "typo.json"
+        cfg_path.write_text(json.dumps({"epoch": 1}))
+        code = main(["train", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                     "--out", str(tmp_path / "x.ckpt"), "--config", str(cfg_path)])
+        assert code == 2
+        assert "unknown config key(s) 'epoch'" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_unknown_grid_override_key_is_two(self, tmp_path, dataset_dir, capsys):
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps({"epochs": 1, "grid": [{"alpha": 1.0},
+                                                              {"aplha": 0.5}]}))
+        code = main(["ablate", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                     "--config", str(cfg_path)])
+        assert code == 2
+        assert "grid entry 1: unknown config key(s) 'aplha'" in capsys.readouterr().err
+
+    def test_nonfinite_validation_loss_is_three(self, tmp_path, dataset_dir, config_file,
+                                                monkeypatch, capsys):
+        monkeypatch.setattr(training, "validation_loss", lambda *args: math.nan)
+        code = main(["train", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                     "--out", str(tmp_path / "nan.ckpt"), "--config", str(config_file)])
+        assert code == 3
+        assert "validation loss nan in epoch 1" in capsys.readouterr().err
 
     def test_zero_model_eval_degenerate_is_three(self, tmp_path, dataset_dir, capsys):
         cfg = DCVQEConfig(input_dim=6, **{k: v for k, v in TINY_MODEL.items()})

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from dcvqe import autodiff as ad
 from dcvqe.autodiff import Tensor
 from dcvqe.model import (AttentionCost, AttentionMask, AttentionProjections,
-                         DCVQEConfig, DCVQEModel, SequenceLengthError, split_clips,
-                         transformer_c, transformer_d)
+                         DCVQEConfig, DCVQEModel, SequenceLengthError,
+                         multi_head_attention, split_clips, transformer_c, transformer_d)
 
 TINY = DCVQEConfig(input_dim=12, model_dim=8, num_heads=2, num_layers=2,
                    base_clip_len=4, temporal_range=2, max_seq_len=16)
@@ -133,6 +133,14 @@ class TestAttentionMask:
     def test_unlimited_range(self):
         assert AttentionMask.banded(5, None).admissible.all()
 
+    def test_shared_and_read_only(self):
+        mask = AttentionMask.banded(9, 3)
+        assert AttentionMask.banded(9, 3) is mask
+        assert AttentionMask.banded(9, None) is not mask
+        with pytest.raises(ValueError, match="read-only"):
+            mask.admissible[1, 8] = True
+        assert not mask.admissible[1, 8]
+
     def test_frame_pair_outside_window_gets_zero_weight(self):
         # clip of 6 frames, radius 2: frame 2 -> frame 5 distance 3, masked
         rng = np.random.default_rng(0)
@@ -146,6 +154,19 @@ class TestAttentionMask:
         assert (weights[:, 2 + 1, 5 + 1] == 0.0).all()
         assert (weights[:, 5 + 1, 2 + 1] == 0.0).all()
         assert (weights[:, 0, :] > 0).all() and (weights[:, :, 0] > 0).all()
+
+
+class TestMultiHeadAttention:
+    def test_one_tape_node_per_call(self):
+        rng = np.random.default_rng(6)
+        proj = random_projections(rng, 8)
+        x = Tensor(rng.normal(size=(3, 7, 8)), requires_grad=True)
+        cost = AttentionCost()
+        with ad.Graph() as graph:
+            multi_head_attention(x, proj, 2, AttentionMask.banded(7, 2).admissible,
+                                 cost=cost, cost_key=(1, "divide"))
+        assert [node.op for node in graph.nodes] == ["attention"]
+        assert cost.layer_stage(1, "divide") == 2 * 3 * 7 * 7 * 8
 
 
 class TestTransformerD:

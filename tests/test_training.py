@@ -8,6 +8,7 @@ import pytest
 import scipy.stats
 
 from dcvqe import data as data_io
+from dcvqe import training
 from dcvqe.autodiff import Tensor
 from dcvqe.data import SplitSpec
 from dcvqe.losses import LossConfig
@@ -157,6 +158,13 @@ class TestFit:
         model = DCVQEModel.initialize(SMALL_CFG, seed=6)
         result = fit(model, train_seqs, val_seqs, small_train_cfg(max_epochs=3))
         assert result.best.best_val_loss <= result.history[0].val_loss
+
+    def test_nonfinite_validation_loss_names_epoch(self, small_splits, monkeypatch):
+        train_seqs, val_seqs, _ = small_splits
+        monkeypatch.setattr(training, "validation_loss", lambda *args: math.nan)
+        model = DCVQEModel.initialize(SMALL_CFG, seed=4)
+        with pytest.raises(FloatingPointError, match="validation loss nan in epoch 1"):
+            fit(model, train_seqs, val_seqs, small_train_cfg(max_epochs=2))
 
     def test_resume_replays_unbroken_trajectory(self, small_splits):
         train_seqs, val_seqs, _ = small_splits
