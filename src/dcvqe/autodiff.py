@@ -7,17 +7,25 @@ compares analytic gradients against central finite differences and is the
 ground truth the rest of the package is validated against.
 
 Broadcasting is deliberately restricted to scalar-with-tensor and
-same-shape operands, with two exceptions: ``matmul`` broadcasts leading
-(batch) axes, and the mask of ``softmax_masked`` broadcasts to the logits.
-Anything else needs an explicit reshape or gather. Every backward rule sums
-its gradient back to the shape of its input, so each stays a few lines and
-auditable.
+same-shape operands, with three exceptions: ``add`` broadcasts one operand
+to the other's shape (a bias row over many rows), ``matmul`` broadcasts
+leading (batch) axes, and the mask of ``softmax_masked`` broadcasts to the
+logits. Anything else needs an explicit reshape or gather. Every backward
+rule sums its gradient back to the shape of its input, so each stays a few
+lines and auditable.
 
-``attention`` is the one fused op: multi-head scaled dot-product attention
-over a batch of sequences (projections, masked softmax and weighted sum)
-recorded as a single tape node with a hand-written backward. It shares the
-masked-softmax rule with ``softmax_masked``, and ``gradient_check`` checks
-it like every other op.
+Two ops are fused, each recorded as a single tape node with a hand-written
+backward. ``attention`` is multi-head scaled dot-product attention over a
+batch of sequences (projections, masked softmax and weighted sum).
+``divide_attention`` is the whole divide stage of one video: it cuts the
+frames into clips, runs every ``[video; clip]`` sequence through the same
+attention, adds the residual, and returns two tensors, the clip embeddings
+and the updated frames (a node may have several outputs). Both share their
+projection, softmax and backward code, and the masked softmax rule is the
+one of ``softmax_masked``: the row max and the exponential run over the
+admitted entries only and masked entries are set to exact zeros, which is
+bit-identical to exponentiating ``-inf`` and much cheaper. ``gradient_check``
+checks the fused ops like every other op.
 """
 
 from __future__ import annotations
@@ -87,11 +95,15 @@ def as_tensor(x, requires_grad: bool = False) -> Tensor:
 
 @dataclass
 class Node:
-    """One recorded operation: inputs, output, and its vector-Jacobian rule."""
+    """One recorded operation: inputs, outputs, and its vector-Jacobian rule.
+
+    ``backward_fn`` takes one gradient per output (zeros for an output the
+    loss does not reach) and returns one gradient (or None) per input.
+    """
 
     inputs: tuple[Tensor, ...]
-    output: Tensor
-    backward_fn: Callable[[np.ndarray], tuple]
+    outputs: tuple[Tensor, ...]
+    backward_fn: Callable[..., tuple]
     op: str
 
 
@@ -129,14 +141,21 @@ class Graph:
         return len(self.nodes)
 
 
+def _record_many(op: str, inputs: tuple[Tensor, ...], out_data: tuple[np.ndarray, ...],
+                 backward_fn: Callable[..., tuple]) -> tuple[Tensor, ...]:
+    outs = tuple(Tensor(d) for d in out_data)
+    tracked = any(t.requires_grad for t in inputs)
+    for out in outs:
+        out.requires_grad = tracked
+    graph = _active_graph()
+    if graph is not None and tracked:
+        graph.nodes.append(Node(inputs, outs, backward_fn, op))
+    return outs
+
+
 def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
             backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
-    out = Tensor(out_data)
-    out.requires_grad = any(t.requires_grad for t in inputs)
-    graph = _active_graph()
-    if graph is not None and out.requires_grad:
-        graph.nodes.append(Node(inputs, out, backward_fn, op))
-    return out
+    return _record_many(op, inputs, (out_data,), backward_fn)[0]
 
 
 def backward(loss: Tensor, graph: Graph) -> None:
@@ -149,14 +168,16 @@ def backward(loss: Tensor, graph: Graph) -> None:
     """
     if loss.data.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
-    produced = {id(n.output) for n in graph.nodes}
+    produced = {id(out) for n in graph.nodes for out in n.outputs}
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     leaves: dict[int, Tensor] = {}
     for node in reversed(graph.nodes):
-        grad_out = flowing.pop(id(node.output), None)
-        if grad_out is None:
+        grads_out = [flowing.pop(id(out), None) for out in node.outputs]
+        if all(g is None for g in grads_out):
             continue
-        for tensor, grad in zip(node.inputs, node.backward_fn(grad_out)):
+        grads_out = [np.zeros(out.shape) if g is None else g
+                     for g, out in zip(grads_out, node.outputs)]
+        for tensor, grad in zip(node.inputs, node.backward_fn(*grads_out)):
             if grad is None or not tensor.requires_grad:
                 continue
             grad = np.asarray(grad, dtype=np.float64).reshape(tensor.shape)
@@ -215,11 +236,22 @@ def _binary_kind(a: Tensor, b: Tensor, op: str) -> None:
 def _reduce_to(g: np.ndarray, t: Tensor) -> np.ndarray:
     if g.shape == t.shape:
         return g
-    return np.asarray(g.sum()).reshape(t.shape)
+    if t.size == 1:
+        return np.asarray(g.sum()).reshape(t.shape)
+    return _sum_to(g, t.shape)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary_kind(a, b, "add")
+    """Sum of two tensors. Besides same-shape and scalar operands, one operand
+    may broadcast to the other's shape, as a [1, D] bias row over [S, D]."""
+    if a.shape != b.shape and a.size != 1 and b.size != 1:
+        try:
+            fits = np.broadcast_shapes(a.shape, b.shape) in (a.shape, b.shape)
+        except ValueError:
+            fits = False
+        if not fits:
+            raise ShapeError(f"add needs same-shape, scalar or broadcastable operands, got "
+                             f"{a.shape} and {b.shape}")
 
     def bw(g):
         return (_reduce_to(g, a) if a.requires_grad else None,
@@ -315,9 +347,15 @@ def _softmax_forward(z: np.ndarray, admissible: np.ndarray | None) -> np.ndarray
         if not rows_ok.all():
             raise DegenerateMaskError(f"mask admits no positions in row "
                                       f"{int(np.argmin(rows_ok))}")
-        np.copyto(z, -np.inf, where=~admissible)
-    z -= z.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)  # exp(-inf) == 0.0, so masked entries are exact zeros
+        # the row max and exp run over admitted entries only (exp(-inf) costs
+        # several times a finite exp); masked entries are then set to exact
+        # zeros, so the result equals the -inf-then-exp formula bit for bit
+        z -= z.max(axis=-1, keepdims=True, where=admissible, initial=-np.inf)
+        np.exp(z, out=z, where=admissible)
+        np.copyto(z, 0.0, where=~admissible)
+    else:
+        z -= z.max(axis=-1, keepdims=True)
+        np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
 
@@ -344,6 +382,57 @@ def softmax_masked(logits: Tensor, admissible: np.ndarray) -> Tensor:
     return _record("softmax_masked", (logits,), y, lambda g: (_softmax_vjp(y, g.copy()),))
 
 
+def _check_attention(x: Tensor, ws: tuple[Tensor, ...], num_heads: int) -> None:
+    if x.data.ndim < 2:
+        raise ShapeError(f"attention needs x of shape [..., n, D], got {x.shape}")
+    dim = x.shape[-1]
+    if num_heads < 1 or dim % num_heads:
+        raise ShapeError(f"feature width {dim} not divisible by {num_heads} heads")
+    for w in ws:
+        if w.shape != (dim, dim):
+            raise ShapeError(f"attention projections must be [{dim}, {dim}], got {w.shape}")
+
+
+def _attend(x: np.ndarray, ws: tuple[Tensor, Tensor, Tensor], num_heads: int,
+            admissible: np.ndarray | None):
+    """Forward of multi-head attention over the array ``x`` [..., n, D].
+
+    Returns the output rows [rows, D] (heads side by side), the weights
+    [..., H, n, n] and the VJP: ``vjp(g, need_x)`` maps the gradient of the
+    output rows to (dx rows or None, dWq, dWk, dWv), with None for a
+    projection that needs no gradient.
+    """
+    *lead, n, dim = x.shape
+    head_dim = dim // num_heads
+    c = 1.0 / math.sqrt(head_dim)
+    rows = x.reshape(-1, dim)
+
+    def split(a):  # [rows, D] -> [..., H, n, D/H], a view
+        return np.swapaxes(a.reshape(*lead, n, num_heads, head_dim), -2, -3)
+
+    def merge(a):  # [..., H, n, D/H] -> [rows, D], a copy
+        return np.swapaxes(a, -2, -3).reshape(-1, dim)
+
+    wq, wk, wv = ws
+    q = split(rows @ wq.data) * c
+    k = split(rows @ wk.data)
+    v = split(rows @ wv.data)
+    p = _softmax_forward(q @ np.swapaxes(k, -1, -2), admissible)
+
+    def vjp(g, need_x):
+        g = split(g)
+        ds = _softmax_vjp(p, g @ np.swapaxes(v, -1, -2))
+        dq = merge(ds @ k)
+        dq *= c
+        dk = merge(np.swapaxes(ds, -1, -2) @ q)
+        dv = merge(np.swapaxes(p, -1, -2) @ g)
+        dx = dq @ wq.data.T + dk @ wk.data.T + dv @ wv.data.T if need_x else None
+        return (dx, *(rows.T @ d if w.requires_grad else None
+                      for w, d in ((wq, dq), (wk, dk), (wv, dv))))
+
+    return merge(p @ v), p, vjp
+
+
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
               admissible: np.ndarray | None, sink: list[np.ndarray] | None = None) -> Tensor:
     """Multi-head scaled dot-product attention as one tape op.
@@ -362,43 +451,91 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
     and the backward is written out by hand: the input gradient, and one
     GEMM over all rows for each projection gradient.
     """
-    if x.data.ndim < 2:
-        raise ShapeError(f"attention needs x of shape [..., n, D], got {x.shape}")
-    *lead, n, dim = x.shape
-    if num_heads < 1 or dim % num_heads:
-        raise ShapeError(f"feature width {dim} not divisible by {num_heads} heads")
-    for w in (wq, wk, wv):
-        if w.shape != (dim, dim):
-            raise ShapeError(f"attention projections must be [{dim}, {dim}], got {w.shape}")
-    head_dim = dim // num_heads
-    c = 1.0 / math.sqrt(head_dim)
-    rows = x.data.reshape(-1, dim)
-
-    def split(a):  # [..., n, D] -> [..., H, n, D/H], a view
-        return np.swapaxes(a.reshape(*lead, n, num_heads, head_dim), -2, -3)
-
-    def merge(a):  # [..., H, n, D/H] -> [rows, D], a copy
-        return np.swapaxes(a, -2, -3).reshape(-1, dim)
-
-    q = split(rows @ wq.data) * c
-    k = split(rows @ wk.data)
-    v = split(rows @ wv.data)
-    p = _softmax_forward(q @ np.swapaxes(k, -1, -2), admissible)
+    ws = (wq, wk, wv)
+    _check_attention(x, ws, num_heads)
+    out, p, vjp = _attend(x.data, ws, num_heads, admissible)
     if sink is not None:
-        sink.extend(p.reshape(-1, num_heads, n, n))
+        sink.extend(p.reshape(-1, *p.shape[-3:]))
+    return _record("attention", (x, *ws), out.reshape(x.shape),
+                   lambda g: vjp(g.reshape(out.shape), x.requires_grad))
 
-    def bw(g):
-        g = split(g)
-        ds = _softmax_vjp(p, g @ np.swapaxes(v, -1, -2))
-        dq = merge(ds @ k)
-        dq *= c
-        dk = merge(np.swapaxes(ds, -1, -2) @ q)
-        dv = merge(np.swapaxes(p, -1, -2) @ g)
-        dx = dq @ wq.data.T + dk @ wk.data.T + dv @ wv.data.T if x.requires_grad else None
-        return (dx, *(rows.T @ d if w.requires_grad else None
-                      for w, d in ((wq, dq), (wk, dk), (wv, dv))))
 
-    return _record("attention", (x, wq, wk, wv), merge(p @ v).reshape(x.shape), bw)
+def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+                     num_heads: int, clip_len: int, admissible: np.ndarray | None,
+                     sink: list[np.ndarray] | None = None) -> tuple[Tensor, Tensor]:
+    """The divide stage of one video as one tape op with two outputs.
+
+    ``frames`` [n, D] are cut into consecutive clips of ``clip_len`` frames;
+    the last clip keeps the remainder and is never padded. Each clip c runs
+    as the sequence [video; frames of c] (``video`` is [1, D]) through the
+    multi-head attention of ``attention`` with ``admissible``, the
+    [clip_len + 1, clip_len + 1] mask of a full clip (None admits every
+    position); a shorter last clip of m frames uses the leading
+    [m + 1, m + 1] block. The input sequence is added back (residual).
+    Returns the clip embeddings [C, D] (position 0 of each clip's output)
+    and the updated frames [n, D]. ``sink`` receives one [H, L, L] weight
+    array per clip, in clip order.
+
+    All full-length clips run as one batch and a shorter last clip as a
+    second one; the backward sums the two batches' projection gradients and
+    scatters the input gradient back to the frames and the video row.
+    """
+    ws = (wq, wk, wv)
+    _check_attention(frames, ws, num_heads)
+    if frames.data.ndim != 2 or video.shape != (1, frames.shape[1]):
+        raise ShapeError(f"divide_attention needs frames [n, D] and video [1, D], got "
+                         f"{frames.shape} and {video.shape}")
+    if clip_len < 1:
+        raise ShapeError(f"clip_len must be >= 1, got {clip_len}")
+    if admissible is not None and np.shape(admissible) != (clip_len + 1, clip_len + 1):
+        raise ShapeError(f"mask shape {np.shape(admissible)} is not [{clip_len + 1}, "
+                         f"{clip_len + 1}] for clips of {clip_len} frames")
+    n, dim = frames.shape
+    full = n - n % clip_len
+    batches = []  # (first frame, end frame, frames per clip, clips, vjp)
+    clip_out, frames_out = [], np.empty((n, dim))
+    for start, stop, length in ((0, full, clip_len), (full, n, n - full)):
+        if stop == start:
+            continue
+        clips = (stop - start) // length
+        x = np.empty((clips, length + 1, dim))
+        x[:, 0] = video.data
+        x[:, 1:] = frames.data[start:stop].reshape(clips, length, dim)
+        mask = None if admissible is None else admissible[:length + 1, :length + 1]
+        out, p, vjp = _attend(x, ws, num_heads, mask)
+        if sink is not None:
+            sink.extend(p)
+        out = out.reshape(x.shape)
+        out += x
+        clip_out.append(out[:, 0])
+        frames_out[start:stop] = out[:, 1:].reshape(-1, dim)
+        batches.append((start, stop, length, clips, vjp))
+    clips_out = np.concatenate(clip_out)
+
+    def bw(g_clips, g_frames):
+        need_x = frames.requires_grad or video.requires_grad
+        d_frames = np.empty((n, dim)) if frames.requires_grad else None
+        d_video = None
+        d_ws = [None, None, None]
+        first = len(clips_out)
+        for start, stop, length, clips, vjp in reversed(batches):
+            first -= clips
+            g = np.empty((clips, length + 1, dim))
+            g[:, 0] = g_clips[first:first + clips]
+            g[:, 1:] = g_frames[start:stop].reshape(clips, length, dim)
+            dx, *dw = vjp(g.reshape(-1, dim), need_x)
+            d_ws = [b if a is None else a + b for a, b in zip(d_ws, dw)]
+            if not need_x:
+                continue
+            dx = dx.reshape(g.shape)
+            dx += g  # the residual path
+            if d_frames is not None:
+                d_frames[start:stop] = dx[:, 1:].reshape(-1, dim)
+            row = dx[:, 0].sum(axis=0, keepdims=True)
+            d_video = row if d_video is None else d_video + row
+        return (d_frames, d_video, *d_ws)
+
+    return _record_many("divide_attention", (frames, video, *ws), (clips_out, frames_out), bw)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:

@@ -231,7 +231,7 @@ def _cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config)
     seed = _resolve_seed(args, file_cfg)
     manifest = data_io.load_manifest(args.manifest)
-    probe_dim = data_io.read_features(manifest.resolve(manifest.entries[0])).feature_dim
+    probe_dim = data_io.manifest_feature_dim(manifest)
     model_cfg = _model_config(args, file_cfg, input_dim=probe_dim)
     train_cfg = _train_config(args, file_cfg, seed)
     tr_m, va_m, _ = data_io.split(manifest, SplitSpec(seed=seed))
@@ -268,6 +268,7 @@ def _cmd_eval(args) -> int:
     seed = _resolve_seed(args, file_cfg)
     cp = load_checkpoint(args.checkpoint)
     manifest = _eval_split(data_io.load_manifest(args.manifest), args.split, seed)
+    data_io.manifest_feature_dim(manifest)
     seqs = data_io.load_sequences(manifest, max_len=cp.config.max_seq_len)
     model = cp.build_model()
     _print_report(evaluate(model, seqs))
@@ -297,6 +298,7 @@ def _cmd_dump_embeddings(args) -> int:
     cp = load_checkpoint(args.checkpoint)
     model = cp.build_model()
     manifest = data_io.load_manifest(args.manifest)
+    data_io.manifest_feature_dim(manifest)
     count = 0
     with open(args.out, "w") as fh:
         for seq in data_io.load_sequences(manifest, max_len=cp.config.max_seq_len):
@@ -316,7 +318,7 @@ def _cmd_ablate(args) -> int:
     if not isinstance(grid, list) or not grid:
         raise UsageError("ablate needs a config file with a non-empty 'grid' list of overrides")
     manifest = data_io.load_manifest(args.manifest)
-    probe_dim = data_io.read_features(manifest.resolve(manifest.entries[0])).feature_dim
+    probe_dim = data_io.manifest_feature_dim(manifest)
 
     rows = []
     for overrides in grid:

@@ -74,14 +74,8 @@ def write_features(path, seq: FeatureSequence) -> None:
         fh.write(payload.tobytes(order="C"))
 
 
-def read_features(path, mos: float = 0.0, video_id: str | None = None) -> FeatureSequence:
-    """Parse one feature file, validating magic, version, extents, finiteness.
-
-    The file carries no score; ``mos`` is attached by the caller (usually
-    from a manifest entry).
-    """
-    path = Path(path)
-    raw = path.read_bytes()
+def _parse_header(raw: bytes, path: Path) -> tuple[int, int]:
+    """Validate the header at the start of ``raw``; returns (num_frames, feature_dim)."""
     if len(raw) < _HEADER.size:
         raise FormatError(f"truncated header in {path}: {len(raw)} bytes", offset=len(raw))
     magic, version, num_frames, feature_dim = _HEADER.unpack_from(raw, 0)
@@ -93,6 +87,18 @@ def read_features(path, mos: float = 0.0, video_id: str | None = None) -> Featur
         raise FormatError(f"num_frames must be >= 1, got {num_frames}", offset=8)
     if feature_dim < 1:
         raise FormatError(f"feature_dim must be >= 1, got {feature_dim}", offset=12)
+    return num_frames, feature_dim
+
+
+def read_features(path, mos: float = 0.0, video_id: str | None = None) -> FeatureSequence:
+    """Parse one feature file, validating magic, version, extents, finiteness.
+
+    The file carries no score; ``mos`` is attached by the caller (usually
+    from a manifest entry).
+    """
+    path = Path(path)
+    raw = path.read_bytes()
+    num_frames, feature_dim = _parse_header(raw, path)
     expected = _HEADER.size + num_frames * feature_dim * 4
     if len(raw) < expected:
         raise FormatError(f"payload of {path} ends at byte {len(raw)}, header promises "
@@ -111,12 +117,16 @@ def read_features(path, mos: float = 0.0, video_id: str | None = None) -> Featur
 
 
 def truncate(seq: FeatureSequence, max_len: int) -> FeatureSequence:
-    """Keep only the first ``max_len`` frames; shorter sequences pass through."""
+    """Keep only the first ``max_len`` frames; shorter sequences pass through.
+
+    The truncated features are a view of the first rows of ``seq.features``,
+    not a copy.
+    """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     if seq.num_frames <= max_len:
         return seq
-    return FeatureSequence(video_id=seq.video_id, features=seq.features[:max_len].copy(),
+    return FeatureSequence(video_id=seq.video_id, features=seq.features[:max_len],
                            mos=seq.mos)
 
 
@@ -188,6 +198,25 @@ def load_manifest(path) -> DatasetManifest:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"manifest {path}: {exc}") from exc
+
+
+def manifest_feature_dim(manifest: DatasetManifest) -> int:
+    """The feature width shared by every file of the manifest, read from the
+    file headers alone. A manifest with no entries, or whose entries differ
+    in width, is a ``FormatError`` (naming the first video of each width)."""
+    if not manifest.entries:
+        raise FormatError(f"manifest in {manifest.root} has no entries")
+    first = None
+    for e in manifest.entries:
+        path = manifest.resolve(e)
+        with open(path, "rb") as fh:
+            _, dim = _parse_header(fh.read(_HEADER.size), path)
+        if first is None:
+            first = (e.video_id, dim)
+        elif dim != first[1]:
+            raise FormatError(f"video {e.video_id!r} has feature width {dim}, but "
+                              f"{first[0]!r} has {first[1]}; a manifest needs one width")
+    return first[1]
 
 
 def load_sequences(manifest: DatasetManifest, max_len: int | None = None) -> list[FeatureSequence]:

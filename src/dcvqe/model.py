@@ -170,34 +170,32 @@ def multi_head_attention(x: Tensor, proj: AttentionProjections, num_heads: int,
 
 
 def transformer_d(proj: AttentionProjections, num_heads: int, video_qe: Tensor,
-                  clip_frames: Tensor, mask: AttentionMask,
+                  frames: Tensor, mask: AttentionMask,
                   cost: AttentionCost | None = None,
                   cost_key: tuple[int, str] = (0, "divide"),
-                  attn_sink: list[np.ndarray] | None = None) -> tuple[Tensor, Tensor]:
-    """Divide-stage attention over one clip [L, D] or a batch of C
-    equal-length clips [C, L, D], with the video slot at position 0 of each.
+                  attn_sink: list[np.ndarray] | None = None,
+                  clip_len: int | None = None) -> tuple[Tensor, Tensor]:
+    """Divide-stage attention over the frames [n, D] of one video, cut into
+    clips of ``clip_len`` frames (default: one clip of all n frames).
 
-    Each sequence [video_qe; frames] goes through masked multi-head
-    attention, and the module input is added back (residual). Returns the
-    clip-level embeddings ([1, D], or [C, 1, D]) and the updated frame
-    embeddings (the shape of ``clip_frames``).
+    Each clip runs as the sequence [video_qe; clip frames] through masked
+    multi-head attention, and the module input is added back (residual).
+    ``mask`` is the mask of a full clip (size ``clip_len + 1``); a shorter
+    last clip uses its leading block, which for a banded mask is the banded
+    mask of that size. Returns the clip-level embeddings [C, D] and the
+    updated frame embeddings [n, D]. The whole stage is one
+    ``autodiff.divide_attention`` node on the tape.
     """
-    *lead, n_frames, dim = clip_frames.shape
-    if mask.size != n_frames + 1:
-        raise ad.ShapeError(f"mask size {mask.size} != clip length {n_frames} + 1")
-    clips, seq_len = math.prod(lead), n_frames + 1
-    # row 0 of ``rows`` is the video embedding, row 1 + c*L + j frame j of clip c
-    rows = ad.concat_rows([video_qe, ad.reshape(clip_frames, (clips * n_frames, dim))])
-    gather = np.arange(clips)[:, None] * n_frames + np.arange(seq_len)
-    gather[:, 0] = 0
-    x = ad.take(rows, gather.reshape(*lead, seq_len))
-    attended = multi_head_attention(x, proj, num_heads, mask.admissible,
-                                    cost=cost, cost_key=cost_key, attn_sink=attn_sink)
-    out = ad.reshape(ad.add(x, attended), (clips * seq_len, dim))
-    firsts = np.arange(clips)[:, None] * seq_len
-    clip_qe = ad.take(out, firsts.reshape(*lead, 1))
-    frames = ad.take(out, (firsts + np.arange(1, seq_len)).reshape(*lead, n_frames))
-    return clip_qe, frames
+    clip_len = frames.shape[0] if clip_len is None else clip_len
+    clip_qes, frames_out = ad.divide_attention(frames, video_qe, proj.query, proj.key,
+                                               proj.value, num_heads, clip_len,
+                                               mask.admissible, sink=attn_sink)
+    if cost is not None:
+        full, rest = divmod(frames.shape[0], clip_len)
+        cost.add(cost_key, clip_len + 1, frames.shape[1], clips=full)
+        if rest:
+            cost.add(cost_key, rest + 1, frames.shape[1])
+    return clip_qes, frames_out
 
 
 def transformer_c(proj: AttentionProjections, num_heads: int, clip_qes: Tensor,
@@ -268,8 +266,7 @@ class DCVQEModel:
         if features.data.ndim != 2 or features.shape[1] != self.config.input_dim:
             raise ad.ShapeError(f"features must be [S,{self.config.input_dim}], "
                                 f"got {features.shape}")
-        bias = ad.take(self.params["input.bias"], np.zeros(features.shape[0], dtype=int))
-        return ad.add(ad.matmul(features, self.params["input.weight"]), bias)
+        return ad.add(ad.matmul(features, self.params["input.weight"]), self.params["input.bias"])
 
     def add_positional(self, frames: Tensor) -> tuple[Tensor, Tensor]:
         """Attach positional embeddings; index 0 is reserved for the video token.
@@ -292,41 +289,26 @@ class DCVQEModel:
                    record_attention: bool = False) -> tuple[Tensor, Tensor]:
         """One divide-and-conquer layer.
 
-        Splits the frames into clips of ``base_clip_len * 2**(layer-1)``,
-        runs the divide transformer once over all full-length clips as one
-        batch and once more over a shorter last clip if there is one (shared
-        weights, same input video embedding at position 0), then the
-        conquer transformer plus pooling over the collected clip embeddings.
+        Splits the frames into clips of ``base_clip_len * 2**(layer-1)``
+        (the last one keeps the remainder), runs the divide transformer over
+        every clip (shared weights, same input video embedding at position
+        0), then the conquer transformer plus pooling over the clip
+        embeddings.
         """
         cfg = self.config
-        n, dim = frames.shape
         clip_len = cfg.base_clip_len * 2 ** (layer - 1)
-        bounds = split_clips(n, clip_len)
-        d_proj = self._projections(layer, "divide")
-        c_proj = self._projections(layer, "conquer")
         divide_sink: list[np.ndarray] | None = [] if record_attention else None
         conquer_sink: list[np.ndarray] | None = [] if record_attention else None
-
-        full = n - n % clip_len  # frames in full-length clips
-        clip_qes, new_frames = [], []
-        for start, stop, length in ((0, full, clip_len), (full, n, n - full)):
-            if stop == start:
-                continue
-            clips = (stop - start) // length
-            clip_qe, clip_frames = transformer_d(
-                d_proj, cfg.num_heads, video_qe,
-                ad.reshape(ad.slice_rows(frames, start, stop), (clips, length, dim)),
-                AttentionMask.banded(length + 1, cfg.temporal_range),
-                cost=cost, cost_key=(layer, "divide"), attn_sink=divide_sink)
-            clip_qes.append(ad.reshape(clip_qe, (clips, dim)))
-            new_frames.append(ad.reshape(clip_frames, (stop - start, dim)))
-        frames_out = ad.concat_rows(new_frames)
-        clip_matrix = ad.concat_rows(clip_qes)
-        video_out = transformer_c(c_proj, cfg.num_heads, clip_matrix,
-                                  cost=cost, cost_key=(layer, "conquer"), attn_sink=conquer_sink)
+        clip_matrix, frames_out = transformer_d(
+            self._projections(layer, "divide"), cfg.num_heads, video_qe, frames,
+            AttentionMask.banded(clip_len + 1, cfg.temporal_range),
+            cost=cost, cost_key=(layer, "divide"), attn_sink=divide_sink, clip_len=clip_len)
+        video_out = transformer_c(self._projections(layer, "conquer"), cfg.num_heads,
+                                  clip_matrix, cost=cost, cost_key=(layer, "conquer"),
+                                  attn_sink=conquer_sink)
 
         if activations is not None:
-            activations.clip_boundaries.append(bounds)
+            activations.clip_boundaries.append(split_clips(frames.shape[0], clip_len))
             activations.frame_embeddings.append(frames_out.data.copy())
             activations.clip_embeddings.append(clip_matrix.data.copy())
             activations.video_embeddings.append(video_out.data.copy())

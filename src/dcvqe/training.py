@@ -79,19 +79,32 @@ class AdamState:
 
 def adam_step(named_params: Sequence[tuple[str, Tensor]], state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One Adam update with bias correction, in place. Missing gradients are
-    treated as zero (the moments still decay)."""
+    """One Adam update with bias correction. The moments and the parameters
+    are updated in place, in the float order of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+    ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, so results are bit-identical
+    to that formula. Missing gradients are treated as zero (the moments
+    still decay)."""
     state.step += 1
     t = state.step
     for name, p in named_params:
         g = p.grad if p.grad is not None else np.zeros(p.shape)
         if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
-        m = state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = state.m[name], state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        g2 = g * g
+        g2 *= 1.0 - beta2
+        v *= beta2
+        v += g2
+        step = m / (1.0 - beta1 ** t)
+        step *= lr
+        denom = np.divide(v, 1.0 - beta2 ** t, out=g2)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        p.data -= step
 
 
 def _batch_predictions(model: DCVQEModel, batch: Sequence[FeatureSequence]) -> Tensor:

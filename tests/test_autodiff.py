@@ -346,8 +346,11 @@ class TestGradientCheck:
         (lambda x: ad.softmax_masked(x, HEAD_MASK), [(2, 2, 3, 4)]),
         (lambda x: ad.take(x, np.array([[2, 0, 2], [1, 2, 2]])), [(3, 4)]),
         (lambda x: ad.take(x, np.array([[3, 0], [1, 2]])), [(4, 3)]),
+        (ad.add, [(5, 3), (1, 3)]),
+        (ad.add, [(1, 3), (5, 3)]),
     ], ids=["matmul_broadcast_left", "matmul_broadcast_right", "matmul_broadcast_unit_axis",
-            "softmax_mask_over_heads", "take_repeated_rows", "take_unique_rows"])
+            "softmax_mask_over_heads", "take_repeated_rows", "take_unique_rows",
+            "add_row_broadcast_right", "add_row_broadcast_left"])
     def test_batched_ops(self, op, shapes):
         rng = np.random.default_rng(12)
         params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
@@ -428,6 +431,117 @@ class TestAttention:
             assert weights.shape == (self.HEADS, self.N, self.N)
             np.testing.assert_allclose(weights, attn.data[c], rtol=0, atol=1e-12)
             assert (weights[:, ~mask] == 0.0).all()
+
+
+def old_softmax(z: np.ndarray, admissible) -> np.ndarray:
+    """The masked softmax as first written: masked logits set to -inf, then
+    shift by the row max and exponentiate every entry."""
+    z = z.copy()
+    if admissible is not None:
+        np.copyto(z, -np.inf, where=~np.asarray(admissible, dtype=bool))
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+class TestSoftmaxForward:
+    SLOT_ONLY = np.array([[True, True, True, True],
+                          [True, False, False, False],   # admits only the slot
+                          [True, False, True, True],
+                          [True, False, False, False]])
+
+    @pytest.mark.parametrize("shape, mask", [
+        ((3, 2, 9, 9), banded_mask(9, 2)),
+        ((2, 2, 4, 4), SLOT_ONLY),
+        ((3, 2, 6, 6), (np.random.default_rng(30).random((3, 1, 6, 6)) < 0.5)
+         | np.eye(6, dtype=bool)),
+        ((2, 3, 5, 5), None),
+    ], ids=["banded", "slot_only_rows", "broadcast_per_clip", "unmasked"])
+    def test_bit_identical_to_exp_of_minus_inf(self, shape, mask):
+        rng = np.random.default_rng(31)
+        for scale in (1e-3, 1.0, 30.0, 700.0):
+            z = rng.normal(size=shape) * scale
+            got = ad._softmax_forward(z.copy(), mask)
+            assert np.array_equal(got, old_softmax(z, mask))
+            if mask is not None:
+                assert (got[..., ~np.broadcast_to(mask, shape)] == 0.0).all()
+                assert not np.signbit(got).any()
+
+
+class TestDivideAttention:
+    DIM, HEADS = 4, 2
+
+    def operands(self, n, seed):
+        rng = np.random.default_rng(seed)
+        frames = Tensor(rng.normal(size=(n, self.DIM)), requires_grad=True, name="frames")
+        video = Tensor(rng.normal(size=(1, self.DIM)), requires_grad=True, name="video")
+        ws = [Tensor(rng.normal(size=(self.DIM, self.DIM)), requires_grad=True, name=name)
+              for name in ("wq", "wk", "wv")]
+        return frames, video, ws
+
+    @pytest.mark.parametrize("n, clip_len, radius", [
+        (3, 4, 1), (8, 4, 1), (10, 4, 2), (1, 4, 1), (7, 3, None),
+    ], ids=["shorter_than_clip", "two_full_clips", "remainder", "one_frame", "unbanded"])
+    def test_gradient_check(self, n, clip_len, radius):
+        frames, video, ws = self.operands(n, 40 + n)
+        mask = None if radius is None else banded_mask(clip_len + 1, radius)
+        rng = np.random.default_rng(41)
+        clips = -(-n // clip_len)
+        w_clips = Tensor(rng.normal(size=(clips, self.DIM)))
+        w_frames = Tensor(rng.normal(size=(n, self.DIM)))
+
+        def f():
+            c, fr = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask)
+            return ad.add(ad.sum_all(ad.mul(c, w_clips)), ad.sum_all(ad.mul(fr, w_frames)))
+
+        report = gradient_check(f, [frames, video, *ws], h=1e-6)
+        assert [p.name for p in report.per_parameter] == ["frames", "video", "wq", "wk", "wv"]
+        assert report.max_rel_error <= 1e-4
+
+    @pytest.mark.parametrize("n", [10, 8, 3])
+    def test_forward_matches_per_clip_reference(self, n):
+        clip_len = 4
+        frames, video, ws = self.operands(n, 50)
+        mask = banded_mask(clip_len + 1, 1)
+        sink = []
+        clips, out = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask,
+                                         sink=sink)
+        rows = ad.concat_rows([video, frames])  # row 0 the video, row 1 + t frame t
+        want_clips, want_frames, want_sink = [], [], []
+        for start in range(0, n, clip_len):
+            length = min(clip_len, n - start)
+            x = ad.take(rows, np.r_[0, np.arange(start + 1, start + length + 1)])
+            y = ad.add(x, ad.attention(x, *ws, self.HEADS,
+                                       mask[:length + 1, :length + 1], sink=want_sink))
+            want_clips.append(y.data[:1])
+            want_frames.append(y.data[1:])
+        assert clips.shape == (len(want_clips), self.DIM) and out.shape == (n, self.DIM)
+        np.testing.assert_allclose(clips.data, np.vstack(want_clips), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data, np.vstack(want_frames), rtol=0, atol=1e-12)
+        assert len(sink) == len(want_sink)
+        for got, want in zip(sink, want_sink):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_one_node_with_two_outputs(self):
+        frames, video, ws = self.operands(10, 51)
+        with Graph() as g:
+            clips, out = ad.divide_attention(frames, video, *ws, self.HEADS, 4, None)
+            loss = ad.sum_all(ad.mul(clips, clips))  # the frames output is unused
+        assert [node.op for node in g.nodes] == ["divide_attention", "mul", "sum_all"]
+        backward(loss, g)
+        assert all(t.grad is not None and np.isfinite(t.grad).all()
+                   for t in (frames, video, *ws))
+
+    def test_rejects_bad_operands(self):
+        frames, video, ws = self.operands(6, 52)
+        with pytest.raises(ShapeError, match="mask shape"):
+            ad.divide_attention(frames, video, *ws, self.HEADS, 4, banded_mask(4, 1))
+        with pytest.raises(ShapeError, match="video"):
+            ad.divide_attention(frames, frames, *ws, self.HEADS, 4, None)
+        with pytest.raises(ShapeError, match="clip_len"):
+            ad.divide_attention(frames, video, *ws, self.HEADS, 0, None)
 
 
 class TestThreadConfinement:

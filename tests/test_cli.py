@@ -183,6 +183,27 @@ class TestExitCodes:
         assert code == 2
         assert "grid entry 1: unknown config key(s) 'aplha'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "eval", "dump-embeddings"])
+    def test_mixed_feature_widths_are_two(self, tmp_path, trained_checkpoint, command,
+                                          monkeypatch, capsys):
+        data_io.synth_dataset(tmp_path, n_videos=6, len_range=(4, 8), dim=6, seed=3)
+        wide = data_io.FeatureSequence("wide", np.ones((5, 7)), 2.0)
+        data_io.write_features(tmp_path / "wide.dcvq", wide)
+        manifest = data_io.load_manifest(tmp_path / "manifest.jsonl")
+        manifest.entries.append(data_io.ManifestEntry("wide", "wide.dcvq", 2.0))
+        data_io.save_manifest(manifest, tmp_path / "manifest.jsonl")
+        monkeypatch.setattr("dcvqe.cli.fit", lambda *a, **k: pytest.fail("training ran"))
+        monkeypatch.setattr("dcvqe.cli.evaluate", lambda *a: pytest.fail("evaluation ran"))
+        args = {"train": ["--out", str(tmp_path / "x.ckpt")],
+                "eval": ["--checkpoint", str(trained_checkpoint)],
+                "dump-embeddings": ["--checkpoint", str(trained_checkpoint),
+                                    "--out", str(tmp_path / "x.ckpt")]}[command]
+        code = main([command, "--manifest", str(tmp_path / "manifest.jsonl"), *args])
+        assert code == 2
+        assert ("video 'wide' has feature width 7, but 'synth00000' has 6"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_nonfinite_validation_loss_is_three(self, tmp_path, dataset_dir, config_file,
                                                 monkeypatch, capsys):
         monkeypatch.setattr(training, "validation_loss", lambda *args: math.nan)

@@ -120,6 +120,14 @@ class TestTruncate:
         cut = truncate(seq, 20)
         assert np.array_equal(cut.features, seq.features[:20])
 
+    def test_cut_is_a_view(self):
+        seq = make_seq(frames=50, dim=3, seed=10)
+        before = seq.features.copy()
+        cut = truncate(seq, 20)
+        assert np.shares_memory(cut.features, seq.features)
+        assert np.array_equal(cut.features, before[:20])
+        assert np.array_equal(seq.features, before)
+
 
 class TestFeatureSequenceValidation:
     def test_nonfinite_rejected(self):

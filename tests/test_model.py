@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dcvqe import autodiff as ad
 from dcvqe.autodiff import Tensor
+from dcvqe.losses import LossConfig, total_loss
 from dcvqe.model import (AttentionCost, AttentionMask, AttentionProjections,
                          DCVQEConfig, DCVQEModel, SequenceLengthError,
                          multi_head_attention, split_clips, transformer_c, transformer_d)
@@ -205,6 +206,45 @@ class TestTransformerD:
         with pytest.raises(ad.ShapeError):
             transformer_d(proj, 2, Tensor(rng.normal(size=(1, 8))),
                           Tensor(rng.normal(size=(4, 8))), AttentionMask.banded(4, 2))
+
+
+    def test_clip_len_form_matches_one_call_per_clip(self):
+        rng = np.random.default_rng(5)
+        proj = random_projections(rng, 8)
+        video = Tensor(rng.normal(size=(1, 8)))
+        frames = Tensor(rng.normal(size=(10, 8)))
+        cost, sink = AttentionCost(), []
+        clip_qes, out = transformer_d(proj, 2, video, frames, AttentionMask.banded(5, 2),
+                                      cost=cost, cost_key=(1, "divide"), attn_sink=sink,
+                                      clip_len=4)
+        want_cost, want_sink = AttentionCost(), []
+        for c, (start, stop) in enumerate(split_clips(10, 4)):
+            clip_frames = Tensor(frames.data[start:stop])
+            qe, f = transformer_d(proj, 2, video, clip_frames,
+                                  AttentionMask.banded(stop - start + 1, 2), cost=want_cost,
+                                  cost_key=(1, "divide"), attn_sink=want_sink)
+            np.testing.assert_allclose(clip_qes.data[c:c + 1], qe.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out.data[start:stop], f.data, rtol=0, atol=1e-12)
+        assert cost.macs == want_cost.macs == {(1, "divide"): 2 * 8 * (2 * 5 * 5 + 3 * 3)}
+        assert [w.shape for w in sink] == [w.shape for w in want_sink]
+        for got, want in zip(sink, want_sink):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestTapeSize:
+    def test_training_batch_at_acceptance_08_shape_under_500_nodes(self):
+        cfg = DCVQEConfig(input_dim=64, model_dim=32, num_heads=4, num_layers=3,
+                          base_clip_len=30, temporal_range=15, max_seq_len=600)
+        model = DCVQEModel.initialize(cfg, seed=7)
+        rng = np.random.default_rng(8)
+        videos = [rng.normal(size=(int(n), 64)) for n in rng.integers(60, 301, size=16)]
+        with ad.Graph() as graph:
+            preds = ad.concat_rows([model.forward(v)[0] for v in videos])
+            loss = total_loss(preds, Tensor(rng.uniform(1, 5, (16, 1))), LossConfig(0.7, 0.3))
+        assert len(graph) < 500
+        assert sum(node.op == "divide_attention" for node in graph.nodes) == 16 * 3
+        ad.backward(loss, graph)
+        assert all(p.grad is not None for p in model.parameters())
 
 
 class TestTransformerC:

@@ -93,6 +93,28 @@ class TestAdam:
         assert math.isclose(p.data[0], theta, rel_tol=1e-15)
         assert state.step == 3
 
+    def test_in_place_update_is_bit_identical_to_formula(self):
+        rng = np.random.default_rng(14)
+        p = Tensor(rng.normal(size=(4, 3)), requires_grad=True, name="w")
+        state = AdamState(step=0, m={"w": np.zeros((4, 3))}, v={"w": np.zeros((4, 3))})
+        model = DCVQEModel(DCVQEConfig(input_dim=1, model_dim=2, num_heads=1), {"w": p})
+        before = Checkpoint.snapshot(model, state, val_loss=0.0, epoch=0)
+        theta, m, v = p.data.copy(), np.zeros((4, 3)), np.zeros((4, 3))
+        initial = p.data.copy()
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        for t in range(1, 4):
+            g = rng.normal(size=(4, 3))
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            theta = theta - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+            p.grad = g
+            adam_step([("w", p)], state, lr=lr, beta1=b1, beta2=b2, eps=eps)
+            assert np.array_equal(p.data, theta)
+            assert np.array_equal(state.m["w"], m) and np.array_equal(state.v["w"], v)
+        assert np.array_equal(before.adam_m["w"], np.zeros((4, 3)))
+        assert np.array_equal(before.adam_v["w"], np.zeros((4, 3)))
+        assert np.array_equal(before.params["w"], initial)
+
     def test_nonfinite_gradient_names_parameter(self):
         p, state = self.one_param()
         p.grad = np.array([np.nan])
