@@ -56,6 +56,18 @@ class FeatureSequence:
         if not math.isfinite(self.mos):
             raise ValueError(f"non-finite mos for {self.video_id!r}")
 
+    @classmethod
+    def _of_finite(cls, video_id: str, features: np.ndarray, mos: float) -> "FeatureSequence":
+        """A sequence around C-ordered float64 rows ``[S>=1, dim>=1]`` that are
+        already known to be finite: ``read_features`` checked the file's
+        values and ``truncate`` cuts a checked sequence, so the rows are not
+        scanned a second time. Only ``mos`` is checked."""
+        if not math.isfinite(mos):
+            raise ValueError(f"non-finite mos for {video_id!r}")
+        seq = cls.__new__(cls)
+        seq.video_id, seq.features, seq.mos = video_id, features, mos
+        return seq
+
     @property
     def num_frames(self) -> int:
         return self.features.shape[0]
@@ -113,7 +125,7 @@ def read_features(path, mos: float = 0.0, video_id: str | None = None) -> Featur
         raise FormatError(f"non-finite value at element {bad} of {path}",
                           offset=_HEADER.size + bad * 4)
     features = values.astype(np.float64).reshape(num_frames, feature_dim)
-    return FeatureSequence(video_id=video_id or path.stem, features=features, mos=mos)
+    return FeatureSequence._of_finite(video_id or path.stem, features, mos)
 
 
 def truncate(seq: FeatureSequence, max_len: int) -> FeatureSequence:
@@ -126,8 +138,7 @@ def truncate(seq: FeatureSequence, max_len: int) -> FeatureSequence:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     if seq.num_frames <= max_len:
         return seq
-    return FeatureSequence(video_id=seq.video_id, features=seq.features[:max_len],
-                           mos=seq.mos)
+    return FeatureSequence._of_finite(seq.video_id, seq.features[:max_len], seq.mos)
 
 
 # ---------------------------------------------------------------------------

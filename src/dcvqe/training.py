@@ -77,6 +77,11 @@ class AdamState:
                          v={k: a.copy() for k, a in self.v.items()})
 
 
+# elements per block of an Adam update (2**14 measured fastest at the 4096 x 128
+# input weight): a block of each of the six arrays involved fits in the cache
+ADAM_BLOCK = 1 << 14
+
+
 def adam_step(named_params: Sequence[tuple[str, Tensor]], state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
     """One Adam update with bias correction. The moments and the parameters
@@ -84,27 +89,43 @@ def adam_step(named_params: Sequence[tuple[str, Tensor]], state: AdamState, lr: 
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
     ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, so results are bit-identical
     to that formula. Missing gradients are treated as zero (the moments
-    still decay)."""
+    still decay).
+
+    The update runs over flat views of the gradient, the moments and
+    ``p.data``, ``ADAM_BLOCK`` elements at a time, through two scratch
+    buffers of one block: each element sees the same operations as in one
+    pass over whole arrays, but the working set stays in the cache. The
+    views write through to the arrays that the model and the state hold."""
     state.step += 1
     t = state.step
+    corr1, corr2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    largest = max((p.size for _, p in named_params), default=0)
+    buf_a, buf_b = np.empty((2, min(largest, ADAM_BLOCK)))
     for name, p in named_params:
         g = p.grad if p.grad is not None else np.zeros(p.shape)
         if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
-        m, v = state.m[name], state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        g2 = g * g
-        g2 *= 1.0 - beta2
-        v *= beta2
-        v += g2
-        step = m / (1.0 - beta1 ** t)
-        step *= lr
-        denom = np.divide(v, 1.0 - beta2 ** t, out=g2)
-        np.sqrt(denom, out=denom)
-        denom += eps
-        step /= denom
-        p.data -= step
+        # a flat view of a C-ordered array is no copy (p.data is C-ordered by contract)
+        m = state.m[name] = np.ascontiguousarray(state.m[name])
+        v = state.v[name] = np.ascontiguousarray(state.v[name])
+        gf, mf, vf, pf = (a.reshape(-1) for a in (g, m, v, p.data))
+        for lo in range(0, pf.size, ADAM_BLOCK):
+            blk = slice(lo, lo + ADAM_BLOCK)
+            g, m, v, q = gf[blk], mf[blk], vf[blk], pf[blk]
+            a, b = buf_a[:q.size], buf_b[:q.size]
+            m *= beta1
+            m += np.multiply(1.0 - beta1, g, out=a)
+            np.multiply(g, g, out=a)
+            a *= 1.0 - beta2
+            v *= beta2
+            v += a
+            np.divide(m, corr1, out=a)
+            a *= lr
+            np.divide(v, corr2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            q -= a
 
 
 def _batch_predictions(model: DCVQEModel, batch: Sequence[FeatureSequence]) -> Tensor:

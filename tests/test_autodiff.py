@@ -92,6 +92,21 @@ class TestMatmul:
         np.testing.assert_allclose(
             b.grad, fd_grad(lambda x: (a.data @ x).sum(), b.data.copy()), atol=1e-8)
 
+    @pytest.mark.parametrize("din,dout", [(64, 32), (4096, 128)])
+    @pytest.mark.parametrize("n", [1, 60, 300, 600])
+    def test_right_operand_gradient_is_bit_identical_to_a_t_g(self, n, din, dout):
+        # the 2-D rule forms (g.T @ a).T; pinned to the textbook a.T @ g bit for bit
+        rng = np.random.default_rng(n + din)
+        a = Tensor(rng.normal(size=(n, din)))
+        b = Tensor(rng.normal(scale=0.02, size=(din, dout)), requires_grad=True)
+        g = rng.normal(size=(n, dout))
+        with Graph() as graph:
+            ad.matmul(a, b)
+        (node,) = graph.nodes
+        ga, gb = node.backward_fn(g)
+        assert ga is None
+        assert np.array_equal(gb, a.data.T @ g)
+
 
 class TestSoftmaxMasked:
     def test_uniform_over_admitted(self):
@@ -273,6 +288,34 @@ class TestBackward:
         once = x.grad.copy()
         backward(loss, g)
         assert np.array_equal(x.grad, 2 * once)
+
+    def test_leaf_gradients_are_c_contiguous(self):
+        # matmul hands back an F-ordered weight gradient; the leaf's grad is C-ordered
+        rng = np.random.default_rng(11)
+        w = Tensor(rng.normal(size=(256, 16)), requires_grad=True)
+        rows = [rng.normal(size=(n, 256)) for n in (40, 7)]
+        weights = [rng.normal(size=(n, 16)) for n in (40, 7)]
+        with Graph() as g:
+            loss = ad.add(*[ad.sum_all(ad.mul(ad.matmul(Tensor(a), w), Tensor(c)))
+                            for a, c in zip(rows, weights)])
+        backward(loss, g)
+        expected = rows[0].T @ weights[0] + rows[1].T @ weights[1]
+        assert w.grad.flags.c_contiguous
+        assert np.array_equal(w.grad, expected)
+        backward(loss, g)
+        assert w.grad.flags.c_contiguous
+        assert np.array_equal(w.grad, expected + expected)
+
+    def test_single_matmul_leaf_gradient_is_a_t_g(self):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(33, 256))
+        w = Tensor(rng.normal(size=(256, 16)), requires_grad=True)
+        c = rng.normal(size=(33, 16))
+        with Graph() as g:
+            loss = ad.sum_all(ad.mul(ad.matmul(Tensor(a), w), Tensor(c)))
+        backward(loss, g)
+        assert w.grad.flags.c_contiguous
+        assert np.array_equal(w.grad, a.T @ c)
 
     def test_non_scalar_loss_raises(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)

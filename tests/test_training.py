@@ -14,8 +14,8 @@ from dcvqe.data import SplitSpec
 from dcvqe.losses import LossConfig
 from dcvqe.metrics import DegenerateInputError
 from dcvqe.model import DCVQEConfig, DCVQEModel
-from dcvqe.training import (AdamState, Checkpoint, TrainConfig, adam_step, evaluate,
-                            fit, load_checkpoint, load_into, run_repetitions,
+from dcvqe.training import (ADAM_BLOCK, AdamState, Checkpoint, TrainConfig, adam_step,
+                            evaluate, fit, load_checkpoint, load_into, run_repetitions,
                             save_checkpoint, train_epoch, validation_loss)
 
 SMALL_CFG = DCVQEConfig(input_dim=6, model_dim=8, num_heads=2, num_layers=2,
@@ -114,6 +114,32 @@ class TestAdam:
         assert np.array_equal(before.adam_m["w"], np.zeros((4, 3)))
         assert np.array_equal(before.adam_v["w"], np.zeros((4, 3)))
         assert np.array_equal(before.params["w"], initial)
+
+    def test_blocked_update_spans_blocks_and_writes_through(self):
+        # 4096 x 9 = 36,864 elements: two full blocks plus a remainder, with an
+        # F-ordered gradient; every block must see the formula's float order
+        assert 2 * ADAM_BLOCK < 4096 * 9 < 3 * ADAM_BLOCK
+        rng = np.random.default_rng(15)
+        p = Tensor(rng.normal(size=(4096, 9)), requires_grad=True, name="w")
+        small = Tensor(rng.normal(size=(3,)), requires_grad=True, name="b")
+        state = AdamState(step=0, m={"w": np.zeros((4096, 9)), "b": np.zeros(3)},
+                          v={"w": np.zeros((4096, 9)), "b": np.zeros(3)})
+        model = DCVQEModel(DCVQEConfig(input_dim=1, model_dim=2, num_heads=1),
+                           {"w": p, "b": small})
+        held = (p.data, state.m["w"], state.v["w"])
+        theta, m, v = p.data.copy(), np.zeros((4096, 9)), np.zeros((4096, 9))
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        for t in range(1, 4):
+            g = np.asfortranarray(rng.normal(size=(4096, 9)))
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            theta = theta - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+            p.grad, small.grad = g, rng.normal(size=(3,))
+            adam_step(model.named_parameters(), state, lr=lr, beta1=b1, beta2=b2, eps=eps)
+            assert np.array_equal(p.data, theta)
+            assert np.array_equal(state.m["w"], m) and np.array_equal(state.v["w"], v)
+        assert model.params["w"].data is held[0]
+        assert state.m["w"] is held[1] and state.v["w"] is held[2]
 
     def test_nonfinite_gradient_names_parameter(self):
         p, state = self.one_param()
