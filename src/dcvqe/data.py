@@ -2,9 +2,11 @@
 
 Feature files are a fixed binary layout: magic ``DCVQ``, u32 version (1),
 u32 num_frames, u32 feature_dim, then num_frames * feature_dim little-endian
-float32 values, row-major. Values are 32-bit on disk and widened to 64-bit
-in memory. Manifests are line-delimited JSON: one header record carrying the
-MOS scale, then one record per video; feature paths resolve relative to the
+float32 values, row-major. Values stay float32 in memory as
+``FeatureSequence.features``, so a loaded dataset takes 4 bytes per value;
+``DCVQEModel.forward`` widens one video's rows to float64, exactly, per
+call. Manifests are line-delimited JSON: one header record carrying the MOS
+scale, then one record per video; feature paths resolve relative to the
 manifest's directory.
 
 The synthetic generator stands in for a real feature-extraction backbone:
@@ -41,24 +43,32 @@ class FormatError(ValueError):
 
 @dataclass
 class FeatureSequence:
-    """One video's frame features plus its ground-truth score."""
+    """One video's frame features plus its ground-truth score.
+
+    ``features`` is a C-ordered float32 ``[num_frames, feature_dim]`` array,
+    the precision of the feature file. Other input is rounded to float32 on
+    construction, so a value beyond float32's range is rejected as
+    non-finite.
+    """
 
     video_id: str
-    features: np.ndarray  # [num_frames, feature_dim] float64
+    features: np.ndarray  # [num_frames, feature_dim] float32, C-ordered
     mos: float
 
     def __post_init__(self):
-        self.features = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
+        with np.errstate(over="ignore"):  # an overflow becomes inf, rejected below
+            self.features = np.ascontiguousarray(self.features, dtype=np.float32)
         if self.features.ndim != 2 or self.features.shape[0] < 1 or self.features.shape[1] < 1:
             raise ValueError(f"features must be [S>=1, dim>=1], got shape {self.features.shape}")
         if not np.isfinite(self.features).all():
-            raise ValueError(f"non-finite feature value in {self.video_id!r}")
+            raise ValueError(f"non-finite feature value in {self.video_id!r} "
+                             f"after rounding to float32")
         if not math.isfinite(self.mos):
             raise ValueError(f"non-finite mos for {self.video_id!r}")
 
     @classmethod
     def _of_finite(cls, video_id: str, features: np.ndarray, mos: float) -> "FeatureSequence":
-        """A sequence around C-ordered float64 rows ``[S>=1, dim>=1]`` that are
+        """A sequence around C-ordered float32 rows ``[S>=1, dim>=1]`` that are
         already known to be finite: ``read_features`` checked the file's
         values and ``truncate`` cuts a checked sequence, so the rows are not
         scanned a second time. Only ``mos`` is checked."""
@@ -78,12 +88,9 @@ class FeatureSequence:
 
 
 def write_features(path, seq: FeatureSequence) -> None:
-    payload = seq.features.astype("<f4")
-    if not np.isfinite(payload).all():
-        raise ValueError(f"features of {seq.video_id!r} overflow float32")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, seq.num_frames, seq.feature_dim))
-        fh.write(payload.tobytes(order="C"))
+        fh.write(seq.features.astype("<f4", copy=False).tobytes(order="C"))
 
 
 def _parse_header(raw: bytes, path: Path) -> tuple[int, int]:
@@ -106,7 +113,8 @@ def read_features(path, mos: float = 0.0, video_id: str | None = None) -> Featur
     """Parse one feature file, validating magic, version, extents, finiteness.
 
     The file carries no score; ``mos`` is attached by the caller (usually
-    from a manifest entry).
+    from a manifest entry). The returned features are a read-only float32
+    view of the bytes read from the file: the payload is allocated once.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -124,15 +132,15 @@ def read_features(path, mos: float = 0.0, video_id: str | None = None) -> Featur
         bad = int(np.argmin(finite))
         raise FormatError(f"non-finite value at element {bad} of {path}",
                           offset=_HEADER.size + bad * 4)
-    features = values.astype(np.float64).reshape(num_frames, feature_dim)
-    return FeatureSequence._of_finite(video_id or path.stem, features, mos)
+    return FeatureSequence._of_finite(video_id or path.stem,
+                                      values.reshape(num_frames, feature_dim), mos)
 
 
 def truncate(seq: FeatureSequence, max_len: int) -> FeatureSequence:
     """Keep only the first ``max_len`` frames; shorter sequences pass through.
 
     The truncated features are a view of the first rows of ``seq.features``,
-    not a copy.
+    not a copy, so they keep the whole original buffer alive.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
@@ -231,11 +239,20 @@ def manifest_feature_dim(manifest: DatasetManifest) -> int:
 
 
 def load_sequences(manifest: DatasetManifest, max_len: int | None = None) -> list[FeatureSequence]:
+    """Read every video of the manifest, cut to ``max_len`` frames if given.
+
+    The sequences are kept for a whole run, so a cut sequence holds a copy
+    of its first rows rather than a view that would keep the cut frames
+    resident too.
+    """
     seqs = []
     for e in manifest.entries:
         seq = read_features(manifest.resolve(e), mos=e.mos, video_id=e.video_id)
         if max_len is not None:
-            seq = truncate(seq, max_len)
+            cut = truncate(seq, max_len)
+            if cut is not seq:
+                cut.features = cut.features.copy()
+            seq = cut
         seqs.append(seq)
     return seqs
 
@@ -322,9 +339,7 @@ def synth_dataset(out_dir, n_videos: int = 500, len_range: tuple[int, int] = (60
         mos = q - penalty
         features = (q * w1[None, :] + burst[:, None] * w2[None, :]
                     + rng.normal(0.0, noise_sigma, (n_frames, dim)))
-        seq = FeatureSequence(video_id=video_id,
-                              features=features.astype(np.float32).astype(np.float64),
-                              mos=mos)
+        seq = FeatureSequence(video_id=video_id, features=features, mos=mos)
         write_features(out_dir / f"{video_id}.dcvq", seq)
         entries.append(ManifestEntry(video_id, f"{video_id}.dcvq", mos))
 
@@ -342,7 +357,8 @@ def linear_probe(manifest: DatasetManifest, train_frac: float = 0.8,
     it, no amount of model training will.
     """
     seqs = load_sequences(manifest)
-    x = np.stack([s.features.mean(axis=0) for s in seqs])
+    # accumulating in float64 gives the same bits as the mean of the widened rows
+    x = np.stack([s.features.mean(axis=0, dtype=np.float64) for s in seqs])
     y = np.array([s.mos for s in seqs])
     n = len(seqs)
     perm = np.random.default_rng(seed).permutation(n)

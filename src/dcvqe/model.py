@@ -262,7 +262,11 @@ class DCVQEModel:
                                     self.params[f"layer{layer}.{module}.value"])
 
     def project_input(self, features: Tensor) -> Tensor:
-        """Affine map from raw per-frame features to the model width."""
+        """Affine map from raw per-frame features to the model width.
+
+        ``features`` is a float64 tensor; ``forward`` builds it from the
+        float32 rows of a ``FeatureSequence``, so the GEMM sees the file's
+        values exactly."""
         if features.data.ndim != 2 or features.shape[1] != self.config.input_dim:
             raise ad.ShapeError(f"features must be [S,{self.config.input_dim}], "
                                 f"got {features.shape}")
@@ -320,6 +324,9 @@ class DCVQEModel:
     def forward(self, features, record: bool = False, record_attention: bool = False,
                 cost: AttentionCost | None = None) -> tuple[Tensor, LayerActivations | None]:
         """Score one video. ``features`` is [S, input_dim] (array or tensor).
+
+        An array is wrapped in a float64 ``Tensor``; this is where the float32
+        rows of a ``FeatureSequence`` are widened, exactly, once per call.
 
         Returns the scalar score tensor (shape [1,1]) and, when ``record``,
         the per-layer activations.

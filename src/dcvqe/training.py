@@ -89,13 +89,17 @@ def adam_step(named_params: Sequence[tuple[str, Tensor]], state: AdamState, lr: 
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
     ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, so results are bit-identical
     to that formula. Missing gradients are treated as zero (the moments
-    still decay).
+    still decay). A non-finite gradient raises ``FloatingPointError`` before
+    any parameter, moment or the step count changes.
 
     The update runs over flat views of the gradient, the moments and
     ``p.data``, ``ADAM_BLOCK`` elements at a time, through two scratch
     buffers of one block: each element sees the same operations as in one
     pass over whole arrays, but the working set stays in the cache. The
     views write through to the arrays that the model and the state hold."""
+    for name, p in named_params:
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     t = state.step
     corr1, corr2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
@@ -103,8 +107,6 @@ def adam_step(named_params: Sequence[tuple[str, Tensor]], state: AdamState, lr: 
     buf_a, buf_b = np.empty((2, min(largest, ADAM_BLOCK)))
     for name, p in named_params:
         g = p.grad if p.grad is not None else np.zeros(p.shape)
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         # a flat view of a C-ordered array is no copy (p.data is C-ordered by contract)
         m = state.m[name] = np.ascontiguousarray(state.m[name])
         v = state.v[name] = np.ascontiguousarray(state.v[name])

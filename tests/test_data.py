@@ -17,9 +17,17 @@ from dcvqe.data import (DatasetManifest, FeatureSequence, FormatError, ManifestE
                         write_features)
 
 
+def owned_nbytes(a: np.ndarray) -> int:
+    """Size of the buffer that keeps ``a`` alive: the root of its ``base``
+    chain, an array or the bytes read from a file."""
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return memoryview(a).nbytes
+
+
 def make_seq(video_id="v0", frames=3, dim=4, seed=0, mos=2.5):
     rng = np.random.default_rng(seed)
-    feats = rng.normal(size=(frames, dim)).astype(np.float32).astype(np.float64)
+    feats = rng.normal(size=(frames, dim)).astype(np.float32)
     return FeatureSequence(video_id=video_id, features=feats, mos=mos)
 
 
@@ -98,6 +106,42 @@ class TestCorruptFiles:
         with pytest.raises(FormatError) as err:
             read_features(path)
         assert err.value.offset == 2
+
+
+class TestInMemoryDtype:
+    def test_read_features_is_float32_c_ordered_read_only(self, tmp_path):
+        seq = make_seq(frames=9, dim=5, seed=4)
+        write_features(tmp_path / "f.dcvq", seq)
+        back = read_features(tmp_path / "f.dcvq")
+        assert back.features.dtype == np.float32
+        assert back.features.flags.c_contiguous and not back.features.flags.writeable
+        # the payload is the one allocation: the file's bytes, header included
+        assert owned_nbytes(back.features) == 16 + 4 * 9 * 5
+
+    def test_truncate_is_a_float32_view(self, tmp_path):
+        write_features(tmp_path / "f.dcvq", make_seq(frames=30, dim=3, seed=5))
+        seq = read_features(tmp_path / "f.dcvq")
+        cut = truncate(seq, 10)
+        assert cut.features.dtype == np.float32 and cut.features.flags.c_contiguous
+        assert np.shares_memory(cut.features, seq.features)
+
+    def test_float64_input_rounds_to_float32(self):
+        x = np.asfortranarray([[0.1, 1.0 + 2.0 ** -30], [-3.3, 1e30]])
+        seq = FeatureSequence("v", x, 1.0)
+        assert seq.features.dtype == np.float32 and seq.features.flags.c_contiguous
+        assert np.array_equal(seq.features, x.astype(np.float32))
+
+    def test_float32_overflow_rejected(self):
+        with pytest.raises(ValueError, match="float32"):
+            FeatureSequence("v", np.array([[1.0, 1e39]]), 1.0)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (7, 5), (60, 64), (300, 64), (901, 4096)])
+    def test_probe_mean_equals_mean_of_widened_rows(self, shape):
+        # linear_probe pools float32 rows with a float64 accumulator; that must
+        # give the bits of the mean over the rows widened to float64
+        rows = np.random.default_rng(shape[0]).normal(size=shape).astype(np.float32)
+        assert np.array_equal(rows.mean(axis=0, dtype=np.float64),
+                              rows.astype(np.float64).mean(axis=0))
 
 
 class TestTruncate:
@@ -261,3 +305,18 @@ class TestLoadSequences:
         seqs = load_sequences(m, max_len=10)
         assert all(s.num_frames <= 10 for s in seqs)
         assert {s.video_id for s in seqs} == {e.video_id for e in m.entries}
+
+    def test_resident_bytes_are_four_per_value(self, tmp_path):
+        m = synth_dataset(tmp_path / "r", n_videos=6, len_range=(20, 30), dim=4, seed=9)
+        for s in load_sequences(m):
+            assert s.features.dtype == np.float32
+            assert s.features.nbytes == 4 * s.num_frames * 4
+            assert owned_nbytes(s.features) == 16 + 4 * s.num_frames * 4
+
+    def test_cut_sequences_keep_only_their_rows(self, tmp_path):
+        m = synth_dataset(tmp_path / "c", n_videos=5, len_range=(30, 30), dim=4, seed=10)
+        for s in load_sequences(m, max_len=10):
+            assert owned_nbytes(s.features) == 4 * 10 * 4
+            assert s.features.dtype == np.float32 and s.features.flags.c_contiguous
+            whole = read_features(m.root / f"{s.video_id}.dcvq")
+            assert np.array_equal(s.features, whole.features[:10])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dcvqe import autodiff as ad
 from dcvqe.autodiff import Tensor
+from dcvqe.data import FeatureSequence
 from dcvqe.losses import LossConfig, total_loss
 from dcvqe.model import (AttentionCost, AttentionMask, AttentionProjections,
                          DCVQEConfig, DCVQEModel, SequenceLengthError,
@@ -343,6 +344,21 @@ class TestForward:
         model = make_model()
         feats = np.random.default_rng(12).normal(size=(10, 12))
         assert model.predict(feats) == model.predict(feats.copy())
+
+    @pytest.mark.parametrize("input_dim,model_dim,frames", [(64, 32, 75), (4096, 128, 90)])
+    def test_float32_rows_score_as_their_widened_copy(self, input_dim, model_dim, frames):
+        # forward widens float32 rows exactly, so the GEMMs see the same operands
+        cfg = DCVQEConfig(input_dim=input_dim, model_dim=model_dim, num_heads=4, num_layers=3,
+                          base_clip_len=30, temporal_range=15, max_seq_len=600)
+        model = make_model(cfg, seed=21)
+        seq = FeatureSequence("v", np.random.default_rng(22).normal(size=(frames, input_dim)),
+                              2.0)
+        assert seq.features.dtype == np.float32
+        score32, acts32 = model.forward(seq.features, record=True)
+        score64, acts64 = model.forward(seq.features.astype(np.float64), record=True)
+        assert np.array_equal(score32.data, score64.data)
+        for a32, a64 in zip(acts32.frame_embeddings, acts64.frame_embeddings):
+            assert np.array_equal(a32, a64)
 
     def test_matches_reference_reimplementation(self):
         cfg = DCVQEConfig(input_dim=12, model_dim=8, num_heads=2, num_layers=2,

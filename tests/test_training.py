@@ -147,8 +147,46 @@ class TestAdam:
         with pytest.raises(FloatingPointError, match="theta"):
             adam_step([("theta", p)], state, lr=0.1)
 
+    def test_nonfinite_gradient_changes_nothing(self):
+        # the first parameter's gradient is fine: it must not be updated either
+        first = Tensor(np.ones(3), requires_grad=True, name="a")
+        second = Tensor(np.ones(3), requires_grad=True, name="b")
+        first.grad, second.grad = np.full(3, 0.5), np.array([0.5, np.nan, 0.5])
+        state = AdamState(step=4, m={"a": np.full(3, 0.2), "b": np.full(3, 0.2)},
+                          v={"a": np.full(3, 0.3), "b": np.full(3, 0.3)})
+        with pytest.raises(FloatingPointError, match="'b'"):
+            adam_step([("a", first), ("b", second)], state, lr=0.1)
+        assert state.step == 4
+        for name, p in (("a", first), ("b", second)):
+            assert np.array_equal(p.data, np.ones(3))
+            assert np.array_equal(state.m[name], np.full(3, 0.2))
+            assert np.array_equal(state.v[name], np.full(3, 0.3))
+
 
 class TestTrainEpoch:
+    def test_float32_rows_train_as_their_widened_copy(self, small_splits):
+        # features stay float32 until forward wraps them in a float64 Tensor: a
+        # step over float32 rows equals one over the same rows widened by hand
+        train_seqs, _, _ = small_splits
+        assert all(s.features.dtype == np.float32 for s in train_seqs)
+        widened = []
+        for s in train_seqs:
+            w = data_io.FeatureSequence(s.video_id, s.features, s.mos)
+            w.features = s.features.astype(np.float64)
+            widened.append(w)
+        runs = []
+        for seqs in (train_seqs, widened):
+            model = DCVQEModel.initialize(SMALL_CFG, seed=4)
+            state = AdamState.for_model(model)
+            loss = train_epoch(model, seqs, small_train_cfg(), state, 0)
+            runs.append((loss, model, state))
+        (loss32, model32, state32), (loss64, model64, state64) = runs
+        assert loss32 == loss64
+        for name, p in model32.named_parameters():
+            assert np.array_equal(p.data, model64.params[name].data)
+            assert np.array_equal(state32.m[name], state64.m[name])
+            assert np.array_equal(state32.v[name], state64.v[name])
+
     def test_zero_lr_keeps_params_bit_identical(self, small_splits):
         train_seqs, _, _ = small_splits
         model = DCVQEModel.initialize(SMALL_CFG, seed=1)
