@@ -24,8 +24,11 @@ and the updated frames (a node may have several outputs). Both share their
 projection, softmax and backward code, and the masked softmax rule is the
 one of ``softmax_masked``: the row max and the exponential run over the
 admitted entries only and masked entries are set to exact zeros, which is
-bit-identical to exponentiating ``-inf`` and much cheaper. ``gradient_check``
-checks the fused ops like every other op.
+bit-identical to exponentiating ``-inf`` and much cheaper. With
+``clip_rows_only``, ``divide_attention`` evaluates query row 0 of each clip
+alone and returns only the clip embeddings; the model uses it for its final
+layer, whose updated frames nothing reads. ``gradient_check`` checks the
+fused ops like every other op.
 """
 
 from __future__ import annotations
@@ -408,41 +411,56 @@ def _check_attention(x: Tensor, ws: tuple[Tensor, ...], num_heads: int) -> None:
 
 
 def _attend(x: np.ndarray, ws: tuple[Tensor, Tensor, Tensor], num_heads: int,
-            admissible: np.ndarray | None):
+            admissible: np.ndarray | None, first_row_only: bool = False):
     """Forward of multi-head attention over the array ``x`` [..., n, D].
 
     Returns the output rows [rows, D] (heads side by side), the weights
-    [..., H, n, n] and the VJP: ``vjp(g, need_x)`` maps the gradient of the
+    [..., H, m, n] and the VJP: ``vjp(g, need_x)`` maps the gradient of the
     output rows to (dx rows or None, dWq, dWk, dWv), with None for a
-    projection that needs no gradient.
+    projection that needs no gradient. With ``first_row_only`` only query
+    row 0 of each sequence is evaluated (m = 1): K and V still cover every
+    row, the output is that row alone, one per sequence, and dx reaches
+    every row through K and V and row 0 through Q as well. Otherwise m = n.
     """
     *lead, n, dim = x.shape
     head_dim = dim // num_heads
     c = 1.0 / math.sqrt(head_dim)
     rows = x.reshape(-1, dim)
+    m = 1 if first_row_only else n
+    q_rows = x[..., 0, :].reshape(-1, dim) if first_row_only else rows
+    if first_row_only and admissible is not None:
+        admissible = admissible[..., :1, :]
 
-    def split(a):  # [rows, D] -> [..., H, n, D/H], a view
-        return np.swapaxes(a.reshape(*lead, n, num_heads, head_dim), -2, -3)
+    def split(a, length):  # [rows, D] -> [..., H, length, D/H], a view
+        return np.swapaxes(a.reshape(*lead, length, num_heads, head_dim), -2, -3)
 
-    def merge(a):  # [..., H, n, D/H] -> [rows, D], a copy
+    def merge(a):  # [..., H, length, D/H] -> [rows, D], never a view of q, k, v or p
         return np.swapaxes(a, -2, -3).reshape(-1, dim)
 
     wq, wk, wv = ws
-    q = split(rows @ wq.data) * c
-    k = split(rows @ wk.data)
-    v = split(rows @ wv.data)
+    q = split(q_rows @ wq.data, m) * c
+    k = split(rows @ wk.data, n)
+    v = split(rows @ wv.data, n)
     p = _softmax_forward(q @ np.swapaxes(k, -1, -2), admissible)
 
     def vjp(g, need_x):
-        g = split(g)
+        g = split(g, m)
         ds = _softmax_vjp(p, g @ np.swapaxes(v, -1, -2))
         dq = merge(ds @ k)
         dq *= c
         dk = merge(np.swapaxes(ds, -1, -2) @ q)
         dv = merge(np.swapaxes(p, -1, -2) @ g)
-        dx = dq @ wq.data.T + dk @ wk.data.T + dv @ wv.data.T if need_x else None
-        return (dx, *(rows.T @ d if w.requires_grad else None
-                      for w, d in ((wq, dq), (wk, dk), (wv, dv))))
+        if not need_x:
+            dx = None
+        elif first_row_only:  # the full rule's sum order, with dq zero off row 0
+            dx = dk @ wk.data.T
+            row0 = dx.reshape(*lead, n, dim)[..., 0, :]
+            row0 += (dq @ wq.data.T).reshape(row0.shape)
+            dx += dv @ wv.data.T
+        else:
+            dx = dq @ wq.data.T + dk @ wk.data.T + dv @ wv.data.T
+        return (dx, *(r.T @ d if w.requires_grad else None
+                      for w, r, d in ((wq, q_rows, dq), (wk, rows, dk), (wv, rows, dv))))
 
     return merge(p @ v), p, vjp
 
@@ -476,7 +494,8 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
 
 def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
                      num_heads: int, clip_len: int, admissible: np.ndarray | None,
-                     sink: list[np.ndarray] | None = None) -> tuple[Tensor, Tensor]:
+                     sink: list[np.ndarray] | None = None,
+                     clip_rows_only: bool = False) -> tuple[Tensor, Tensor] | Tensor:
     """The divide stage of one video as one tape op with two outputs.
 
     ``frames`` [n, D] are cut into consecutive clips of ``clip_len`` frames;
@@ -486,9 +505,17 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
     [clip_len + 1, clip_len + 1] mask of a full clip (None admits every
     position); a shorter last clip of m frames uses the leading
     [m + 1, m + 1] block. The input sequence is added back (residual).
-    Returns the clip embeddings [C, D] (position 0 of each clip's output)
-    and the updated frames [n, D]. ``sink`` receives one [H, L, L] weight
-    array per clip, in clip order.
+    Returns the clip embeddings [C, D] (position 0 of each clip's output,
+    the clip row) and the updated frames [n, D]. ``sink`` receives one
+    [H, L, L] weight array per clip, in clip order.
+
+    With ``clip_rows_only`` only the clip rows are evaluated: K and V still
+    cover every position, but Q, the scores, the softmax and the output are
+    formed for position 0 alone, the residual goes on that row, and the op
+    returns the clip embeddings [C, D] as its single output (``sink`` then
+    receives [H, 1, L] arrays). The model uses this for its final layer,
+    whose updated frames reach neither the score nor the loss; the clip
+    embeddings agree with the full op's to rounding.
 
     All full-length clips run as one batch and a shorter last clip as a
     second one; the backward sums the two batches' projection gradients and
@@ -507,7 +534,7 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
     n, dim = frames.shape
     full = n - n % clip_len
     batches = []  # (first frame, end frame, frames per clip, clips, vjp)
-    clip_out, frames_out = [], np.empty((n, dim))
+    clip_out, frames_out = [], None if clip_rows_only else np.empty((n, dim))
     for start, stop, length in ((0, full, clip_len), (full, n, n - full)):
         if stop == start:
             continue
@@ -516,17 +543,21 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
         x[:, 0] = video.data
         x[:, 1:] = frames.data[start:stop].reshape(clips, length, dim)
         mask = None if admissible is None else admissible[:length + 1, :length + 1]
-        out, p, vjp = _attend(x, ws, num_heads, mask)
+        out, p, vjp = _attend(x, ws, num_heads, mask, first_row_only=clip_rows_only)
         if sink is not None:
             sink.extend(p)
-        out = out.reshape(x.shape)
-        out += x
-        clip_out.append(out[:, 0])
-        frames_out[start:stop] = out[:, 1:].reshape(-1, dim)
+        if clip_rows_only:
+            out += x[:, 0]
+            clip_out.append(out)
+        else:
+            out = out.reshape(x.shape)
+            out += x
+            clip_out.append(out[:, 0])
+            frames_out[start:stop] = out[:, 1:].reshape(-1, dim)
         batches.append((start, stop, length, clips, vjp))
     clips_out = np.concatenate(clip_out)
 
-    def bw(g_clips, g_frames):
+    def bw(g_clips, g_frames=None):
         need_x = frames.requires_grad or video.requires_grad
         d_frames = np.empty((n, dim)) if frames.requires_grad else None
         d_video = None
@@ -534,22 +565,30 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
         first = len(clips_out)
         for start, stop, length, clips, vjp in reversed(batches):
             first -= clips
-            g = np.empty((clips, length + 1, dim))
-            g[:, 0] = g_clips[first:first + clips]
-            g[:, 1:] = g_frames[start:stop].reshape(clips, length, dim)
+            if clip_rows_only:
+                g = g_clips[first:first + clips]
+            else:
+                g = np.empty((clips, length + 1, dim))
+                g[:, 0] = g_clips[first:first + clips]
+                g[:, 1:] = g_frames[start:stop].reshape(clips, length, dim)
             dx, *dw = vjp(g.reshape(-1, dim), need_x)
             d_ws = [b if a is None else a + b for a, b in zip(d_ws, dw)]
             if not need_x:
                 continue
-            dx = dx.reshape(g.shape)
-            dx += g  # the residual path
+            dx = dx.reshape(clips, length + 1, dim)
+            if clip_rows_only:
+                dx[:, 0] += g  # the residual path, clip rows only
+            else:
+                dx += g  # the residual path
             if d_frames is not None:
                 d_frames[start:stop] = dx[:, 1:].reshape(-1, dim)
             row = dx[:, 0].sum(axis=0, keepdims=True)
             d_video = row if d_video is None else d_video + row
         return (d_frames, d_video, *d_ws)
 
-    return _record_many("divide_attention", (frames, video, *ws), (clips_out, frames_out), bw)
+    outputs = (clips_out,) if clip_rows_only else (clips_out, frames_out)
+    recorded = _record_many("divide_attention", (frames, video, *ws), outputs, bw)
+    return recorded[0] if clip_rows_only else recorded
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:

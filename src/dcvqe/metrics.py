@@ -2,7 +2,8 @@
 
 SRCC uses average ranks for ties; KRCC is tau-b via exhaustive pair
 enumeration; PLCC is plain Pearson with no logistic remapping applied
-beforehand (stated explicitly since toolchains differ on this).
+beforehand (stated explicitly since toolchains differ on this). Every
+criterion rejects a non-finite input with ``DegenerateInputError``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 
 class DegenerateInputError(ValueError):
-    """Correlation undefined: constant input or all pairs tied."""
+    """Criterion undefined: non-finite input, constant input or all pairs tied."""
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,10 @@ def _vector(x, what: str, min_len: int) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64).reshape(-1)
     if v.size < min_len:
         raise ValueError(f"{what} needs at least {min_len} samples, got {v.size}")
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:  # NaN != NaN would stall the tie scan of _average_ranks
+        raise DegenerateInputError(f"{what} hold a non-finite value {v[bad[0]]} at index "
+                                   f"{bad[0]}")
     return v
 
 
@@ -44,7 +49,7 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     ranks = np.empty(x.size)
     i = 0
     while i < x.size:
-        j = i
+        j = i + 1  # always advances, even past a value unequal to itself
         while j < x.size and x[order[j]] == x[order[i]]:
             j += 1
         ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0

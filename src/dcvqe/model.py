@@ -6,7 +6,8 @@ divide-and-conquer layers: windowed multi-head attention inside clips
 (divide, with a residual path) followed by unmasked attention plus average
 pooling over the clip embeddings (conquer, no residual). Clip coverage
 doubles at every layer. A linear regressor on the final video embedding
-produces the scalar quality score.
+produces the scalar quality score. The final layer's divide stage evaluates
+only the clip rows, since its updated frames reach nothing downstream.
 """
 
 from __future__ import annotations
@@ -97,6 +98,9 @@ class AttentionCost:
     Counts the score products (Q.K) and the weighted-value products for
     every attention call, keyed by (layer, stage); projection matmuls are
     excluded since the clip-splitting claim is about the attention term.
+    It counts the dense clip attention of the model's definition, not the
+    rows evaluated: the final layer's divide stage forms only the clip rows
+    but is counted as the full [L, L] attention of every clip.
     """
 
     macs: dict[tuple[int, str], int] = field(default_factory=dict)
@@ -174,7 +178,8 @@ def transformer_d(proj: AttentionProjections, num_heads: int, video_qe: Tensor,
                   cost: AttentionCost | None = None,
                   cost_key: tuple[int, str] = (0, "divide"),
                   attn_sink: list[np.ndarray] | None = None,
-                  clip_len: int | None = None) -> tuple[Tensor, Tensor]:
+                  clip_len: int | None = None,
+                  clip_rows_only: bool = False) -> tuple[Tensor, Tensor | None]:
     """Divide-stage attention over the frames [n, D] of one video, cut into
     clips of ``clip_len`` frames (default: one clip of all n frames).
 
@@ -183,13 +188,17 @@ def transformer_d(proj: AttentionProjections, num_heads: int, video_qe: Tensor,
     ``mask`` is the mask of a full clip (size ``clip_len + 1``); a shorter
     last clip uses its leading block, which for a banded mask is the banded
     mask of that size. Returns the clip-level embeddings [C, D] and the
-    updated frame embeddings [n, D]. The whole stage is one
-    ``autodiff.divide_attention`` node on the tape.
+    updated frame embeddings [n, D], or None for them with
+    ``clip_rows_only``, which evaluates the clip rows alone (see
+    ``autodiff.divide_attention``). The whole stage is one
+    ``autodiff.divide_attention`` node on the tape. ``cost`` counts the
+    dense clip attention of the definition in either mode.
     """
     clip_len = frames.shape[0] if clip_len is None else clip_len
-    clip_qes, frames_out = ad.divide_attention(frames, video_qe, proj.query, proj.key,
-                                               proj.value, num_heads, clip_len,
-                                               mask.admissible, sink=attn_sink)
+    out = ad.divide_attention(frames, video_qe, proj.query, proj.key, proj.value, num_heads,
+                              clip_len, mask.admissible, sink=attn_sink,
+                              clip_rows_only=clip_rows_only)
+    clip_qes, frames_out = (out, None) if clip_rows_only else out
     if cost is not None:
         full, rest = divmod(frames.shape[0], clip_len)
         cost.add(cost_key, clip_len + 1, frames.shape[1], clips=full)
@@ -290,30 +299,47 @@ class DCVQEModel:
     def dctr_layer(self, layer: int, frames: Tensor, video_qe: Tensor,
                    cost: AttentionCost | None = None,
                    activations: LayerActivations | None = None,
-                   record_attention: bool = False) -> tuple[Tensor, Tensor]:
+                   record_attention: bool = False) -> tuple[Tensor | None, Tensor]:
         """One divide-and-conquer layer.
 
         Splits the frames into clips of ``base_clip_len * 2**(layer-1)``
         (the last one keeps the remainder), runs the divide transformer over
         every clip (shared weights, same input video embedding at position
         0), then the conquer transformer plus pooling over the clip
-        embeddings.
+        embeddings. Returns the updated frames and the video embedding.
+
+        The final layer's updated frames reach neither the score nor the
+        loss, so that layer evaluates the clip rows of its divide stage only
+        and returns None for the frames. When ``activations`` are kept, a
+        separate full divide evaluation, off the tape, supplies that layer's
+        frame embeddings and divide attention maps; the clip embeddings and
+        the score still come from the clip-row path, so observing a forward
+        never changes its score.
         """
         cfg = self.config
         clip_len = cfg.base_clip_len * 2 ** (layer - 1)
+        last = layer == cfg.num_layers
         divide_sink: list[np.ndarray] | None = [] if record_attention else None
         conquer_sink: list[np.ndarray] | None = [] if record_attention else None
+        proj = self._projections(layer, "divide")
+        mask = AttentionMask.banded(clip_len + 1, cfg.temporal_range)
         clip_matrix, frames_out = transformer_d(
-            self._projections(layer, "divide"), cfg.num_heads, video_qe, frames,
-            AttentionMask.banded(clip_len + 1, cfg.temporal_range),
-            cost=cost, cost_key=(layer, "divide"), attn_sink=divide_sink, clip_len=clip_len)
+            proj, cfg.num_heads, video_qe, frames, mask, cost=cost,
+            cost_key=(layer, "divide"), attn_sink=None if last else divide_sink,
+            clip_len=clip_len, clip_rows_only=last)
         video_out = transformer_c(self._projections(layer, "conquer"), cfg.num_heads,
                                   clip_matrix, cost=cost, cost_key=(layer, "conquer"),
                                   attn_sink=conquer_sink)
 
         if activations is not None:
+            recorded_frames = frames_out
+            if last:  # detached operands keep the record's evaluation off the tape
+                _, recorded_frames = ad.divide_attention(
+                    Tensor(frames.data), Tensor(video_qe.data),
+                    *(Tensor(w.data) for w in (proj.query, proj.key, proj.value)),
+                    cfg.num_heads, clip_len, mask.admissible, sink=divide_sink)
             activations.clip_boundaries.append(split_clips(frames.shape[0], clip_len))
-            activations.frame_embeddings.append(frames_out.data.copy())
+            activations.frame_embeddings.append(recorded_frames.data.copy())
             activations.clip_embeddings.append(clip_matrix.data.copy())
             activations.video_embeddings.append(video_out.data.copy())
             if record_attention:

@@ -248,6 +248,9 @@ def save_checkpoint(path, cp: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a file written by ``save_checkpoint``. A malformed header, a short
+    or over-long payload and a non-finite value in ``params``, ``adam_m`` or
+    ``adam_v`` each raise ``FormatError`` at the offending byte offset."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
@@ -273,7 +276,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise data_io.FormatError(f"corrupt checkpoint header: {exc!r}", offset=12) from exc
     offset = 12 + header_len
     groups = []
-    for _ in range(3):
+    for what in ("params", "adam_m", "adam_v"):
         group = {}
         for n in names:
             count = int(np.prod(shapes[n]))
@@ -281,8 +284,13 @@ def load_checkpoint(path) -> Checkpoint:
             if end > len(raw):
                 raise data_io.FormatError(f"checkpoint payload truncated at {len(raw)}",
                                           offset=len(raw))
-            group[n] = np.frombuffer(raw, dtype="<f8", count=count,
-                                     offset=offset).reshape(shapes[n]).copy()
+            values = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:  # training never writes one, so the file is corrupt
+                raise data_io.FormatError(f"non-finite value {values[bad[0]]} in {what} "
+                                          f"{n!r} at element {bad[0]}",
+                                          offset=offset + 8 * int(bad[0]))
+            group[n] = values.reshape(shapes[n]).copy()
             offset = end
         groups.append(group)
     if offset != len(raw):

@@ -523,9 +523,11 @@ class TestDivideAttention:
               for name in ("wq", "wk", "wv")]
         return frames, video, ws
 
-    @pytest.mark.parametrize("n, clip_len, radius", [
+    CASES = pytest.mark.parametrize("n, clip_len, radius", [
         (3, 4, 1), (8, 4, 1), (10, 4, 2), (1, 4, 1), (7, 3, None),
     ], ids=["shorter_than_clip", "two_full_clips", "remainder", "one_frame", "unbanded"])
+
+    @CASES
     def test_gradient_check(self, n, clip_len, radius):
         frames, video, ws = self.operands(n, 40 + n)
         mask = None if radius is None else banded_mask(clip_len + 1, radius)
@@ -576,6 +578,52 @@ class TestDivideAttention:
         backward(loss, g)
         assert all(t.grad is not None and np.isfinite(t.grad).all()
                    for t in (frames, video, *ws))
+
+    @CASES
+    def test_clip_rows_only_gradient_check(self, n, clip_len, radius):
+        frames, video, ws = self.operands(n, 60 + n)
+        mask = None if radius is None else banded_mask(clip_len + 1, radius)
+        w_clips = Tensor(np.random.default_rng(61).normal(size=(-(-n // clip_len), self.DIM)))
+
+        def f():
+            c = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask,
+                                    clip_rows_only=True)
+            return ad.sum_all(ad.mul(c, w_clips))
+
+        report = gradient_check(f, [frames, video, *ws], h=1e-6)
+        assert [p.name for p in report.per_parameter] == ["frames", "video", "wq", "wk", "wv"]
+        assert report.max_rel_error <= 1e-4
+
+    @CASES
+    def test_clip_rows_only_matches_the_full_op(self, n, clip_len, radius):
+        frames, video, ws = self.operands(n, 70 + n)
+        mask = None if radius is None else banded_mask(clip_len + 1, radius)
+        w_clips = Tensor(np.random.default_rng(71).normal(size=(-(-n // clip_len), self.DIM)))
+
+        def run(clip_rows_only):  # the clip rows feed the loss, the frames nothing
+            sink = []
+            for t in (frames, video, *ws):
+                t.zero_grad()
+            with Graph() as g:
+                out = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask,
+                                          sink=sink, clip_rows_only=clip_rows_only)
+                clips = out if clip_rows_only else out[0]
+                loss = ad.sum_all(ad.mul(clips, w_clips))
+            backward(loss, g)
+            return clips, [t.grad for t in (frames, video, *ws)], sink, g
+
+        full, full_grads, full_sink, _ = run(False)
+        rows, rows_grads, rows_sink, g = run(True)
+        assert [(node.op, len(node.outputs)) for node in g.nodes] == [
+            ("divide_attention", 1), ("mul", 1), ("sum_all", 1)]
+        assert g.nodes[0].outputs == (rows,)
+        np.testing.assert_allclose(rows.data, full.data, rtol=0, atol=1e-12)
+        for got, want in zip(rows_grads, full_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert len(rows_sink) == len(full_sink)
+        for got, want in zip(rows_sink, full_sink):
+            assert got.shape == (self.HEADS, 1, want.shape[-1])
+            np.testing.assert_allclose(got, want[:, :1], rtol=0, atol=1e-12)
 
     def test_rejects_bad_operands(self):
         frames, video, ws = self.operands(6, 52)

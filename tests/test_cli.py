@@ -51,6 +51,20 @@ def trained_checkpoint(tmp_path_factory, dataset_dir, config_file):
     return out
 
 
+def run_cli(*args):
+    """``python -m dcvqe`` in a child process: a command that hangs fails its
+    test at the timeout instead of stalling the suite."""
+    return subprocess.run([sys.executable, "-m", "dcvqe", *map(str, args)],
+                          capture_output=True, text=True, timeout=120)
+
+
+def edited_checkpoint(src, dst, name, value):
+    cp = load_checkpoint(src)
+    cp.params[name][...] = value
+    save_checkpoint(dst, cp)
+    return dst
+
+
 class TestSynth:
     def test_writes_dataset(self, tmp_path, capsys):
         code = main(["synth", "--out", str(tmp_path / "d"), "--videos", "6",
@@ -224,6 +238,31 @@ class TestExitCodes:
                      "--checkpoint", str(path)])
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_nonfinite_checkpoint_value_is_two(self, tmp_path, dataset_dir, trained_checkpoint,
+                                               command):
+        bad = edited_checkpoint(trained_checkpoint, tmp_path / "nan.ckpt", "regressor.bias",
+                                math.nan)
+        manifest = dataset_dir / "manifest.jsonl"
+        args = {"predict": ["--checkpoint", bad, dataset_dir / "synth00000.dcvq"],
+                "eval": ["--manifest", manifest, "--checkpoint", bad]}[command]
+        result = run_cli(command, *args)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert ("data error: non-finite value nan in params 'regressor.bias' at element 0"
+                in result.stderr)
+
+    def test_nonfinite_scores_in_eval_are_three(self, tmp_path, dataset_dir,
+                                                trained_checkpoint):
+        # finite but huge weights overflow the attention scores, so every score is NaN
+        bad = edited_checkpoint(trained_checkpoint, tmp_path / "huge.ckpt", "input.weight",
+                                1e300)
+        result = run_cli("eval", "--manifest", dataset_dir / "manifest.jsonl",
+                         "--checkpoint", bad)
+        assert result.returncode == 3
+        assert ("numeric failure: predictions hold a non-finite value nan at index 0"
+                in result.stderr)
 
 
 class TestSeedPrecedence:

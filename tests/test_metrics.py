@@ -8,8 +8,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcvqe.metrics import (DegenerateInputError, MetricsReport, compute_report,
-                           krcc, median_report, plcc, rmse, srcc)
+from dcvqe.metrics import (DegenerateInputError, MetricsReport, _average_ranks,
+                           compute_report, krcc, median_report, plcc, rmse, srcc)
 
 
 def report(s=0.0, k=0.0, p=0.0, r=0.0, n=10):
@@ -98,6 +98,24 @@ class TestPLCCAndRMSE:
     def test_zero_variance_raises(self):
         with pytest.raises(DegenerateInputError):
             plcc([2.0, 2.0], [1.0, 3.0])
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("metric", [srcc, krcc, plcc, rmse, compute_report],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejected_naming_the_index(self, metric, bad):
+        good = [1.0, 2.0, 3.0, 4.0, 5.0]
+        hit = [0.1, 0.5, 0.6, bad, 2.0]
+        with pytest.raises(DegenerateInputError, match=r"predictions .* at index 3"):
+            metric(hit, good)
+        with pytest.raises(DegenerateInputError, match=r"ground truths .* at index 3"):
+            metric(good, hit)
+
+    def test_average_ranks_terminates_on_nan(self):
+        # NaN != NaN: the tie scan must still advance past it
+        ranks = _average_ranks(np.array([2.0, math.nan, 1.0, 2.0]))
+        assert sorted(ranks.tolist()) == [1.0, 2.5, 2.5, 4.0]
 
 
 class TestInvariances:

@@ -402,6 +402,39 @@ class TestForward:
             model.forward(np.zeros((0, 12)))
 
 
+class TestObservation:
+    """The final layer evaluates its clip rows only; the record's full
+    evaluation of that layer must not leak into the score."""
+
+    @pytest.mark.parametrize("input_dim,model_dim,frames", [
+        (64, 32, 1), (64, 32, 31), (64, 32, 121), (64, 32, 600), (4096, 128, 300)])
+    def test_observing_leaves_the_score_unchanged(self, input_dim, model_dim, frames):
+        cfg = DCVQEConfig(input_dim=input_dim, model_dim=model_dim, num_heads=4, num_layers=3,
+                          base_clip_len=30, temporal_range=15, max_seq_len=600)
+        model = make_model(cfg, seed=31, scale=0.3)
+        feats = np.random.default_rng(32).normal(size=(frames, input_dim))
+        want = model.predict(feats)
+        for observe in ({"record": True}, {"record_attention": True},
+                        {"cost": AttentionCost()}):
+            score, _ = model.forward(feats, **observe)
+            assert np.array_equal(score.data, [[want]]), observe
+
+    def test_final_layer_records_clip_rows_and_keeps_full_activations(self):
+        model = make_model()
+        feats = np.random.default_rng(33).normal(size=(10, 12))
+        with ad.Graph() as graph:
+            _, acts = model.forward(feats, record_attention=True)
+        divides = [node for node in graph.nodes if node.op == "divide_attention"]
+        assert [len(node.outputs) for node in divides] == [2, 1]
+        # the record's final frames are those of a full evaluation of that layer
+        proj = model._projections(2, "divide")
+        _, want = ad.divide_attention(Tensor(acts.frame_embeddings[0]),
+                                      Tensor(acts.video_embeddings[0]), proj.query, proj.key,
+                                      proj.value, 2, 8, AttentionMask.banded(9, 2).admissible)
+        assert np.array_equal(acts.frame_embeddings[-1], want.data)
+        assert [w.shape for w in acts.divide_attention[-1]] == [(2, 9, 9), (2, 3, 3)]
+
+
 class TestLocality:
     def test_layer1_influence_confined_to_window(self):
         cfg = DCVQEConfig(input_dim=6, model_dim=8, num_heads=2, num_layers=1,

@@ -314,6 +314,22 @@ class TestCheckpointIO:
         with pytest.raises(data_io.FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("group", ["params", "adam_m", "adam_v"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_payload_value_rejected_at_its_offset(self, tmp_path, group, bad):
+        cp = self.make_checkpoint()
+        sentinel = 12345.678  # marks the element's bytes in the file
+        getattr(cp, group)["layer2.divide.key"][3, 5] = sentinel
+        path = tmp_path / "n.ckpt"
+        save_checkpoint(path, cp)
+        raw = path.read_bytes()
+        at = raw.index(np.float64(sentinel).astype("<f8").tobytes())
+        path.write_bytes(raw[:at] + np.float64(bad).astype("<f8").tobytes() + raw[at + 8:])
+        with pytest.raises(data_io.FormatError,
+                           match=rf"{group} 'layer2.divide.key' at element 29") as err:
+            load_checkpoint(path)
+        assert err.value.offset == at
+
     def test_truncated_payload_rejected(self, tmp_path):
         cp = self.make_checkpoint()
         path = tmp_path / "t.ckpt"
