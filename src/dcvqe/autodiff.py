@@ -9,10 +9,11 @@ ground truth the rest of the package is validated against.
 Broadcasting is deliberately restricted to scalar-with-tensor and
 same-shape operands, with three exceptions: ``add`` broadcasts one operand
 to the other's shape (a bias row over many rows), ``matmul`` broadcasts
-leading (batch) axes, and the mask of ``softmax_masked`` broadcasts to the
-logits. Anything else needs an explicit reshape or gather. Every backward
-rule sums its gradient back to the shape of its input, so each stays a few
-lines and auditable.
+leading (batch) axes, and the attention mask broadcasts to the scores.
+Anything else needs an explicit reshape or slice. Every backward rule sums
+its gradient back to the shape of its input, so each stays a few lines and
+auditable. The tape keeps only the ops that the model, the losses and
+gradient checking use.
 
 Two ops are fused, each recorded as a single tape node with a hand-written
 backward. ``attention`` is multi-head scaled dot-product attention over a
@@ -21,10 +22,11 @@ batch of sequences (projections, masked softmax and weighted sum).
 frames into clips, runs every ``[video; clip]`` sequence through the same
 attention, adds the residual, and returns two tensors, the clip embeddings
 and the updated frames (a node may have several outputs). Both share their
-projection, softmax and backward code, and the masked softmax rule is the
-one of ``softmax_masked``: the row max and the exponential run over the
-admitted entries only and masked entries are set to exact zeros, which is
-bit-identical to exponentiating ``-inf`` and much cheaper. With
+projection, softmax and backward code. The masked softmax has one forward
+and one backward rule (``_softmax_forward``, ``_softmax_vjp``): the row max
+and the exponential run over the admitted entries only and masked entries
+are set to exact zeros, which is bit-identical to exponentiating ``-inf``
+and much cheaper; masked entries get exactly zero gradient. With
 ``clip_rows_only``, ``divide_attention`` evaluates query row 0 of each clip
 alone and returns only the clip embeddings; the model uses it for its final
 layer, whose updated frames nothing reads. ``gradient_check`` checks the
@@ -93,8 +95,8 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
 
 
-def as_tensor(x, requires_grad: bool = False) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, requires_grad=requires_grad)
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 @dataclass
@@ -385,20 +387,6 @@ def _softmax_vjp(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g
 
 
-def softmax_masked(logits: Tensor, admissible: np.ndarray) -> Tensor:
-    """Softmax along the last axis over the admitted entries of the logits.
-
-    ``admissible`` is a boolean mask that broadcasts to the logits (one
-    [n, m] mask serves every clip and head of a batch). Masked entries are
-    exactly 0 in the output and receive exactly zero gradient; every row
-    renormalizes over its admitted set. A row with no admitted entry is a
-    contract violation.
-    """
-    y = _softmax_forward(logits.data.copy(), admissible)
-    # the incoming gradient may be shared with another input's, so copy it
-    return _record("softmax_masked", (logits,), y, lambda g: (_softmax_vjp(y, g.copy()),))
-
-
 def _check_attention(x: Tensor, ws: tuple[Tensor, ...], num_heads: int) -> None:
     if x.data.ndim < 2:
         raise ShapeError(f"attention needs x of shape [..., n, D], got {x.shape}")
@@ -472,8 +460,8 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
     ``x`` is [..., n, D]: one sequence or a batch of equal-length sequences.
     The projections ``wq``, ``wk`` and ``wv`` are [D, D]; head h uses columns
     [h*D/H, (h+1)*D/H) of each. Q is scaled by 1/sqrt(D/H) before the scores
-    are formed, and the scores go through the masked softmax of
-    ``softmax_masked`` with ``admissible`` ([n, n], or any mask that
+    are formed, and the scores go through the masked softmax
+    (``_softmax_forward``) with ``admissible`` ([n, n], or any mask that
     broadcasts to the [..., H, n, n] scores; None admits every position).
     ``sink`` receives one [H, n, n] weight array per sequence. The output is
     [..., n, D] with the heads side by side along the feature axis; there is
@@ -622,33 +610,6 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
         return (full,)
 
     return _record("slice_rows", (x,), out, bw)
-
-
-def take(x: Tensor, index: np.ndarray) -> Tensor:
-    """Gather rows: the output is ``x[index]``, of shape index.shape + x.shape[1:].
-
-    Indices may repeat; the gradient of a repeated row is the sum over its
-    copies. Without repeats the gradient is scattered by plain assignment,
-    which is many times faster than the accumulating ``np.add.at``.
-    """
-    index = np.asarray(index)
-    if x.data.ndim < 1 or index.dtype.kind not in "iu":
-        raise ShapeError(f"take needs a tensor with rows and integer indices, got shape "
-                         f"{x.shape} and index dtype {index.dtype}")
-    if index.size and not (0 <= index.min() and index.max() < x.shape[0]):
-        raise ShapeError(f"take index out of range for {x.shape[0]} rows")
-
-    repeats = index.size > 0 and np.bincount(index.reshape(-1)).max() > 1
-
-    def bw(g):
-        full = np.zeros(x.shape)
-        if repeats:
-            np.add.at(full, index, g)
-        else:
-            full[index] = g
-        return (full,)
-
-    return _record("take", (x,), x.data[index], bw)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

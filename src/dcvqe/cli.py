@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -131,8 +132,6 @@ def _load_config_file(path: Path | None) -> dict:
         return {}
     try:
         cfg = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise
     except json.JSONDecodeError as exc:
         raise FormatError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -280,7 +279,10 @@ def _cmd_predict(args) -> int:
     model = cp.build_model()
     for path in args.features:
         seq = data_io.truncate(data_io.read_features(path), cp.config.max_seq_len)
-        print(f"{path}\t{model.predict(seq.features):.6f}")
+        score = model.predict(seq.features)
+        if not math.isfinite(score):
+            raise FloatingPointError(f"non-finite score {score} for {path}")
+        print(f"{path}\t{score:.6f}")
     return EXIT_OK
 
 
@@ -303,9 +305,11 @@ def _cmd_dump_embeddings(args) -> int:
     with open(args.out, "w") as fh:
         for seq in data_io.load_sequences(manifest, max_len=cp.config.max_seq_len):
             _, acts = model.forward(seq.features, record=True)
-            embedding = acts.video_embeddings[-1].reshape(-1)
+            embedding = acts.video_embeddings[-1].reshape(-1).tolist()
+            if not all(map(math.isfinite, embedding)):
+                raise FloatingPointError(f"non-finite embedding for video {seq.video_id!r}")
             fh.write(json.dumps({"video_id": seq.video_id, "mos": seq.mos,
-                                 "embedding": embedding.tolist()}) + "\n")
+                                 "embedding": embedding}) + "\n")
             count += 1
     print(f"wrote {count} embeddings to {args.out}")
     return EXIT_OK

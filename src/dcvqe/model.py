@@ -13,7 +13,6 @@ only the clip rows, since its updated frames reach nothing downstream.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,28 +92,33 @@ class AttentionMask:
 
 @dataclass
 class AttentionCost:
-    """Multiply-accumulate counter for the attention stages.
+    """Multiply-accumulate count of the attention stages, keyed by (layer, stage).
 
-    Counts the score products (Q.K) and the weighted-value products for
-    every attention call, keyed by (layer, stage); projection matmuls are
-    excluded since the clip-splitting claim is about the attention term.
-    It counts the dense clip attention of the model's definition, not the
-    rows evaluated: the final layer's divide stage forms only the clip rows
-    but is counted as the full [L, L] attention of every clip.
+    The count comes from the clip layout alone: the score products (Q.K) and
+    the weighted-value products, 2 * L^2 * D for a sequence of L positions,
+    summed over the ``[video; clip]`` sequences of each layer's divide stage
+    and over the single sequence of clip embeddings of its conquer stage.
+    Projection matmuls are excluded since the clip-splitting claim is about
+    the attention term. It is the dense clip attention of the model's
+    definition, not the rows evaluated: the final layer's divide stage forms
+    only the clip rows but is counted as the full [L, L] attention of every
+    clip.
     """
 
     macs: dict[tuple[int, str], int] = field(default_factory=dict)
 
-    def add(self, key: tuple[int, str], seq_len: int, width: int, clips: int = 1) -> None:
-        """Count ``clips`` attention calls over ``seq_len`` positions each."""
-        self.macs[key] = self.macs.get(key, 0) + 2 * clips * seq_len * seq_len * width
+    def count_video(self, config: DCVQEConfig, n_frames: int) -> None:
+        """Add the attention MACs of one forward over ``n_frames`` frames."""
+        dim = config.model_dim
+        for layer in range(1, config.num_layers + 1):
+            clips = split_clips(n_frames, config.base_clip_len * 2 ** (layer - 1))
+            divide = sum(2 * (stop - start + 1) ** 2 * dim for start, stop in clips)
+            conquer = 2 * len(clips) ** 2 * dim
+            for key, macs in (((layer, "divide"), divide), ((layer, "conquer"), conquer)):
+                self.macs[key] = self.macs.get(key, 0) + macs
 
     def layer_stage(self, layer: int, stage: str) -> int:
         return self.macs.get((layer, stage), 0)
-
-    @property
-    def total(self) -> int:
-        return sum(self.macs.values())
 
 
 @dataclass
@@ -149,34 +153,8 @@ class AttentionProjections:
     value: Tensor
 
 
-def multi_head_attention(x: Tensor, proj: AttentionProjections, num_heads: int,
-                         admissible: np.ndarray | None,
-                         cost: AttentionCost | None = None,
-                         cost_key: tuple[int, str] = (0, ""),
-                         attn_sink: list[np.ndarray] | None = None) -> Tensor:
-    """Scaled dot-product attention with heads split along the feature axis.
-
-    ``x`` is one sequence [n, D] or a batch of equal-length sequences
-    [..., n, D]. Each of the query/key/value projections is D x D; head h
-    uses columns [h*D/H, (h+1)*D/H). Scores are scaled by 1/sqrt(D/H).
-    ``admissible`` [n, n] restricts attention in every sequence and head
-    (None means fully admissible). ``attn_sink`` receives one [H, n, n]
-    weight array per sequence. No output projection, no residual: callers
-    add those as the surrounding module dictates. The whole computation is
-    one ``autodiff.attention`` node on the tape.
-    """
-    out = ad.attention(x, proj.query, proj.key, proj.value, num_heads, admissible,
-                       sink=attn_sink)
-    if cost is not None:
-        *lead, n, dim = x.shape
-        cost.add(cost_key, n, dim, clips=math.prod(lead))
-    return out
-
-
 def transformer_d(proj: AttentionProjections, num_heads: int, video_qe: Tensor,
                   frames: Tensor, mask: AttentionMask,
-                  cost: AttentionCost | None = None,
-                  cost_key: tuple[int, str] = (0, "divide"),
                   attn_sink: list[np.ndarray] | None = None,
                   clip_len: int | None = None,
                   clip_rows_only: bool = False) -> tuple[Tensor, Tensor | None]:
@@ -191,34 +169,27 @@ def transformer_d(proj: AttentionProjections, num_heads: int, video_qe: Tensor,
     updated frame embeddings [n, D], or None for them with
     ``clip_rows_only``, which evaluates the clip rows alone (see
     ``autodiff.divide_attention``). The whole stage is one
-    ``autodiff.divide_attention`` node on the tape. ``cost`` counts the
-    dense clip attention of the definition in either mode.
+    ``autodiff.divide_attention`` node on the tape. Its attention MACs
+    follow from the clip layout alone (``AttentionCost``).
     """
     clip_len = frames.shape[0] if clip_len is None else clip_len
     out = ad.divide_attention(frames, video_qe, proj.query, proj.key, proj.value, num_heads,
                               clip_len, mask.admissible, sink=attn_sink,
                               clip_rows_only=clip_rows_only)
-    clip_qes, frames_out = (out, None) if clip_rows_only else out
-    if cost is not None:
-        full, rest = divmod(frames.shape[0], clip_len)
-        cost.add(cost_key, clip_len + 1, frames.shape[1], clips=full)
-        if rest:
-            cost.add(cost_key, rest + 1, frames.shape[1])
-    return clip_qes, frames_out
+    return (out, None) if clip_rows_only else out
 
 
 def transformer_c(proj: AttentionProjections, num_heads: int, clip_qes: Tensor,
-                  cost: AttentionCost | None = None,
-                  cost_key: tuple[int, str] = (0, "conquer"),
                   attn_sink: list[np.ndarray] | None = None) -> Tensor:
-    """Conquer-stage attention over the clip embeddings.
+    """Conquer-stage attention over the clip embeddings [C, D].
 
-    Unmasked multi-head attention with no residual path, then average
-    pooling over the clip axis. The pooled output is invariant to any
-    permutation of the input rows.
+    Unmasked multi-head attention (``autodiff.attention``, no output
+    projection) with no residual path, then average pooling over the clip
+    axis. The pooled output is invariant to any permutation of the input
+    rows. ``attn_sink`` receives the [H, C, C] attention weights.
     """
-    attended = multi_head_attention(clip_qes, proj, num_heads, None,
-                                    cost=cost, cost_key=cost_key, attn_sink=attn_sink)
+    attended = ad.attention(clip_qes, proj.query, proj.key, proj.value, num_heads, None,
+                            sink=attn_sink)
     return ad.mean_axis(attended, axis=0)
 
 
@@ -297,7 +268,6 @@ class DCVQEModel:
         return video, frames
 
     def dctr_layer(self, layer: int, frames: Tensor, video_qe: Tensor,
-                   cost: AttentionCost | None = None,
                    activations: LayerActivations | None = None,
                    record_attention: bool = False) -> tuple[Tensor | None, Tensor]:
         """One divide-and-conquer layer.
@@ -314,7 +284,8 @@ class DCVQEModel:
         separate full divide evaluation, off the tape, supplies that layer's
         frame embeddings and divide attention maps; the clip embeddings and
         the score still come from the clip-row path, so observing a forward
-        never changes its score.
+        never changes its score. The layer's attention MACs follow from its
+        clip layout alone; ``forward`` counts them (``AttentionCost``).
         """
         cfg = self.config
         clip_len = cfg.base_clip_len * 2 ** (layer - 1)
@@ -324,12 +295,10 @@ class DCVQEModel:
         proj = self._projections(layer, "divide")
         mask = AttentionMask.banded(clip_len + 1, cfg.temporal_range)
         clip_matrix, frames_out = transformer_d(
-            proj, cfg.num_heads, video_qe, frames, mask, cost=cost,
-            cost_key=(layer, "divide"), attn_sink=None if last else divide_sink,
-            clip_len=clip_len, clip_rows_only=last)
+            proj, cfg.num_heads, video_qe, frames, mask,
+            attn_sink=None if last else divide_sink, clip_len=clip_len, clip_rows_only=last)
         video_out = transformer_c(self._projections(layer, "conquer"), cfg.num_heads,
-                                  clip_matrix, cost=cost, cost_key=(layer, "conquer"),
-                                  attn_sink=conquer_sink)
+                                  clip_matrix, attn_sink=conquer_sink)
 
         if activations is not None:
             recorded_frames = frames_out
@@ -355,7 +324,8 @@ class DCVQEModel:
         rows of a ``FeatureSequence`` are widened, exactly, once per call.
 
         Returns the scalar score tensor (shape [1,1]) and, when ``record``,
-        the per-layer activations.
+        the per-layer activations. Once the forward has succeeded, ``cost``
+        gets this video's attention MACs, computed from the clip layout.
         """
         feats = ad.as_tensor(features)
         if feats.data.ndim != 2:
@@ -370,11 +340,12 @@ class DCVQEModel:
         frames = self.project_input(feats)
         video_qe, frames = self.add_positional(frames)
         for layer in range(1, self.config.num_layers + 1):
-            frames, video_qe = self.dctr_layer(layer, frames, video_qe, cost=cost,
-                                               activations=activations,
+            frames, video_qe = self.dctr_layer(layer, frames, video_qe, activations=activations,
                                                record_attention=record_attention)
         score = ad.add(ad.matmul(video_qe, self.params["regressor.weight"]),
                        self.params["regressor.bias"])
+        if cost is not None:
+            cost.count_video(self.config, n)
         return score, activations
 
     def predict(self, features) -> float:

@@ -4,7 +4,9 @@ Oracles here are deliberately primitive: scalar triple loops for matmul,
 a scalar softmax, and central finite differences for every gradient claim.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +42,18 @@ def softmax_oracle(row):
 HEAD_MASK = np.array([[True, False, True, False],
                       [True, True, False, False],
                       [True, False, True, False]])
+
+
+def old_softmax(z: np.ndarray, admissible) -> np.ndarray:
+    """Plain numpy reference for the masked softmax: masked logits set to
+    -inf, then shift by the row max and exponentiate every entry."""
+    z = z.copy()
+    if admissible is not None:
+        np.copyto(z, -np.inf, where=~np.asarray(admissible, dtype=bool))
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def fd_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -109,31 +123,30 @@ class TestMatmul:
 
 
 class TestSoftmaxMasked:
+    """The masked softmax rule that ``attention`` and ``divide_attention``
+    share: ``_softmax_forward`` and its backward ``_softmax_vjp``."""
+
     def test_uniform_over_admitted(self):
-        logits = Tensor(np.full((2, 6), 3.7))
         mask = np.zeros((2, 6), dtype=bool)
         mask[:, :4] = True
-        out = ad.softmax_masked(logits, mask).data
+        out = ad._softmax_forward(np.full((2, 6), 3.7), mask)
         np.testing.assert_allclose(out[:, :4], 0.25, atol=1e-15)
         assert (out[:, 4:] == 0.0).all()
 
     def test_single_admitted_is_one(self):
-        logits = Tensor(np.random.default_rng(2).normal(size=(3, 3)))
-        mask = np.eye(3, dtype=bool)
-        out = ad.softmax_masked(logits, mask).data
+        logits = np.random.default_rng(2).normal(size=(3, 3))
+        out = ad._softmax_forward(logits, np.eye(3, dtype=bool))
         assert np.array_equal(out, np.eye(3))
 
     def test_full_row_matches_scalar_oracle(self):
-        logits = Tensor(np.array([[1.0, 2.0, 3.0]]))
-        out = ad.softmax_masked(logits, np.ones((1, 3), dtype=bool)).data
+        out = ad._softmax_forward(np.array([[1.0, 2.0, 3.0]]), np.ones((1, 3), dtype=bool))
         np.testing.assert_allclose(out[0], softmax_oracle([1.0, 2.0, 3.0]), rtol=1e-15)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        logits = Tensor(rng.normal(size=(8, 8)) * 5)
         mask = rng.random((8, 8)) < 0.5
         mask[:, 0] = True
-        out = ad.softmax_masked(logits, mask).data
+        out = ad._softmax_forward(rng.normal(size=(8, 8)) * 5, mask)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
         assert (out[~mask] == 0.0).all()
 
@@ -141,43 +154,33 @@ class TestSoftmaxMasked:
         mask = np.ones((2, 2), dtype=bool)
         mask[1, :] = False
         with pytest.raises(DegenerateMaskError, match="row 1"):
-            ad.softmax_masked(Tensor(np.zeros((2, 2))), mask)
+            ad._softmax_forward(np.zeros((2, 2)), mask)
 
     def test_mask_broadcasts_over_leading_axes(self):
-        rng = np.random.default_rng(5)
-        x = Tensor(rng.normal(size=(2, 3, 3, 4)), requires_grad=True)
-        with Graph() as g:
-            y = ad.softmax_masked(x, HEAD_MASK)
-            loss = ad.sum_all(ad.mul(y, y))
-        backward(loss, g)
+        x = np.random.default_rng(5).normal(size=(2, 3, 3, 4))
+        y = ad._softmax_forward(x.copy(), HEAD_MASK)
         for c in range(2):
             for h in range(3):
-                want = ad.softmax_masked(Tensor(x.data[c, h]), HEAD_MASK).data
-                assert np.array_equal(y.data[c, h], want)
-        assert (y.data[..., ~HEAD_MASK] == 0.0).all()
-        assert (x.grad[..., ~HEAD_MASK] == 0.0).all()
+                assert np.array_equal(y[c, h], ad._softmax_forward(x[c, h].copy(), HEAD_MASK))
+        assert (y[..., ~HEAD_MASK] == 0.0).all()
+        grad = ad._softmax_vjp(y, 2 * y)  # the gradient of sum(y * y)
+        assert (grad[..., ~HEAD_MASK] == 0.0).all()
+        np.testing.assert_allclose(
+            grad, fd_grad(lambda z: (old_softmax(z, HEAD_MASK) ** 2).sum(), x.copy()),
+            atol=1e-8)
         with pytest.raises(ShapeError):
-            ad.softmax_masked(x, np.ones((4, 3), dtype=bool))
+            ad._softmax_forward(x.copy(), np.ones((4, 3), dtype=bool))
 
     def test_gradient_zero_at_masked_entries(self):
         rng = np.random.default_rng(4)
-        x = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        x = rng.normal(size=(4, 4))
         mask = rng.random((4, 4)) < 0.6
         mask[:, 0] = True
-        with Graph() as g:
-            y = ad.softmax_masked(x, mask)
-            loss = ad.sum_all(ad.mul(y, y))
-        backward(loss, g)
-        assert (x.grad[~mask] == 0.0).all()
-
-        def f(z):
-            zm = np.where(mask, z, -np.inf)
-            zm = zm - zm.max(axis=1, keepdims=True)
-            e = np.exp(zm)
-            p = e / e.sum(axis=1, keepdims=True)
-            return (p * p).sum()
-
-        np.testing.assert_allclose(x.grad, fd_grad(f, x.data.copy()), atol=1e-8)
+        y = ad._softmax_forward(x.copy(), mask)
+        grad = ad._softmax_vjp(y, 2 * y)  # the gradient of sum(y * y)
+        assert (grad[~mask] == 0.0).all()
+        np.testing.assert_allclose(
+            grad, fd_grad(lambda z: (old_softmax(z, mask) ** 2).sum(), x.copy()), atol=1e-8)
 
 
 class TestElementwise:
@@ -216,11 +219,6 @@ class TestElementwise:
         np.testing.assert_array_equal(blocks.data[:, 0], x[:, 0:3])
         np.testing.assert_array_equal(blocks.data[:, 1], x[:, 3:6])
         np.testing.assert_array_equal(ad.reshape(blocks, (4, 6)).data, x)
-        row = Tensor(x[:1])
-        np.testing.assert_array_equal(ad.take(row, np.zeros(3, dtype=int)).data,
-                                      np.repeat(x[:1], 3, axis=0))
-        index = np.array([[3, 0, 3], [1, 2, 1]])
-        np.testing.assert_array_equal(ad.take(t, index).data, x[index])
 
     def test_structural_ops_reject_bad_operands(self):
         t = Tensor(np.zeros((4, 6)))
@@ -231,10 +229,6 @@ class TestElementwise:
             ad.attention(t, w, w, Tensor(np.zeros((6, 3))), 2, None)
         with pytest.raises(ShapeError, match="mask shape"):
             ad.attention(t, w, w, w, 2, np.ones((3, 3), dtype=bool))
-        with pytest.raises(ShapeError):
-            ad.take(t, np.array([0, 4]))
-        with pytest.raises(ShapeError):
-            ad.take(t, np.array([0.0]))
 
 
 class TestBackward:
@@ -386,13 +380,9 @@ class TestGradientCheck:
         (ad.matmul, [(4, 5), (3, 5, 2)]),
         (ad.matmul, [(3, 4, 5), (5, 2)]),
         (ad.matmul, [(2, 1, 4, 5), (3, 5, 2)]),
-        (lambda x: ad.softmax_masked(x, HEAD_MASK), [(2, 2, 3, 4)]),
-        (lambda x: ad.take(x, np.array([[2, 0, 2], [1, 2, 2]])), [(3, 4)]),
-        (lambda x: ad.take(x, np.array([[3, 0], [1, 2]])), [(4, 3)]),
         (ad.add, [(5, 3), (1, 3)]),
         (ad.add, [(1, 3), (5, 3)]),
     ], ids=["matmul_broadcast_left", "matmul_broadcast_right", "matmul_broadcast_unit_axis",
-            "softmax_mask_over_heads", "take_repeated_rows", "take_unique_rows",
             "add_row_broadcast_right", "add_row_broadcast_left"])
     def test_batched_ops(self, op, shapes):
         rng = np.random.default_rng(12)
@@ -403,22 +393,6 @@ class TestGradientCheck:
             return ad.sum_all(ad.mul(op(*params), weights))
 
         assert gradient_check(f, params, h=1e-6).max_rel_error <= 1e-4
-
-
-class TestTakeBackward:
-    @pytest.mark.parametrize("index", [np.array([[3, 0], [1, 4]]),
-                                       np.array([[3, 0, 3], [1, 3, 0]])],
-                             ids=["unique", "repeated"])
-    def test_matches_add_at_reference_exactly(self, index):
-        rng = np.random.default_rng(13)
-        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        g_out = rng.normal(size=index.shape + (3,))
-        with Graph() as g:
-            loss = ad.sum_all(ad.mul(ad.take(x, index), Tensor(g_out)))
-        backward(loss, g)
-        want = np.zeros((5, 3))
-        np.add.at(want, index, g_out)
-        assert np.array_equal(x.grad, want)
 
 
 def banded_mask(n: int, radius: int) -> np.ndarray:
@@ -465,27 +439,14 @@ class TestAttention:
             return ad.reshape(ad.matmul(x, w), (self.CLIPS, self.N, self.HEADS, d)
                               ).data.swapaxes(1, 2)
 
-        scores = ad.matmul(Tensor(heads(wq)), Tensor(heads(wk).swapaxes(2, 3)))
-        attn = ad.softmax_masked(ad.scale(scores, 1.0 / math.sqrt(d)), mask)
-        want = ad.matmul(attn, Tensor(heads(wv))).data.swapaxes(1, 2).reshape(x.shape)
+        attn = old_softmax(heads(wq) @ heads(wk).swapaxes(2, 3) / math.sqrt(d), mask)
+        want = (attn @ heads(wv)).swapaxes(1, 2).reshape(x.shape)
         np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
         assert len(sink) == self.CLIPS
         for c, weights in enumerate(sink):
             assert weights.shape == (self.HEADS, self.N, self.N)
-            np.testing.assert_allclose(weights, attn.data[c], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(weights, attn[c], rtol=0, atol=1e-12)
             assert (weights[:, ~mask] == 0.0).all()
-
-
-def old_softmax(z: np.ndarray, admissible) -> np.ndarray:
-    """The masked softmax as first written: masked logits set to -inf, then
-    shift by the row max and exponentiate every entry."""
-    z = z.copy()
-    if admissible is not None:
-        np.copyto(z, -np.inf, where=~np.asarray(admissible, dtype=bool))
-    z -= z.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
-    return z
 
 
 class TestSoftmaxForward:
@@ -552,11 +513,11 @@ class TestDivideAttention:
         sink = []
         clips, out = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask,
                                          sink=sink)
-        rows = ad.concat_rows([video, frames])  # row 0 the video, row 1 + t frame t
+        rows = np.vstack([video.data, frames.data])  # row 0 the video, row 1 + t frame t
         want_clips, want_frames, want_sink = [], [], []
         for start in range(0, n, clip_len):
             length = min(clip_len, n - start)
-            x = ad.take(rows, np.r_[0, np.arange(start + 1, start + length + 1)])
+            x = Tensor(rows[np.r_[0, start + 1:start + length + 1]])
             y = ad.add(x, ad.attention(x, *ws, self.HEADS,
                                        mask[:length + 1, :length + 1], sink=want_sink))
             want_clips.append(y.data[:1])
@@ -660,13 +621,13 @@ class TestDeterminism:
 
         def run():
             t = Tensor(a, requires_grad=True)
+            batch = Tensor(a[[[0, 1, 2, 3, 4, 5], [5, 3, 1, 0, 2, 4]]], requires_grad=True)
             with Graph() as g:
-                batch = ad.take(t, np.array([[0, 1, 2, 3, 4, 5], [5, 3, 1, 0, 2, 4]]))
-                y = ad.softmax_masked(ad.matmul(batch, t), mask)
+                y = ad.matmul(batch, t)
                 z = ad.attention(batch, t, t, t, 2, mask)
                 loss = ad.add(ad.sum_all(ad.mul(y, y)), ad.sum_all(ad.mul(z, z)))
             backward(loss, g)
-            return y.data.copy(), z.data.copy(), t.grad
+            return y.data.copy(), z.data.copy(), t.grad, batch.grad
 
         first, second = run(), run()
         assert all(np.array_equal(u, v) for u, v in zip(first, second))
@@ -697,3 +658,38 @@ def test_backward_scaling_property(rows, cols, seed):
     backward(loss, g)
     backward(loss, g)
     assert np.array_equal(x.grad, 3 * once)
+
+
+def tape_ops() -> set[str]:
+    """Public functions of ``autodiff`` whose body records onto the tape."""
+    tree = ast.parse(Path(ad.__file__).read_text())
+    return {fn.name for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+            and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id in ("_record", "_record_many") for n in ast.walk(fn))}
+
+
+def autodiff_names_used_elsewhere() -> set[str]:
+    """Names the other package modules take from ``autodiff``: attributes
+    of a name bound to the module and names imported from it."""
+    used = set()
+    for path in Path(ad.__file__).parent.glob("*.py"):
+        if path.name == "autodiff.py":
+            continue
+        tree = ast.parse(path.read_text())
+        modules = {"autodiff"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    modules |= {a.asname or a.name for a in node.names if a.name == "autodiff"}
+                elif node.module == "autodiff":
+                    used |= {a.name for a in node.names}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id in modules}
+    return used
+
+
+def test_every_tape_op_has_a_caller_in_the_package():
+    ops = tape_ops()
+    assert {"matmul", "attention", "divide_attention"} <= ops
+    assert sorted(ops - autodiff_names_used_elsewhere()) == []

@@ -145,10 +145,15 @@ class TestExitCodes:
         assert main(["train", "--nonsense"]) == 1
         assert main([]) == 1
 
-    def test_missing_manifest_is_two(self, tmp_path, capsys):
+    def test_missing_manifest_is_two(self, tmp_path, dataset_dir, capsys):
         code = main(["train", "--manifest", str(tmp_path / "missing.jsonl"),
                      "--out", str(tmp_path / "x.ckpt")])
         assert code == 2
+        code = main(["train", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                     "--out", str(tmp_path / "x.ckpt"), "--config", str(tmp_path / "no.json")])
+        assert code == 2
+        assert "no.json" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
 
     def test_corrupt_feature_file_is_two(self, tmp_path, trained_checkpoint, capsys):
         bad = tmp_path / "bad.dcvq"
@@ -258,11 +263,22 @@ class TestExitCodes:
         # finite but huge weights overflow the attention scores, so every score is NaN
         bad = edited_checkpoint(trained_checkpoint, tmp_path / "huge.ckpt", "input.weight",
                                 1e300)
-        result = run_cli("eval", "--manifest", dataset_dir / "manifest.jsonl",
-                         "--checkpoint", bad)
-        assert result.returncode == 3
-        assert ("numeric failure: predictions hold a non-finite value nan at index 0"
-                in result.stderr)
+        manifest = dataset_dir / "manifest.jsonl"
+        feature_file = dataset_dir / "synth00000.dcvq"
+        for args, message in [
+            (["eval", "--manifest", manifest, "--checkpoint", bad],
+             "predictions hold a non-finite value nan at index 0"),
+            (["predict", "--checkpoint", bad, feature_file],
+             f"non-finite score nan for {feature_file}"),
+            (["dump-embeddings", "--manifest", manifest, "--checkpoint", bad,
+              "--out", tmp_path / "emb.jsonl"],
+             "non-finite embedding for video 'synth00000'"),
+        ]:
+            result = run_cli(*args)
+            assert result.returncode == 3, args[0]
+            assert f"numeric failure: {message}" in result.stderr
+            assert "nan" not in result.stdout.lower()
+        assert "NaN" not in (tmp_path / "emb.jsonl").read_text()
 
 
 class TestSeedPrecedence:

@@ -14,7 +14,7 @@ from dcvqe.data import FeatureSequence
 from dcvqe.losses import LossConfig, total_loss
 from dcvqe.model import (AttentionCost, AttentionMask, AttentionProjections,
                          DCVQEConfig, DCVQEModel, SequenceLengthError,
-                         multi_head_attention, split_clips, transformer_c, transformer_d)
+                         split_clips, transformer_c, transformer_d)
 
 TINY = DCVQEConfig(input_dim=12, model_dim=8, num_heads=2, num_layers=2,
                    base_clip_len=4, temporal_range=2, max_seq_len=16)
@@ -158,19 +158,6 @@ class TestAttentionMask:
         assert (weights[:, 0, :] > 0).all() and (weights[:, :, 0] > 0).all()
 
 
-class TestMultiHeadAttention:
-    def test_one_tape_node_per_call(self):
-        rng = np.random.default_rng(6)
-        proj = random_projections(rng, 8)
-        x = Tensor(rng.normal(size=(3, 7, 8)), requires_grad=True)
-        cost = AttentionCost()
-        with ad.Graph() as graph:
-            multi_head_attention(x, proj, 2, AttentionMask.banded(7, 2).admissible,
-                                 cost=cost, cost_key=(1, "divide"))
-        assert [node.op for node in graph.nodes] == ["attention"]
-        assert cost.layer_stage(1, "divide") == 2 * 3 * 7 * 7 * 8
-
-
 class TestTransformerD:
     def test_zero_weights_is_identity(self):
         rng = np.random.default_rng(1)
@@ -214,19 +201,16 @@ class TestTransformerD:
         proj = random_projections(rng, 8)
         video = Tensor(rng.normal(size=(1, 8)))
         frames = Tensor(rng.normal(size=(10, 8)))
-        cost, sink = AttentionCost(), []
+        sink = []
         clip_qes, out = transformer_d(proj, 2, video, frames, AttentionMask.banded(5, 2),
-                                      cost=cost, cost_key=(1, "divide"), attn_sink=sink,
-                                      clip_len=4)
-        want_cost, want_sink = AttentionCost(), []
+                                      attn_sink=sink, clip_len=4)
+        want_sink = []
         for c, (start, stop) in enumerate(split_clips(10, 4)):
             clip_frames = Tensor(frames.data[start:stop])
             qe, f = transformer_d(proj, 2, video, clip_frames,
-                                  AttentionMask.banded(stop - start + 1, 2), cost=want_cost,
-                                  cost_key=(1, "divide"), attn_sink=want_sink)
+                                  AttentionMask.banded(stop - start + 1, 2), attn_sink=want_sink)
             np.testing.assert_allclose(clip_qes.data[c:c + 1], qe.data, rtol=0, atol=1e-12)
             np.testing.assert_allclose(out.data[start:stop], f.data, rtol=0, atol=1e-12)
-        assert cost.macs == want_cost.macs == {(1, "divide"): 2 * 8 * (2 * 5 * 5 + 3 * 3)}
         assert [w.shape for w in sink] == [w.shape for w in want_sink]
         for got, want in zip(sink, want_sink):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -249,6 +233,13 @@ class TestTapeSize:
 
 
 class TestTransformerC:
+    def test_records_attention_then_mean_axis(self):
+        rng = np.random.default_rng(8)
+        proj = random_projections(rng, 8)
+        with ad.Graph() as graph:
+            transformer_c(proj, 2, Tensor(rng.normal(size=(3, 8))))
+        assert [node.op for node in graph.nodes] == ["attention", "mean_axis"]
+
     def test_single_clip_is_value_projection(self):
         rng = np.random.default_rng(4)
         proj = random_projections(rng, 8)
@@ -470,19 +461,44 @@ class TestResidualAsymmetry:
         assert np.array_equal(pooled.data, np.zeros((1, dim)))
 
 
-class TestAttentionCostInstrumentation:
-    def test_per_frame_cost_ratio(self):
-        feats = np.random.default_rng(18).normal(size=(600, 4))
-        base = dict(input_dim=4, model_dim=16, num_heads=4, num_layers=1,
-                    max_seq_len=600)
-        split_cfg = DCVQEConfig(base_clip_len=30, temporal_range=15, **base)
-        unsplit_cfg = DCVQEConfig(base_clip_len=600, temporal_range=None, **base)
-        cost_split, cost_unsplit = AttentionCost(), AttentionCost()
-        make_model(split_cfg, scale=0.02).forward(feats, cost=cost_split)
-        make_model(unsplit_cfg, scale=0.02).forward(feats, cost=cost_unsplit)
-        ratio = cost_split.layer_stage(1, "divide") / cost_unsplit.layer_stage(1, "divide")
-        target = (30 + 1) / 600
-        assert abs(ratio - target) / target <= 0.10
+class TestAttentionCost:
+    """Per layer, divide counts 2 * D * (L + 1)^2 over the layer's clips of L
+    frames and conquer 2 * C^2 * D over its C clip embeddings."""
+
+    def test_short_last_clip(self):
+        cost = AttentionCost()
+        cost.count_video(TINY, 10)  # clips 4+4+2 at layer 1, 8+2 at layer 2
+        assert cost.macs == {(1, "divide"): 2 * 8 * (2 * 5 ** 2 + 3 ** 2),
+                             (1, "conquer"): 2 * 3 ** 2 * 8,
+                             (2, "divide"): 2 * 8 * (9 ** 2 + 3 ** 2),
+                             (2, "conquer"): 2 * 2 ** 2 * 8}
+
+    def test_one_frame_video(self):
+        cost = AttentionCost()
+        cost.count_video(TINY, 1)
+        for layer in (1, 2):
+            assert cost.layer_stage(layer, "divide") == 2 * 8 * 2 ** 2
+            assert cost.layer_stage(layer, "conquer") == 2 * 8
+        assert cost.layer_stage(3, "divide") == 0
+
+    def test_unsplit_config_and_accumulation(self):
+        cfg = DCVQEConfig(input_dim=4, model_dim=16, num_heads=4, num_layers=1,
+                          base_clip_len=600, temporal_range=None, max_seq_len=600)
+        cost = AttentionCost()
+        cost.count_video(cfg, 600)
+        cost.count_video(cfg, 600)
+        assert cost.macs == {(1, "divide"): 2 * 2 * 16 * 601 ** 2,
+                             (1, "conquer"): 2 * 2 * 16}
+
+    def test_forward_counts_only_a_finished_forward(self):
+        model = make_model()
+        cost, want = AttentionCost(), AttentionCost()
+        model.forward(np.zeros((10, 12)), cost=cost)
+        want.count_video(TINY, 10)
+        assert cost.macs == want.macs
+        with pytest.raises(SequenceLengthError):
+            model.forward(np.zeros((17, 12)), cost=cost)
+        assert cost.macs == want.macs
 
 
 class TestConfigValidation:
