@@ -7,13 +7,13 @@ compares analytic gradients against central finite differences and is the
 ground truth the rest of the package is validated against.
 
 Broadcasting is deliberately restricted to scalar-with-tensor and
-same-shape operands, with three exceptions: ``add`` broadcasts one operand
-to the other's shape (a bias row over many rows), ``matmul`` broadcasts
-leading (batch) axes, and the attention mask broadcasts to the scores.
-Anything else needs an explicit reshape or slice. Every backward rule sums
-its gradient back to the shape of its input, so each stays a few lines and
-auditable. The tape keeps only the ops that the model, the losses and
-gradient checking use.
+same-shape operands, with three exceptions: ``linear`` adds its bias row
+to every row, ``matmul`` broadcasts leading (batch) axes, and the attention
+mask broadcasts to the scores. Anything else needs an explicit reshape or
+slice. Every backward rule sums its gradient back to the shape of its
+input, so each stays a few lines and auditable. The tape keeps only the
+ops that the model, the losses and gradient checking use. ``linear`` keeps
+a float32 ``x`` as it is: its float64 copy lives only inside two GEMMs.
 
 Two ops are fused, each recorded as a single tape node with a hand-written
 backward. ``attention`` is multi-head scaled dot-product attention over a
@@ -245,6 +245,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", (a, b), out, bw)
 
 
+def linear(x, w: Tensor, b: Tensor) -> Tensor:
+    """``x`` [S, K] @ ``w`` [K, N] plus the bias row ``b`` [1, N], one node.
+
+    ``x`` is a ``Tensor`` (its gradient is ``g @ w.T``) or an array, kept as
+    given and never differentiated: float32 rows stay float32 on the tape and
+    are widened to float64 only inside the forward and the weight-gradient
+    GEMM ``(g.T @ x).T``, with the bits of ``add(matmul(Tensor(x), w), b)``."""
+    is_tensor = isinstance(x, Tensor)
+    rows = x.data if is_tensor else x
+    if (np.ndim(rows) != 2 or w.data.ndim != 2 or rows.shape[1] != w.shape[0]
+            or b.shape != (1, w.shape[1])):
+        raise ShapeError(f"linear needs x [S, K], w [K, N] and b [1, N], got "
+                         f"{np.shape(rows)}, {w.shape} and {b.shape}")
+
+    def wide():
+        return np.ascontiguousarray(rows, dtype=np.float64)
+
+    out = wide() @ w.data
+    out += b.data
+
+    def bw(g):
+        grads = ((g.T @ wide()).T if w.requires_grad else None,  # F-ordered
+                 _reduce_to(g, b) if b.requires_grad else None)
+        return (g @ w.data.T if x.requires_grad else None, *grads) if is_tensor else grads
+
+    return _record("linear", (x, w, b) if is_tensor else (w, b), out, bw)
+
+
 def _binary_kind(a: Tensor, b: Tensor, op: str) -> None:
     # only same-shape or scalar-with-tensor; anything else is a contract error
     if a.shape == b.shape or a.size == 1 or b.size == 1:
@@ -261,16 +289,7 @@ def _reduce_to(g: np.ndarray, t: Tensor) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Sum of two tensors. Besides same-shape and scalar operands, one operand
-    may broadcast to the other's shape, as a [1, D] bias row over [S, D]."""
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
-        try:
-            fits = np.broadcast_shapes(a.shape, b.shape) in (a.shape, b.shape)
-        except ValueError:
-            fits = False
-        if not fits:
-            raise ShapeError(f"add needs same-shape, scalar or broadcastable operands, got "
-                             f"{a.shape} and {b.shape}")
+    _binary_kind(a, b, "add")
 
     def bw(g):
         return (_reduce_to(g, a) if a.requires_grad else None,

@@ -3,9 +3,9 @@
 Feature files are a fixed binary layout: magic ``DCVQ``, u32 version (1),
 u32 num_frames, u32 feature_dim, then num_frames * feature_dim little-endian
 float32 values, row-major. Values stay float32 in memory as
-``FeatureSequence.features``, so a loaded dataset takes 4 bytes per value;
-``DCVQEModel.forward`` widens one video's rows to float64, exactly, per
-call. Manifests are line-delimited JSON: one header record carrying the MOS
+``FeatureSequence.features`` and on the autodiff tape, 4 bytes each; the
+input projection widens them to float64, exactly, only inside its GEMMs.
+Manifests are line-delimited JSON: one header record carrying the MOS
 scale, then one record per video; feature paths resolve relative to the
 manifest's directory.
 

@@ -45,9 +45,9 @@ class DCVQEConfig:
     def __post_init__(self):
         if self.input_dim < 1:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
-        if self.model_dim % self.num_heads != 0:
+        if min(self.model_dim, self.num_heads) < 1 or self.model_dim % self.num_heads:
             raise ValueError(f"model_dim {self.model_dim} not divisible by "
-                             f"num_heads {self.num_heads}")
+                             f"num_heads {self.num_heads}, or one of them < 1")
         if self.num_layers < 1:
             raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
         if self.base_clip_len < 1:
@@ -241,16 +241,15 @@ class DCVQEModel:
                                     self.params[f"layer{layer}.{module}.key"],
                                     self.params[f"layer{layer}.{module}.value"])
 
-    def project_input(self, features: Tensor) -> Tensor:
-        """Affine map from raw per-frame features to the model width.
-
-        ``features`` is a float64 tensor; ``forward`` builds it from the
-        float32 rows of a ``FeatureSequence``, so the GEMM sees the file's
-        values exactly."""
-        if features.data.ndim != 2 or features.shape[1] != self.config.input_dim:
+    def project_input(self, features) -> Tensor:
+        """Affine map from raw per-frame features [S, input_dim] (array or
+        tensor) to the model width, one ``autodiff.linear`` node: the float32
+        rows of a ``FeatureSequence`` are widened to float64, exactly, only
+        inside the projection's GEMMs."""
+        if len(features.shape) != 2 or features.shape[1] != self.config.input_dim:
             raise ad.ShapeError(f"features must be [S,{self.config.input_dim}], "
                                 f"got {features.shape}")
-        return ad.add(ad.matmul(features, self.params["input.weight"]), self.params["input.bias"])
+        return ad.linear(features, self.params["input.weight"], self.params["input.bias"])
 
     def add_positional(self, frames: Tensor) -> tuple[Tensor, Tensor]:
         """Attach positional embeddings; index 0 is reserved for the video token.
@@ -320,15 +319,16 @@ class DCVQEModel:
                 cost: AttentionCost | None = None) -> tuple[Tensor, LayerActivations | None]:
         """Score one video. ``features`` is [S, input_dim] (array or tensor).
 
-        An array is wrapped in a float64 ``Tensor``; this is where the float32
-        rows of a ``FeatureSequence`` are widened, exactly, once per call.
+        An array is not copied: the float32 rows of a ``FeatureSequence``
+        stay float32 on the tape and are widened only inside the input
+        projection's GEMMs (``project_input``).
 
         Returns the scalar score tensor (shape [1,1]) and, when ``record``,
         the per-layer activations. Once the forward has succeeded, ``cost``
         gets this video's attention MACs, computed from the clip layout.
         """
-        feats = ad.as_tensor(features)
-        if feats.data.ndim != 2:
+        feats = features if isinstance(features, Tensor) else np.asarray(features)
+        if len(feats.shape) != 2:
             raise ad.ShapeError(f"features must be 2-d, got shape {feats.shape}")
         n = feats.shape[0]
         if n < 1:
@@ -342,8 +342,8 @@ class DCVQEModel:
         for layer in range(1, self.config.num_layers + 1):
             frames, video_qe = self.dctr_layer(layer, frames, video_qe, activations=activations,
                                                record_attention=record_attention)
-        score = ad.add(ad.matmul(video_qe, self.params["regressor.weight"]),
-                       self.params["regressor.bias"])
+        score = ad.linear(video_qe, self.params["regressor.weight"],
+                          self.params["regressor.bias"])
         if cost is not None:
             cost.count_video(self.config, n)
         return score, activations

@@ -268,7 +268,13 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValueError(f"config {config} is not a model configuration")
         cfg = DCVQEConfig(**config)
         names = [p["name"] for p in header["params"]]
-        shapes = {p["name"]: tuple(int(d) for d in p["shape"]) for p in header["params"]}
+        shapes = {p["name"]: tuple(p["shape"]) for p in header["params"]}
+        if len(shapes) != len(names):
+            raise ValueError(f"parameter names repeat in {names}")
+        for n, dims in shapes.items():  # 8 bytes per element: no payload outgrows the file
+            if not all(type(d) is int and d >= 0 for d in dims) or 8 * math.prod(dims) > len(raw):
+                raise ValueError(f"{n!r} has shape {list(dims)}, not the shape of a payload in "
+                                 f"{len(raw)} bytes")
         adam_step = int(header["adam_step"])
         best_val_loss = float(header["best_val_loss"])
         epoch = int(header["epoch"])
@@ -279,7 +285,7 @@ def load_checkpoint(path) -> Checkpoint:
     for what in ("params", "adam_m", "adam_v"):
         group = {}
         for n in names:
-            count = int(np.prod(shapes[n]))
+            count = math.prod(shapes[n])
             end = offset + count * 8
             if end > len(raw):
                 raise data_io.FormatError(f"checkpoint payload truncated at {len(raw)}",

@@ -122,6 +122,66 @@ class TestMatmul:
         assert np.array_equal(gb, a.data.T @ g)
 
 
+class TestLinear:
+    @pytest.mark.parametrize("kind", ["float32", "float64", "tensor"])
+    def test_gradient_check(self, kind):
+        rng = np.random.default_rng(31)
+        rows = rng.normal(size=(5, 4))
+        x = {"float32": rows.astype(np.float32), "float64": rows,
+             "tensor": Tensor(rows, requires_grad=True, name="x")}[kind]
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True, name="w")
+        b = Tensor(rng.normal(size=(1, 3)), requires_grad=True, name="b")
+        c = Tensor(rng.normal(size=(5, 3)))
+        params = [w, b, x] if kind == "tensor" else [w, b]
+        report = gradient_check(lambda: ad.sum_all(ad.mul(ad.linear(x, w, b), c)), params)
+        assert len(report.per_parameter) == len(params)
+        assert report.passes(1e-4)
+
+    @pytest.mark.parametrize("tensor_x", [False, True], ids=["float32_rows", "tensor"])
+    @pytest.mark.parametrize("din,dout", [(64, 32), (4096, 128)])
+    @pytest.mark.parametrize("n", [1, 60, 300, 600])
+    def test_bit_identical_to_matmul_plus_add(self, n, din, dout, tensor_x):
+        # the model's old input projection: float32 rows widened into a
+        # float64 Tensor, then matmul, then the bias row added to every row
+        rng = np.random.default_rng(n + din)
+        rows = rng.standard_normal((n, din), dtype=np.float32)
+        w = Tensor(rng.normal(scale=0.02, size=(din, dout)), requires_grad=True)
+        b = Tensor(rng.normal(size=(1, dout)), requires_grad=True)
+        g = rng.normal(size=(n, dout))
+        wide = Tensor(rows, requires_grad=tensor_x)
+        with Graph() as graph:
+            out = ad.linear(wide if tensor_x else rows, w, b)
+        (node,) = graph.nodes
+        *gx, gw, gb = node.backward_fn(g)
+        with Graph() as ref:
+            product = ad.matmul(wide, w)
+        ref_gx, ref_gw = ref.nodes[0].backward_fn(g)
+        assert np.array_equal(out.data, product.data + b.data)
+        assert np.array_equal(gw, ref_gw)
+        assert np.array_equal(gb, g.sum(axis=0, keepdims=True))
+        if tensor_x:
+            assert np.array_equal(gx[0], ref_gx)
+        else:
+            assert gx == [] and ref_gx is None
+
+    def test_array_operand_gets_no_tape_input(self):
+        rows = np.ones((3, 4), dtype=np.float32)
+        w = Tensor(np.ones((4, 2)), requires_grad=True)
+        b = Tensor(np.zeros((1, 2)), requires_grad=True)
+        with Graph() as graph:
+            out = ad.linear(rows, w, b)
+        (node,) = graph.nodes
+        assert node.op == "linear" and node.inputs == (w, b)
+        assert out.data.dtype == np.float64 and np.array_equal(out.data, np.full((3, 2), 4.0))
+
+    @pytest.mark.parametrize("shapes", [[(3, 5), (4, 2), (1, 2)], [(3, 4), (4, 2), (3, 2)],
+                                        [(3, 4), (4, 2), (2,)], [(4,), (4, 2), (1, 2)]])
+    def test_rejects_bad_operands(self, shapes):
+        x, w, b = (np.zeros(s) for s in shapes)
+        with pytest.raises(ShapeError, match="linear needs"):
+            ad.linear(x, Tensor(w), Tensor(b))
+
+
 class TestSoftmaxMasked:
     """The masked softmax rule that ``attention`` and ``divide_attention``
     share: ``_softmax_forward`` and its backward ``_softmax_vjp``."""
@@ -380,10 +440,10 @@ class TestGradientCheck:
         (ad.matmul, [(4, 5), (3, 5, 2)]),
         (ad.matmul, [(3, 4, 5), (5, 2)]),
         (ad.matmul, [(2, 1, 4, 5), (3, 5, 2)]),
-        (ad.add, [(5, 3), (1, 3)]),
-        (ad.add, [(1, 3), (5, 3)]),
+        (ad.linear, [(5, 4), (4, 3), (1, 3)]),
+        (ad.linear, [(5, 1), (1, 3), (1, 3)]),
     ], ids=["matmul_broadcast_left", "matmul_broadcast_right", "matmul_broadcast_unit_axis",
-            "add_row_broadcast_right", "add_row_broadcast_left"])
+            "linear_bias_row_over_rows", "linear_bias_row_over_outer_product"])
     def test_batched_ops(self, op, shapes):
         rng = np.random.default_rng(12)
         params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]

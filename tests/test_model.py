@@ -2,6 +2,7 @@
 and the full forward pass against a straight-line numpy reimplementation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,7 +218,7 @@ class TestTransformerD:
 
 
 class TestTapeSize:
-    def test_training_batch_at_acceptance_08_shape_under_500_nodes(self):
+    def test_training_batch_at_acceptance_08_shape_records_254_nodes(self):
         cfg = DCVQEConfig(input_dim=64, model_dim=32, num_heads=4, num_layers=3,
                           base_clip_len=30, temporal_range=15, max_seq_len=600)
         model = DCVQEModel.initialize(cfg, seed=7)
@@ -226,10 +227,27 @@ class TestTapeSize:
         with ad.Graph() as graph:
             preds = ad.concat_rows([model.forward(v)[0] for v in videos])
             loss = total_loss(preds, Tensor(rng.uniform(1, 5, (16, 1))), LossConfig(0.7, 0.3))
-        assert len(graph) < 500
-        assert sum(node.op == "divide_attention" for node in graph.nodes) == 16 * 3
+        ops = [node.op for node in graph.nodes]
+        assert len(ops) == 254
+        assert ops.count("divide_attention") == 16 * 3
+        assert ops.count("linear") == 16 * 2  # input projection and regressor
+        assert "matmul" not in ops
         ad.backward(loss, graph)
         assert all(p.grad is not None for p in model.parameters())
+
+    def test_tape_keeps_float32_rows_without_a_float64_copy(self):
+        # the float64 rows exist only inside the input projection's GEMMs
+        model = DCVQEModel.initialize(DCVQEConfig(), seed=3)
+        rows = np.random.default_rng(4).standard_normal((600, 4096), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            with ad.Graph() as graph:
+                score, _ = model.forward(rows)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(graph) > 0 and score.requires_grad
+        assert held < rows.size * 8
 
 
 class TestTransformerC:
@@ -509,6 +527,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"num_layers": 0}, {"base_clip_len": 0}, {"temporal_range": 0},
         {"max_seq_len": 10, "base_clip_len": 30}, {"input_dim": 0},
+        {"num_heads": 0}, {"model_dim": -8, "num_heads": 4},
     ])
     def test_invalid_fields(self, kwargs):
         with pytest.raises(ValueError):

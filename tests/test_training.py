@@ -1,7 +1,9 @@
 """Optimizer recurrence, training-loop determinism, best-checkpoint retention,
 checkpoint round trips, resume replay, and the evaluation path."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -329,6 +331,45 @@ class TestCheckpointIO:
                            match=rf"{group} 'layer2.divide.key' at element 29") as err:
             load_checkpoint(path)
         assert err.value.offset == at
+
+    def rewrite_header(self, path, edit):
+        raw = path.read_bytes()
+        _, length = struct.unpack_from("<II", raw, 4)
+        header = json.loads(raw[12:12 + length])
+        edit(header)
+        blob = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + length:])
+
+    @pytest.mark.parametrize("shape", [[2 ** 62, 4], [-1], [6.0, 8], [True, 8], [10 ** 6]],
+                             ids=["count_wraps_int64", "negative", "float", "bool",
+                                  "larger_than_the_file"])
+    def test_impossible_parameter_shape_rejected_at_the_header(self, tmp_path, shape):
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(path, self.make_checkpoint())
+        self.rewrite_header(path, lambda h: h["params"][0].update(shape=shape))
+        with pytest.raises(data_io.FormatError, match="not the shape of a payload") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 12
+
+    def test_zero_heads_rejected_at_the_header(self, tmp_path):
+        path = tmp_path / "h.ckpt"
+        save_checkpoint(path, self.make_checkpoint())
+        self.rewrite_header(path, lambda h: h["config"].update(num_heads=0))
+        with pytest.raises(data_io.FormatError, match="num_heads") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 12
+
+    def test_repeated_parameter_name_rejected_at_the_header(self, tmp_path):
+        path = tmp_path / "d.ckpt"
+        save_checkpoint(path, self.make_checkpoint())
+
+        def repeat_first_name(header):
+            header["params"][1]["name"] = header["params"][0]["name"]
+
+        self.rewrite_header(path, repeat_first_name)
+        with pytest.raises(data_io.FormatError, match="names repeat") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 12
 
     def test_truncated_payload_rejected(self, tmp_path):
         cp = self.make_checkpoint()
