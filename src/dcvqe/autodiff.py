@@ -7,13 +7,14 @@ compares analytic gradients against central finite differences and is the
 ground truth the rest of the package is validated against.
 
 Broadcasting is deliberately restricted to scalar-with-tensor and
-same-shape operands, with three exceptions: ``linear`` adds its bias row
-to every row, ``matmul`` broadcasts leading (batch) axes, and the attention
-mask broadcasts to the scores. Anything else needs an explicit reshape or
-slice. Every backward rule sums its gradient back to the shape of its
-input, so each stays a few lines and auditable. The tape keeps only the
-ops that the model, the losses and gradient checking use. ``linear`` keeps
-a float32 ``x`` as it is: its float64 copy lives only inside two GEMMs.
+same-shape operands, with two exceptions: ``linear`` adds its bias row
+to every row, and the attention mask broadcasts to the scores. Anything
+else needs an explicit reshape or slice. Every backward rule sums its
+gradient back to the shape of its input, so each stays a few lines and
+auditable. The tape keeps only the ops that the model, the losses and
+gradient checking use; ``linear`` is its one matrix product. ``linear``
+keeps a float32 ``x`` as it is: its float64 copy lives only inside two
+GEMMs.
 
 Two ops are fused, each recorded as a single tape node with a hand-written
 backward. ``attention`` is multi-head scaled dot-product attention over a
@@ -35,7 +36,6 @@ fused ops like every other op.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import threading
 from dataclasses import dataclass, field
@@ -63,7 +63,7 @@ class Tensor:
     flat buffer is the row-major enumeration of the logical array. ``grad``
     is filled in by ``backward`` for tensors with ``requires_grad``, has the
     same shape as ``data`` and is C-contiguous too, whatever the memory order
-    of the gradients that flowed into it (``matmul`` produces F-ordered ones).
+    of the gradients that flowed into it (``linear`` produces F-ordered ones).
     """
 
     __slots__ = ("data", "requires_grad", "grad", "name")
@@ -207,51 +207,16 @@ def zero_grads(params: Sequence[Tensor]) -> None:
 # primitive operations
 # ---------------------------------------------------------------------------
 
-def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient over the axes its operand was broadcast along."""
-    lead = g.ndim - len(shape)
-    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape)
-                                      if n == 1 and g.shape[lead + i] != 1)
-    return g.sum(axis=axes).reshape(shape) if axes else g
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast.
-
-    For two 2-D operands the right operand's gradient is formed as
-    ``(g.T @ a).T``, which BLAS computes with the same bits as ``a.T @ g`` but
-    in about half the time at the input projection's [S, 4096] x [4096, 128]
-    shape. That gradient is F-ordered; ``backward`` sums it as it is and
-    returns leaf gradients in C order.
-    """
-    out = None
-    if a.data.ndim >= 2 and b.data.ndim >= 2:
-        with contextlib.suppress(ValueError):  # inner sizes or leading axes disagree
-            out = a.data @ b.data
-    if out is None:
-        raise ShapeError(f"matmul needs [...,m,k] @ [...,k,n] with broadcastable leading "
-                         f"axes, got {a.shape} and {b.shape}")
-
-    def bw(g):
-        ga = _sum_to(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
-        if not b.requires_grad:
-            gb = None
-        elif a.data.ndim == 2 and b.data.ndim == 2:
-            gb = (g.T @ a.data).T  # F-ordered
-        else:
-            gb = _sum_to(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
-
-    return _record("matmul", (a, b), out, bw)
-
-
 def linear(x, w: Tensor, b: Tensor) -> Tensor:
     """``x`` [S, K] @ ``w`` [K, N] plus the bias row ``b`` [1, N], one node.
 
     ``x`` is a ``Tensor`` (its gradient is ``g @ w.T``) or an array, kept as
     given and never differentiated: float32 rows stay float32 on the tape and
     are widened to float64 only inside the forward and the weight-gradient
-    GEMM ``(g.T @ x).T``, with the bits of ``add(matmul(Tensor(x), w), b)``."""
+    GEMM. That gradient is formed as ``(g.T @ x).T``, which BLAS computes with
+    the bits of ``x.T @ g`` in about half the time at the input projection's
+    [S, 4096] x [4096, 128] shape; it is F-ordered, and ``backward`` returns
+    leaf gradients in C order. The bias gradient sums ``g`` over its rows."""
     is_tensor = isinstance(x, Tensor)
     rows = x.data if is_tensor else x
     if (np.ndim(rows) != 2 or w.data.ndim != 2 or rows.shape[1] != w.shape[0]
@@ -267,25 +232,24 @@ def linear(x, w: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         grads = ((g.T @ wide()).T if w.requires_grad else None,  # F-ordered
-                 _reduce_to(g, b) if b.requires_grad else None)
+                 g.sum(axis=0, keepdims=True) if b.requires_grad else None)
         return (g @ w.data.T if x.requires_grad else None, *grads) if is_tensor else grads
 
     return _record("linear", (x, w, b) if is_tensor else (w, b), out, bw)
 
 
 def _binary_kind(a: Tensor, b: Tensor, op: str) -> None:
-    # only same-shape or scalar-with-tensor; anything else is a contract error
-    if a.shape == b.shape or a.size == 1 or b.size == 1:
+    # only same-shape or scalar-with-tensor, the scalar having no more axes than
+    # the tensor, so the result has an operand's shape; anything else is an error
+    if (a.shape == b.shape or (a.size == 1 and a.data.ndim <= b.data.ndim)
+            or (b.size == 1 and b.data.ndim <= a.data.ndim)):
         return
     raise ShapeError(f"{op} supports same-shape or scalar operands, got {a.shape} and {b.shape}")
 
 
 def _reduce_to(g: np.ndarray, t: Tensor) -> np.ndarray:
-    if g.shape == t.shape:
-        return g
-    if t.size == 1:
-        return np.asarray(g.sum()).reshape(t.shape)
-    return _sum_to(g, t.shape)
+    # after _binary_kind, an operand of another shape than g is a scalar
+    return g if g.shape == t.shape else np.asarray(g.sum()).reshape(t.shape)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -361,9 +325,10 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def softplus(x: Tensor) -> Tensor:
-    """log(1 + exp(x)), computed in the overflow-safe split form."""
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)): one exponential,
+    which never overflows."""
     z = x.data
-    out = np.where(z > 0, z + np.log1p(np.exp(-np.abs(z))), np.log1p(np.exp(z)))
+    out = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
     sig = 1.0 / (1.0 + np.exp(-np.clip(z, -700, 700)))
     return _record("softplus", (x,), out, lambda g: (g * sig,))
 

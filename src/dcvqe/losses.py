@@ -100,27 +100,25 @@ def pairwise_ranking_loss(p, g) -> Tensor:
 
     Mean over ordered pairs (n, m), n != m, of
     log(1 + exp(-sign(g_n - g_m) * (p_n - p_m))); pairs with tied ground
-    truths are skipped.
+    truths are skipped. The differences p_n - p_m come from one ``linear``
+    node: a [P, N] selector with +1 at n and -1 at m in each pair's row,
+    which is never differentiated, times the predictions [N, 1] as the
+    weight, plus a zero bias.
     """
     pc, gc = _pair(p, g)
     n = pc.shape[0]
     if n < 2:
         raise ad.ShapeError(f"pairwise ranking loss needs >= 2 samples, got {n}")
     gv = gc.data.reshape(-1)
-    rows, signs = [], []
-    for a in range(n):
-        for b in range(n):
-            if a == b or gv[a] == gv[b]:
-                continue
-            row = np.zeros(n)
-            row[a], row[b] = 1.0, -1.0
-            rows.append(row)
-            signs.append(np.sign(gv[a] - gv[b]))
-    if not rows:
+    a, b = np.nonzero(gv[:, None] != gv[None, :])  # untied pairs in row-major order
+    if not a.size:
         raise TiedGroundTruthError("all ground truths tied; no rankable pairs")
-    select = Tensor(np.asarray(rows))          #P x N pair-difference selector
-    neg_sign = Tensor(-np.asarray(signs).reshape(-1, 1))
-    diffs = ad.matmul(select, pc)
+    select = np.zeros((a.size, n))
+    rows = np.arange(a.size)
+    select[rows, a] = 1.0
+    select[rows, b] = -1.0
+    neg_sign = Tensor(-np.sign(gv[a] - gv[b]).reshape(-1, 1))
+    diffs = ad.linear(select, pc, Tensor(np.zeros((1, 1))))
     return ad.mean_axis(ad.softplus(ad.mul(diffs, neg_sign)), None)
 
 

@@ -43,6 +43,14 @@ def _vector(x, what: str, min_len: int) -> np.ndarray:
     return v
 
 
+def _pair(p, g, min_len: int) -> tuple[np.ndarray, np.ndarray]:
+    pv = _vector(p, "predictions", min_len)
+    gv = _vector(g, "ground truths", min_len)
+    if pv.size != gv.size:
+        raise ValueError(f"length mismatch: {pv.size} vs {gv.size}")
+    return pv, gv
+
+
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     # ties get the mean of the rank span they occupy (1-based ranks)
     order = np.argsort(x, kind="stable")
@@ -71,19 +79,13 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 def srcc(p, g) -> float:
     """Spearman rank-order correlation: Pearson over average ranks."""
-    pv = _vector(p, "predictions", 2)
-    gv = _vector(g, "ground truths", 2)
-    if pv.size != gv.size:
-        raise ValueError(f"length mismatch: {pv.size} vs {gv.size}")
+    pv, gv = _pair(p, g, 2)
     return _pearson(_average_ranks(pv), _average_ranks(gv))
 
 
 def krcc(p, g) -> float:
     """Kendall tau-b by exhaustive enumeration of all sample pairs."""
-    pv = _vector(p, "predictions", 2)
-    gv = _vector(g, "ground truths", 2)
-    if pv.size != gv.size:
-        raise ValueError(f"length mismatch: {pv.size} vs {gv.size}")
+    pv, gv = _pair(p, g, 2)
     iu = np.triu_indices(pv.size, k=1)
     dp = np.sign(pv[:, None] - pv[None, :])[iu]
     dg = np.sign(gv[:, None] - gv[None, :])[iu]
@@ -100,18 +102,12 @@ def krcc(p, g) -> float:
 
 def plcc(p, g) -> float:
     """Pearson linear correlation (no nonlinear remapping beforehand)."""
-    pv = _vector(p, "predictions", 2)
-    gv = _vector(g, "ground truths", 2)
-    if pv.size != gv.size:
-        raise ValueError(f"length mismatch: {pv.size} vs {gv.size}")
+    pv, gv = _pair(p, g, 2)
     return _pearson(pv, gv)
 
 
 def rmse(p, g) -> float:
-    pv = _vector(p, "predictions", 1)
-    gv = _vector(g, "ground truths", 1)
-    if pv.size != gv.size:
-        raise ValueError(f"length mismatch: {pv.size} vs {gv.size}")
+    pv, gv = _pair(p, g, 1)
     return float(np.sqrt(((pv - gv) ** 2).mean()))
 
 

@@ -98,7 +98,7 @@ class AttentionCost:
     the weighted-value products, 2 * L^2 * D for a sequence of L positions,
     summed over the ``[video; clip]`` sequences of each layer's divide stage
     and over the single sequence of clip embeddings of its conquer stage.
-    Projection matmuls are excluded since the clip-splitting claim is about
+    Projection products are excluded since the clip-splitting claim is about
     the attention term. It is the dense clip attention of the model's
     definition, not the rows evaluated: the final layer's divide stage forms
     only the clip rows but is counted as the full [L, L] attention of every

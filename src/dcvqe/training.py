@@ -71,11 +71,6 @@ class AdamState:
                    m={name: np.zeros(p.shape) for name, p in model.named_parameters()},
                    v={name: np.zeros(p.shape) for name, p in model.named_parameters()})
 
-    def copy(self) -> "AdamState":
-        return AdamState(step=self.step,
-                         m={k: a.copy() for k, a in self.m.items()},
-                         v={k: a.copy() for k, a in self.v.items()})
-
 
 # elements per block of an Adam update (2**14 measured fastest at the 4096 x 128
 # input weight): a block of each of the six arrays involved fits in the cache

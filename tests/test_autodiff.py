@@ -1,7 +1,8 @@
 """Tensor op semantics and gradient correctness against independent oracles.
 
-Oracles here are deliberately primitive: scalar triple loops for matmul,
-a scalar softmax, and central finite differences for every gradient claim.
+Oracles here are deliberately primitive: scalar triple loops for the
+matrix product, a scalar softmax, and central finite differences for every
+gradient claim.
 """
 
 import ast
@@ -72,14 +73,21 @@ def fd_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return g
 
 
+def product(a, b: Tensor) -> Tensor:
+    """``a @ b`` as the tape forms it: ``linear`` with a zero bias row."""
+    return ad.linear(a, b, Tensor(np.zeros((1, b.shape[-1]))))
+
+
 class TestMatmul:
+    """The matrix product inside ``linear``, the tape's one GEMM op."""
+
     def test_identity(self):
         a = Tensor([[1.0, 0.0], [0.0, 1.0]])
         b = Tensor([[3.0, -1.0], [2.5, 7.0]])
-        assert np.array_equal(ad.matmul(a, b).data, b.data)
+        assert np.array_equal(product(a, b).data, b.data)
 
     def test_dot_product(self):
-        out = ad.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
+        out = product(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
         assert out.data.shape == (1, 1)
         assert out.item() == 11.0
 
@@ -87,19 +95,19 @@ class TestMatmul:
         rng = np.random.default_rng(0)
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(4, 2))
-        out = ad.matmul(Tensor(a), Tensor(b)).data
+        out = product(Tensor(a), Tensor(b)).data
         np.testing.assert_allclose(out, matmul_oracle(a, b), rtol=1e-13)
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+            product(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
     def test_gradients_flow_to_both_inputs(self):
         rng = np.random.default_rng(1)
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         with Graph() as g:
-            loss = ad.sum_all(ad.matmul(a, b))
+            loss = ad.sum_all(product(a, b))
         backward(loss, g)
         np.testing.assert_allclose(
             a.grad, fd_grad(lambda x: (x @ b.data).sum(), a.data.copy()), atol=1e-8)
@@ -109,16 +117,17 @@ class TestMatmul:
     @pytest.mark.parametrize("din,dout", [(64, 32), (4096, 128)])
     @pytest.mark.parametrize("n", [1, 60, 300, 600])
     def test_right_operand_gradient_is_bit_identical_to_a_t_g(self, n, din, dout):
-        # the 2-D rule forms (g.T @ a).T; pinned to the textbook a.T @ g bit for bit
+        # the weight gradient is formed as (g.T @ a).T; pinned to the textbook
+        # a.T @ g bit for bit
         rng = np.random.default_rng(n + din)
         a = Tensor(rng.normal(size=(n, din)))
         b = Tensor(rng.normal(scale=0.02, size=(din, dout)), requires_grad=True)
         g = rng.normal(size=(n, dout))
         with Graph() as graph:
-            ad.matmul(a, b)
+            product(a, b)
         (node,) = graph.nodes
-        ga, gb = node.backward_fn(g)
-        assert ga is None
+        ga, gb, gbias = node.backward_fn(g)
+        assert ga is None and gbias is None
         assert np.array_equal(gb, a.data.T @ g)
 
 
@@ -141,28 +150,25 @@ class TestLinear:
     @pytest.mark.parametrize("din,dout", [(64, 32), (4096, 128)])
     @pytest.mark.parametrize("n", [1, 60, 300, 600])
     def test_bit_identical_to_matmul_plus_add(self, n, din, dout, tensor_x):
-        # the model's old input projection: float32 rows widened into a
-        # float64 Tensor, then matmul, then the bias row added to every row
+        # the numpy reference: float32 rows widened to float64, the product,
+        # then the bias row added to every row; the textbook gradients
         rng = np.random.default_rng(n + din)
         rows = rng.standard_normal((n, din), dtype=np.float32)
         w = Tensor(rng.normal(scale=0.02, size=(din, dout)), requires_grad=True)
         b = Tensor(rng.normal(size=(1, dout)), requires_grad=True)
         g = rng.normal(size=(n, dout))
-        wide = Tensor(rows, requires_grad=tensor_x)
+        wide = rows.astype(np.float64)
         with Graph() as graph:
-            out = ad.linear(wide if tensor_x else rows, w, b)
+            out = ad.linear(Tensor(rows, requires_grad=True) if tensor_x else rows, w, b)
         (node,) = graph.nodes
         *gx, gw, gb = node.backward_fn(g)
-        with Graph() as ref:
-            product = ad.matmul(wide, w)
-        ref_gx, ref_gw = ref.nodes[0].backward_fn(g)
-        assert np.array_equal(out.data, product.data + b.data)
-        assert np.array_equal(gw, ref_gw)
+        assert np.array_equal(out.data, wide @ w.data + b.data)
+        assert np.array_equal(gw, wide.T @ g)
         assert np.array_equal(gb, g.sum(axis=0, keepdims=True))
         if tensor_x:
-            assert np.array_equal(gx[0], ref_gx)
+            assert np.array_equal(gx[0], g @ w.data.T)
         else:
-            assert gx == [] and ref_gx is None
+            assert gx == []
 
     def test_array_operand_gets_no_tape_input(self):
         rows = np.ones((3, 4), dtype=np.float32)
@@ -261,6 +267,17 @@ class TestElementwise:
             ad.add(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))))
         with pytest.raises(ShapeError):
             ad.mul(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+        with pytest.raises(ShapeError):  # a scalar with more axes would widen the result
+            ad.sub(Tensor(np.zeros((1, 1))), Tensor(np.zeros(3)))
+
+    def test_scalar_gradient_sums_the_broadcast(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        s = Tensor([[2.0]], requires_grad=True)
+        with Graph() as g:
+            loss = ad.sum_all(ad.mul(ad.sub(x, s), x))
+        backward(loss, g)
+        assert s.grad.shape == (1, 1) and s.grad[0, 0] == -x.data.sum()
+        assert np.array_equal(x.grad, 2 * x.data - 2.0)
 
     def test_abs_and_sum(self):
         x = Tensor([-1.0, 2.0, -3.0])
@@ -314,16 +331,13 @@ class TestBackward:
         w2 = Tensor(rng.normal(size=(6, 1)), requires_grad=True)
 
         def run():
-            h = ad.max0(ad.matmul(Tensor(x), w1))
-            return ad.mean_axis(ad.matmul(h, w2))
+            h = ad.max0(product(x, w1))
+            return ad.mean_axis(product(h, w2))
 
         ad.zero_grads([w1, w2])
         with Graph() as g:
             loss = run()
         backward(loss, g)
-
-        def f1(w):
-            return np.maximum(x @ w, 0) @ w2.data.reshape(-1, 1) / (5 * 1) @ np.ones(1)
 
         num1 = fd_grad(lambda w: float((np.maximum(x @ w, 0) @ w2.data).mean()),
                        w1.data.copy())
@@ -344,13 +358,13 @@ class TestBackward:
         assert np.array_equal(x.grad, 2 * once)
 
     def test_leaf_gradients_are_c_contiguous(self):
-        # matmul hands back an F-ordered weight gradient; the leaf's grad is C-ordered
+        # linear hands back an F-ordered weight gradient; the leaf's grad is C-ordered
         rng = np.random.default_rng(11)
         w = Tensor(rng.normal(size=(256, 16)), requires_grad=True)
         rows = [rng.normal(size=(n, 256)) for n in (40, 7)]
         weights = [rng.normal(size=(n, 16)) for n in (40, 7)]
         with Graph() as g:
-            loss = ad.add(*[ad.sum_all(ad.mul(ad.matmul(Tensor(a), w), Tensor(c)))
+            loss = ad.add(*[ad.sum_all(ad.mul(product(a, w), Tensor(c)))
                             for a, c in zip(rows, weights)])
         backward(loss, g)
         expected = rows[0].T @ weights[0] + rows[1].T @ weights[1]
@@ -366,7 +380,7 @@ class TestBackward:
         w = Tensor(rng.normal(size=(256, 16)), requires_grad=True)
         c = rng.normal(size=(33, 16))
         with Graph() as g:
-            loss = ad.sum_all(ad.mul(ad.matmul(Tensor(a), w), Tensor(c)))
+            loss = ad.sum_all(ad.mul(product(a, w), Tensor(c)))
         backward(loss, g)
         assert w.grad.flags.c_contiguous
         assert np.array_equal(w.grad, a.T @ c)
@@ -437,13 +451,9 @@ class TestGradientCheck:
             gradient_check(lambda: Tensor(0.0), [], h=0.0)
 
     @pytest.mark.parametrize("op, shapes", [
-        (ad.matmul, [(4, 5), (3, 5, 2)]),
-        (ad.matmul, [(3, 4, 5), (5, 2)]),
-        (ad.matmul, [(2, 1, 4, 5), (3, 5, 2)]),
         (ad.linear, [(5, 4), (4, 3), (1, 3)]),
         (ad.linear, [(5, 1), (1, 3), (1, 3)]),
-    ], ids=["matmul_broadcast_left", "matmul_broadcast_right", "matmul_broadcast_unit_axis",
-            "linear_bias_row_over_rows", "linear_bias_row_over_outer_product"])
+    ], ids=["linear_bias_row_over_rows", "linear_bias_row_over_outer_product"])
     def test_batched_ops(self, op, shapes):
         rng = np.random.default_rng(12)
         params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
@@ -496,8 +506,7 @@ class TestAttention:
         d = self.DIM // self.HEADS
 
         def heads(w):  # [C, n, D] @ [D, D] -> [C, H, n, d]
-            return ad.reshape(ad.matmul(x, w), (self.CLIPS, self.N, self.HEADS, d)
-                              ).data.swapaxes(1, 2)
+            return (x.data @ w.data).reshape(self.CLIPS, self.N, self.HEADS, d).swapaxes(1, 2)
 
         attn = old_softmax(heads(wq) @ heads(wk).swapaxes(2, 3) / math.sqrt(d), mask)
         want = (attn @ heads(wv)).swapaxes(1, 2).reshape(x.shape)
@@ -681,13 +690,14 @@ class TestDeterminism:
 
         def run():
             t = Tensor(a, requires_grad=True)
+            bias = Tensor(a[:1], requires_grad=True)
             batch = Tensor(a[[[0, 1, 2, 3, 4, 5], [5, 3, 1, 0, 2, 4]]], requires_grad=True)
             with Graph() as g:
-                y = ad.matmul(batch, t)
+                y = ad.linear(ad.reshape(batch, (12, 6)), t, bias)
                 z = ad.attention(batch, t, t, t, 2, mask)
                 loss = ad.add(ad.sum_all(ad.mul(y, y)), ad.sum_all(ad.mul(z, z)))
             backward(loss, g)
-            return y.data.copy(), z.data.copy(), t.grad, batch.grad
+            return y.data.copy(), z.data.copy(), t.grad, bias.grad, batch.grad
 
         first, second = run(), run()
         assert all(np.array_equal(u, v) for u, v in zip(first, second))
@@ -751,5 +761,5 @@ def autodiff_names_used_elsewhere() -> set[str]:
 
 def test_every_tape_op_has_a_caller_in_the_package():
     ops = tape_ops()
-    assert {"matmul", "attention", "divide_attention"} <= ops
+    assert {"linear", "attention", "divide_attention"} <= ops
     assert sorted(ops - autodiff_names_used_elsewhere()) == []

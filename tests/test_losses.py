@@ -2,6 +2,7 @@
 equivalence between the double-sum and mean-deviation correlation forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,46 @@ class TestPairwiseRanking:
             return pairwise_ranking_loss(p, g)
 
         assert ad.gradient_check(f, [p], h=1e-6).max_rel_error <= 1e-6
+
+    @pytest.mark.parametrize("n, tied", [(2, False), (3, True), (8, False), (33, True)])
+    def test_selector_matches_the_double_loop(self, n, tied):
+        # the pairs and signs built pair by pair, in row-major order, give
+        # the same loss and prediction gradient bit for bit
+        rng = np.random.default_rng(n)
+        pv = rng.normal(size=(n, 1)) * 10.0
+        gv = rng.uniform(1, 5, n).round() if tied else rng.uniform(1, 5, n)
+        rows, signs = [], []
+        for a in range(n):
+            for b in range(n):
+                if a != b and gv[a] != gv[b]:
+                    rows.append(np.eye(n)[a] - np.eye(n)[b])
+                    signs.append(-np.sign(gv[a] - gv[b]))
+        grads = []
+        for build in ("vectorized", "loop"):
+            p = Tensor(pv, requires_grad=True)
+            with Graph() as g:
+                if build == "vectorized":
+                    loss = pairwise_ranking_loss(p, gv)
+                else:
+                    diffs = ad.linear(np.array(rows), p, Tensor(np.zeros((1, 1))))
+                    loss = ad.mean_axis(ad.softplus(
+                        ad.mul(diffs, Tensor(np.array(signs).reshape(-1, 1)))), None)
+            backward(loss, g)
+            grads.append((loss.data, p.grad))
+        assert all(np.array_equal(u, v) for u, v in zip(*grads))
+
+    def test_large_gaps_raise_no_overflow_warning(self):
+        z = np.array([-1e308, -1e3, -710.0, -709.0, -0.0, 0.0, 709.0, 710.0, 1e3, 1e308])
+        p = Tensor([[0.0], [1e3], [-1e3], [2.0]], requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.softplus(Tensor(z)).data
+            with Graph() as g:
+                loss = pairwise_ranking_loss(p, [1.0, 2.0, 3.0, 4.0])
+            backward(loss, g)
+        assert np.array_equal(out[z >= 709], z[z >= 709])
+        assert out[0] == out[1] == 0.0 and out[4] == out[5] == math.log(2.0)
+        assert math.isfinite(loss.item()) and np.isfinite(p.grad).all()
 
 
 class TestTotalLoss:
