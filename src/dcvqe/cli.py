@@ -1,14 +1,20 @@
 """Command-line surface: synth | train | eval | predict | gradcheck |
 dump-embeddings | ablate.
 
-Options can come from a JSON config file (--config); explicit flags win over
-file values, and DCVQE_SEED is the seed fallback when neither sets it.
+A flag wins over its key in the JSON config file (--config), a file value
+over the default, and DCVQE_SEED is the seed fallback. synth reads the keys
+seed, videos, min_len, max_len, dim and noise; train, eval and ablate read
+seed and every other key. Integer keys take JSON integers, float keys finite
+numbers, loss a string, temporal_range an integer >= 1, "all" or null. An
+ablate grid row may set any key but grid, seed included. Any other key or
+value is a data error that names the key.
 Exit codes: 0 success, 1 usage, 2 data/format, 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -19,7 +25,7 @@ from pathlib import Path
 from . import autodiff as ad
 from . import data as data_io
 from .data import FormatError, SplitSpec
-from .losses import LossConfig, TiedGroundTruthError
+from .losses import VARIANTS, LossConfig, TiedGroundTruthError
 from .metrics import DegenerateInputError
 from .model import DCVQEConfig, DCVQEModel
 from .training import (TrainConfig, evaluate, fit, gradcheck_suite,
@@ -40,65 +46,78 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _temporal_range(text: str):
-    if text.lower() == "all":
+def _temporal_range(value):
+    """temporal_range from flag text or a config-file value: an integer >= 1,
+    or "all" (or null) for attention over the whole clip."""
+    if value is None or str(value).lower() == "all":
         return None
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("temporal range must be >= 1 or 'all'")
+    if isinstance(value, str) and value.isdecimal():
+        value = int(value)
+    if type(value) is not int or value < 1:
+        raise argparse.ArgumentTypeError(
+            f"temporal_range must be an integer >= 1, 'all' or null, got {value!r}")
     return value
+
+
+# every key a config file may hold, over all commands, with the type of its value
+CONFIG_KEYS = {
+    **dict.fromkeys(["input_dim", "model_dim", "num_heads", "num_layers", "base_clip_len",
+                     "max_seq_len", "epochs", "batch_size", "repetitions", "seed", "videos",
+                     "min_len", "max_len", "dim"], int),
+    **dict.fromkeys(["learning_rate", "alpha", "beta", "noise"], float),
+    "loss": str, "temporal_range": _temporal_range, "grid": list}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", list: "a list"}
+# config keys that name a dataclass field differently
+_FIELD_NAMES = {"epochs": "max_epochs", "loss": "variant"}
+
+# each flag sets the config key it maps to; eval and gradcheck take only --seed
+SEED_FLAG = {"--seed": "seed"}
+SYNTH_FLAGS = {**SEED_FLAG, "--videos": "videos", "--min-len": "min_len",
+               "--max-len": "max_len", "--dim": "dim", "--noise": "noise"}
+TRAINING_FLAGS = {**SEED_FLAG, "--epochs": "epochs", "--batch-size": "batch_size",
+                  "--lr": "learning_rate", "--alpha": "alpha", "--beta": "beta",
+                  "--loss": "loss", "--temporal-range": "temporal_range",
+                  "--clip-len": "base_clip_len", "--layers": "num_layers",
+                  "--heads": "num_heads", "--max-len": "max_seq_len"}
+
+
+def _add_flags(p, flags: dict) -> None:
+    # SUPPRESS leaves a flag that was not given out of vars(args), so that
+    # "--temporal-range all" (None) still wins over a file value
+    for flag, key in flags.items():
+        p.add_argument(flag, dest=key, type=CONFIG_KEYS[key], default=argparse.SUPPRESS,
+                       choices=VARIANTS if key == "loss" else None)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="dcvqe", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def training_flags(p):
-        p.add_argument("--config", type=Path, help="JSON config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch-size", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--loss", choices=["correlation", "pwrl", "l1"])
-        # SUPPRESS keeps "--temporal-range all" (None) distinguishable from
-        # "flag not given"
-        p.add_argument("--temporal-range", type=_temporal_range, default=argparse.SUPPRESS)
-        p.add_argument("--clip-len", type=int)
-        p.add_argument("--layers", type=int)
-        p.add_argument("--heads", type=int)
-        p.add_argument("--max-len", type=int)
-
     p = sub.add_parser("synth", help="generate a synthetic feature dataset")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--config", type=Path)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--videos", type=int)
-    p.add_argument("--min-len", type=int)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--noise", type=float)
+    p.add_argument("--config", type=Path, help="JSON config file")
+    _add_flags(p, SYNTH_FLAGS)
 
     p = sub.add_parser("train", help="fit a model, keep the best-validation checkpoint")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="checkpoint path")
-    training_flags(p)
+    p.add_argument("--config", type=Path, help="JSON config file")
+    _add_flags(p, TRAINING_FLAGS)
 
     p = sub.add_parser("eval", help="print a metrics report for a checkpoint")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--split", choices=["all", "train", "val", "test"], default="all",
                    help="evaluate the whole manifest or one split of it")
-    p.add_argument("--config", type=Path)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--config", type=Path, help="JSON config file")
+    _add_flags(p, SEED_FLAG)
 
     p = sub.add_parser("predict", help="print one score per feature file")
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("features", nargs="+", type=Path)
 
     p = sub.add_parser("gradcheck", help="finite-difference check on a tiny model")
-    p.add_argument("--seed", type=int)
+    _add_flags(p, SEED_FLAG)
     p.add_argument("--tol", type=float, default=1e-4)
 
     p = sub.add_parser("dump-embeddings", help="write final video embeddings as JSONL")
@@ -109,125 +128,92 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ablate", help="run a declared grid of config overrides")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--out", type=Path, help="write the result table as JSON")
-    training_flags(p)
+    p.add_argument("--config", type=Path, help="JSON config file")
+    _add_flags(p, TRAINING_FLAGS)
     return parser
 
 
-# every key a config file may hold, over all commands; README "CLI" lists them
-CONFIG_KEYS = frozenset({
-    "input_dim", "model_dim", "num_heads", "num_layers", "base_clip_len", "temporal_range",
-    "max_seq_len", "epochs", "batch_size", "learning_rate", "alpha", "beta", "loss", "seed",
-    "repetitions", "videos", "min_len", "max_len", "dim", "noise", "grid"})
-
-
-def _reject_unknown_keys(cfg: dict, allowed: frozenset, where: str) -> None:
-    unknown = sorted(set(cfg) - allowed)
+def _checked(cfg, keys, where: str) -> dict:
+    """``cfg`` if it is an object of only ``keys``, each holding a value of
+    the type CONFIG_KEYS gives it, grid rows included; else FormatError."""
+    if not isinstance(cfg, dict):
+        raise FormatError(f"{where} must be a JSON object")
+    unknown = sorted(set(cfg) - keys)
     if unknown:
         raise FormatError(f"{where}: unknown config key(s) {', '.join(map(repr, unknown))} "
-                          f"(known: {', '.join(sorted(allowed))})")
+                          f"(known: {', '.join(sorted(keys))})")
+    for key, value in cfg.items():
+        kind = CONFIG_KEYS[key]
+        if kind is _temporal_range:
+            try:
+                kind(value)
+            except argparse.ArgumentTypeError as exc:
+                raise FormatError(f"{where}: {exc}") from None
+        elif not (type(value) is kind or (kind is float and type(value) is int)) or (
+                kind is float and not abs(value) <= sys.float_info.max):  # NaN, inf, 10**400
+            raise FormatError(f"{where}: {key!r} must be {_TYPE_NAMES[kind]}, "
+                              f"got {json.dumps(value)}")
+    for i, row in enumerate(cfg.get("grid", [])):
+        _checked(row, keys - {"grid"}, f"{where}, grid entry {i}")
+    return cfg
 
 
 def _load_config_file(path: Path | None) -> dict:
     if path is None:
         return {}
     try:
-        cfg = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise FormatError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise FormatError(f"config file {path} must hold a JSON object")
-    _reject_unknown_keys(cfg, CONFIG_KEYS, f"config file {path}")
-    grid = cfg.get("grid")
-    for i, overrides in enumerate(grid if isinstance(grid, list) else []):
-        if not isinstance(overrides, dict):
-            raise FormatError(f"config file {path}: grid entry {i} must be a JSON object")
-        _reject_unknown_keys(overrides, CONFIG_KEYS - {"grid"},
-                             f"config file {path}, grid entry {i}")
-    return cfg
+    return _checked(cfg, CONFIG_KEYS.keys(), f"config file {path}")
 
 
-def _pick(flag, file_cfg: dict, key: str, default):
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+def _command_config(args) -> dict:
+    """The --config file of ``args``, holding only keys that its command reads."""
+    synth_keys = set(SYNTH_FLAGS.values())
+    reads = synth_keys if args.command == "synth" else CONFIG_KEYS.keys() - synth_keys | {"seed"}
+    return _checked(_load_config_file(args.config), reads,
+                    f"config file {args.config} for {args.command}")
+
+
+def _fields(cls, args, file_cfg: dict) -> dict:
+    """The fields of dataclass ``cls`` that a flag or the file sets, a flag
+    winning over the file; a field that neither sets keeps its default."""
+    given = {_FIELD_NAMES.get(key, key): CONFIG_KEYS[key](value)
+             for key, value in {**file_cfg, **vars(args)}.items() if key in CONFIG_KEYS}
+    return {f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given}
 
 
 def _resolve_seed(args, file_cfg: dict) -> int:
-    seed = _pick(getattr(args, "seed", None), file_cfg, "seed", None)
-    if seed is None:
-        env = os.environ.get("DCVQE_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise UsageError(f"DCVQE_SEED must be an integer, got {env!r}")
-    return 0 if seed is None else int(seed)
+    seed = {**file_cfg, **vars(args)}.get("seed", os.environ.get("DCVQE_SEED", 0))
+    try:
+        return int(seed)  # file and flag values are integers already
+    except ValueError:
+        raise UsageError(f"DCVQE_SEED must be an integer, got {seed!r}")
 
 
 def _model_config(args, file_cfg: dict, input_dim: int) -> DCVQEConfig:
-    if hasattr(args, "temporal_range"):
-        tr = args.temporal_range
-    elif "temporal_range" in file_cfg:
-        raw = file_cfg["temporal_range"]
-        tr = None if (raw is None or str(raw).lower() == "all") else int(raw)
-    else:
-        tr = DCVQEConfig.temporal_range
-    return DCVQEConfig(
-        input_dim=int(file_cfg.get("input_dim", input_dim)),
-        model_dim=int(file_cfg.get("model_dim", DCVQEConfig.model_dim)),
-        num_heads=int(_pick(getattr(args, "heads", None), file_cfg, "num_heads",
-                            DCVQEConfig.num_heads)),
-        num_layers=int(_pick(getattr(args, "layers", None), file_cfg, "num_layers",
-                             DCVQEConfig.num_layers)),
-        base_clip_len=int(_pick(getattr(args, "clip_len", None), file_cfg, "base_clip_len",
-                                DCVQEConfig.base_clip_len)),
-        temporal_range=tr,
-        max_seq_len=int(_pick(getattr(args, "max_len", None), file_cfg, "max_seq_len",
-                              DCVQEConfig.max_seq_len)),
-    )
+    return DCVQEConfig(**_fields(DCVQEConfig, args, {"input_dim": input_dim, **file_cfg}))
 
 
 def _train_config(args, file_cfg: dict, seed: int) -> TrainConfig:
-    loss = LossConfig(
-        alpha=float(_pick(getattr(args, "alpha", None), file_cfg, "alpha", LossConfig.alpha)),
-        beta=float(_pick(getattr(args, "beta", None), file_cfg, "beta", LossConfig.beta)),
-        variant=str(_pick(getattr(args, "loss", None), file_cfg, "loss", LossConfig.variant)),
-    )
-    return TrainConfig(
-        max_epochs=int(_pick(getattr(args, "epochs", None), file_cfg, "epochs",
-                             TrainConfig.max_epochs)),
-        batch_size=int(_pick(getattr(args, "batch_size", None), file_cfg, "batch_size",
-                             TrainConfig.batch_size)),
-        learning_rate=float(_pick(getattr(args, "lr", None), file_cfg, "learning_rate",
-                                  TrainConfig.learning_rate)),
-        loss=loss,
-        seed=seed,
-        repetitions=int(file_cfg.get("repetitions", TrainConfig.repetitions)),
-    )
-
-
-def _print_report(report) -> None:
-    print(f"srcc={report.srcc:.4f} krcc={report.krcc:.4f} plcc={report.plcc:.4f} "
-          f"rmse={report.rmse:.4f} n={report.n}")
+    return TrainConfig(**{**_fields(TrainConfig, args, file_cfg), "seed": seed,
+                          "loss": LossConfig(**_fields(LossConfig, args, file_cfg))})
 
 
 def _cmd_synth(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = _resolve_seed(args, file_cfg)
+    file_cfg = _command_config(args)
+    run = {"videos": 500, "min_len": 60, "max_len": 300, "dim": 64, "noise": 0.1,
+           **file_cfg, **vars(args)}
     manifest = data_io.synth_dataset(
-        args.out, n_videos=int(_pick(args.videos, file_cfg, "videos", 500)),
-        len_range=(int(_pick(args.min_len, file_cfg, "min_len", 60)),
-                   int(_pick(args.max_len, file_cfg, "max_len", 300))),
-        dim=int(_pick(args.dim, file_cfg, "dim", 64)),
-        noise_sigma=float(_pick(args.noise, file_cfg, "noise", 0.1)), seed=seed)
+        args.out, n_videos=run["videos"], len_range=(run["min_len"], run["max_len"]),
+        dim=run["dim"], noise_sigma=run["noise"], seed=_resolve_seed(args, file_cfg))
     print(f"wrote {len(manifest)} videos to {args.out} (manifest.jsonl)")
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
-    file_cfg = _load_config_file(args.config)
+    file_cfg = _command_config(args)
     seed = _resolve_seed(args, file_cfg)
     manifest = data_io.load_manifest(args.manifest)
     probe_dim = data_io.manifest_feature_dim(manifest)
@@ -255,22 +241,19 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _eval_split(manifest, which: str, seed: int):
-    if which == "all":
-        return manifest
-    parts = dict(zip(("train", "val", "test"), data_io.split(manifest, SplitSpec(seed=seed))))
-    return parts[which]
-
-
 def _cmd_eval(args) -> int:
-    file_cfg = _load_config_file(args.config)
+    file_cfg = _command_config(args)
     seed = _resolve_seed(args, file_cfg)
     cp = load_checkpoint(args.checkpoint)
-    manifest = _eval_split(data_io.load_manifest(args.manifest), args.split, seed)
+    manifest = data_io.load_manifest(args.manifest)
+    if args.split != "all":
+        parts = data_io.split(manifest, SplitSpec(seed=seed))
+        manifest = dict(zip(("train", "val", "test"), parts))[args.split]
     data_io.manifest_feature_dim(manifest)
     seqs = data_io.load_sequences(manifest, max_len=cp.config.max_seq_len)
-    model = cp.build_model()
-    _print_report(evaluate(model, seqs))
+    report = evaluate(cp.build_model(), seqs)
+    print(f"srcc={report.srcc:.4f} krcc={report.krcc:.4f} plcc={report.plcc:.4f} "
+          f"rmse={report.rmse:.4f} n={report.n}")
     return EXIT_OK
 
 
@@ -316,21 +299,18 @@ def _cmd_dump_embeddings(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = _resolve_seed(args, file_cfg)
-    grid = file_cfg.get("grid")
-    if not isinstance(grid, list) or not grid:
+    file_cfg = _command_config(args)
+    grid = file_cfg.pop("grid", None)
+    if not grid:
         raise UsageError("ablate needs a config file with a non-empty 'grid' list of overrides")
     manifest = data_io.load_manifest(args.manifest)
     probe_dim = data_io.manifest_feature_dim(manifest)
 
     rows = []
     for overrides in grid:
-        merged = dict(file_cfg)
-        merged.pop("grid", None)
-        merged.update(overrides)
-        model_cfg = _model_config(args, merged, input_dim=probe_dim)
-        train_cfg = _train_config(args, merged, seed)
+        run = {**file_cfg, **overrides}
+        model_cfg = _model_config(args, run, input_dim=probe_dim)
+        train_cfg = _train_config(args, run, _resolve_seed(args, run))
         t0 = time.perf_counter()
         result = run_repetitions(manifest, model_cfg, train_cfg)
         rows.append({"overrides": overrides, "median": result.median.as_dict(),

@@ -197,9 +197,20 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
                                  "mos": e.mos}, sort_keys=True) + "\n")
 
 
+def _manifest_entry(e: dict) -> ManifestEntry:
+    if not (type(e["video_id"]) is str and type(e["feature_path"]) is str):
+        raise TypeError(f"video_id and feature_path must be strings in {e}")
+    if type(e["mos"]) not in (int, float):  # bool is a subclass of int
+        raise TypeError(f"mos must be a number in {e}")
+    return ManifestEntry(e["video_id"], e["feature_path"], float(e["mos"]))
+
+
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"manifest {path} is not UTF-8: {exc}") from exc
     if not lines:
         raise FormatError(f"empty manifest {path}")
     try:
@@ -209,13 +220,12 @@ def load_manifest(path) -> DatasetManifest:
         raise FormatError(f"manifest {path} is not line-delimited JSON: {exc}") from exc
     try:
         return DatasetManifest(
-            entries=[ManifestEntry(e["video_id"], e["feature_path"], float(e["mos"]))
-                     for e in entries],
+            entries=[_manifest_entry(e) for e in entries],
             scale_min=float(header["scale_min"]),
             scale_max=float(header["scale_max"]),
             root=path.parent,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"manifest {path}: {exc}") from exc
 
 

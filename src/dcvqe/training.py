@@ -13,7 +13,7 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -216,18 +216,11 @@ def load_into(model: DCVQEModel, cp: Checkpoint) -> None:
         p.data = cp.params[name].copy()
 
 
-def _config_to_dict(cfg: DCVQEConfig) -> dict:
-    return {"input_dim": cfg.input_dim, "model_dim": cfg.model_dim,
-            "num_heads": cfg.num_heads, "num_layers": cfg.num_layers,
-            "base_clip_len": cfg.base_clip_len, "temporal_range": cfg.temporal_range,
-            "max_seq_len": cfg.max_seq_len}
-
-
 def save_checkpoint(path, cp: Checkpoint) -> None:
     """Deterministic binary serialization: byte-identical for equal contents."""
     names = list(cp.params)
     header = json.dumps({
-        "config": _config_to_dict(cp.config),
+        "config": asdict(cp.config),
         "epoch": cp.epoch,
         "best_val_loss": cp.best_val_loss,
         "adam_step": cp.adam_step_count,
@@ -256,7 +249,7 @@ def load_checkpoint(path) -> Checkpoint:
     try:  # a malformed header surfaces as one of these while it is read
         header = json.loads(raw[12:12 + header_len])
         config = header["config"]
-        keys = set(_config_to_dict(DCVQEConfig()))
+        keys = set(asdict(DCVQEConfig()))
         if not (isinstance(config, dict) and set(config) == keys and all(
                 type(v) is int or (k == "temporal_range" and v is None)
                 for k, v in config.items())):
@@ -381,21 +374,17 @@ class RepetitionResult:
 
 
 def run_repetitions(manifest: DatasetManifest, model_cfg: DCVQEConfig,
-                    train_cfg: TrainConfig,
-                    split_spec: SplitSpec | None = None,
-                    on_epoch: Callable[[EpochRecord], None] | None = None) -> RepetitionResult:
+                    train_cfg: TrainConfig) -> RepetitionResult:
     """Repeat split + init + fit + evaluate with seeds seed+r; report medians."""
-    base_split = split_spec or SplitSpec()
     runs = []
     for r in range(train_cfg.repetitions):
         seed_r = train_cfg.seed + r
-        tr_m, va_m, te_m = data_io.split(manifest, replace(base_split, seed=seed_r))
+        tr_m, va_m, te_m = data_io.split(manifest, SplitSpec(seed=seed_r))
         train_seqs = data_io.load_sequences(tr_m, max_len=model_cfg.max_seq_len)
         val_seqs = data_io.load_sequences(va_m, max_len=model_cfg.max_seq_len)
         test_seqs = data_io.load_sequences(te_m, max_len=model_cfg.max_seq_len)
         model = DCVQEModel.initialize(model_cfg, seed=seed_r)
-        result = fit(model, train_seqs, val_seqs, replace(train_cfg, seed=seed_r),
-                     on_epoch=on_epoch)
+        result = fit(model, train_seqs, val_seqs, replace(train_cfg, seed=seed_r))
         load_into(model, result.best)
         runs.append(RepetitionRun(repetition=r, seed=seed_r,
                                   report=evaluate(model, test_seqs)))

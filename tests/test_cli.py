@@ -380,3 +380,104 @@ class TestAblate:
         code = main(["ablate", "--manifest", str(dataset_dir / "manifest.jsonl"),
                      "--config", str(cfg_path)])
         assert code == 1
+
+
+class TestConfigValues:
+    """Every config-file value is checked against the type of its key, and a
+    command rejects the keys it does not read; both exit 2 naming the key."""
+
+    def train(self, tmp_path, dataset_dir, cfg, *flags):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        return main(["train", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                     "--out", str(tmp_path / "x.ckpt"), "--config", str(cfg_path), *flags])
+
+    @pytest.mark.parametrize("value", [None, True, [1], 2.5, "2"])
+    def test_integer_key_takes_only_integers(self, tmp_path, dataset_dir, value, capsys):
+        assert self.train(tmp_path, dataset_dir, dict(TINY_MODEL, epochs=value)) == 2
+        assert f"'epochs' must be an integer, got {json.dumps(value)}" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("temporal_range", 2.5, "temporal_range must be an integer >= 1, 'all' or null"),
+        ("temporal_range", 0, "temporal_range must be an integer >= 1, 'all' or null"),
+        ("alpha", "0.5", "'alpha' must be a finite number"),
+        ("alpha", float("nan"), "'alpha' must be a finite number"),
+        ("loss", 1, "'loss' must be a string"),
+        ("grid", 5, "'grid' must be a list, got 5"),
+    ])
+    def test_other_keys_take_their_type(self, tmp_path, dataset_dir, key, value, message,
+                                        capsys):
+        assert self.train(tmp_path, dataset_dir, dict(TINY_MODEL, **{key: value})) == 2
+        assert message in capsys.readouterr().err
+
+    def test_grid_of_wrong_type_is_two_in_ablate(self, tmp_path, dataset_dir, capsys):
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps({"epochs": 1, "grid": 5}))
+        code = main(["ablate", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                     "--config", str(cfg_path)])
+        assert code == 2
+        assert "'grid' must be a list, got 5" in capsys.readouterr().err
+
+    def test_grid_row_value_is_checked(self, tmp_path, dataset_dir, capsys):
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps({"epochs": 1, "grid": [{"alpha": 1.0},
+                                                              {"epochs": True}]}))
+        code = main(["ablate", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                     "--config", str(cfg_path)])
+        assert code == 2
+        assert "grid entry 1: 'epochs' must be an integer, got true" in capsys.readouterr().err
+
+    def test_file_values_of_the_right_type_resolve(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"temporal_range": "all", "alpha": 1, "epochs": 3}))
+        file_cfg = _load_config_file(path)
+        args = build_parser().parse_args(["ablate", "--manifest", "m.jsonl"])
+        assert _model_config(args, file_cfg, input_dim=6).temporal_range is None
+        train_cfg = _train_config(args, file_cfg, seed=0)
+        assert (train_cfg.max_epochs, train_cfg.loss.alpha) == (3, 1.0)
+        assert type(train_cfg.loss.alpha) is float
+
+    def test_train_rejects_synth_keys(self, tmp_path, dataset_dir, capsys):
+        code = self.train(tmp_path, dataset_dir, dict(TINY_MODEL, epochs=1, max_len=5))
+        assert code == 2
+        assert "for train: unknown config key(s) 'max_len'" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_synth_rejects_training_keys(self, tmp_path, capsys):
+        cfg_path = tmp_path / "synth.json"
+        cfg_path.write_text(json.dumps({"videos": 6, "seed": 3, "epochs": 2}))
+        code = main(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg_path)])
+        assert code == 2
+        assert "for synth: unknown config key(s) 'epochs'" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_ablate_rejects_synth_keys_in_grid_rows(self, tmp_path, dataset_dir, capsys):
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps({"epochs": 1, "grid": [{"dim": 4}]}))
+        code = main(["ablate", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                     "--config", str(cfg_path)])
+        assert code == 2
+        assert "for ablate, grid entry 0: unknown config key(s) 'dim'" in capsys.readouterr().err
+
+    def test_eval_reads_the_training_config(self, trained_checkpoint, dataset_dir, capsys):
+        code = main(["eval", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                     "--checkpoint", str(trained_checkpoint),
+                     "--config", str(CONFIGS / "example.json")])
+        assert code == 0
+        assert "srcc=" in capsys.readouterr().out
+
+
+class TestAblateSeed:
+    def test_grid_row_seed_reaches_its_run(self, tmp_path, dataset_dir, capsys):
+        cfg = dict(TINY_MODEL, epochs=1, batch_size=4, repetitions=1,
+                   grid=[{"seed": 1}, {"seed": 2}])
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "table.json"
+        code = main(["ablate", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                     "--config", str(cfg_path), "--out", str(out)])
+        assert code == 0
+        rows = json.loads(out.read_text())
+        assert [r["overrides"] for r in rows] == [{"seed": 1}, {"seed": 2}]
+        assert rows[0]["runs"] != rows[1]["runs"]

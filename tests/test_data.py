@@ -1,6 +1,7 @@
 """Feature-file round trips, corrupt-file offsets, splits, and the synthetic
 dataset's determinism and learnability."""
 
+import json
 import math
 import struct
 from pathlib import Path
@@ -217,6 +218,22 @@ class TestManifest:
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n")
         with pytest.raises(FormatError):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("video_id", 5), ("feature_path", 5), ("feature_path", None), ("mos", True)])
+    def test_entry_of_wrong_type_is_format_error(self, tmp_path, field, value):
+        entry = dict({"video_id": "v", "feature_path": "v.dcvq", "mos": 2.0}, **{field: value})
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps({"scale_min": 1.0, "scale_max": 5.0}) + "\n"
+                        + json.dumps(entry) + "\n")
+        with pytest.raises(FormatError, match=field):
+            load_manifest(path)
+
+    def test_manifest_not_utf8_is_format_error(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(b'{"scale_min": 1.0, "scale_max": 5.0}\n{"video_id": "\xff"}\n')
+        with pytest.raises(FormatError, match="not UTF-8"):
             load_manifest(path)
 
 

@@ -1,7 +1,13 @@
 """Derandomized fuzzing of the two binary parsers, ``read_features`` and
-``load_checkpoint``: a valid file cut short or with one byte changed either
-loads or raises ``FormatError`` (CLI exit 2), never anything else, and valid
-files round-trip."""
+``load_checkpoint``, and of the two JSON inputs, ``load_manifest`` and CLI
+config files: a valid file cut short or with one byte changed either loads
+or raises ``FormatError`` (CLI exit 2), never anything else, and valid files
+round-trip. A config file may also fail a dataclass range check, a
+``ValueError`` that the CLI reports with exit 2 as well."""
+
+import dataclasses
+import json
+import traceback
 
 import numpy as np
 import pytest
@@ -9,7 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dcvqe.data import FeatureSequence, FormatError, read_features, write_features
+from dcvqe.cli import _load_config_file, _model_config, _resolve_seed, _train_config, build_parser
+from dcvqe.data import (DatasetManifest, FeatureSequence, FormatError, ManifestEntry,
+                        load_manifest, read_features, save_manifest, write_features)
+from dcvqe.losses import VARIANTS
 from dcvqe.model import DCVQEConfig, DCVQEModel
 from dcvqe.training import AdamState, Checkpoint, load_checkpoint, save_checkpoint
 
@@ -37,6 +46,51 @@ def checkpoint_bytes(scratch):
     state.step = 3
     save_checkpoint(scratch / "valid.ckpt", Checkpoint.snapshot(model, state, 0.5, 2))
     return (scratch / "valid.ckpt").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def manifest_bytes(scratch):
+    entries = [ManifestEntry(f"v{i}", f"v{i}.dcvq", 1.0 + 0.75 * i) for i in range(5)]
+    save_manifest(DatasetManifest(entries, 1.0, 5.0, scratch), scratch / "valid.jsonl")
+    return (scratch / "valid.jsonl").read_bytes()
+
+
+# every key that train and ablate read, and grid rows that reset some of them
+CONFIG_FILE = {"input_dim": 6, "model_dim": 8, "num_heads": 2, "num_layers": 2,
+               "base_clip_len": 4, "temporal_range": 2, "max_seq_len": 12, "epochs": 3,
+               "batch_size": 4, "learning_rate": 0.001, "alpha": 0.7, "beta": 0.3,
+               "loss": "correlation", "seed": 7, "repetitions": 2,
+               "grid": [{"alpha": 1.0, "beta": 0.0, "seed": 3},
+                        {"temporal_range": "all", "loss": "pwrl"}]}
+ABLATE_ARGS = build_parser().parse_args(["ablate", "--manifest", "m.jsonl"])
+
+
+def resolve_config(path) -> list[dict]:
+    """Each run the config file at ``path`` declares, resolved as ``ablate``
+    resolves it (the file alone first, then each grid row over the file),
+    as a flat dict of config keys."""
+    file_cfg = _load_config_file(path)
+    runs = []
+    for row in [{}] + file_cfg.get("grid", []):
+        run = {**file_cfg, **row}
+        model_cfg = _model_config(ABLATE_ARGS, run, input_dim=6)
+        train_cfg = _train_config(ABLATE_ARGS, run, _resolve_seed(ABLATE_ARGS, run))
+        runs.append(dict(dataclasses.asdict(model_cfg), seed=train_cfg.seed,
+                         epochs=train_cfg.max_epochs, batch_size=train_cfg.batch_size,
+                         learning_rate=train_cfg.learning_rate,
+                         repetitions=train_cfg.repetitions, alpha=train_cfg.loss.alpha,
+                         beta=train_cfg.loss.beta, loss=train_cfg.loss.variant))
+    return runs
+
+
+def resolves_or_is_rejected(path, raw: bytes) -> None:
+    path.write_bytes(raw)
+    try:
+        resolve_config(path)
+    except FormatError:
+        pass
+    except ValueError as exc:  # only a dataclass range check may raise a plain ValueError
+        assert traceback.extract_tb(exc.__traceback__)[-1].name == "__post_init__", exc
 
 
 def loads_or_format_error(load, path, raw: bytes) -> None:
@@ -88,6 +142,34 @@ def test_changed_byte_in_checkpoint(scratch, checkpoint_bytes, data):
                           changed_byte(data, checkpoint_bytes, header_end(checkpoint_bytes)))
 
 
+@FUZZ
+@given(st.data())
+def test_cut_manifest(scratch, manifest_bytes, data):
+    cut = data.draw(st.integers(0, len(manifest_bytes) - 1))
+    loads_or_format_error(load_manifest, scratch / "cut.jsonl", manifest_bytes[:cut])
+
+
+@FUZZ
+@given(st.data())
+def test_changed_byte_in_manifest(scratch, manifest_bytes, data):
+    loads_or_format_error(load_manifest, scratch / "byte.jsonl",
+                          changed_byte(data, manifest_bytes, manifest_bytes.index(b"\n")))
+
+
+@FUZZ
+@given(st.data())
+def test_cut_config_file(scratch, data):
+    raw = json.dumps(CONFIG_FILE).encode()
+    resolves_or_is_rejected(scratch / "cut.json", raw[:data.draw(st.integers(0, len(raw) - 1))])
+
+
+@FUZZ
+@given(st.data())
+def test_changed_byte_in_config_file(scratch, data):
+    raw = json.dumps(CONFIG_FILE).encode()
+    resolves_or_is_rejected(scratch / "byte.json", changed_byte(data, raw, len(raw)))
+
+
 finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 finite64 = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -121,3 +203,44 @@ def test_checkpoint_round_trip(scratch, regressor, val_loss, step, epoch):
             assert np.array_equal(getattr(back, group)[name], value)
     save_checkpoint(scratch / "rt2.ckpt", back)
     assert (scratch / "rt.ckpt").read_bytes() == (scratch / "rt2.ckpt").read_bytes()
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.text(max_size=8), st.text(max_size=8), st.floats(1.0, 5.0)),
+                max_size=4, unique_by=lambda e: e[0]))
+def test_manifest_round_trip(scratch, entries):
+    manifest = DatasetManifest([ManifestEntry(*e) for e in entries], 1.0, 5.0, scratch)
+    save_manifest(manifest, scratch / "rt.jsonl")
+    back = load_manifest(scratch / "rt.jsonl")
+    assert (back.entries, back.scale_min, back.scale_max) == (manifest.entries, 1.0, 5.0)
+
+
+@st.composite
+def run_configs(draw) -> dict:
+    """Some of the keys train and ablate read, each with a value that passes
+    the range checks whatever defaults the other keys take."""
+    number = st.floats(0.01, 10.0) | st.integers(1, 10)
+    values = {"input_dim": st.integers(1, 4096),
+              "model_dim": st.integers(1, 64).map(lambda k: 4 * k),
+              "num_heads": st.sampled_from([1, 2, 4]), "num_layers": st.integers(1, 4),
+              "base_clip_len": st.integers(1, 30),
+              "temporal_range": st.none() | st.integers(1, 60),
+              "max_seq_len": st.integers(30, 600), "epochs": st.integers(1, 100),
+              "batch_size": st.integers(2, 64), "learning_rate": number, "alpha": number,
+              "beta": number, "loss": st.sampled_from(VARIANTS),
+              "seed": st.integers(0, 2 ** 63), "repetitions": st.integers(1, 9)}
+    keys = draw(st.sets(st.sampled_from(sorted(values))))
+    return {key: draw(values[key]) for key in sorted(keys)}
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(run_configs(), st.lists(run_configs(), max_size=3))
+def test_config_file_round_trip(scratch, cfg, grid):
+    if grid:
+        cfg["grid"] = grid
+    (scratch / "rt.json").write_text(json.dumps(cfg))
+    assert _load_config_file(scratch / "rt.json") == cfg
+    runs = resolve_config(scratch / "rt.json")
+    for row, resolved in zip([{}] + grid, runs):
+        run = {key: value for key, value in {**cfg, **row}.items() if key != "grid"}
+        assert {key: resolved[key] for key in run} == run
