@@ -269,29 +269,19 @@ def load_sequences(manifest: DatasetManifest, max_len: int | None = None) -> lis
 
 @dataclass(frozen=True)
 class SplitSpec:
-    train_frac: float = 0.6
-    val_frac: float = 0.2
-    test_frac: float = 0.2
     seed: int = 0
-
-    def __post_init__(self):
-        fr = (self.train_frac, self.val_frac, self.test_frac)
-        if any(f <= 0 for f in fr):
-            raise ValueError(f"split fractions must be positive, got {fr}")
-        if abs(sum(fr) - 1.0) > 1e-9:
-            raise ValueError(f"split fractions must sum to 1, got {sum(fr)}")
 
 
 def split(manifest: DatasetManifest,
           spec: SplitSpec) -> tuple[DatasetManifest, DatasetManifest, DatasetManifest]:
-    """Seeded shuffle, then contiguous cuts at floor(train*n) and
-    floor((train+val)*n). Deterministic, disjoint, covering."""
+    """Seeded shuffle, then contiguous 60/20/20 cuts at floor(0.6*n) and
+    floor((0.6+0.2)*n). Deterministic, disjoint, covering."""
     n = len(manifest.entries)
     if n < 5:
         raise ValueError(f"split needs at least 5 entries, got {n}")
     perm = np.random.default_rng(spec.seed).permutation(n)
-    cut1 = math.floor(spec.train_frac * n)
-    cut2 = math.floor((spec.train_frac + spec.val_frac) * n)
+    cut1 = math.floor(0.6 * n)
+    cut2 = math.floor((0.6 + 0.2) * n)
     shuffled = [manifest.entries[i] for i in perm]
 
     def part(entries):
@@ -306,17 +296,15 @@ def split(manifest: DatasetManifest,
 # ---------------------------------------------------------------------------
 
 def synth_dataset(out_dir, n_videos: int = 500, len_range: tuple[int, int] = (60, 300),
-                  dim: int = 64, noise_sigma: float = 0.1, seed: int = 0,
-                  max_bursts: int = 2, burst_penalty_weight: float = 1.5,
-                  scale: tuple[float, float] = (1.0, 5.0)) -> DatasetManifest:
+                  dim: int = 64, noise_sigma: float = 0.1, seed: int = 0) -> DatasetManifest:
     """Generate feature files plus a manifest, fully determined by ``seed``.
 
-    Per video: latent quality q ~ U(scale); frames are q * w1 plus, inside
-    up to ``max_bursts`` contiguous segments, an amplitude on a second unit
+    Per video: latent quality q ~ U(1, 5), the MOS scale; frames are q * w1
+    plus, inside up to 2 contiguous segments, an amplitude on a second unit
     direction w2 (localized distortion), plus N(0, noise_sigma^2) noise.
-    MOS is q minus a penalty proportional to the mean burst amplitude,
-    floored so it never leaves the scale: the construction is monotone in
-    the effective (post-penalty) quality, which equals the MOS exactly.
+    MOS is q minus 1.5 times the mean burst amplitude, floored so it never
+    leaves the scale: the construction is monotone in the effective
+    (post-penalty) quality, which equals the MOS exactly.
     """
     if n_videos < 5:
         raise ValueError(f"synth_dataset needs n_videos >= 5, got {n_videos}")
@@ -338,14 +326,14 @@ def synth_dataset(out_dir, n_videos: int = 500, len_range: tuple[int, int] = (60
     for i in range(n_videos):
         video_id = f"synth{i:05d}"
         n_frames = int(rng.integers(len_min, len_max + 1))
-        q = float(rng.uniform(*scale))
+        q = float(rng.uniform(1.0, 5.0))
         burst = np.zeros(n_frames)
-        for _ in range(int(rng.integers(0, max_bursts + 1))):
+        for _ in range(int(rng.integers(0, 3))):  # 0, 1 or 2 bursts
             length = int(rng.integers(max(1, n_frames // 10), max(2, n_frames // 4 + 1)))
             start = int(rng.integers(0, n_frames - length + 1))
             amp = float(rng.uniform(0.5, 2.0))
             burst[start:start + length] = np.maximum(burst[start:start + length], amp)
-        penalty = min(burst_penalty_weight * float(burst.mean()), q - scale[0])
+        penalty = min(1.5 * float(burst.mean()), q - 1.0)
         mos = q - penalty
         features = (q * w1[None, :] + burst[:, None] * w2[None, :]
                     + rng.normal(0.0, noise_sigma, (n_frames, dim)))
@@ -353,15 +341,14 @@ def synth_dataset(out_dir, n_videos: int = 500, len_range: tuple[int, int] = (60
         write_features(out_dir / f"{video_id}.dcvq", seq)
         entries.append(ManifestEntry(video_id, f"{video_id}.dcvq", mos))
 
-    manifest = DatasetManifest(entries=entries, scale_min=scale[0], scale_max=scale[1],
-                               root=out_dir)
+    manifest = DatasetManifest(entries=entries, scale_min=1.0, scale_max=5.0, root=out_dir)
     save_manifest(manifest, out_dir / "manifest.jsonl")
     return manifest
 
 
-def linear_probe(manifest: DatasetManifest, train_frac: float = 0.8,
-                 ridge: float = 1e-3, seed: int = 0) -> float:
-    """SRCC of a ridge regression on mean-pooled features, on held-out videos.
+def linear_probe(manifest: DatasetManifest, seed: int = 0) -> float:
+    """SRCC of a ridge regression (penalty 1e-3) on mean-pooled features,
+    fitted on a seeded 80% of the videos and scored on the other 20%.
 
     A cheap learnability check for a dataset: if a linear probe cannot rank
     it, no amount of model training will.
@@ -372,13 +359,13 @@ def linear_probe(manifest: DatasetManifest, train_frac: float = 0.8,
     y = np.array([s.mos for s in seqs])
     n = len(seqs)
     perm = np.random.default_rng(seed).permutation(n)
-    cut = max(1, math.floor(train_frac * n))
+    cut = max(1, math.floor(0.8 * n))
     tr, te = perm[:cut], perm[cut:]
     if te.size < 2:
         raise ValueError(f"probe needs >= 2 held-out videos, got {te.size}")
     x_mean = x[tr].mean(axis=0)
     y_mean = y[tr].mean()
     xt = x[tr] - x_mean
-    w = np.linalg.solve(xt.T @ xt + ridge * np.eye(x.shape[1]), xt.T @ (y[tr] - y_mean))
+    w = np.linalg.solve(xt.T @ xt + 1e-3 * np.eye(x.shape[1]), xt.T @ (y[tr] - y_mean))
     pred = (x[te] - x_mean) @ w + y_mean
     return metrics.srcc(pred, y[te])

@@ -31,8 +31,8 @@ class LossConfig:
     variant: str = "correlation"
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError(f"loss weights must be >= 0, got alpha={self.alpha}, "
+        if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):  # NaN fails too
+            raise ValueError(f"loss weights must be finite and >= 0, got alpha={self.alpha}, "
                              f"beta={self.beta}")
         if self.alpha + self.beta <= 0:
             raise ValueError("alpha + beta must be positive")

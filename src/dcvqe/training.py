@@ -36,9 +36,6 @@ class TrainConfig:
     max_epochs: int = 75
     batch_size: int = 16
     learning_rate: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     loss: LossConfig = field(default_factory=LossConfig)
     seed: int = 0
     repetitions: int = 1
@@ -48,6 +45,8 @@ class TrainConfig:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0 <= self.learning_rate < math.inf:  # 0 freezes the parameters; NaN fails
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         # the correlation term needs at least two samples to be informative
         if self.loss.variant != "l1" and self.loss.beta > 0 and self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 when the order-constraint term is active")
@@ -75,11 +74,13 @@ class AdamState:
 # elements per block of an Adam update (2**14 measured fastest at the 4096 x 128
 # input weight): a block of each of the six arrays involved fits in the cache
 ADAM_BLOCK = 1 << 14
+# the moment decay rates and the denominator guard of Kingma and Ba's defaults
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def adam_step(named_params: Sequence[tuple[str, Tensor]], state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One Adam update with bias correction. The moments and the parameters
+def adam_step(named_params: Sequence[tuple[str, Tensor]], state: AdamState, lr: float) -> None:
+    """One Adam update with bias correction, at b1 = ``ADAM_BETA1``,
+    b2 = ``ADAM_BETA2`` and eps = ``ADAM_EPS``. The moments and the parameters
     are updated in place, in the float order of
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
     ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, so results are bit-identical
@@ -97,7 +98,7 @@ def adam_step(named_params: Sequence[tuple[str, Tensor]], state: AdamState, lr: 
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     t = state.step
-    corr1, corr2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    corr1, corr2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
     largest = max((p.size for _, p in named_params), default=0)
     buf_a, buf_b = np.empty((2, min(largest, ADAM_BLOCK)))
     for name, p in named_params:
@@ -110,17 +111,17 @@ def adam_step(named_params: Sequence[tuple[str, Tensor]], state: AdamState, lr: 
             blk = slice(lo, lo + ADAM_BLOCK)
             g, m, v, q = gf[blk], mf[blk], vf[blk], pf[blk]
             a, b = buf_a[:q.size], buf_b[:q.size]
-            m *= beta1
-            m += np.multiply(1.0 - beta1, g, out=a)
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
             np.multiply(g, g, out=a)
-            a *= 1.0 - beta2
-            v *= beta2
+            a *= 1.0 - ADAM_BETA2
+            v *= ADAM_BETA2
             v += a
             np.divide(m, corr1, out=a)
             a *= lr
             np.divide(v, corr2, out=b)
             np.sqrt(b, out=b)
-            b += eps
+            b += ADAM_EPS
             a /= b
             q -= a
 
@@ -152,8 +153,7 @@ def train_epoch(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
             raise FloatingPointError(f"non-finite training loss {value} in epoch "
                                      f"{epoch_index + 1}")
         ad.backward(loss, graph)
-        adam_step(model.named_parameters(), state, cfg.learning_rate,
-                  cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        adam_step(model.named_parameters(), state, cfg.learning_rate)
         losses.append(value)
     return float(np.mean(losses))
 
@@ -174,7 +174,6 @@ def validation_loss(model: DCVQEModel, val_seqs: Sequence[FeatureSequence],
 
 @dataclass
 class Checkpoint:
-    version: int
     config: DCVQEConfig
     params: dict[str, np.ndarray]
     adam_m: dict[str, np.ndarray]
@@ -186,7 +185,7 @@ class Checkpoint:
     @classmethod
     def snapshot(cls, model: DCVQEModel, state: AdamState, val_loss: float,
                  epoch: int) -> "Checkpoint":
-        return cls(version=CHECKPOINT_VERSION, config=model.config,
+        return cls(config=model.config,
                    params={k: p.data.copy() for k, p in model.named_parameters()},
                    adam_m={k: a.copy() for k, a in state.m.items()},
                    adam_v={k: a.copy() for k, a in state.v.items()},
@@ -289,9 +288,8 @@ def load_checkpoint(path) -> Checkpoint:
         groups.append(group)
     if offset != len(raw):
         raise data_io.FormatError(f"{len(raw) - offset} trailing bytes", offset=offset)
-    return Checkpoint(version=version, config=cfg, params=groups[0], adam_m=groups[1],
-                      adam_v=groups[2], adam_step_count=adam_step,
-                      best_val_loss=best_val_loss, epoch=epoch)
+    return Checkpoint(config=cfg, params=groups[0], adam_m=groups[1], adam_v=groups[2],
+                      adam_step_count=adam_step, best_val_loss=best_val_loss, epoch=epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +360,6 @@ def evaluate(model: DCVQEModel, test_seqs: Sequence[FeatureSequence]) -> Metrics
 
 @dataclass
 class RepetitionRun:
-    repetition: int
     seed: int
     report: MetricsReport
 
@@ -380,14 +377,15 @@ def run_repetitions(manifest: DatasetManifest, model_cfg: DCVQEConfig,
     for r in range(train_cfg.repetitions):
         seed_r = train_cfg.seed + r
         tr_m, va_m, te_m = data_io.split(manifest, SplitSpec(seed=seed_r))
+        if len(te_m) < 2:  # same size in every repetition: fail before the first fit
+            raise ValueError(f"evaluate needs >= 2 videos, got {len(te_m)}")
         train_seqs = data_io.load_sequences(tr_m, max_len=model_cfg.max_seq_len)
         val_seqs = data_io.load_sequences(va_m, max_len=model_cfg.max_seq_len)
         test_seqs = data_io.load_sequences(te_m, max_len=model_cfg.max_seq_len)
         model = DCVQEModel.initialize(model_cfg, seed=seed_r)
         result = fit(model, train_seqs, val_seqs, replace(train_cfg, seed=seed_r))
         load_into(model, result.best)
-        runs.append(RepetitionRun(repetition=r, seed=seed_r,
-                                  report=evaluate(model, test_seqs)))
+        runs.append(RepetitionRun(seed=seed_r, report=evaluate(model, test_seqs)))
     return RepetitionResult(median=median_report([run.report for run in runs]), runs=runs)
 
 

@@ -14,10 +14,12 @@ import pytest
 
 from dcvqe import data as data_io
 from dcvqe import training
-from dcvqe.cli import (_load_config_file, _model_config, _resolve_seed, _train_config,
-                       build_parser, main)
+from dcvqe.cli import (_FIELD_NAMES, CONFIG_KEYS, _load_config_file, _model_config,
+                       _resolve_seed, _train_config, build_parser, main)
+from dcvqe.losses import LossConfig
 from dcvqe.model import DCVQEConfig, DCVQEModel
-from dcvqe.training import AdamState, Checkpoint, load_checkpoint, save_checkpoint
+from dcvqe.training import (AdamState, Checkpoint, TrainConfig, load_checkpoint,
+                            save_checkpoint)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 TINY_MODEL = {"model_dim": 8, "num_heads": 2, "num_layers": 2, "base_clip_len": 4,
@@ -410,6 +412,30 @@ class TestConfigValues:
                                         capsys):
         assert self.train(tmp_path, dataset_dir, dict(TINY_MODEL, **{key: value})) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--alpha", "nan"], "alpha"), (["--beta", "inf"], "beta"),
+        (["--lr", "-1"], "learning_rate"), (["--lr", "inf"], "learning_rate"),
+    ])
+    def test_bad_weight_or_rate_flag_is_two(self, tmp_path, dataset_dir, flags, field,
+                                            capsys):
+        assert self.train(tmp_path, dataset_dir, dict(TINY_MODEL, epochs=1), *flags) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_negative_learning_rate_in_file_is_two(self, tmp_path, dataset_dir, capsys):
+        cfg = dict(TINY_MODEL, epochs=1, learning_rate=-1.0)
+        assert self.train(tmp_path, dataset_dir, cfg) == 2
+        assert "learning_rate must be finite and >= 0" in capsys.readouterr().err
+
+    def test_every_config_field_has_a_key(self):
+        # TrainConfig.loss is the nested LossConfig, whose fields are checked themselves
+        reachable = {_FIELD_NAMES.get(key, key) for key in CONFIG_KEYS}
+        unreachable = [f"{cls.__name__}.{f.name}"
+                       for cls in (DCVQEConfig, TrainConfig, LossConfig)
+                       for f in dataclasses.fields(cls)
+                       if f.name not in reachable and (cls, f.name) != (TrainConfig, "loss")]
+        assert unreachable == []
 
     def test_grid_of_wrong_type_is_two_in_ablate(self, tmp_path, dataset_dir, capsys):
         cfg_path = tmp_path / "grid.json"

@@ -267,10 +267,6 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(manifest_of(4, tmp_path), SplitSpec())
 
-    def test_bad_fractions(self):
-        with pytest.raises(ValueError):
-            SplitSpec(train_frac=0.5, val_frac=0.2, test_frac=0.2)
-
 
 class TestSynthDataset:
     def test_same_seed_byte_identical(self, tmp_path):
@@ -297,9 +293,12 @@ class TestSynthDataset:
 
     def test_noiseless_burstless_mos_from_single_frame(self, tmp_path):
         m = synth_dataset(tmp_path / "clean", n_videos=30, len_range=(4, 10), dim=8,
-                          noise_sigma=0.0, max_bursts=0, seed=5)
-        seqs = load_sequences(m)
-        # every frame is mos * w1 exactly (up to f32): a probe on frame 0 recovers mos
+                          noise_sigma=0.0, seed=5)
+        # no burst covers a whole video, so without noise the burst-free videos are
+        # those with equal frames, each mos * w1 exactly (up to f32): a probe on
+        # frame 0 of those videos recovers mos
+        seqs = [s for s in load_sequences(m) if (s.features == s.features[0]).all()]
+        assert len(seqs) >= 5
         x = np.stack([s.features[0] for s in seqs])
         y = np.array([s.mos for s in seqs])
         coef, *_ = np.linalg.lstsq(np.c_[x, np.ones(len(y))], y, rcond=None)

@@ -254,6 +254,12 @@ class TestLossConfig:
         with pytest.raises(ValueError):
             LossConfig(alpha=-0.1, beta=0.5)
 
+    @pytest.mark.parametrize("alpha, beta", [(math.nan, 0.3), (0.7, math.nan),
+                                             (math.inf, 0.3), (0.7, math.inf)])
+    def test_non_finite_weight_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="finite"):
+            LossConfig(alpha=alpha, beta=beta)
+
     def test_zero_sum_rejected(self):
         with pytest.raises(ValueError):
             LossConfig(alpha=0.0, beta=0.0)

@@ -91,7 +91,7 @@ class TestAdam:
             theta -= lr * (m / (1 - b1 ** t)) / (math.sqrt(v / (1 - b2 ** t)) + eps)
         for g in grads:
             p.grad = np.array([g])
-            adam_step([("theta", p)], state, lr=lr, beta1=b1, beta2=b2, eps=eps)
+            adam_step([("theta", p)], state, lr=lr)
         assert math.isclose(p.data[0], theta, rel_tol=1e-15)
         assert state.step == 3
 
@@ -110,7 +110,7 @@ class TestAdam:
             v = b2 * v + (1.0 - b2) * (g * g)
             theta = theta - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
             p.grad = g
-            adam_step([("w", p)], state, lr=lr, beta1=b1, beta2=b2, eps=eps)
+            adam_step([("w", p)], state, lr=lr)
             assert np.array_equal(p.data, theta)
             assert np.array_equal(state.m["w"], m) and np.array_equal(state.v["w"], v)
         assert np.array_equal(before.adam_m["w"], np.zeros((4, 3)))
@@ -137,7 +137,7 @@ class TestAdam:
             v = b2 * v + (1.0 - b2) * (g * g)
             theta = theta - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
             p.grad, small.grad = g, rng.normal(size=(3,))
-            adam_step(model.named_parameters(), state, lr=lr, beta1=b1, beta2=b2, eps=eps)
+            adam_step(model.named_parameters(), state, lr=lr)
             assert np.array_equal(p.data, theta)
             assert np.array_equal(state.m["w"], m) and np.array_equal(state.v["w"], v)
         assert model.params["w"].data is held[0]
@@ -453,6 +453,18 @@ class TestRunRepetitions:
         assert min(values) <= result.median.srcc <= max(values)
         assert [r.seed for r in result.runs] == [11, 12, 13]
 
+    def test_small_test_split_fails_before_training(self, tmp_path, monkeypatch):
+        # 5 videos split 3/1/1, and evaluate needs two test videos
+        manifest = data_io.synth_dataset(tmp_path, n_videos=5, len_range=(4, 6), dim=6,
+                                         seed=12)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before the test split was checked")
+
+        monkeypatch.setattr(training, "fit", no_fit)
+        with pytest.raises(ValueError, match="evaluate needs >= 2 videos, got 1"):
+            run_repetitions(manifest, SMALL_CFG, small_train_cfg(max_epochs=1))
+
 
 class TestTrainConfigValidation:
     def test_correlation_needs_batch_of_two(self):
@@ -465,3 +477,8 @@ class TestTrainConfigValidation:
     def test_bad_epochs(self):
         with pytest.raises(ValueError):
             TrainConfig(max_epochs=0)
+
+    @pytest.mark.parametrize("lr", [-1.0, -1e-300, math.nan, math.inf])
+    def test_learning_rate_must_be_finite_and_nonnegative(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
