@@ -13,8 +13,10 @@ else needs an explicit reshape or slice. Every backward rule sums its
 gradient back to the shape of its input, so each stays a few lines and
 auditable. The tape keeps only the ops that the model, the losses and
 gradient checking use; ``linear`` is its one matrix product. ``linear``
-keeps a float32 ``x`` as it is: its float64 copy lives only inside two
-GEMMs.
+keeps a float32 ``x`` as it is: its float64 copy lives only inside the
+forward GEMM, and the weight gradient widens it one column block at a time.
+``backward`` sums the gradients that reach one tensor in place, in arrays
+that it allocated itself.
 
 Two ops are fused, each recorded as a single tape node with a hand-written
 backward. ``attention`` is multi-head scaled dot-product attention over a
@@ -171,11 +173,21 @@ def backward(loss: Tensor, graph: Graph) -> None:
     accumulate across calls, so running backward twice on the same graph
     yields exactly twice the single-pass gradient. Each leaf's ``grad`` is
     C-contiguous. A graph with no recorded nodes is a no-op.
+
+    When a second gradient reaches a tensor, the engine allocates the sum
+    and adds every later one into it in place, so a weight that every video
+    of a batch uses costs one buffer, not one per video. The sum keeps the
+    memory order of its terms: adding F-ordered gradients into a C-ordered
+    buffer costs several times a contiguous add. It never adds into an
+    array that a rule returned: a rule may hand the same array to several
+    inputs (``add`` does). A leaf whose total is such an engine-owned sum,
+    C-ordered, takes it as its ``grad`` without a copy.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
     produced = {id(out) for n in graph.nodes for out in n.outputs}
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    owned: set[int] = set()  # tensors whose flowing sum this call allocated
     leaves: dict[int, Tensor] = {}
     for node in reversed(graph.nodes):
         grads_out = [flowing.pop(id(out), None) for out in node.outputs]
@@ -187,15 +199,24 @@ def backward(loss: Tensor, graph: Graph) -> None:
             if grad is None or not tensor.requires_grad:
                 continue
             grad = np.asarray(grad, dtype=np.float64).reshape(tensor.shape)
-            held = flowing.get(id(tensor))
-            flowing[id(tensor)] = grad if held is None else held + grad
-            if id(tensor) not in produced:
-                leaves[id(tensor)] = tensor
+            tid = id(tensor)
+            held = flowing.get(tid)
+            if held is None:
+                flowing[tid] = grad
+            elif tid in owned:
+                held += grad
+            else:
+                flowing[tid] = held + grad
+                owned.add(tid)
+            if tid not in produced:
+                leaves[tid] = tensor
     # one accumulation per leaf per pass, so repeated backward scales exactly
     for tid, tensor in leaves.items():
         total = flowing[tid]
-        tensor.grad = (total.copy() if tensor.grad is None
-                       else np.add(tensor.grad, total, order="C"))
+        if tensor.grad is not None:
+            tensor.grad = np.add(tensor.grad, total, order="C")
+        else:
+            tensor.grad = total if tid in owned and total.flags.c_contiguous else total.copy()
 
 
 def zero_grads(params: Sequence[Tensor]) -> None:
@@ -207,16 +228,29 @@ def zero_grads(params: Sequence[Tensor]) -> None:
 # primitive operations
 # ---------------------------------------------------------------------------
 
+# Columns of ``x`` widened at a time in ``linear``'s weight gradient. Measured
+# at 4096 input columns: one backward over 600 rows peaks at 9.7 MB with 1024
+# (14.6 MB with 2048, 24.5 MB unblocked); 512 saves 0.7 MB more, but the
+# weight gradient of 300 rows then takes 9.2 ms against 8.3 ms (7.6 unblocked).
+WGRAD_COLS = 1024
+
+
 def linear(x, w: Tensor, b: Tensor) -> Tensor:
     """``x`` [S, K] @ ``w`` [K, N] plus the bias row ``b`` [1, N], one node.
 
     ``x`` is a ``Tensor`` (its gradient is ``g @ w.T``) or an array, kept as
     given and never differentiated: float32 rows stay float32 on the tape and
-    are widened to float64 only inside the forward and the weight-gradient
-    GEMM. That gradient is formed as ``(g.T @ x).T``, which BLAS computes with
-    the bits of ``x.T @ g`` in about half the time at the input projection's
-    [S, 4096] x [4096, 128] shape; it is F-ordered, and ``backward`` returns
-    leaf gradients in C order. The bias gradient sums ``g`` over its rows."""
+    are widened to float64 whole only inside the forward GEMM. The weight
+    gradient is formed as ``(g.T @ x).T``, which BLAS computes with the bits
+    of ``x.T @ g`` in about half the time at the input projection's
+    [S, 4096] x [4096, 128] shape. It is computed into one [N, K] buffer,
+    ``WGRAD_COLS`` columns of ``x`` at a time, and only that block is
+    widened; each element is still one GEMM sum over the S rows. With
+    OpenBLAS on x86-64 that equals one whole GEMM bit for bit when K fits in
+    one block or is a multiple of 8; at other widths the last bit can differ,
+    as BLAS picks other kernels for a narrow block. The result is F-ordered,
+    and ``backward`` returns leaf gradients in C order. The bias gradient
+    sums ``g`` over its rows."""
     is_tensor = isinstance(x, Tensor)
     rows = x.data if is_tensor else x
     if (np.ndim(rows) != 2 or w.data.ndim != 2 or rows.shape[1] != w.shape[0]
@@ -224,14 +258,19 @@ def linear(x, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear needs x [S, K], w [K, N] and b [1, N], got "
                          f"{np.shape(rows)}, {w.shape} and {b.shape}")
 
-    def wide():
-        return np.ascontiguousarray(rows, dtype=np.float64)
-
-    out = wide() @ w.data
+    out = np.ascontiguousarray(rows, dtype=np.float64) @ w.data
     out += b.data
 
+    def weight_grad(g):
+        buf = np.empty((g.shape[1], rows.shape[1]))
+        for start in range(0, rows.shape[1], WGRAD_COLS):
+            cols = slice(start, start + WGRAD_COLS)
+            np.matmul(g.T, np.ascontiguousarray(rows[:, cols], dtype=np.float64),
+                      out=buf[:, cols])
+        return buf.T  # F-ordered
+
     def bw(g):
-        grads = ((g.T @ wide()).T if w.requires_grad else None,  # F-ordered
+        grads = (weight_grad(g) if w.requires_grad else None,
                  g.sum(axis=0, keepdims=True) if b.requires_grad else None)
         return (g @ w.data.T if x.requires_grad else None, *grads) if is_tensor else grads
 

@@ -304,13 +304,18 @@ def synth_dataset(out_dir, n_videos: int = 500, len_range: tuple[int, int] = (60
     direction w2 (localized distortion), plus N(0, noise_sigma^2) noise.
     MOS is q minus 1.5 times the mean burst amplitude, floored so it never
     leaves the scale: the construction is monotone in the effective
-    (post-penalty) quality, which equals the MOS exactly.
+    (post-penalty) quality, which equals the MOS exactly. w2 needs
+    ``dim >= 2``; every setting is checked before ``out_dir`` is created.
     """
     if n_videos < 5:
         raise ValueError(f"synth_dataset needs n_videos >= 5, got {n_videos}")
     len_min, len_max = len_range
     if not 1 <= len_min <= len_max:
         raise ValueError(f"bad len_range {len_range}")
+    if dim < 2:
+        raise ValueError(f"synth_dataset needs dim >= 2, got {dim}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"synth_dataset needs a finite noise_sigma >= 0, got {noise_sigma}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -7,6 +7,7 @@ gradient claim.
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -147,11 +148,12 @@ class TestLinear:
         assert report.passes(1e-4)
 
     @pytest.mark.parametrize("tensor_x", [False, True], ids=["float32_rows", "tensor"])
-    @pytest.mark.parametrize("din,dout", [(64, 32), (4096, 128)])
+    @pytest.mark.parametrize("din,dout", [(64, 32), (2504, 128), (4096, 128)])
     @pytest.mark.parametrize("n", [1, 60, 300, 600])
     def test_bit_identical_to_matmul_plus_add(self, n, din, dout, tensor_x):
         # the numpy reference: float32 rows widened to float64, the product,
-        # then the bias row added to every row; the textbook gradients
+        # then the bias row added to every row; the textbook gradients. 2504
+        # input columns end the weight gradient in a partial column block
         rng = np.random.default_rng(n + din)
         rows = rng.standard_normal((n, din), dtype=np.float32)
         w = Tensor(rng.normal(scale=0.02, size=(din, dout)), requires_grad=True)
@@ -179,6 +181,26 @@ class TestLinear:
         (node,) = graph.nodes
         assert node.op == "linear" and node.inputs == (w, b)
         assert out.data.dtype == np.float64 and np.array_equal(out.data, np.full((3, 2), 4.0))
+
+    def test_backward_widens_one_column_block_at_a_time(self):
+        # a float64 copy of all [600, 4096] rows is 19.7 MB; the weight
+        # gradient's buffer (4.2 MB) and one widened [600, 1024] block (4.9 MB)
+        # fit in 12
+        rng = np.random.default_rng(13)
+        rows = rng.standard_normal((600, 4096), dtype=np.float32)
+        w = Tensor(rng.normal(scale=0.02, size=(4096, 128)), requires_grad=True)
+        b = Tensor(np.zeros((1, 128)), requires_grad=True)
+        c = Tensor(rng.normal(size=(600, 128)))
+        with Graph() as graph:
+            loss = ad.sum_all(ad.mul(ad.linear(rows, w, b), c))
+        tracemalloc.start()
+        try:
+            backward(loss, graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+        assert np.array_equal(w.grad, rows.astype(np.float64).T @ c.data)
 
     @pytest.mark.parametrize("shapes", [[(3, 5), (4, 2), (1, 2)], [(3, 4), (4, 2), (3, 2)],
                                         [(3, 4), (4, 2), (2,)], [(4,), (4, 2), (1, 2)]])
@@ -356,6 +378,30 @@ class TestBackward:
         once = x.grad.copy()
         backward(loss, g)
         assert np.array_equal(x.grad, 2 * once)
+
+    def test_in_place_sums_leave_the_rules_arrays_alone(self):
+        # add hands one array to both of its inputs; y = add(x, x) then gets a
+        # second and a third contribution, so the engine sums in place.
+        # Small integers keep every sum exact, whatever its order
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.integers(-4, 5, size=(2, 3)), requires_grad=True)
+        c = Tensor(rng.integers(-4, 5, size=(2, 3)))
+        returned = []
+        with Graph() as graph:
+            y = ad.add(x, x)
+            loss = ad.sum_all(ad.add(ad.mul(y, c), ad.mul(ad.add(y, y), y)))
+        for node in graph.nodes:
+            rule = node.backward_fn
+
+            def keep(*g, rule=rule):
+                out = rule(*g)
+                returned.extend((r, r.copy()) for r in out if r is not None)
+                return out
+            node.backward_fn = keep
+        backward(loss, graph)
+        gy = c.data + 4 * y.data  # d/dy of y*c + (y + y)*y
+        assert np.array_equal(x.grad, gy + gy)
+        assert all(np.array_equal(r, kept) for r, kept in returned)
 
     def test_leaf_gradients_are_c_contiguous(self):
         # linear hands back an F-ordered weight gradient; the leaf's grad is C-ordered

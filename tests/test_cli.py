@@ -87,6 +87,20 @@ class TestSynth:
         seq = data_io.read_features(manifest.resolve(manifest.entries[0]))
         assert seq.feature_dim == 5 and 4 <= seq.num_frames <= 8  # the file, no flags
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--noise", "nan", "needs a finite noise_sigma >= 0, got nan"),
+        ("--noise", "inf", "needs a finite noise_sigma >= 0, got inf"),
+        ("--noise", "-1", "needs a finite noise_sigma >= 0, got -1.0"),
+        ("--dim", "0", "needs dim >= 2, got 0"),
+        ("--dim", "1", "needs dim >= 2, got 1")],
+        ids=["noise_nan", "noise_inf", "noise_negative", "dim_0", "dim_1"])
+    def test_bad_setting_is_named_before_anything_is_written(self, tmp_path, capsys, flag,
+                                                              value, message):
+        out = tmp_path / "d"
+        assert main(["synth", "--out", str(out), "--videos", "5", flag, value]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainEvalPredict:
     def test_train_writes_checkpoint_and_log(self, trained_checkpoint):
