@@ -26,10 +26,13 @@ frames into clips, runs every ``[video; clip]`` sequence through the same
 attention, adds the residual, and returns two tensors, the clip embeddings
 and the updated frames (a node may have several outputs). Both share their
 projection, softmax and backward code. The masked softmax has one forward
-and one backward rule (``_softmax_forward``, ``_softmax_vjp``): the row max
-and the exponential run over the admitted entries only and masked entries
-are set to exact zeros, which is bit-identical to exponentiating ``-inf``
-and much cheaper; masked entries get exactly zero gradient. With
+and one backward rule (``_softmax_forward``, ``_softmax_vjp``). When every
+logit lies within ``_EXP_SAFE`` of zero, the forward skips the row max and
+differs from the shifted formula by rounding only; otherwise it takes the
+row max and the exponential over the admitted entries only, bit-identical
+to exponentiating ``-inf``. Masked entries are exact zeros and get exactly
+zero gradient. The backward takes the softmax's row term from the output
+rows (g . o per row and head) rather than from the scores. With
 ``clip_rows_only``, ``divide_attention`` evaluates query row 0 of each clip
 alone and returns only the clip embeddings; the model uses it for its final
 layer, whose updated frames nothing reads. ``gradient_check`` checks the
@@ -372,10 +375,26 @@ def softplus(x: Tensor) -> Tensor:
     return _record("softplus", (x,), out, lambda g: (g * sig,))
 
 
+# Logits within +-_EXP_SAFE are exponentiated without the row max: exp(300)
+# is about 1.9e130, so a row of up to 10**178 entries sums to a finite value,
+# and exp(-300) (about 5e-131) stays a normal number, as does every weight
+# down to exp(-600) / n. Subtracting the row max would change only rounding.
+_EXP_SAFE = 300.0
+
+
 def _softmax_forward(z: np.ndarray, admissible: np.ndarray | None) -> np.ndarray:
     """Masked softmax along the last axis, computed in place on the float
     array ``z``, which is returned. ``admissible`` broadcasts to ``z``; None
-    admits every entry."""
+    admits every entry.
+
+    When every logit lies within ±``_EXP_SAFE`` (one min/max check over the
+    array; NaN fails it), the row max is skipped: every entry is
+    exponentiated, multiplied by the mask and scaled by the reciprocal of
+    its row sum. This differs from the shifted formula by rounding only
+    (about 1e-16 relative). Otherwise the row max and the exponential run over the
+    admitted entries only, which equals exponentiating ``-inf`` at masked
+    entries bit for bit. Either way masked entries are exact (positive)
+    zeros."""
     if admissible is not None:
         admissible = np.asarray(admissible, dtype=bool)
         try:
@@ -389,9 +408,16 @@ def _softmax_forward(z: np.ndarray, admissible: np.ndarray | None) -> np.ndarray
         if not rows_ok.all():
             raise DegenerateMaskError(f"mask admits no positions in row "
                                       f"{int(np.argmin(rows_ok))}")
-        # the row max and exp run over admitted entries only (exp(-inf) costs
-        # several times a finite exp); masked entries are then set to exact
-        # zeros, so the result equals the -inf-then-exp formula bit for bit
+    if -_EXP_SAFE <= z.min(initial=np.inf) and z.max(initial=-np.inf) <= _EXP_SAFE:
+        np.exp(z, out=z)
+        if admissible is not None:
+            z *= admissible
+        # row sums by a GEMV, several times faster than a row reduction
+        z *= np.reciprocal(z @ np.ones(z.shape[-1]))[..., None]
+        return z
+    if admissible is not None:
+        # exp(-inf) costs several times a finite exp, so masked entries are
+        # skipped and then set to exact zeros
         z -= z.max(axis=-1, keepdims=True, where=admissible, initial=-np.inf)
         np.exp(z, out=z, where=admissible)
         np.copyto(z, 0.0, where=~admissible)
@@ -402,11 +428,14 @@ def _softmax_forward(z: np.ndarray, admissible: np.ndarray | None) -> np.ndarray
     return z
 
 
-def _softmax_vjp(y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Vector-Jacobian product of the softmax output ``y`` (last axis),
-    computed in place on the incoming gradient ``g``, which is returned."""
-    g -= (g * y).sum(axis=-1, keepdims=True)
-    g *= y
+def _softmax_vjp(p: np.ndarray, g: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Vector-Jacobian product of the softmax output ``p`` (last axis),
+    computed in place on the incoming gradient ``g``, which is returned.
+    ``row`` is the row term sum_j p_ij g_ij, with its last axis kept; a
+    caller that knows a cheaper form of it passes that (``_attend`` does).
+    Where ``p`` is zero the result is zero."""
+    g -= row
+    g *= p
     return g
 
 
@@ -426,41 +455,52 @@ def _attend(x: np.ndarray, ws: tuple[Tensor, Tensor, Tensor], num_heads: int,
     """Forward of multi-head attention over the array ``x`` [..., n, D].
 
     Returns the output rows [rows, D] (heads side by side), the weights
-    [..., H, m, n] and the VJP: ``vjp(g, need_x)`` maps the gradient of the
-    output rows to (dx rows or None, dWq, dWk, dWv), with None for a
-    projection that needs no gradient. With ``first_row_only`` only query
-    row 0 of each sequence is evaluated (m = 1): K and V still cover every
-    row, the output is that row alone, one per sequence, and dx reaches
-    every row through K and V and row 0 through Q as well. Otherwise m = n.
+    [..., H, m, n] and the VJP: ``vjp(g, x, need_x)`` maps the gradient of
+    the output rows to (dx rows or None, dWq, dWk, dWv), with None for a
+    projection that needs no gradient. The VJP keeps no reference to ``x``,
+    so the caller passes it again (``divide_attention`` rebuilds it). It
+    does keep the output rows: the softmax's row term sum_j p_ij (g V^T)_ij
+    equals g_i . o_i with o = p V, a product over the head width instead of
+    a pass over the scores, so the caller must not write into them. With
+    ``first_row_only`` only query row 0 of each sequence is evaluated
+    (m = 1): K and V still cover every row, the output is that row alone,
+    one per sequence, and dx reaches every row through K and V and row 0
+    through Q as well. Otherwise m = n.
     """
     *lead, n, dim = x.shape
     head_dim = dim // num_heads
     c = 1.0 / math.sqrt(head_dim)
-    rows = x.reshape(-1, dim)
     m = 1 if first_row_only else n
-    q_rows = x[..., 0, :].reshape(-1, dim) if first_row_only else rows
     if first_row_only and admissible is not None:
         admissible = admissible[..., :1, :]
 
     def split(a, length):  # [rows, D] -> [..., H, length, D/H], a view
-        return np.swapaxes(a.reshape(*lead, length, num_heads, head_dim), -2, -3)
+        return a.reshape(*lead, length, num_heads, head_dim).swapaxes(-2, -3)
 
-    def merge(a):  # [..., H, length, D/H] -> [rows, D], never a view of q, k, v or p
-        return np.swapaxes(a, -2, -3).reshape(-1, dim)
+    def operands(x):  # the query rows and all rows of x, [rows, D] each
+        rows = x.reshape(-1, dim)
+        return (x[..., 0, :].reshape(-1, dim) if first_row_only else rows), rows
 
     wq, wk, wv = ws
+    q_rows, rows = operands(x)
     q = split(q_rows @ wq.data, m) * c
     k = split(rows @ wk.data, n)
     v = split(rows @ wv.data, n)
-    p = _softmax_forward(q @ np.swapaxes(k, -1, -2), admissible)
+    # against a contiguous copy of K^T the score GEMM takes about half the time
+    p = _softmax_forward(q @ np.ascontiguousarray(k.swapaxes(-1, -2)), admissible)
+    out = np.empty(q_rows.shape)
+    o = np.matmul(p, v, out=split(out, m))
 
-    def vjp(g, need_x):
+    def vjp(g, x, need_x):
+        q_rows, rows = operands(x)
         g = split(g, m)
-        ds = _softmax_vjp(p, g @ np.swapaxes(v, -1, -2))
-        dq = merge(ds @ k)
+        gp = g @ np.ascontiguousarray(v.swapaxes(-1, -2))
+        ds = _softmax_vjp(p, gp, np.einsum("...i,...i->...", g, o)[..., None])
+        dq, dk, dv = np.empty(q_rows.shape), np.empty(rows.shape), np.empty(rows.shape)
+        np.matmul(ds, k, out=split(dq, m))
         dq *= c
-        dk = merge(np.swapaxes(ds, -1, -2) @ q)
-        dv = merge(np.swapaxes(p, -1, -2) @ g)
+        np.matmul(ds.swapaxes(-1, -2), q, out=split(dk, n))
+        np.matmul(p.swapaxes(-1, -2), g, out=split(dv, n))
         if not need_x:
             dx = None
         elif first_row_only:  # the full rule's sum order, with dq zero off row 0
@@ -473,7 +513,7 @@ def _attend(x: np.ndarray, ws: tuple[Tensor, Tensor, Tensor], num_heads: int,
         return (dx, *(r.T @ d if w.requires_grad else None
                       for w, r, d in ((wq, q_rows, dq), (wk, rows, dk), (wv, rows, dv))))
 
-    return merge(p @ v), p, vjp
+    return out, p, vjp
 
 
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
@@ -490,9 +530,9 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
     [..., n, D] with the heads side by side along the feature axis; there is
     no output projection.
 
-    The tape keeps only the attention weights and the per-head Q, K and V,
-    and the backward is written out by hand: the input gradient, and one
-    GEMM over all rows for each projection gradient.
+    The tape keeps only the attention weights, the per-head Q, K and V and
+    the output, and the backward is written out by hand: the input
+    gradient, and one GEMM over all rows for each projection gradient.
     """
     ws = (wq, wk, wv)
     _check_attention(x, ws, num_heads)
@@ -500,7 +540,7 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
     if sink is not None:
         sink.extend(p.reshape(-1, *p.shape[-3:]))
     return _record("attention", (x, *ws), out.reshape(x.shape),
-                   lambda g: vjp(g.reshape(out.shape), x.requires_grad))
+                   lambda g: vjp(g.reshape(out.shape), x.data, x.requires_grad))
 
 
 def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
@@ -530,7 +570,9 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
 
     All full-length clips run as one batch and a shorter last clip as a
     second one; the backward sums the two batches' projection gradients and
-    scatters the input gradient back to the frames and the video row.
+    scatters the input gradient back to the frames and the video row. The
+    tape keeps each batch's attention output before the residual, not its
+    ``[video; clip]`` sequences, which the backward rebuilds from the inputs.
     """
     ws = (wq, wk, wv)
     _check_attention(frames, ws, num_heads)
@@ -546,25 +588,29 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
     full = n - n % clip_len
     batches = []  # (first frame, end frame, frames per clip, clips, vjp)
     clip_out, frames_out = [], None if clip_rows_only else np.empty((n, dim))
+
+    def sequences(start, stop, length):  # [video; clip] for each clip, [clips, length + 1, D]
+        x = np.empty(((stop - start) // length, length + 1, dim))
+        x[:, 0] = video.data
+        x[:, 1:] = frames.data[start:stop].reshape(len(x), length, dim)
+        return x
+
     for start, stop, length in ((0, full, clip_len), (full, n, n - full)):
         if stop == start:
             continue
-        clips = (stop - start) // length
-        x = np.empty((clips, length + 1, dim))
-        x[:, 0] = video.data
-        x[:, 1:] = frames.data[start:stop].reshape(clips, length, dim)
+        x = sequences(start, stop, length)
+        clips = len(x)
         mask = None if admissible is None else admissible[:length + 1, :length + 1]
         out, p, vjp = _attend(x, ws, num_heads, mask, first_row_only=clip_rows_only)
         if sink is not None:
             sink.extend(p)
+        # the residual goes into new arrays: the vjp keeps ``out``
         if clip_rows_only:
-            out += x[:, 0]
-            clip_out.append(out)
+            clip_out.append(out + x[:, 0])
         else:
             out = out.reshape(x.shape)
-            out += x
-            clip_out.append(out[:, 0])
-            frames_out[start:stop] = out[:, 1:].reshape(-1, dim)
+            clip_out.append(out[:, 0] + x[:, 0])
+            np.add(out[:, 1:], x[:, 1:], out=frames_out[start:stop].reshape(clips, length, dim))
         batches.append((start, stop, length, clips, vjp))
     clips_out = np.concatenate(clip_out)
 
@@ -582,7 +628,7 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
                 g = np.empty((clips, length + 1, dim))
                 g[:, 0] = g_clips[first:first + clips]
                 g[:, 1:] = g_frames[start:stop].reshape(clips, length, dim)
-            dx, *dw = vjp(g.reshape(-1, dim), need_x)
+            dx, *dw = vjp(g.reshape(-1, dim), sequences(start, stop, length), need_x)
             d_ws = [b if a is None else a + b for a, b in zip(d_ws, dw)]
             if not need_x:
                 continue

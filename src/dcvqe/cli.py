@@ -201,7 +201,23 @@ def _train_config(args, file_cfg: dict, seed: int) -> TrainConfig:
                           "loss": LossConfig(**_fields(LossConfig, args, file_cfg))})
 
 
+def _check_out(path: Path, directory: bool = False) -> None:
+    """Refuse an output path before any work: a file's parent must be a
+    directory and the file must not be one; a directory may be created with
+    its parents, but the nearest part of its path that exists must be a
+    directory."""
+    if directory:
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise NotADirectoryError(f"cannot write into {path}: {existing} is not a directory")
+    elif path.is_dir():
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
+    elif not path.parent.is_dir():
+        raise NotADirectoryError(f"cannot write {path}: {path.parent} is not a directory")
+
+
 def _cmd_synth(args) -> int:
+    _check_out(args.out, directory=True)
     file_cfg = _command_config(args)
     run = {"videos": 500, "min_len": 60, "max_len": 300, "dim": 64, "noise": 0.1,
            **file_cfg, **vars(args)}
@@ -213,6 +229,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    log_path = Path(str(args.out) + ".log")
+    for path in (args.out, log_path):
+        _check_out(path)
     file_cfg = _command_config(args)
     seed = _resolve_seed(args, file_cfg)
     manifest = data_io.load_manifest(args.manifest)
@@ -224,7 +243,6 @@ def _cmd_train(args) -> int:
     val_seqs = data_io.load_sequences(va_m, max_len=model_cfg.max_seq_len)
     model = DCVQEModel.initialize(model_cfg, seed=seed)
 
-    log_path = Path(str(args.out) + ".log")
     with open(log_path, "w") as log:
         def on_epoch(rec):
             log.write(json.dumps({"epoch": rec.epoch, "train_loss": rec.train_loss,
@@ -280,25 +298,28 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_dump_embeddings(args) -> int:
+    _check_out(args.out)
     cp = load_checkpoint(args.checkpoint)
     model = cp.build_model()
     manifest = data_io.load_manifest(args.manifest)
     data_io.manifest_feature_dim(manifest)
-    count = 0
-    with open(args.out, "w") as fh:
-        for seq in data_io.load_sequences(manifest, max_len=cp.config.max_seq_len):
-            _, acts = model.forward(seq.features, record=True)
-            embedding = acts.video_embeddings[-1].reshape(-1).tolist()
-            if not all(map(math.isfinite, embedding)):
-                raise FloatingPointError(f"non-finite embedding for video {seq.video_id!r}")
-            fh.write(json.dumps({"video_id": seq.video_id, "mos": seq.mos,
+    lines = []  # written only once every video has been read and embedded
+    for seq in data_io.load_sequences(manifest, max_len=cp.config.max_seq_len):
+        _, acts = model.forward(seq.features, record=True)
+        embedding = acts.video_embeddings[-1].reshape(-1).tolist()
+        if not all(map(math.isfinite, embedding)):
+            raise FloatingPointError(f"non-finite embedding for video {seq.video_id!r}")
+        lines.append(json.dumps({"video_id": seq.video_id, "mos": seq.mos,
                                  "embedding": embedding}) + "\n")
-            count += 1
-    print(f"wrote {count} embeddings to {args.out}")
+    with open(args.out, "w") as fh:
+        fh.writelines(lines)
+    print(f"wrote {len(lines)} embeddings to {args.out}")
     return EXIT_OK
 
 
 def _cmd_ablate(args) -> int:
+    if args.out:
+        _check_out(args.out)
     file_cfg = _command_config(args)
     grid = file_cfg.pop("grid", None)
     if not grid:
@@ -356,8 +377,8 @@ def main(argv=None) -> int:
             ad.DegenerateMaskError, ad.GraphError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FormatError, FileNotFoundError, IsADirectoryError, PermissionError,
-            ad.ShapeError, ValueError) as exc:
+    except (FormatError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError, ad.ShapeError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -26,8 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics
-
 MAGIC = b"DCVQ"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIII")
@@ -349,28 +347,3 @@ def synth_dataset(out_dir, n_videos: int = 500, len_range: tuple[int, int] = (60
     manifest = DatasetManifest(entries=entries, scale_min=1.0, scale_max=5.0, root=out_dir)
     save_manifest(manifest, out_dir / "manifest.jsonl")
     return manifest
-
-
-def linear_probe(manifest: DatasetManifest, seed: int = 0) -> float:
-    """SRCC of a ridge regression (penalty 1e-3) on mean-pooled features,
-    fitted on a seeded 80% of the videos and scored on the other 20%.
-
-    A cheap learnability check for a dataset: if a linear probe cannot rank
-    it, no amount of model training will.
-    """
-    seqs = load_sequences(manifest)
-    # accumulating in float64 gives the same bits as the mean of the widened rows
-    x = np.stack([s.features.mean(axis=0, dtype=np.float64) for s in seqs])
-    y = np.array([s.mos for s in seqs])
-    n = len(seqs)
-    perm = np.random.default_rng(seed).permutation(n)
-    cut = max(1, math.floor(0.8 * n))
-    tr, te = perm[:cut], perm[cut:]
-    if te.size < 2:
-        raise ValueError(f"probe needs >= 2 held-out videos, got {te.size}")
-    x_mean = x[tr].mean(axis=0)
-    y_mean = y[tr].mean()
-    xt = x[tr] - x_mean
-    w = np.linalg.solve(xt.T @ xt + 1e-3 * np.eye(x.shape[1]), xt.T @ (y[tr] - y_mean))
-    pred = (x[te] - x_mean) @ w + y_mean
-    return metrics.srcc(pred, y[te])

@@ -2,9 +2,8 @@
 
 The correlation penalty rewards predictions whose deviations from the batch
 mean agree in sign with the ground-truth deviations; it is an unnormalized
-Spearman-style order constraint. Two forms are provided: the double-sum
-anchor form (non-differentiable oracle, plain floats) and the mean-deviation
-form used for training, which are algebraically identical.
+Spearman-style order constraint, in the mean-deviation form, which equals
+the double-sum anchor form of the definition algebraically.
 """
 
 from __future__ import annotations
@@ -78,21 +77,6 @@ def correlation_loss(p, g) -> Tensor:
     dev_g = ad.sub(gc, ad.mean_axis(gc, None))
     hinge = ad.max0(ad.scale(ad.mul(dev_p, dev_g), -1.0))
     return ad.scale(ad.sum_all(hinge), float(n))
-
-
-def correlation_loss_raw(p, g) -> float:
-    """Double-sum anchor form of the order constraint, evaluated literally.
-
-    (1/N) * sum_n max(0, -(sum_m (p_n-p_m)) * (sum_m (g_n-g_m))). Kept as a
-    plain-float oracle for the mean-deviation form; not differentiable.
-    """
-    pv = np.asarray(p, dtype=np.float64).reshape(-1)
-    gv = np.asarray(g, dtype=np.float64).reshape(-1)
-    if pv.size != gv.size:
-        raise ad.ShapeError(f"length mismatch: {pv.size} vs {gv.size}")
-    sum_p = (pv[:, None] - pv[None, :]).sum(axis=1)
-    sum_g = (gv[:, None] - gv[None, :]).sum(axis=1)
-    return float(np.maximum(0.0, -(sum_p * sum_g)).mean())
 
 
 def pairwise_ranking_loss(p, g) -> Tensor:

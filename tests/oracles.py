@@ -1,0 +1,55 @@
+"""Reference computations that only the tests use.
+
+``correlation_loss_raw`` is the double-sum anchor form of the order
+constraint, evaluated literally, against which the mean-deviation form of
+``losses.correlation_loss`` is checked. ``linear_probe`` is a learnability
+check for a synthetic dataset.
+"""
+
+import math
+
+import numpy as np
+
+from dcvqe import autodiff as ad
+from dcvqe import metrics
+from dcvqe.data import DatasetManifest, load_sequences
+
+
+def correlation_loss_raw(p, g) -> float:
+    """Double-sum anchor form of the order constraint, evaluated literally.
+
+    (1/N) * sum_n max(0, -(sum_m (p_n-p_m)) * (sum_m (g_n-g_m))). A
+    plain-float oracle for the mean-deviation form; not differentiable.
+    """
+    pv = np.asarray(p, dtype=np.float64).reshape(-1)
+    gv = np.asarray(g, dtype=np.float64).reshape(-1)
+    if pv.size != gv.size:
+        raise ad.ShapeError(f"length mismatch: {pv.size} vs {gv.size}")
+    sum_p = (pv[:, None] - pv[None, :]).sum(axis=1)
+    sum_g = (gv[:, None] - gv[None, :]).sum(axis=1)
+    return float(np.maximum(0.0, -(sum_p * sum_g)).mean())
+
+
+def linear_probe(manifest: DatasetManifest, seed: int = 0) -> float:
+    """SRCC of a ridge regression (penalty 1e-3) on mean-pooled features,
+    fitted on a seeded 80% of the videos and scored on the other 20%.
+
+    A cheap learnability check for a dataset: if a linear probe cannot rank
+    it, no amount of model training will.
+    """
+    seqs = load_sequences(manifest)
+    # accumulating in float64 gives the same bits as the mean of the widened rows
+    x = np.stack([s.features.mean(axis=0, dtype=np.float64) for s in seqs])
+    y = np.array([s.mos for s in seqs])
+    n = len(seqs)
+    perm = np.random.default_rng(seed).permutation(n)
+    cut = max(1, math.floor(0.8 * n))
+    tr, te = perm[:cut], perm[cut:]
+    if te.size < 2:
+        raise ValueError(f"probe needs >= 2 held-out videos, got {te.size}")
+    x_mean = x[tr].mean(axis=0)
+    y_mean = y[tr].mean()
+    xt = x[tr] - x_mean
+    w = np.linalg.solve(xt.T @ xt + 1e-3 * np.eye(x.shape[1]), xt.T @ (y[tr] - y_mean))
+    pred = (x[te] - x_mean) @ w + y_mean
+    return metrics.srcc(pred, y[te])

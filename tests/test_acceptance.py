@@ -15,12 +15,12 @@ from dcvqe import autodiff as ad
 from dcvqe import data as data_io
 from dcvqe.autodiff import Tensor
 from dcvqe.data import SplitSpec
-from dcvqe.losses import (LossConfig, correlation_loss, correlation_loss_raw,
-                          total_loss)
+from dcvqe.losses import LossConfig, correlation_loss, total_loss
 from dcvqe.model import (AttentionCost, AttentionMask, AttentionProjections,
                          DCVQEConfig, DCVQEModel, transformer_c, transformer_d)
 from dcvqe.training import (TrainConfig, evaluate, fit, gradcheck_suite, load_into,
                             run_repetitions, save_checkpoint)
+from oracles import correlation_loss_raw, linear_probe
 
 
 def _line(num: str, name: str, ok: bool, detail: str = "") -> None:
@@ -180,7 +180,7 @@ def test_criterion_07_architecture_arithmetic_and_residual_asymmetry():
 
 def test_criterion_08_synthetic_end_to_end(synth500):
     t0 = time.perf_counter()
-    probe = data_io.linear_probe(synth500, seed=0)
+    probe = linear_probe(synth500, seed=0)
     assert probe >= 0.8, f"dataset not linearly learnable (probe SRCC {probe:.3f})"
 
     cfg = DCVQEConfig(input_dim=64, model_dim=32, num_heads=4, num_layers=3,

@@ -40,6 +40,20 @@ def softmax_oracle(row):
     return [e / total for e in exps]
 
 
+def unshifted_softmax_oracle(z: np.ndarray, admissible) -> np.ndarray:
+    """Scalar masked softmax without the row max, for logits whose exp is
+    finite: each weight is exp(z) over the exactly rounded sum of its row's
+    admitted exps. Subtracting the row max first would round z - max, which
+    moves a weight by up to |z - max| * 2**-53 relative."""
+    mask = np.broadcast_to(True if admissible is None else admissible, z.shape)
+    out = np.zeros_like(z)
+    for idx in np.ndindex(z.shape[:-1]):
+        exps = [math.exp(v) if ok else 0.0 for v, ok in zip(z[idx], mask[idx])]
+        total = math.fsum(exps)
+        out[idx] = [e / total for e in exps]
+    return out
+
+
 # admits every row somewhere; column 3 is masked in every row
 HEAD_MASK = np.array([[True, False, True, False],
                       [True, True, False, False],
@@ -72,6 +86,41 @@ def fd_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         flat[i] = orig
         gf[i] = (fp - fm) / (2 * h)
     return g
+
+
+@pytest.fixture
+def fallback(monkeypatch):
+    """Every masked softmax takes the shifted fallback instead of the fast path."""
+    monkeypatch.setattr(ad, "_EXP_SAFE", 0.0)
+
+
+def attention_vjp_reference(x, ws, heads, mask, g):
+    """Gradients of sum(g * attention(x)) for x [B, n, D] and projections
+    ``ws``, per sequence and head, with the softmax Jacobian of each row
+    written out as diag(p) - p p^T."""
+    batch, n, dim = x.shape
+    d = dim // heads
+    c = 1.0 / math.sqrt(d)
+    dx = np.zeros_like(x)
+    dws = [np.zeros((dim, dim)) for _ in ws]
+    for b in range(batch):
+        for h in range(heads):
+            cols = slice(h * d, (h + 1) * d)
+            q, k, v = (x[b] @ w[:, cols] for w in ws)
+            p = old_softmax(q @ k.T * c, mask)
+            gh = g[b][:, cols]
+            dp = gh @ v.T
+            ds = np.stack([(np.diag(p[i]) - np.outer(p[i], p[i])) @ dp[i] for i in range(n)])
+            for dw, w, dproj in zip(dws, ws, (ds @ k * c, ds.T @ q * c, p.T @ gh)):
+                dw[:, cols] += x[b].T @ dproj
+                dx[b] += dproj @ w[:, cols].T
+    return dx, dws
+
+
+def assert_close_to_reference(got, want, rel=1e-12):
+    """Within ``rel`` of the largest entry of the reference."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
 
 
 def product(a, b: Tensor) -> Tensor:
@@ -251,7 +300,8 @@ class TestSoftmaxMasked:
             for h in range(3):
                 assert np.array_equal(y[c, h], ad._softmax_forward(x[c, h].copy(), HEAD_MASK))
         assert (y[..., ~HEAD_MASK] == 0.0).all()
-        grad = ad._softmax_vjp(y, 2 * y)  # the gradient of sum(y * y)
+        # the gradient of sum(y * y), whose row term is sum_j y_ij * 2 y_ij
+        grad = ad._softmax_vjp(y, 2 * y, (2 * y * y).sum(axis=-1, keepdims=True))
         assert (grad[..., ~HEAD_MASK] == 0.0).all()
         np.testing.assert_allclose(
             grad, fd_grad(lambda z: (old_softmax(z, HEAD_MASK) ** 2).sum(), x.copy()),
@@ -265,7 +315,8 @@ class TestSoftmaxMasked:
         mask = rng.random((4, 4)) < 0.6
         mask[:, 0] = True
         y = ad._softmax_forward(x.copy(), mask)
-        grad = ad._softmax_vjp(y, 2 * y)  # the gradient of sum(y * y)
+        # the gradient of sum(y * y), whose row term is sum_j y_ij * 2 y_ij
+        grad = ad._softmax_vjp(y, 2 * y, (2 * y * y).sum(axis=-1, keepdims=True))
         assert (grad[~mask] == 0.0).all()
         np.testing.assert_allclose(
             grad, fd_grad(lambda z: (old_softmax(z, mask) ** 2).sum(), x.copy()), atol=1e-8)
@@ -544,6 +595,25 @@ class TestAttention:
         assert [p.name for p in report.per_parameter] == ["x", "wq", "wk", "wv"]
         assert report.max_rel_error <= 1e-4
 
+    @pytest.mark.parametrize("mask", [banded_mask(5, 1), None], ids=["banded", "unmasked"])
+    def test_gradient_check_through_the_fallback(self, mask, fallback):
+        self.test_gradient_check(mask)
+
+    @pytest.mark.parametrize("path", ["fast", "fallback"])
+    @pytest.mark.parametrize("mask", [banded_mask(5, 1), None], ids=["banded", "unmasked"])
+    def test_vjp_matches_the_exact_jacobian(self, mask, path, request):
+        if path == "fallback":
+            request.getfixturevalue("fallback")
+        x, ws = self.operands(24)
+        weights = np.random.default_rng(25).normal(size=x.shape)
+        with Graph() as g:
+            loss = ad.sum_all(ad.mul(ad.attention(x, *ws, self.HEADS, mask), Tensor(weights)))
+        backward(loss, g)
+        dx, dws = attention_vjp_reference(x.data, [w.data for w in ws], self.HEADS, mask,
+                                          weights)
+        for got, want in zip((x, *ws), (dx, *dws)):
+            assert_close_to_reference(got.grad, want)
+
     def test_forward_matches_composition(self):
         x, (wq, wk, wv) = self.operands(23)
         mask = banded_mask(self.N, 1)
@@ -570,22 +640,64 @@ class TestSoftmaxForward:
                           [True, False, True, True],
                           [True, False, False, False]])
 
-    @pytest.mark.parametrize("shape, mask", [
+    CASES = pytest.mark.parametrize("shape, mask", [
         ((3, 2, 9, 9), banded_mask(9, 2)),
         ((2, 2, 4, 4), SLOT_ONLY),
         ((3, 2, 6, 6), (np.random.default_rng(30).random((3, 1, 6, 6)) < 0.5)
          | np.eye(6, dtype=bool)),
         ((2, 3, 5, 5), None),
     ], ids=["banded", "slot_only_rows", "broadcast_per_clip", "unmasked"])
+
+    @CASES
     def test_bit_identical_to_exp_of_minus_inf(self, shape, mask):
+        """Logits beyond +-_EXP_SAFE (scale 700) take the fallback, which
+        equals exponentiating -inf bit for bit. The others take the fast
+        path, which is checked against the scalar oracle instead: at scale
+        30 the -inf formula itself is 1.4e-14 off, from rounding z - max."""
         rng = np.random.default_rng(31)
         for scale in (1e-3, 1.0, 30.0, 700.0):
             z = rng.normal(size=shape) * scale
+            assert (np.abs(z).max() > ad._EXP_SAFE) == (scale == 700.0)
             got = ad._softmax_forward(z.copy(), mask)
-            assert np.array_equal(got, old_softmax(z, mask))
+            if scale == 700.0:
+                assert np.array_equal(got, old_softmax(z, mask))
+            else:
+                np.testing.assert_allclose(got, unshifted_softmax_oracle(z, mask), rtol=1e-14,
+                                           atol=0)
             if mask is not None:
                 assert (got[..., ~np.broadcast_to(mask, shape)] == 0.0).all()
                 assert not np.signbit(got).any()
+
+    @CASES
+    def test_fast_path_matches_the_fallback(self, shape, mask, monkeypatch):
+        # up to scale 10 the fallback's rounding of z - max stays below 1e-14
+        rng = np.random.default_rng(32)
+        for scale in (1e-3, 1.0, 10.0):
+            z = rng.normal(size=shape) * scale
+            fast = ad._softmax_forward(z.copy(), mask)
+            monkeypatch.setattr(ad, "_EXP_SAFE", 0.0)
+            slow = ad._softmax_forward(z.copy(), mask)
+            monkeypatch.undo()
+            assert np.array_equal(slow, old_softmax(z, mask))
+            np.testing.assert_allclose(fast, slow, rtol=1e-14, atol=0)
+            assert np.array_equal(fast == 0.0, slow == 0.0)
+
+    def test_logits_out_of_range_take_the_fallback(self):
+        # +800 and -800 in one row: exp(800) overflows without the shift
+        z = np.array([[800.0, -800.0, 0.0, 1.0], [0.0, 1.0, 2.0, 3.0]])
+        got = ad._softmax_forward(z.copy(), None)
+        assert np.isfinite(got).all() and np.array_equal(got, old_softmax(z, None))
+        # an admitted row far below a masked entry: every admitted exp would
+        # underflow to 0 without the shift
+        mask = np.array([[True, True, True], [False, True, True]])
+        z = np.array([[0.0, 1.0, 2.0], [0.0, -800.0, -801.0]])
+        got = ad._softmax_forward(z.copy(), mask)
+        assert np.isfinite(got).all() and np.array_equal(got, old_softmax(z, mask))
+        assert got[1, 0] == 0.0 and got[1, 1] > got[1, 2] > 0.0
+        # NaN fails the range check too
+        z = np.array([[np.nan, 0.0, 1.0], [0.0, 1.0, 2.0]])
+        got = ad._softmax_forward(z.copy(), None)
+        assert np.array_equal(got, old_softmax(z, None), equal_nan=True)
 
 
 class TestDivideAttention:
@@ -700,6 +812,53 @@ class TestDivideAttention:
         for got, want in zip(rows_sink, full_sink):
             assert got.shape == (self.HEADS, 1, want.shape[-1])
             np.testing.assert_allclose(got, want[:, :1], rtol=0, atol=1e-12)
+
+    @CASES
+    def test_gradient_check_through_the_fallback(self, n, clip_len, radius, fallback):
+        self.test_gradient_check(n, clip_len, radius)
+        self.test_clip_rows_only_gradient_check(n, clip_len, radius)
+
+    @pytest.mark.parametrize("path", ["fast", "fallback"])
+    @pytest.mark.parametrize("n, clip_len, radius, clip_rows_only", [
+        (8, 4, 1, False), (10, 4, 2, False), (7, 3, None, False),
+        (1, 4, 1, True), (10, 4, 2, True), (9, 4, None, True),
+    ], ids=["two_full_clips", "remainder", "unbanded", "rows_one_frame", "rows_remainder",
+            "rows_one_frame_remainder"])
+    def test_vjp_matches_the_exact_jacobian(self, n, clip_len, radius, clip_rows_only, path,
+                                            request):
+        """The clip-rows form (m = 1) against the full attention's Jacobian
+        with a zero gradient on every row but the clip row."""
+        if path == "fallback":
+            request.getfixturevalue("fallback")
+        frames, video, ws = self.operands(n, 80 + n)
+        mask = None if radius is None else banded_mask(clip_len + 1, radius)
+        rng = np.random.default_rng(81)
+        clips = -(-n // clip_len)
+        w_clips = rng.normal(size=(clips, self.DIM))
+        w_frames = np.zeros((n, self.DIM)) if clip_rows_only else rng.normal(size=(n, self.DIM))
+        with Graph() as g:
+            out = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask,
+                                      clip_rows_only=clip_rows_only)
+            c = out if clip_rows_only else out[0]
+            loss = ad.sum_all(ad.mul(c, Tensor(w_clips)))
+            if not clip_rows_only:
+                loss = ad.add(loss, ad.sum_all(ad.mul(out[1], Tensor(w_frames))))
+        backward(loss, g)
+
+        d_frames, d_video = np.zeros((n, self.DIM)), np.zeros((1, self.DIM))
+        d_ws = [np.zeros((self.DIM, self.DIM)) for _ in ws]
+        for k, start in enumerate(range(0, n, clip_len)):
+            stop = min(start + clip_len, n)
+            x = np.vstack([video.data, frames.data[start:stop]])[None]
+            grad = np.vstack([w_clips[k:k + 1], w_frames[start:stop]])[None]
+            block = None if mask is None else mask[:len(x[0]), :len(x[0])]
+            dx, dw = attention_vjp_reference(x, [w.data for w in ws], self.HEADS, block, grad)
+            dx = dx[0] + grad[0]  # the residual path
+            d_video += dx[:1]
+            d_frames[start:stop] = dx[1:]
+            d_ws = [a + b for a, b in zip(d_ws, dw)]
+        for got, want in zip((frames, video, *ws), (d_frames, d_video, *d_ws)):
+            assert_close_to_reference(got.grad, want)
 
     def test_rejects_bad_operands(self):
         frames, video, ws = self.operands(6, 52)

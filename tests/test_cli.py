@@ -177,6 +177,13 @@ class TestExitCodes:
         code = main(["predict", "--checkpoint", str(trained_checkpoint), str(bad)])
         assert code == 2
 
+    def test_input_path_under_a_file_is_two(self, tmp_path, trained_checkpoint, capsys):
+        (tmp_path / "f").write_text("")
+        code = main(["predict", "--checkpoint", str(trained_checkpoint),
+                     str(tmp_path / "f" / "x.dcvq")])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("edit", [
         lambda h: h["config"].update(extra=1),
         lambda h: h.pop("params"),
@@ -294,7 +301,79 @@ class TestExitCodes:
             assert result.returncode == 3, args[0]
             assert f"numeric failure: {message}" in result.stderr
             assert "nan" not in result.stdout.lower()
-        assert "NaN" not in (tmp_path / "emb.jsonl").read_text()
+        assert not (tmp_path / "emb.jsonl").exists()  # nothing written, so no NaN either
+
+
+class TestOutputPaths:
+    """An output path that cannot be written is refused before any work:
+    exit 2 with a message, and nothing is written."""
+
+    @pytest.fixture
+    def plain_file(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_text("not a directory\n")
+        return path
+
+    def refused(self, argv, capsys, tmp_path, before):
+        code = main([str(a) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "data error: cannot write" in captured.err
+        assert "epoch" not in captured.out  # no training ran
+        assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+    def test_synth_under_a_file(self, tmp_path, plain_file, capsys):
+        before = sorted(tmp_path.rglob("*"))
+        self.refused(["synth", "--out", plain_file / "sub", "--videos", "5"], capsys,
+                     tmp_path, before)
+        self.refused(["synth", "--out", plain_file, "--videos", "5"], capsys, tmp_path, before)
+
+    def test_train_under_a_file(self, tmp_path, plain_file, dataset_dir, config_file, capsys):
+        before = sorted(tmp_path.rglob("*"))
+        self.refused(["train", "--manifest", dataset_dir / "manifest.jsonl", "--out",
+                      plain_file / "m.ckpt", "--config", config_file], capsys, tmp_path, before)
+
+    def test_train_into_a_directory_stops_before_training(self, tmp_path, dataset_dir,
+                                                          config_file, capsys):
+        target = tmp_path / "ckpt"
+        target.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        self.refused(["train", "--manifest", dataset_dir / "manifest.jsonl", "--out", target,
+                      "--config", config_file], capsys, tmp_path, before)
+        log_dir = tmp_path / "m.ckpt.log"
+        log_dir.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        self.refused(["train", "--manifest", dataset_dir / "manifest.jsonl", "--out",
+                      tmp_path / "m.ckpt", "--config", config_file], capsys, tmp_path, before)
+
+    def test_dump_embeddings_and_ablate(self, tmp_path, plain_file, dataset_dir,
+                                        trained_checkpoint, capsys):
+        before = sorted(tmp_path.rglob("*"))
+        self.refused(["dump-embeddings", "--manifest", dataset_dir / "manifest.jsonl",
+                      "--checkpoint", trained_checkpoint, "--out", plain_file / "x.jsonl"],
+                     capsys, tmp_path, before)
+        self.refused(["dump-embeddings", "--manifest", dataset_dir / "manifest.jsonl",
+                      "--checkpoint", trained_checkpoint, "--out", tmp_path],
+                     capsys, tmp_path, before)
+        self.refused(["ablate", "--manifest", dataset_dir / "manifest.jsonl",
+                      "--out", tmp_path / "missing" / "table.json"], capsys, tmp_path, before)
+
+    def test_dump_embeddings_writes_nothing_on_a_bad_payload(self, tmp_path,
+                                                              trained_checkpoint, capsys):
+        data_io.synth_dataset(tmp_path / "d", n_videos=6, len_range=(4, 8), dim=6, seed=3)
+        cut = tmp_path / "d" / "synth00003.dcvq"
+        cut.write_bytes(cut.read_bytes()[:-4])  # a payload cut short behind a valid header
+        out = tmp_path / "emb.jsonl"
+        code = main(["dump-embeddings", "--manifest", str(tmp_path / "d" / "manifest.jsonl"),
+                     "--checkpoint", str(trained_checkpoint), "--out", str(out)])
+        assert code == 2
+        assert "payload" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_traceback_from_the_module_entry(self, tmp_path, plain_file):
+        proc = run_cli("synth", "--out", plain_file / "sub", "--videos", "5")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "is not a directory" in proc.stderr
 
 
 class TestSeedPrecedence:

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from dcvqe import metrics
 from dcvqe.data import (DatasetManifest, FeatureSequence, FormatError, ManifestEntry,
-                        SplitSpec, linear_probe, load_manifest, load_sequences,
-                        read_features, save_manifest, split, synth_dataset, truncate,
-                        write_features)
+                        SplitSpec, load_manifest, load_sequences, read_features,
+                        save_manifest, split, synth_dataset, truncate, write_features)
+from oracles import linear_probe
 
 
 def owned_nbytes(a: np.ndarray) -> int:

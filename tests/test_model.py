@@ -217,6 +217,38 @@ class TestTransformerD:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+class TestSoftmaxFallback:
+    def test_fallback_agrees_with_the_fast_path_on_a_training_batch(self, monkeypatch):
+        """``_EXP_SAFE`` = 0 sends every masked softmax down the shifted
+        fallback; on a train-small-shaped batch, loss, scores and every
+        parameter gradient stay within 1e-12 relative of the fast path."""
+        cfg = DCVQEConfig(input_dim=64, model_dim=32, num_heads=4, num_layers=3,
+                          base_clip_len=30, temporal_range=15, max_seq_len=600)
+        model = DCVQEModel.initialize(cfg, seed=11)
+        rng = np.random.default_rng(12)
+        videos = [rng.normal(size=(n, 64)) for n in (1, 61, 137, 300)]
+        mos = Tensor(rng.uniform(1, 5, (4, 1)))
+
+        def run():
+            for p in model.parameters():
+                p.zero_grad()
+            with ad.Graph() as graph:
+                preds = ad.concat_rows([model.forward(v)[0] for v in videos])
+                loss = total_loss(preds, mos, LossConfig(0.7, 0.3))
+            ad.backward(loss, graph)
+            return loss.item(), preds.data.copy(), {n: p.grad for n, p in
+                                                    model.named_parameters()}
+
+        fast = run()
+        monkeypatch.setattr(ad, "_EXP_SAFE", 0.0)
+        fallback = run()
+        assert fast[0] == pytest.approx(fallback[0], rel=1e-12, abs=0)
+        np.testing.assert_allclose(fast[1], fallback[1], rtol=1e-12, atol=0)
+        assert fast[2].keys() == fallback[2].keys()
+        for name, grad in fallback[2].items():
+            assert np.abs(fast[2][name] - grad).max() <= 1e-12 * np.abs(grad).max(), name
+
+
 class TestTapeSize:
     def test_training_batch_at_acceptance_08_shape_records_254_nodes(self):
         cfg = DCVQEConfig(input_dim=64, model_dim=32, num_heads=4, num_layers=3,
