@@ -193,6 +193,21 @@ def transformer_c(proj: AttentionProjections, num_heads: int, clip_qes: Tensor,
     return ad.mean_axis(attended, axis=0)
 
 
+def parameter_shapes(config: DCVQEConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter that ``config`` defines, in the
+    order that ``DCVQEModel.initialize`` draws them and checkpoints store them."""
+    d = config.model_dim
+    shapes = {"input.weight": (config.input_dim, d), "input.bias": (1, d),
+              "positional": (config.max_seq_len + 1, d), "video_token": (1, d)}
+    for k in range(1, config.num_layers + 1):
+        for module in ("divide", "conquer"):
+            for role in ("query", "key", "value"):
+                shapes[f"layer{k}.{module}.{role}"] = (d, d)
+    shapes["regressor.weight"] = (d, 1)
+    shapes["regressor.bias"] = (1, 1)
+    return shapes
+
+
 class DCVQEModel:
     """The full learnable parameter set plus its forward pass."""
 
@@ -202,29 +217,15 @@ class DCVQEModel:
 
     @classmethod
     def initialize(cls, config: DCVQEConfig, seed: int, init_scale: float = 0.02) -> "DCVQEModel":
-        """Deterministic seeded init: projections and embeddings N(0, scale^2),
-        biases zero."""
+        """Deterministic seeded init over ``parameter_shapes(config)``, in its
+        order: the biases are zero and draw nothing, every other parameter is
+        drawn N(0, init_scale^2) from one generator seeded with ``seed``."""
         rng = np.random.default_rng(seed)
-        d = config.model_dim
-
-        def normal(name, shape):
-            return Tensor(rng.normal(0.0, init_scale, shape), requires_grad=True, name=name)
-
-        def zeros(name, shape):
-            return Tensor(np.zeros(shape), requires_grad=True, name=name)
-
-        params: dict[str, Tensor] = {}
-        params["input.weight"] = normal("input.weight", (config.input_dim, d))
-        params["input.bias"] = zeros("input.bias", (1, d))
-        params["positional"] = normal("positional", (config.max_seq_len + 1, d))
-        params["video_token"] = normal("video_token", (1, d))
-        for k in range(1, config.num_layers + 1):
-            for module in ("divide", "conquer"):
-                for role in ("query", "key", "value"):
-                    name = f"layer{k}.{module}.{role}"
-                    params[name] = normal(name, (d, d))
-        params["regressor.weight"] = normal("regressor.weight", (d, 1))
-        params["regressor.bias"] = zeros("regressor.bias", (1, 1))
+        params = {}
+        for name, shape in parameter_shapes(config).items():
+            value = (np.zeros(shape) if name.endswith(".bias")
+                     else rng.normal(0.0, init_scale, shape))
+            params[name] = Tensor(value, requires_grad=True, name=name)
         return cls(config, params)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:

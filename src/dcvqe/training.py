@@ -9,6 +9,7 @@ earlier epoch).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -25,7 +26,7 @@ from .autodiff import Graph, Tensor
 from .data import DatasetManifest, FeatureSequence, SplitSpec
 from .losses import LossConfig, total_loss
 from .metrics import MetricsReport, compute_report, median_report
-from .model import DCVQEConfig, DCVQEModel
+from .model import DCVQEConfig, DCVQEModel, parameter_shapes
 
 CHECKPOINT_MAGIC = b"DCKP"
 CHECKPOINT_VERSION = 1
@@ -192,27 +193,15 @@ class Checkpoint:
                    adam_step_count=state.step, best_val_loss=val_loss, epoch=epoch)
 
     def build_model(self) -> DCVQEModel:
-        model = DCVQEModel.initialize(self.config, seed=0)
-        load_into(model, self)
-        return model
+        """A model over copies of ``params``: nothing is drawn at random, and
+        training the model leaves the checkpoint as it is."""
+        return DCVQEModel(self.config, {name: Tensor(value.copy(), requires_grad=True, name=name)
+                                        for name, value in self.params.items()})
 
     def adam_state(self) -> AdamState:
         return AdamState(step=self.adam_step_count,
                          m={k: a.copy() for k, a in self.adam_m.items()},
                          v={k: a.copy() for k, a in self.adam_v.items()})
-
-
-def load_into(model: DCVQEModel, cp: Checkpoint) -> None:
-    """Copy checkpoint payloads into an existing model, by parameter name."""
-    names = set(model.params)
-    if names != set(cp.params):
-        missing = sorted(names ^ set(cp.params))
-        raise ad.ShapeError(f"checkpoint/model parameter sets differ: {missing}")
-    for name, p in model.named_parameters():
-        if cp.params[name].shape != p.data.shape:
-            raise ad.ShapeError(f"parameter {name!r}: checkpoint shape "
-                                f"{cp.params[name].shape} != model shape {p.data.shape}")
-        p.data = cp.params[name].copy()
 
 
 def save_checkpoint(path, cp: Checkpoint) -> None:
@@ -237,7 +226,10 @@ def save_checkpoint(path, cp: Checkpoint) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Read a file written by ``save_checkpoint``. A malformed header, a short
     or over-long payload and a non-finite value in ``params``, ``adam_m`` or
-    ``adam_v`` each raise ``FormatError`` at the offending byte offset."""
+    ``adam_v`` each raise ``FormatError`` at the offending byte offset. The
+    header's ``params`` must list ``parameter_shapes`` of its config exactly
+    (names, order, integer shapes); the first entry that differs fails at
+    byte 12. Payloads are read by the shapes that the config derives."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
@@ -254,25 +246,27 @@ def load_checkpoint(path) -> Checkpoint:
                 for k, v in config.items())):
             raise ValueError(f"config {config} is not a model configuration")
         cfg = DCVQEConfig(**config)
-        names = [p["name"] for p in header["params"]]
-        shapes = {p["name"]: tuple(p["shape"]) for p in header["params"]}
-        if len(shapes) != len(names):
-            raise ValueError(f"parameter names repeat in {names}")
-        for n, dims in shapes.items():  # 8 bytes per element: no payload outgrows the file
-            if not all(type(d) is int and d >= 0 for d in dims) or 8 * math.prod(dims) > len(raw):
-                raise ValueError(f"{n!r} has shape {list(dims)}, not the shape of a payload in "
-                                 f"{len(raw)} bytes")
+        listed = header["params"]
+        if cfg.num_layers > len(listed):  # cannot match; bounds the layout derived next
+            raise ValueError(f"{cfg.num_layers} layers, but {len(listed)} parameters listed")
+        shapes = parameter_shapes(cfg)
+        layout = [{"name": n, "shape": list(dims)} for n, dims in shapes.items()]
+        for i, (entry, want) in enumerate(itertools.zip_longest(listed, layout)):
+            # compared as JSON text: as numbers, 6.0 and true would pass for 6 and 1
+            if json.dumps(entry, sort_keys=True) != json.dumps(want, sort_keys=True):
+                raise ValueError(f"parameter {i} of the header is {entry}, but the config "
+                                 f"lays out {want}")
         adam_step = int(header["adam_step"])
         best_val_loss = float(header["best_val_loss"])
         epoch = int(header["epoch"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise data_io.FormatError(f"corrupt checkpoint header: {exc!r}", offset=12) from exc
     offset = 12 + header_len
     groups = []
     for what in ("params", "adam_m", "adam_v"):
         group = {}
-        for n in names:
-            count = math.prod(shapes[n])
+        for n, shape in shapes.items():
+            count = math.prod(shape)
             end = offset + count * 8
             if end > len(raw):
                 raise data_io.FormatError(f"checkpoint payload truncated at {len(raw)}",
@@ -283,7 +277,7 @@ def load_checkpoint(path) -> Checkpoint:
                 raise data_io.FormatError(f"non-finite value {values[bad[0]]} in {what} "
                                           f"{n!r} at element {bad[0]}",
                                           offset=offset + 8 * int(bad[0]))
-            group[n] = values.reshape(shapes[n]).copy()
+            group[n] = values.reshape(shape).copy()
             offset = end
         groups.append(group)
     if offset != len(raw):
@@ -383,9 +377,8 @@ def run_repetitions(manifest: DatasetManifest, model_cfg: DCVQEConfig,
         val_seqs = data_io.load_sequences(va_m, max_len=model_cfg.max_seq_len)
         test_seqs = data_io.load_sequences(te_m, max_len=model_cfg.max_seq_len)
         model = DCVQEModel.initialize(model_cfg, seed=seed_r)
-        result = fit(model, train_seqs, val_seqs, replace(train_cfg, seed=seed_r))
-        load_into(model, result.best)
-        runs.append(RepetitionRun(seed=seed_r, report=evaluate(model, test_seqs)))
+        best = fit(model, train_seqs, val_seqs, replace(train_cfg, seed=seed_r)).best
+        runs.append(RepetitionRun(seed=seed_r, report=evaluate(best.build_model(), test_seqs)))
     return RepetitionResult(median=median_report([run.report for run in runs]), runs=runs)
 
 

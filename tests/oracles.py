@@ -3,7 +3,8 @@
 ``correlation_loss_raw`` is the double-sum anchor form of the order
 constraint, evaluated literally, against which the mean-deviation form of
 ``losses.correlation_loss`` is checked. ``linear_probe`` is a learnability
-check for a synthetic dataset.
+check for a synthetic dataset. ``initial_params`` spells out the seeded
+parameter draw of ``DCVQEModel.initialize`` one parameter at a time.
 """
 
 import math
@@ -53,3 +54,27 @@ def linear_probe(manifest: DatasetManifest, seed: int = 0) -> float:
     w = np.linalg.solve(xt.T @ xt + 1e-3 * np.eye(x.shape[1]), xt.T @ (y[tr] - y_mean))
     pred = (x[te] - x_mean) @ w + y_mean
     return metrics.srcc(pred, y[te])
+
+
+def initial_params(config, seed: int, init_scale: float = 0.02) -> dict[str, np.ndarray]:
+    """The seeded draw of a fresh model, written out name by name: every
+    projection and embedding N(0, init_scale^2) from one generator, in this
+    order, and both biases zero without a draw."""
+    rng = np.random.default_rng(seed)
+    d = config.model_dim
+
+    def normal(shape):
+        return rng.normal(0.0, init_scale, shape)
+
+    params = {}
+    params["input.weight"] = normal((config.input_dim, d))
+    params["input.bias"] = np.zeros((1, d))
+    params["positional"] = normal((config.max_seq_len + 1, d))
+    params["video_token"] = normal((1, d))
+    for k in range(1, config.num_layers + 1):
+        for module in ("divide", "conquer"):
+            for role in ("query", "key", "value"):
+                params[f"layer{k}.{module}.{role}"] = normal((d, d))
+    params["regressor.weight"] = normal((d, 1))
+    params["regressor.bias"] = np.zeros((1, 1))
+    return params

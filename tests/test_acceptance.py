@@ -18,7 +18,7 @@ from dcvqe.data import SplitSpec
 from dcvqe.losses import LossConfig, correlation_loss, total_loss
 from dcvqe.model import (AttentionCost, AttentionMask, AttentionProjections,
                          DCVQEConfig, DCVQEModel, transformer_c, transformer_d)
-from dcvqe.training import (TrainConfig, evaluate, fit, gradcheck_suite, load_into,
+from dcvqe.training import (TrainConfig, evaluate, fit, gradcheck_suite,
                             run_repetitions, save_checkpoint)
 from oracles import correlation_loss_raw, linear_probe
 
@@ -194,8 +194,7 @@ def test_criterion_08_synthetic_end_to_end(synth500):
 
     model = DCVQEModel.initialize(cfg, seed=7)
     result = fit(model, train_seqs, val_seqs, train_cfg)
-    load_into(model, result.best)
-    report = evaluate(model, test_seqs)
+    report = evaluate(result.best.build_model(), test_seqs)
     elapsed = time.perf_counter() - t0
 
     ok = report.srcc >= 0.90 and report.plcc >= 0.90 and elapsed <= 600.0

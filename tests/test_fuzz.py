@@ -3,10 +3,15 @@
 config files: a valid file cut short or with one byte changed either loads
 or raises ``FormatError`` (CLI exit 2), never anything else, and valid files
 round-trip. A config file may also fail a dataclass range check, a
-``ValueError`` that the CLI reports with exit 2 as well."""
+``ValueError`` that the CLI reports with exit 2 as well. ``predict`` runs on
+checkpoints whose header values are replaced with hostile ones and exits
+with a documented code."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import struct
 import traceback
 
 import numpy as np
@@ -15,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dcvqe.cli import _load_config_file, _model_config, _resolve_seed, _train_config, build_parser
+from dcvqe.cli import (_load_config_file, _model_config, _resolve_seed, _train_config,
+                       build_parser, main)
 from dcvqe.data import (DatasetManifest, FeatureSequence, FormatError, ManifestEntry,
                         load_manifest, read_features, save_manifest, write_features)
 from dcvqe.losses import VARIANTS
@@ -140,6 +146,64 @@ def test_cut_checkpoint(scratch, checkpoint_bytes, data):
 def test_changed_byte_in_checkpoint(scratch, checkpoint_bytes, data):
     loads_or_format_error(load_checkpoint, scratch / "byte.ckpt",
                           changed_byte(data, checkpoint_bytes, header_end(checkpoint_bytes)))
+
+
+# values no valid header holds in a config field or a shape, next to ones it might
+HOSTILE = st.one_of(st.sampled_from([2 ** 36, 2 ** 62, 2 ** 70, -1, 0, 1, 16, 3]),
+                    st.integers(-2 ** 70, 2 ** 70), st.floats(), st.booleans(), st.none(),
+                    st.text(max_size=4))
+
+
+def hostile_header(data, header: dict) -> None:
+    """Replace one to three values of the header's config and ``params`` list:
+    a config value, a parameter's name or shape or one of its dimensions, or
+    the whole entry; or drop an entry or add one."""
+    params = header["params"]
+    for _ in range(data.draw(st.integers(1, 3))):
+        what = data.draw(st.sampled_from(["config", "name", "shape", "dim", "entry", "drop",
+                                          "extra"]))
+        if what == "config":
+            key = data.draw(st.sampled_from(sorted(header["config"])))
+            header["config"][key] = data.draw(st.integers(1, 16) | HOSTILE)
+            continue
+        if not params:
+            continue
+        at = data.draw(st.integers(0, len(params) - 1))
+        entry = params[at] if isinstance(params[at], dict) else {}
+        if what == "name" and entry:
+            names = [p["name"] for p in params if isinstance(p, dict)]
+            entry["name"] = data.draw(st.sampled_from(names) | st.text(max_size=12) | HOSTILE)
+        elif what == "shape" and entry:
+            entry["shape"] = data.draw(st.lists(HOSTILE, max_size=3) | HOSTILE)
+        elif what == "dim" and isinstance(entry.get("shape"), list) and entry["shape"]:
+            shape = entry["shape"]
+            shape[data.draw(st.integers(0, len(shape) - 1))] = data.draw(HOSTILE)
+        elif what == "entry":
+            params[at] = data.draw(HOSTILE)
+        elif what == "drop":
+            del params[at]
+        elif what == "extra":
+            params.insert(at, {"name": data.draw(st.text(max_size=12)),
+                               "shape": data.draw(st.lists(HOSTILE, max_size=3))})
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_predict_on_a_hostile_checkpoint_header(scratch, checkpoint_bytes, data):
+    end = header_end(checkpoint_bytes)
+    header = json.loads(checkpoint_bytes[12:end])
+    hostile_header(data, header)
+    blob = json.dumps(header, sort_keys=True).encode()
+    ckpt = scratch / "hostile.ckpt"
+    ckpt.write_bytes(checkpoint_bytes[:8] + struct.pack("<I", len(blob)) + blob
+                     + checkpoint_bytes[end:])
+    rows = np.random.default_rng(0).normal(size=(5, CONFIG.input_dim))
+    write_features(scratch / "predict.dcvq", FeatureSequence("v", rows, 3.0))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["predict", "--checkpoint", str(ckpt), str(scratch / "predict.dcvq")])
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 @FUZZ

@@ -1,6 +1,7 @@
 """Architecture behavior: masks, clip splitting, both transformer stages,
 and the full forward pass against a straight-line numpy reimplementation."""
 
+import json
 import math
 import tracemalloc
 
@@ -14,8 +15,10 @@ from dcvqe.autodiff import Tensor
 from dcvqe.data import FeatureSequence
 from dcvqe.losses import LossConfig, total_loss
 from dcvqe.model import (AttentionCost, AttentionMask, AttentionProjections,
-                         DCVQEConfig, DCVQEModel, SequenceLengthError,
+                         DCVQEConfig, DCVQEModel, SequenceLengthError, parameter_shapes,
                          split_clips, transformer_c, transformer_d)
+from dcvqe.training import TINY_CONFIG, AdamState, Checkpoint, save_checkpoint
+from oracles import initial_params
 
 TINY = DCVQEConfig(input_dim=12, model_dim=8, num_heads=2, num_layers=2,
                    base_clip_len=4, temporal_range=2, max_seq_len=16)
@@ -564,3 +567,37 @@ class TestConfigValidation:
     def test_invalid_fields(self, kwargs):
         with pytest.raises(ValueError):
             DCVQEConfig(**kwargs)
+
+
+# the paper's shape, the benchmark's train-small shape (acceptance 08) and the gradcheck shape
+LAYOUT_CONFIGS = {"paper": DCVQEConfig(),
+                  "train-small": DCVQEConfig(input_dim=64, model_dim=32, num_heads=4,
+                                             num_layers=3, base_clip_len=30,
+                                             temporal_range=15, max_seq_len=600),
+                  "tiny": TINY_CONFIG}
+
+
+@pytest.mark.parametrize("config", LAYOUT_CONFIGS.values(), ids=LAYOUT_CONFIGS)
+class TestParameterLayout:
+    def test_initialize_builds_the_layout(self, config):
+        model = DCVQEModel.initialize(config, seed=0)
+        assert [(name, p.shape) for name, p in model.named_parameters()] == \
+            list(parameter_shapes(config).items())
+        assert all(p.name == name and p.requires_grad for name, p in model.named_parameters())
+
+    @pytest.mark.parametrize("seed", [0, 13])
+    def test_initialize_is_the_seeded_draw_bit_for_bit(self, config, seed):
+        model = DCVQEModel.initialize(config, seed=seed, init_scale=0.3)
+        want = initial_params(config, seed, init_scale=0.3)
+        assert list(model.params) == list(want)
+        for name, value in want.items():
+            assert model.params[name].data.tobytes() == value.tobytes(), name
+
+    def test_checkpoint_header_lists_the_layout(self, tmp_path, config):
+        model = DCVQEModel.initialize(config, seed=0)
+        path = tmp_path / "layout.ckpt"
+        save_checkpoint(path, Checkpoint.snapshot(model, AdamState.for_model(model), 1.0, 1))
+        raw = path.read_bytes()
+        header = json.loads(raw[12:12 + int.from_bytes(raw[8:12], "little")])
+        assert header["params"] == [{"name": name, "shape": list(shape)}
+                                    for name, shape in parameter_shapes(config).items()]

@@ -3,6 +3,7 @@ checkpoint round trips, resume replay, and the evaluation path."""
 
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -12,12 +13,13 @@ import scipy.stats
 from dcvqe import data as data_io
 from dcvqe import training
 from dcvqe.autodiff import Tensor
-from dcvqe.data import SplitSpec
+from dcvqe.cli import main
+from dcvqe.data import FeatureSequence, SplitSpec
 from dcvqe.losses import LossConfig
 from dcvqe.metrics import DegenerateInputError
 from dcvqe.model import DCVQEConfig, DCVQEModel
 from dcvqe.training import (ADAM_BLOCK, AdamState, Checkpoint, TrainConfig, adam_step,
-                            evaluate, fit, load_checkpoint, load_into, run_repetitions,
+                            evaluate, fit, load_checkpoint, run_repetitions,
                             save_checkpoint, train_epoch, validation_loss)
 
 SMALL_CFG = DCVQEConfig(input_dim=6, model_dim=8, num_heads=2, num_layers=2,
@@ -302,13 +304,24 @@ class TestCheckpointIO:
             assert np.array_equal(back.adam_m[k], cp.adam_m[k])
             assert np.array_equal(back.adam_v[k], cp.adam_v[k])
 
-    def test_load_into_mismatched_config_names_parameter(self, tmp_path):
-        cp = self.make_checkpoint()
-        other_cfg = DCVQEConfig(input_dim=7, model_dim=8, num_heads=2, num_layers=2,
-                                base_clip_len=4, temporal_range=2, max_seq_len=12)
-        other = DCVQEModel.initialize(other_cfg, seed=0)
-        with pytest.raises(Exception, match="input.weight"):
-            load_into(other, cp)
+    def test_build_model_draws_nothing_and_copies_the_payloads(self, monkeypatch):
+        cp = self.make_checkpoint(seed=4)
+        before = {name: value.copy() for name, value in cp.params.items()}
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("build_model drew a model")
+
+        monkeypatch.setattr(DCVQEModel, "initialize", no_draw)
+        model = cp.build_model()
+        assert model.config == cp.config and list(model.params) == list(cp.params)
+        for name, p in model.named_parameters():
+            assert p.name == name and p.requires_grad
+            assert p.data.tobytes() == cp.params[name].tobytes()
+            p.grad = np.ones(p.shape)
+        adam_step(model.named_parameters(), AdamState.for_model(model), lr=0.1)
+        assert not np.array_equal(model.params["input.weight"].data, before["input.weight"])
+        for name, value in before.items():
+            assert cp.params[name].tobytes() == value.tobytes(), name
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -347,7 +360,7 @@ class TestCheckpointIO:
         path = tmp_path / "s.ckpt"
         save_checkpoint(path, self.make_checkpoint())
         self.rewrite_header(path, lambda h: h["params"][0].update(shape=shape))
-        with pytest.raises(data_io.FormatError, match="not the shape of a payload") as err:
+        with pytest.raises(data_io.FormatError, match="parameter 0 of the header") as err:
             load_checkpoint(path)
         assert err.value.offset == 12
 
@@ -367,7 +380,46 @@ class TestCheckpointIO:
             header["params"][1]["name"] = header["params"][0]["name"]
 
         self.rewrite_header(path, repeat_first_name)
-        with pytest.raises(data_io.FormatError, match="names repeat") as err:
+        with pytest.raises(data_io.FormatError, match="parameter 1 of the header") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 12
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"input_dim": 7}, "lays out {'name': 'input.weight', 'shape': [7, 8]}"),
+        ({"input_dim": 2 ** 36}, "lays out {'name': 'input.weight', 'shape': [68719476736, 8]}"),
+        ({"model_dim": 16}, "lays out {'name': 'input.weight', 'shape': [6, 16]}"),
+        ({"num_layers": 3}, "lays out {'name': 'layer3.divide.query', 'shape': [8, 8]}"),
+        ({"num_layers": 2 ** 40}, "1099511627776 layers, but 18 parameters listed"),
+    ], ids=["input_dim=7", "input_dim=2**36", "model_dim=16", "num_layers=3", "num_layers=2**40"])
+    def test_config_disagreeing_with_the_payloads_rejected_at_the_header(self, tmp_path, edit,
+                                                                           message):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, self.make_checkpoint())
+        self.rewrite_header(path, lambda h: h["config"].update(edit))
+        with pytest.raises(data_io.FormatError, match=re.escape(message)) as err:
+            load_checkpoint(path)
+        assert err.value.offset == 12
+
+    @pytest.mark.parametrize("edit", [{"input_dim": 2 ** 36}, {"model_dim": 16},
+                                      {"num_layers": 3}],
+                             ids=["input_dim=2**36", "model_dim=16", "num_layers=3"])
+    def test_predict_with_a_disagreeing_config_is_a_data_error(self, tmp_path, capsys, edit):
+        path = tmp_path / "p.ckpt"
+        save_checkpoint(path, self.make_checkpoint())
+        self.rewrite_header(path, lambda h: h["config"].update(edit))
+        rows = np.random.default_rng(0).normal(size=(5, SMALL_CFG.input_dim))
+        data_io.write_features(tmp_path / "v.dcvq", FeatureSequence("v", rows, 3.0))
+        assert main(["predict", "--checkpoint", str(path), str(tmp_path / "v.dcvq")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert "data error: corrupt checkpoint header" in err
+
+    @pytest.mark.parametrize("field", ["adam_step", "epoch"])
+    def test_infinite_counter_rejected_at_the_header(self, tmp_path, field):
+        path = tmp_path / "i.ckpt"
+        save_checkpoint(path, self.make_checkpoint())
+        self.rewrite_header(path, lambda h: h.update({field: math.inf}))
+        with pytest.raises(data_io.FormatError, match="OverflowError") as err:
             load_checkpoint(path)
         assert err.value.offset == 12
 
@@ -417,8 +469,7 @@ class TestEvaluate:
         """Independent re-run of the evaluation pipeline with scipy metrics."""
         train_seqs, val_seqs, test_seqs = small_splits
         model = DCVQEModel.initialize(SMALL_CFG, seed=8)
-        result = fit(model, train_seqs, val_seqs, small_train_cfg(max_epochs=2))
-        load_into(model, result.best)
+        model = fit(model, train_seqs, val_seqs, small_train_cfg(max_epochs=2)).best.build_model()
         report = evaluate(model, test_seqs)
 
         preds = np.array([model.forward(s.features)[0].item() for s in test_seqs])
