@@ -163,7 +163,7 @@ def _load_config_file(path: Path | None) -> dict:
         return {}
     try:
         cfg = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+    except (RecursionError, ValueError) as exc:  # bad JSON, too deeply nested, or not UTF-8
         raise FormatError(f"config file {path} is not valid JSON: {exc}") from exc
     return _checked(cfg, CONFIG_KEYS.keys(), f"config file {path}")
 
@@ -305,8 +305,7 @@ def _cmd_dump_embeddings(args) -> int:
     data_io.manifest_feature_dim(manifest)
     lines = []  # written only once every video has been read and embedded
     for seq in data_io.load_sequences(manifest, max_len=cp.config.max_seq_len):
-        _, acts = model.forward(seq.features, record=True)
-        embedding = acts.video_embeddings[-1].reshape(-1).tolist()
+        embedding = model.embed(seq.features).data.reshape(-1).tolist()
         if not all(map(math.isfinite, embedding)):
             raise FloatingPointError(f"non-finite embedding for video {seq.video_id!r}")
         lines.append(json.dumps({"video_id": seq.video_id, "mos": seq.mos,

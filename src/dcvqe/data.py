@@ -214,7 +214,7 @@ def load_manifest(path) -> DatasetManifest:
     try:
         header = json.loads(lines[0])
         entries = [json.loads(line) for line in lines[1:] if line.strip()]
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise FormatError(f"manifest {path} is not line-delimited JSON: {exc}") from exc
     try:
         return DatasetManifest(

@@ -5,9 +5,10 @@ positional embeddings plus a learned video-level token, then stacks
 divide-and-conquer layers: windowed multi-head attention inside clips
 (divide, with a residual path) followed by unmasked attention plus average
 pooling over the clip embeddings (conquer, no residual). Clip coverage
-doubles at every layer. A linear regressor on the final video embedding
-produces the scalar quality score. The final layer's divide stage evaluates
-only the clip rows, since its updated frames reach nothing downstream.
+doubles at every layer. ``embed`` returns the final video embedding and
+``forward`` its scalar score from a linear regressor. The final layer's
+divide stage evaluates only the clip rows, since its updated frames reach
+nothing downstream; ``record`` evaluates every layer in full to observe it.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class AttentionCost:
 
 @dataclass
 class LayerActivations:
-    """Per-layer intermediate quantities, detached for export/inspection."""
+    """Per-layer intermediate quantities from ``DCVQEModel.record``, off the tape."""
 
     clip_boundaries: list[list[tuple[int, int]]] = field(default_factory=list)
     frame_embeddings: list[np.ndarray] = field(default_factory=list)
@@ -144,53 +145,41 @@ def split_clips(length: int, clip_len: int) -> list[tuple[int, int]]:
     return [(start, min(start + clip_len, length)) for start in range(0, length, clip_len)]
 
 
-@dataclass(frozen=True)
-class AttentionProjections:
-    """The query/key/value projection weights of one attention module."""
-
-    query: Tensor
-    key: Tensor
-    value: Tensor
-
-
-def transformer_d(proj: AttentionProjections, num_heads: int, video_qe: Tensor,
+def transformer_d(proj: tuple[Tensor, Tensor, Tensor], num_heads: int, video_qe: Tensor,
                   frames: Tensor, mask: AttentionMask,
-                  attn_sink: list[np.ndarray] | None = None,
-                  clip_len: int | None = None,
+                  attn_sink: list[np.ndarray] | None = None, clip_len: int | None = None,
                   clip_rows_only: bool = False) -> tuple[Tensor, Tensor | None]:
     """Divide-stage attention over the frames [n, D] of one video, cut into
     clips of ``clip_len`` frames (default: one clip of all n frames).
 
-    Each clip runs as the sequence [video_qe; clip frames] through masked
-    multi-head attention, and the module input is added back (residual).
-    ``mask`` is the mask of a full clip (size ``clip_len + 1``); a shorter
-    last clip uses its leading block, which for a banded mask is the banded
-    mask of that size. Returns the clip-level embeddings [C, D] and the
-    updated frame embeddings [n, D], or None for them with
-    ``clip_rows_only``, which evaluates the clip rows alone (see
-    ``autodiff.divide_attention``). The whole stage is one
-    ``autodiff.divide_attention`` node on the tape. Its attention MACs
-    follow from the clip layout alone (``AttentionCost``).
+    ``proj`` is the (query, key, value) weights. Each clip runs as the
+    sequence [video_qe; clip frames] through masked multi-head attention,
+    and the module input is added back (residual). ``mask`` is the mask of
+    a full clip (size ``clip_len + 1``); a shorter last clip uses its
+    leading block, which for a banded mask is the banded mask of that size.
+    Returns the clip-level embeddings [C, D] and the updated frame
+    embeddings [n, D], or None for them with ``clip_rows_only``, which
+    evaluates the clip rows alone (see ``autodiff.divide_attention``). The
+    whole stage is one ``autodiff.divide_attention`` node on the tape. Its
+    attention MACs follow from the clip layout alone (``AttentionCost``).
     """
     clip_len = frames.shape[0] if clip_len is None else clip_len
-    out = ad.divide_attention(frames, video_qe, proj.query, proj.key, proj.value, num_heads,
-                              clip_len, mask.admissible, sink=attn_sink,
-                              clip_rows_only=clip_rows_only)
+    out = ad.divide_attention(frames, video_qe, *proj, num_heads, clip_len, mask.admissible,
+                              sink=attn_sink, clip_rows_only=clip_rows_only)
     return (out, None) if clip_rows_only else out
 
 
-def transformer_c(proj: AttentionProjections, num_heads: int, clip_qes: Tensor,
+def transformer_c(proj: tuple[Tensor, Tensor, Tensor], num_heads: int, clip_qes: Tensor,
                   attn_sink: list[np.ndarray] | None = None) -> Tensor:
     """Conquer-stage attention over the clip embeddings [C, D].
 
     Unmasked multi-head attention (``autodiff.attention``, no output
-    projection) with no residual path, then average pooling over the clip
-    axis. The pooled output is invariant to any permutation of the input
-    rows. ``attn_sink`` receives the [H, C, C] attention weights.
+    projection, ``proj`` the (query, key, value) weights) with no residual
+    path, then average pooling over the clip axis. The pooled output is
+    invariant to any permutation of the input rows. ``attn_sink`` receives
+    the [H, C, C] attention weights.
     """
-    attended = ad.attention(clip_qes, proj.query, proj.key, proj.value, num_heads, None,
-                            sink=attn_sink)
-    return ad.mean_axis(attended, axis=0)
+    return ad.mean_axis(ad.attention(clip_qes, *proj, num_heads, None, sink=attn_sink), axis=0)
 
 
 def parameter_shapes(config: DCVQEConfig) -> dict[str, tuple[int, ...]]:
@@ -237,19 +226,22 @@ class DCVQEModel:
     def zero_grads(self) -> None:
         ad.zero_grads(self.parameters())
 
-    def _projections(self, layer: int, module: str) -> AttentionProjections:
-        return AttentionProjections(self.params[f"layer{layer}.{module}.query"],
-                                    self.params[f"layer{layer}.{module}.key"],
-                                    self.params[f"layer{layer}.{module}.value"])
+    def _projections(self, layer: int, module: str) -> tuple[Tensor, Tensor, Tensor]:
+        return tuple(self.params[f"layer{layer}.{module}.{r}"] for r in ("query", "key", "value"))
 
     def project_input(self, features) -> Tensor:
         """Affine map from raw per-frame features [S, input_dim] (array or
         tensor) to the model width, one ``autodiff.linear`` node: the float32
         rows of a ``FeatureSequence`` are widened to float64, exactly, only
-        inside the projection's GEMMs."""
-        if len(features.shape) != 2 or features.shape[1] != self.config.input_dim:
-            raise ad.ShapeError(f"features must be [S,{self.config.input_dim}], "
-                                f"got {features.shape}")
+        inside the projection's GEMMs. Before any product, a non-2-d input or
+        a wrong width is a ``ShapeError`` and a length outside
+        1..``max_seq_len`` a ``SequenceLengthError``."""
+        shape, cfg = features.shape, self.config
+        if len(shape) != 2 or shape[1] != cfg.input_dim:
+            raise ad.ShapeError(f"features must be [S,{cfg.input_dim}], got {shape}")
+        if not 1 <= shape[0] <= cfg.max_seq_len:
+            raise SequenceLengthError(f"sequence length {shape[0]} is outside 1.."
+                                      f"{cfg.max_seq_len} (max_seq_len); truncate first")
         return ad.linear(features, self.params["input.weight"], self.params["input.bias"])
 
     def add_positional(self, frames: Tensor) -> tuple[Tensor, Tensor]:
@@ -268,88 +260,76 @@ class DCVQEModel:
         return video, frames
 
     def dctr_layer(self, layer: int, frames: Tensor, video_qe: Tensor,
-                   activations: LayerActivations | None = None,
-                   record_attention: bool = False) -> tuple[Tensor | None, Tensor]:
+                   sinks: tuple[list, list] | None = None
+                   ) -> tuple[Tensor | None, Tensor, Tensor]:
         """One divide-and-conquer layer.
 
         Splits the frames into clips of ``base_clip_len * 2**(layer-1)``
         (the last one keeps the remainder), runs the divide transformer over
         every clip (shared weights, same input video embedding at position
         0), then the conquer transformer plus pooling over the clip
-        embeddings. Returns the updated frames and the video embedding.
+        embeddings. Returns the updated frames, the clip embeddings and the
+        video embedding. ``sinks`` is a (divide, conquer) pair of lists that
+        receive the attention weights.
 
         The final layer's updated frames reach neither the score nor the
-        loss, so that layer evaluates the clip rows of its divide stage only
-        and returns None for the frames. When ``activations`` are kept, a
-        separate full divide evaluation, off the tape, supplies that layer's
-        frame embeddings and divide attention maps; the clip embeddings and
-        the score still come from the clip-row path, so observing a forward
-        never changes its score. The layer's attention MACs follow from its
-        clip layout alone; ``forward`` counts them (``AttentionCost``).
+        loss, so without ``sinks`` that layer evaluates the clip rows of its
+        divide stage only and returns None for the frames.
         """
         cfg = self.config
         clip_len = cfg.base_clip_len * 2 ** (layer - 1)
-        last = layer == cfg.num_layers
-        divide_sink: list[np.ndarray] | None = [] if record_attention else None
-        conquer_sink: list[np.ndarray] | None = [] if record_attention else None
-        proj = self._projections(layer, "divide")
-        mask = AttentionMask.banded(clip_len + 1, cfg.temporal_range)
-        clip_matrix, frames_out = transformer_d(
-            proj, cfg.num_heads, video_qe, frames, mask,
-            attn_sink=None if last else divide_sink, clip_len=clip_len, clip_rows_only=last)
-        video_out = transformer_c(self._projections(layer, "conquer"), cfg.num_heads,
-                                  clip_matrix, attn_sink=conquer_sink)
+        divide_sink, conquer_sink = sinks or (None, None)
+        clips, frames = transformer_d(
+            self._projections(layer, "divide"), cfg.num_heads, video_qe, frames,
+            AttentionMask.banded(clip_len + 1, cfg.temporal_range), attn_sink=divide_sink,
+            clip_len=clip_len, clip_rows_only=sinks is None and layer == cfg.num_layers)
+        video = transformer_c(self._projections(layer, "conquer"), cfg.num_heads, clips,
+                              attn_sink=conquer_sink)
+        return frames, clips, video
 
-        if activations is not None:
-            recorded_frames = frames_out
-            if last:  # detached operands keep the record's evaluation off the tape
-                _, recorded_frames = ad.divide_attention(
-                    Tensor(frames.data), Tensor(video_qe.data),
-                    *(Tensor(w.data) for w in (proj.query, proj.key, proj.value)),
-                    cfg.num_heads, clip_len, mask.admissible, sink=divide_sink)
-            activations.clip_boundaries.append(split_clips(frames.shape[0], clip_len))
-            activations.frame_embeddings.append(recorded_frames.data.copy())
-            activations.clip_embeddings.append(clip_matrix.data.copy())
-            activations.video_embeddings.append(video_out.data.copy())
-            if record_attention:
-                activations.divide_attention.append(divide_sink or [])
-                activations.conquer_attention.append((conquer_sink or [np.empty(0)])[0])
-        return frames_out, video_out
-
-    def forward(self, features, record: bool = False, record_attention: bool = False,
-                cost: AttentionCost | None = None) -> tuple[Tensor, LayerActivations | None]:
-        """Score one video. ``features`` is [S, input_dim] (array or tensor).
-
-        An array is not copied: the float32 rows of a ``FeatureSequence``
-        stay float32 on the tape and are widened only inside the input
-        projection's GEMMs (``project_input``).
-
-        Returns the scalar score tensor (shape [1,1]) and, when ``record``,
-        the per-layer activations. Once the forward has succeeded, ``cost``
-        gets this video's attention MACs, computed from the clip layout.
-        """
-        feats = features if isinstance(features, Tensor) else np.asarray(features)
-        if len(feats.shape) != 2:
-            raise ad.ShapeError(f"features must be 2-d, got shape {feats.shape}")
-        n = feats.shape[0]
-        if n < 1:
-            raise SequenceLengthError("empty feature sequence")
-        if n > self.config.max_seq_len:
-            raise SequenceLengthError(f"sequence length {n} exceeds max_seq_len "
-                                      f"{self.config.max_seq_len}; truncate first")
-        activations = LayerActivations() if (record or record_attention) else None
-        frames = self.project_input(feats)
-        video_qe, frames = self.add_positional(frames)
+    def embed(self, features) -> Tensor:
+        """The [1, D] video embedding that the regressor scores, for features
+        [S, input_dim] (array or tensor). An array is not copied: the float32
+        rows of a ``FeatureSequence`` stay float32 on the tape and are widened
+        only inside the input projection's GEMMs (``project_input``)."""
+        video, frames = self.add_positional(self.project_input(features))
         for layer in range(1, self.config.num_layers + 1):
-            frames, video_qe = self.dctr_layer(layer, frames, video_qe, activations=activations,
-                                               record_attention=record_attention)
-        score = ad.linear(video_qe, self.params["regressor.weight"],
+            frames, _, video = self.dctr_layer(layer, frames, video)
+        return video
+
+    def forward(self, features, cost: AttentionCost | None = None) -> Tensor:
+        """Score one video: the [1, 1] regression of ``embed(features)``.
+        Once the forward has succeeded, ``cost`` gets this video's attention
+        MACs, computed from the clip layout."""
+        score = ad.linear(self.embed(features), self.params["regressor.weight"],
                           self.params["regressor.bias"])
         if cost is not None:
-            cost.count_video(self.config, n)
-        return score, activations
+            cost.count_video(self.config, features.shape[0])
+        return score
+
+    def record(self, features) -> LayerActivations:
+        """Every layer's activations and attention maps for one video.
+
+        The model runs once on untracked tensors over its parameter arrays,
+        so nothing reaches a tape, and evaluates every layer in full, the
+        final one included: its clip and video embeddings agree with
+        ``embed``'s to rounding, not bit for bit."""
+        model = DCVQEModel(self.config, {n: Tensor(p.data) for n, p in self.params.items()})
+        feats = features.data if isinstance(features, Tensor) else features
+        video, frames = model.add_positional(model.project_input(feats))
+        acts = LayerActivations()
+        for layer in range(1, self.config.num_layers + 1):
+            divide, conquer = [], []
+            frames, clips, video = model.dctr_layer(layer, frames, video, (divide, conquer))
+            clip_len = self.config.base_clip_len * 2 ** (layer - 1)
+            acts.clip_boundaries.append(split_clips(len(feats), clip_len))
+            acts.frame_embeddings.append(frames.data)
+            acts.clip_embeddings.append(clips.data)
+            acts.video_embeddings.append(video.data)
+            acts.divide_attention.append(divide)
+            acts.conquer_attention.append(conquer[0])
+        return acts
 
     def predict(self, features) -> float:
         """Plain inference: scalar score with no graph recorded."""
-        score, _ = self.forward(features)
-        return score.item()
+        return self.forward(features).item()

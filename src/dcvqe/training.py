@@ -128,7 +128,7 @@ def adam_step(named_params: Sequence[tuple[str, Tensor]], state: AdamState, lr: 
 
 
 def _batch_predictions(model: DCVQEModel, batch: Sequence[FeatureSequence]) -> Tensor:
-    return ad.concat_rows([model.forward(seq.features)[0] for seq in batch])
+    return ad.concat_rows([model.forward(seq.features) for seq in batch])
 
 
 def train_epoch(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
@@ -224,7 +224,8 @@ def save_checkpoint(path, cp: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a file written by ``save_checkpoint``. A malformed header, a short
+    """Read a file written by ``save_checkpoint``. A malformed header (counters
+    that are not integers >= 0, a NaN loss, JSON nested too deeply), a short
     or over-long payload and a non-finite value in ``params``, ``adam_m`` or
     ``adam_v`` each raise ``FormatError`` at the offending byte offset. The
     header's ``params`` must list ``parameter_shapes`` of its config exactly
@@ -256,10 +257,12 @@ def load_checkpoint(path) -> Checkpoint:
             if json.dumps(entry, sort_keys=True) != json.dumps(want, sort_keys=True):
                 raise ValueError(f"parameter {i} of the header is {entry}, but the config "
                                  f"lays out {want}")
-        adam_step = int(header["adam_step"])
-        best_val_loss = float(header["best_val_loss"])
-        epoch = int(header["epoch"])
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        adam_step, epoch, loss = header["adam_step"], header["epoch"], header["best_val_loss"]
+        if not all(type(n) is int and n >= 0 for n in (adam_step, epoch)):
+            raise ValueError(f"adam_step {adam_step!r} and epoch {epoch!r} must be integers >= 0")
+        if type(loss) not in (int, float) or math.isnan(loss):  # Infinity: no epoch ran
+            raise ValueError(f"best_val_loss must be a number other than NaN, got {loss!r}")
+    except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise data_io.FormatError(f"corrupt checkpoint header: {exc!r}", offset=12) from exc
     offset = 12 + header_len
     groups = []
@@ -283,7 +286,7 @@ def load_checkpoint(path) -> Checkpoint:
     if offset != len(raw):
         raise data_io.FormatError(f"{len(raw) - offset} trailing bytes", offset=offset)
     return Checkpoint(config=cfg, params=groups[0], adam_m=groups[1], adam_v=groups[2],
-                      adam_step_count=adam_step, best_val_loss=best_val_loss, epoch=epoch)
+                      adam_step_count=adam_step, best_val_loss=float(loss), epoch=epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +410,7 @@ def gradcheck_suite(seed: int = 0, h: float = 1e-5,
     loss_cfg = LossConfig(alpha=0.7, beta=0.3, variant="correlation")
 
     def objective() -> Tensor:
-        preds = ad.concat_rows([model.forward(v)[0] for v in videos])
+        preds = ad.concat_rows([model.forward(v) for v in videos])
         return total_loss(preds, targets, loss_cfg)
 
     return ad.gradient_check(objective, model.parameters(), h=h)

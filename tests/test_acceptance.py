@@ -16,8 +16,8 @@ from dcvqe import data as data_io
 from dcvqe.autodiff import Tensor
 from dcvqe.data import SplitSpec
 from dcvqe.losses import LossConfig, correlation_loss, total_loss
-from dcvqe.model import (AttentionCost, AttentionMask, AttentionProjections,
-                         DCVQEConfig, DCVQEModel, transformer_c, transformer_d)
+from dcvqe.model import (AttentionCost, AttentionMask, DCVQEConfig, DCVQEModel,
+                         transformer_c, transformer_d)
 from dcvqe.training import (TrainConfig, evaluate, fit, gradcheck_suite,
                             run_repetitions, save_checkpoint)
 from oracles import correlation_loss_raw, linear_probe
@@ -114,7 +114,7 @@ def test_criterion_05_mask_properties():
                       base_clip_len=8, temporal_range=2, max_seq_len=32)
     model = DCVQEModel.initialize(cfg, seed=0, init_scale=0.1)
     feats = np.random.default_rng(2).normal(size=(20, 8))
-    _, acts = model.forward(feats, record_attention=True)
+    acts = model.record(feats)
 
     ok = True
     for layer_weights, layer_bounds in zip(acts.divide_attention, acts.clip_boundaries):
@@ -135,9 +135,7 @@ def test_criterion_05_mask_properties():
 
 def test_criterion_06_permutation_invariance():
     rng = np.random.default_rng(3)
-    proj = AttentionProjections(Tensor(rng.normal(0, 0.5, (16, 16))),
-                                Tensor(rng.normal(0, 0.5, (16, 16))),
-                                Tensor(rng.normal(0, 0.5, (16, 16))))
+    proj = tuple(Tensor(rng.normal(0, 0.5, (16, 16))) for _ in range(3))
     clips = rng.normal(size=(8, 16))
     base = transformer_c(proj, 4, Tensor(clips)).data
     worst = 0.0
@@ -155,13 +153,12 @@ def test_criterion_07_architecture_arithmetic_and_residual_asymmetry():
     cfg = DCVQEConfig(input_dim=4, model_dim=16, num_heads=4, num_layers=3,
                       base_clip_len=30, temporal_range=15, max_seq_len=600)
     model = DCVQEModel.initialize(cfg, seed=0, init_scale=0.05)
-    _, acts = model.forward(np.zeros((600, 4)), record=True)
+    acts = model.record(np.zeros((600, 4)))
     counts = [len(b) for b in acts.clip_boundaries]
     counts_ok = counts == [20, 10, 5]
 
     rng = np.random.default_rng(4)
-    zero = AttentionProjections(Tensor(np.zeros((16, 16))), Tensor(np.zeros((16, 16))),
-                                Tensor(np.zeros((16, 16))))
+    zero = (Tensor(np.zeros((16, 16))),) * 3
     video = Tensor(rng.normal(size=(1, 16)))
     frames = Tensor(rng.normal(size=(10, 16)))
     clip_qe, out_frames = transformer_d(zero, 4, video, frames,

@@ -184,6 +184,27 @@ class TestExitCodes:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("parser", ["checkpoint", "config", "manifest"])
+    def test_deeply_nested_json_is_two(self, tmp_path, dataset_dir, trained_checkpoint,
+                                       parser, capsys):
+        nested = b"[" * 100_000 + b"]" * 100_000
+        bad = tmp_path / "nested"
+        manifest = str(dataset_dir / "manifest.jsonl")
+        if parser == "checkpoint":
+            bad.write_bytes(b"DCKP" + struct.pack("<II", 1, len(nested)) + nested)
+            argv = ["predict", "--checkpoint", bad, dataset_dir / "synth00000.dcvq"]
+        elif parser == "config":  # read by train --config
+            bad.write_bytes(nested)
+            argv = ["train", "--manifest", manifest, "--out", tmp_path / "x.ckpt",
+                    "--config", bad]
+        else:  # the manifest's first line, read by eval
+            bad.write_bytes(nested + b"\n")
+            argv = ["eval", "--manifest", bad, "--checkpoint", trained_checkpoint]
+        assert main([str(a) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err and "data error" in err
+        assert not (tmp_path / "x.ckpt").exists()
+
     @pytest.mark.parametrize("edit", [
         lambda h: h["config"].update(extra=1),
         lambda h: h.pop("params"),
@@ -444,6 +465,19 @@ class TestDumpEmbeddings:
         for row in rows:
             assert len(row["embedding"]) == 8
             assert set(row) == {"video_id", "mos", "embedding"}
+
+    def test_each_line_is_the_embedding_that_the_regressor_scores(self, tmp_path, dataset_dir,
+                                                                  trained_checkpoint, capsys):
+        out = tmp_path / "emb.jsonl"
+        manifest = data_io.load_manifest(dataset_dir / "manifest.jsonl")
+        assert main(["dump-embeddings", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                     "--checkpoint", str(trained_checkpoint), "--out", str(out)]) == 0
+        model = load_checkpoint(trained_checkpoint).build_model()
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [row["video_id"] for row in rows] == [e.video_id for e in manifest.entries]
+        for row, seq in zip(rows, data_io.load_sequences(manifest, max_len=12)):
+            # JSON floats round-trip exactly, so this compares every bit
+            assert row["embedding"] == model.embed(seq.features).data.reshape(-1).tolist()
 
 
 class TestAblate:

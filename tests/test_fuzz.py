@@ -4,8 +4,9 @@ config files: a valid file cut short or with one byte changed either loads
 or raises ``FormatError`` (CLI exit 2), never anything else, and valid files
 round-trip. A config file may also fail a dataclass range check, a
 ``ValueError`` that the CLI reports with exit 2 as well. ``predict`` runs on
-checkpoints whose header values are replaced with hostile ones and exits
-with a documented code."""
+checkpoints whose header values are replaced with hostile ones, and
+``dump-embeddings`` on cut and changed manifests and checkpoints; both exit
+with a documented code and print no traceback."""
 
 import contextlib
 import dataclasses
@@ -204,6 +205,44 @@ def test_predict_on_a_hostile_checkpoint_header(scratch, checkpoint_bytes, data)
         code = main(["predict", "--checkpoint", str(ckpt), str(scratch / "predict.dcvq")])
     assert code in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def dump_manifest_bytes(scratch):
+    """A manifest of three videos of ``CONFIG``'s width whose files exist."""
+    rng = np.random.default_rng(4)
+    entries = []
+    for i, frames in enumerate((3, 7, CONFIG.max_seq_len + 2)):
+        rows = rng.normal(size=(frames, CONFIG.input_dim))
+        write_features(scratch / f"dump{i}.dcvq", FeatureSequence(f"d{i}", rows, 2.0 + i))
+        entries.append(ManifestEntry(f"d{i}", f"dump{i}.dcvq", 2.0 + i))
+    save_manifest(DatasetManifest(entries, 1.0, 5.0, scratch), scratch / "dump.jsonl")
+    return (scratch / "dump.jsonl").read_bytes()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_dump_embeddings_on_cut_and_changed_inputs(scratch, checkpoint_bytes,
+                                                   dump_manifest_bytes, data):
+    files = {"manifest": dump_manifest_bytes, "checkpoint": checkpoint_bytes}
+    which = data.draw(st.sampled_from(sorted(files)))
+    raw = files[which]
+    if data.draw(st.booleans()):
+        files[which] = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        focus = raw.index(b"\n") if which == "manifest" else header_end(raw)
+        files[which] = changed_byte(data, raw, focus)
+    (scratch / "dump.jsonl").write_bytes(files["manifest"])
+    (scratch / "dump.ckpt").write_bytes(files["checkpoint"])
+    out = scratch / "embeddings.jsonl"
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["dump-embeddings", "--manifest", str(scratch / "dump.jsonl"),
+                     "--checkpoint", str(scratch / "dump.ckpt"), "--out", str(out)])
+    assert code in (0, 1, 2, 3), stderr.getvalue()
+    assert "Traceback" not in stdout.getvalue() + stderr.getvalue()
+    assert out.exists() == (code == 0), (code, stderr.getvalue())
 
 
 @FUZZ

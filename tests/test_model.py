@@ -14,9 +14,9 @@ from dcvqe import autodiff as ad
 from dcvqe.autodiff import Tensor
 from dcvqe.data import FeatureSequence
 from dcvqe.losses import LossConfig, total_loss
-from dcvqe.model import (AttentionCost, AttentionMask, AttentionProjections,
-                         DCVQEConfig, DCVQEModel, SequenceLengthError, parameter_shapes,
-                         split_clips, transformer_c, transformer_d)
+from dcvqe.model import (AttentionCost, AttentionMask, DCVQEConfig, DCVQEModel,
+                         SequenceLengthError, parameter_shapes, split_clips, transformer_c,
+                         transformer_d)
 from dcvqe.training import TINY_CONFIG, AdamState, Checkpoint, save_checkpoint
 from oracles import initial_params
 
@@ -36,10 +36,7 @@ def zero_model(config=TINY):
 
 
 def random_projections(rng, dim, scale=0.5):
-    return AttentionProjections(
-        Tensor(rng.normal(0, scale, (dim, dim)), requires_grad=True),
-        Tensor(rng.normal(0, scale, (dim, dim)), requires_grad=True),
-        Tensor(rng.normal(0, scale, (dim, dim)), requires_grad=True))
+    return tuple(Tensor(rng.normal(0, scale, (dim, dim)), requires_grad=True) for _ in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +163,7 @@ class TestTransformerD:
     def test_zero_weights_is_identity(self):
         rng = np.random.default_rng(1)
         dim = 8
-        proj = AttentionProjections(Tensor(np.zeros((dim, dim))),
-                                    Tensor(np.zeros((dim, dim))),
-                                    Tensor(np.zeros((dim, dim))))
+        proj = (Tensor(np.zeros((dim, dim))),) * 3
         video = Tensor(rng.normal(size=(1, dim)))
         frames = Tensor(rng.normal(size=(5, dim)))
         sink = []
@@ -236,7 +231,7 @@ class TestSoftmaxFallback:
             for p in model.parameters():
                 p.zero_grad()
             with ad.Graph() as graph:
-                preds = ad.concat_rows([model.forward(v)[0] for v in videos])
+                preds = ad.concat_rows([model.forward(v) for v in videos])
                 loss = total_loss(preds, mos, LossConfig(0.7, 0.3))
             ad.backward(loss, graph)
             return loss.item(), preds.data.copy(), {n: p.grad for n, p in
@@ -260,7 +255,7 @@ class TestTapeSize:
         rng = np.random.default_rng(8)
         videos = [rng.normal(size=(int(n), 64)) for n in rng.integers(60, 301, size=16)]
         with ad.Graph() as graph:
-            preds = ad.concat_rows([model.forward(v)[0] for v in videos])
+            preds = ad.concat_rows([model.forward(v) for v in videos])
             loss = total_loss(preds, Tensor(rng.uniform(1, 5, (16, 1))), LossConfig(0.7, 0.3))
         ops = [node.op for node in graph.nodes]
         assert len(ops) == 254
@@ -277,7 +272,7 @@ class TestTapeSize:
         tracemalloc.start()
         try:
             with ad.Graph() as graph:
-                score, _ = model.forward(rows)
+                score = model.forward(rows)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -298,7 +293,7 @@ class TestTransformerC:
         proj = random_projections(rng, 8)
         x = rng.normal(size=(1, 8))
         out = transformer_c(proj, 2, Tensor(x))
-        np.testing.assert_allclose(out.data, x @ proj.value.data, atol=1e-12)
+        np.testing.assert_allclose(out.data, x @ proj[2].data, atol=1e-12)
 
     def test_identical_rows_pool_to_common_row(self):
         rng = np.random.default_rng(5)
@@ -306,7 +301,7 @@ class TestTransformerC:
         row = rng.normal(size=(1, 8))
         x = np.repeat(row, 5, axis=0)
         out = transformer_c(proj, 2, Tensor(x))
-        np.testing.assert_allclose(out.data, row @ proj.value.data, atol=1e-12)
+        np.testing.assert_allclose(out.data, row @ proj[2].data, atol=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
@@ -320,9 +315,7 @@ class TestTransformerC:
 
     def test_zero_weights_not_identity(self):
         dim = 8
-        proj = AttentionProjections(Tensor(np.zeros((dim, dim))),
-                                    Tensor(np.zeros((dim, dim))),
-                                    Tensor(np.zeros((dim, dim))))
+        proj = (Tensor(np.zeros((dim, dim))),) * 3
         x = np.random.default_rng(7).normal(size=(3, dim))
         out = transformer_c(proj, 2, Tensor(x)).data
         assert np.array_equal(out, np.zeros((1, dim)))  # no residual path
@@ -381,7 +374,7 @@ class TestForward:
         model.params["regressor.bias"].data[:] = 2.25
         rng = np.random.default_rng(11)
         for _ in range(3):
-            score, _ = model.forward(rng.normal(size=(int(rng.integers(1, 16)), 12)))
+            score = model.forward(rng.normal(size=(int(rng.integers(1, 16)), 12)))
             assert score.item() == 2.25
 
     def test_deterministic(self):
@@ -398,9 +391,9 @@ class TestForward:
         seq = FeatureSequence("v", np.random.default_rng(22).normal(size=(frames, input_dim)),
                               2.0)
         assert seq.features.dtype == np.float32
-        score32, acts32 = model.forward(seq.features, record=True)
-        score64, acts64 = model.forward(seq.features.astype(np.float64), record=True)
-        assert np.array_equal(score32.data, score64.data)
+        wide = seq.features.astype(np.float64)
+        assert np.array_equal(model.forward(seq.features).data, model.forward(wide).data)
+        acts32, acts64 = model.record(seq.features), model.record(wide)
         for a32, a64 in zip(acts32.frame_embeddings, acts64.frame_embeddings):
             assert np.array_equal(a32, a64)
 
@@ -419,21 +412,21 @@ class TestForward:
         cfg = DCVQEConfig(input_dim=4, model_dim=8, num_heads=2, num_layers=3,
                           base_clip_len=30, temporal_range=15, max_seq_len=600)
         model = make_model(cfg, scale=0.05)
-        _, acts = model.forward(np.zeros((600, 4)), record=True)
+        acts = model.record(np.zeros((600, 4)))
         assert [len(b) for b in acts.clip_boundaries] == [20, 10, 5]
-        _, acts = model.forward(np.zeros((10, 4)), record=True)
+        acts = model.record(np.zeros((10, 4)))
         assert [len(b) for b in acts.clip_boundaries] == [1, 1, 1]
 
     def test_short_sequence_single_clip(self):
         model = make_model()
-        _, acts = model.forward(np.random.default_rng(14).normal(size=(2, 12)), record=True)
+        acts = model.record(np.random.default_rng(14).normal(size=(2, 12)))
         assert acts.clip_boundaries[0] == [(0, 2)]
         assert acts.clip_embeddings[0].shape == (1, 8)
 
     def test_activation_shapes(self):
         model = make_model()
         s = 10
-        _, acts = model.forward(np.random.default_rng(15).normal(size=(s, 12)), record=True)
+        acts = model.record(np.random.default_rng(15).normal(size=(s, 12)))
         for layer in range(2):
             assert acts.frame_embeddings[layer].shape == (s, 8)
             assert acts.video_embeddings[layer].shape == (1, 8)
@@ -447,8 +440,9 @@ class TestForward:
 
 
 class TestObservation:
-    """The final layer evaluates its clip rows only; the record's full
-    evaluation of that layer must not leak into the score."""
+    """``forward`` is the regression of ``embed``, whose final layer evaluates
+    its clip rows only; ``record`` evaluates every layer in full, off the
+    tape, and must not change a score."""
 
     @pytest.mark.parametrize("input_dim,model_dim,frames", [
         (64, 32, 1), (64, 32, 31), (64, 32, 121), (64, 32, 600), (4096, 128, 300)])
@@ -458,25 +452,36 @@ class TestObservation:
         model = make_model(cfg, seed=31, scale=0.3)
         feats = np.random.default_rng(32).normal(size=(frames, input_dim))
         want = model.predict(feats)
-        for observe in ({"record": True}, {"record_attention": True},
-                        {"cost": AttentionCost()}):
-            score, _ = model.forward(feats, **observe)
-            assert np.array_equal(score.data, [[want]]), observe
+        acts = model.record(feats)
+        score = model.forward(feats, cost=AttentionCost())
+        assert np.array_equal(score.data, [[want]])
+        embedding = model.embed(feats)
+        regressed = ad.linear(embedding, model.params["regressor.weight"],
+                              model.params["regressor.bias"])
+        assert np.array_equal(regressed.data, score.data)
+        # the full final layer agrees with the clip-row path to rounding
+        np.testing.assert_allclose(acts.video_embeddings[-1], embedding.data,
+                                   rtol=1e-12, atol=1e-12 * np.abs(embedding.data).max())
 
     def test_final_layer_records_clip_rows_and_keeps_full_activations(self):
         model = make_model()
         feats = np.random.default_rng(33).normal(size=(10, 12))
         with ad.Graph() as graph:
-            _, acts = model.forward(feats, record_attention=True)
+            model.forward(feats)
+            ops = [node.op for node in graph.nodes]
+            acts = model.record(feats)
+        assert [node.op for node in graph.nodes] == ops
         divides = [node for node in graph.nodes if node.op == "divide_attention"]
         assert [len(node.outputs) for node in divides] == [2, 1]
         # the record's final frames are those of a full evaluation of that layer
-        proj = model._projections(2, "divide")
-        _, want = ad.divide_attention(Tensor(acts.frame_embeddings[0]),
-                                      Tensor(acts.video_embeddings[0]), proj.query, proj.key,
-                                      proj.value, 2, 8, AttentionMask.banded(9, 2).admissible)
+        wq, wk, wv = model._projections(2, "divide")
+        clips, want = ad.divide_attention(Tensor(acts.frame_embeddings[0]),
+                                          Tensor(acts.video_embeddings[0]), wq, wk, wv, 2, 8,
+                                          AttentionMask.banded(9, 2).admissible)
         assert np.array_equal(acts.frame_embeddings[-1], want.data)
+        assert np.array_equal(acts.clip_embeddings[-1], clips.data)
         assert [w.shape for w in acts.divide_attention[-1]] == [(2, 9, 9), (2, 3, 3)]
+        assert [w.shape for w in acts.conquer_attention] == [(2, 3, 3), (2, 2, 2)]
 
 
 class TestLocality:
@@ -486,11 +491,11 @@ class TestLocality:
         model = make_model(cfg, seed=3)
         rng = np.random.default_rng(16)
         feats = rng.normal(size=(16, 6))
-        _, base = model.forward(feats, record=True)
+        base = model.record(feats)
         t = 4  # inside the first clip (frames 0..7)
         bumped = feats.copy()
         bumped[t] += 1.0
-        _, pert = model.forward(bumped, record=True)
+        pert = model.record(bumped)
         changed = np.flatnonzero(
             np.abs(base.frame_embeddings[0] - pert.frame_embeddings[0]).max(axis=1))
         expected = {i for i in range(8) if abs(i - t) <= 2}
@@ -502,9 +507,7 @@ class TestResidualAsymmetry:
     def test_divide_identity_conquer_not(self):
         rng = np.random.default_rng(17)
         dim = 8
-        zero = AttentionProjections(Tensor(np.zeros((dim, dim))),
-                                    Tensor(np.zeros((dim, dim))),
-                                    Tensor(np.zeros((dim, dim))))
+        zero = (Tensor(np.zeros((dim, dim))),) * 3
         video = Tensor(rng.normal(size=(1, dim)))
         frames = Tensor(rng.normal(size=(6, dim)))
         clip_qe, out = transformer_d(zero, 2, video, frames, AttentionMask.banded(7, 2))

@@ -221,6 +221,34 @@ class TestTrainEpoch:
 
         assert run() == run()
 
+    def test_recording_between_steps_changes_no_bit(self, small_splits, tmp_path):
+        # one train_epoch over a single batch is one step; the observed run
+        # calls record between steps, on the model it trains
+        train_seqs, _, _ = small_splits
+        cfg = small_train_cfg()
+        runs = []
+        for observe in (False, True):
+            model = DCVQEModel.initialize(SMALL_CFG, seed=5)
+            state = AdamState.for_model(model)
+            losses = []
+            for step in range(3):
+                batch = train_seqs[step * cfg.batch_size:(step + 1) * cfg.batch_size]
+                losses.append(train_epoch(model, batch, cfg, state, step))
+                if observe:
+                    acts = model.record(train_seqs[step].features)
+                    assert len(acts.video_embeddings) == SMALL_CFG.num_layers
+            path = tmp_path / f"observed{observe}.ckpt"
+            save_checkpoint(path, Checkpoint.snapshot(model, state, 0.5, 3))
+            runs.append((losses, model, state, path.read_bytes()))
+        (losses, model, state, raw), (seen_losses, seen, seen_state, seen_raw) = runs
+        assert losses == seen_losses and state.step == seen_state.step == 3
+        for name, p in model.named_parameters():
+            assert np.array_equal(p.data, seen.params[name].data)
+            assert np.array_equal(p.grad, seen.params[name].grad)
+            assert np.array_equal(state.m[name], seen_state.m[name])
+            assert np.array_equal(state.v[name], seen_state.v[name])
+        assert raw == seen_raw
+
     def test_empty_training_set_rejected(self):
         model = DCVQEModel.initialize(SMALL_CFG, seed=0)
         with pytest.raises(ValueError):
@@ -419,9 +447,36 @@ class TestCheckpointIO:
         path = tmp_path / "i.ckpt"
         save_checkpoint(path, self.make_checkpoint())
         self.rewrite_header(path, lambda h: h.update({field: math.inf}))
-        with pytest.raises(data_io.FormatError, match="OverflowError") as err:
+        with pytest.raises(data_io.FormatError, match="must be integers >= 0") as err:
             load_checkpoint(path)
         assert err.value.offset == 12
+
+    @pytest.mark.parametrize("edit", [{"adam_step": 2.5}, {"epoch": -4},
+                                      {"best_val_loss": "nan"}, {"best_val_loss": math.nan},
+                                      {"adam_step": True}, {"epoch": None}],
+                             ids=["fractional_step", "negative_epoch", "text_nan_loss",
+                                  "nan_loss", "bool_step", "null_epoch"])
+    def test_counter_or_loss_of_the_wrong_kind_rejected_at_the_header(self, tmp_path, edit):
+        path = tmp_path / "k.ckpt"
+        save_checkpoint(path, self.make_checkpoint())
+        self.rewrite_header(path, lambda h: h.update(edit))
+        with pytest.raises(data_io.FormatError, match=next(iter(edit))) as err:
+            load_checkpoint(path)
+        assert err.value.offset == 12
+
+    @pytest.mark.parametrize("epochs", [2, 0], ids=["trained", "no_epoch_infinite_loss"])
+    def test_trained_checkpoint_loads_and_saves_byte_identical(self, small_splits, tmp_path,
+                                                               epochs):
+        train_seqs, val_seqs, _ = small_splits
+        model = DCVQEModel.initialize(SMALL_CFG, seed=6)
+        result = fit(model, train_seqs, val_seqs, small_train_cfg(max_epochs=2),
+                     start_epoch=2 - epochs)
+        assert (result.best.best_val_loss == math.inf) == (epochs == 0)
+        for which, cp in (("best", result.best), ("final", result.final)):
+            first, second = tmp_path / f"{which}.ckpt", tmp_path / f"{which}-again.ckpt"
+            save_checkpoint(first, cp)
+            save_checkpoint(second, load_checkpoint(first))
+            assert first.read_bytes() == second.read_bytes(), which
 
     def test_truncated_payload_rejected(self, tmp_path):
         cp = self.make_checkpoint()
@@ -472,7 +527,7 @@ class TestEvaluate:
         model = fit(model, train_seqs, val_seqs, small_train_cfg(max_epochs=2)).best.build_model()
         report = evaluate(model, test_seqs)
 
-        preds = np.array([model.forward(s.features)[0].item() for s in test_seqs])
+        preds = np.array([model.forward(s.features).item() for s in test_seqs])
         truth = np.array([s.mos for s in test_seqs])
         assert math.isclose(report.srcc, scipy.stats.spearmanr(preds, truth).statistic,
                             rel_tol=1e-12)
