@@ -6,28 +6,26 @@ replays the tape in reverse to populate leaf gradients. ``gradient_check``
 compares analytic gradients against central finite differences and is the
 ground truth the rest of the package is validated against.
 
-Broadcasting is deliberately restricted to scalar-with-tensor and
-same-shape operands, with two exceptions: ``linear`` adds its bias row
-to every row, and the attention mask broadcasts to the scores. Anything
-else needs an explicit reshape or slice. Every backward rule sums its
-gradient back to the shape of its input, so each stays a few lines and
-auditable. The tape keeps only the ops that the model, the losses and
-gradient checking use; ``linear`` is its one matrix product. ``linear``
-keeps a float32 ``x`` as it is: its float64 copy lives only inside the
-forward GEMM, and the weight gradient widens it one column block at a time.
-``backward`` sums the gradients that reach one tensor in place, in arrays
-that it allocated itself.
+The tape keeps only the ops that the model, the losses and gradient
+checking use, each one node with a hand-written backward: ``linear``,
+``positional``, ``divide_attention``, ``conquer_attention`` and
+``concat_rows`` here, and the loss node that ``losses.total_loss`` records
+through ``_record``. ``linear`` is the one matrix product. It keeps a
+float32 ``x`` as it is: its float64 copy lives only inside the forward GEMM,
+and the weight gradient widens it one column block at a time. ``backward``
+sums the gradients that reach one tensor in place, in arrays that it
+allocated itself.
 
-Two ops are fused, each recorded as a single tape node with a hand-written
-backward. ``attention`` is multi-head scaled dot-product attention over a
-batch of sequences (projections, masked softmax and weighted sum).
-``divide_attention`` is the whole divide stage of one video: it cuts the
-frames into clips, runs every ``[video; clip]`` sequence through the same
-attention, adds the residual, and returns two tensors, the clip embeddings
-and the updated frames (a node may have several outputs). Both share their
-projection, softmax and backward code. The masked softmax has one forward
-and one backward rule (``_softmax_forward``, ``_softmax_vjp``). When every
-logit lies within ``_EXP_SAFE`` of zero, the forward skips the row max and
+The attention ops share their projection, softmax and backward code.
+``conquer_attention`` is multi-head scaled dot-product attention over a
+batch of sequences (projections, masked softmax and weighted sum), pooled
+by the mean over each sequence's rows. ``divide_attention`` is the whole
+divide stage of one video: it cuts the frames into clips, runs every
+``[video; clip]`` sequence through the same attention, adds the residual,
+and returns two tensors, the clip embeddings and the updated frames (a node
+may have several outputs). The masked softmax has one forward and one
+backward rule (``_softmax_forward``, ``_softmax_vjp``). When every logit
+lies within ``_EXP_SAFE`` of zero, the forward skips the row max and
 differs from the shifted formula by rounding only; otherwise it takes the
 row max and the exponential over the admitted entries only, bit-identical
 to exponentiating ``-inf``. Masked entries are exact zeros and get exactly
@@ -98,10 +96,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 @dataclass
@@ -183,8 +177,8 @@ def backward(loss: Tensor, graph: Graph) -> None:
     memory order of its terms: adding F-ordered gradients into a C-ordered
     buffer costs several times a contiguous add. It never adds into an
     array that a rule returned: a rule may hand the same array to several
-    inputs (``add`` does). A leaf whose total is such an engine-owned sum,
-    C-ordered, takes it as its ``grad`` without a copy.
+    inputs. A leaf whose total is such an engine-owned sum, C-ordered, takes
+    it as its ``grad`` without a copy.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -280,99 +274,26 @@ def linear(x, w: Tensor, b: Tensor) -> Tensor:
     return _record("linear", (x, w, b) if is_tensor else (w, b), out, bw)
 
 
-def _binary_kind(a: Tensor, b: Tensor, op: str) -> None:
-    # only same-shape or scalar-with-tensor, the scalar having no more axes than
-    # the tensor, so the result has an operand's shape; anything else is an error
-    if (a.shape == b.shape or (a.size == 1 and a.data.ndim <= b.data.ndim)
-            or (b.size == 1 and b.data.ndim <= a.data.ndim)):
-        return
-    raise ShapeError(f"{op} supports same-shape or scalar operands, got {a.shape} and {b.shape}")
+def positional(frames: Tensor, video_token: Tensor, table: Tensor) -> tuple[Tensor, Tensor]:
+    """``video_token`` [1, D] plus row 0 of the positional ``table`` [L, D] and
+    ``frames`` [n, D] plus rows 1..n (n < L), one tape op with the two outputs
+    (video, frames). Its backward writes both gradients into one zero table."""
+    if (frames.data.ndim != 2 or video_token.shape != (1, frames.shape[1])
+            or table.shape[1:] != frames.shape[1:] or not 0 < frames.shape[0] < len(table.data)):
+        raise ShapeError(f"positional needs frames [n, D], video_token [1, D] and a table "
+                         f"[L, D] with n < L, got {frames.shape}, {video_token.shape} and "
+                         f"{table.shape}")
+    n = frames.shape[0]
 
+    def bw(g_video, g_frames):
+        d_table = np.zeros(table.shape)
+        d_table[:1] = g_video
+        d_table[1:n + 1] = g_frames
+        return g_frames, g_video, d_table
 
-def _reduce_to(g: np.ndarray, t: Tensor) -> np.ndarray:
-    # after _binary_kind, an operand of another shape than g is a scalar
-    return g if g.shape == t.shape else np.asarray(g.sum()).reshape(t.shape)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary_kind(a, b, "add")
-
-    def bw(g):
-        return (_reduce_to(g, a) if a.requires_grad else None,
-                _reduce_to(g, b) if b.requires_grad else None)
-
-    return _record("add", (a, b), a.data + b.data, bw)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_kind(a, b, "sub")
-
-    def bw(g):
-        return (_reduce_to(g, a) if a.requires_grad else None,
-                -_reduce_to(g, b) if b.requires_grad else None)
-
-    return _record("sub", (a, b), a.data - b.data, bw)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _binary_kind(a, b, "mul")
-
-    def bw(g):
-        return (_reduce_to(g * b.data, a) if a.requires_grad else None,
-                _reduce_to(g * a.data, b) if b.requires_grad else None)
-
-    return _record("mul", (a, b), a.data * b.data, bw)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _record("scale", (x,), x.data * c, lambda g: (g * c,))
-
-
-def mean_axis(x: Tensor, axis: int | None = None) -> Tensor:
-    """Mean over one axis (keepdims) or over all entries (axis=None, scalar)."""
-    if axis is None:
-        n = x.size
-        out = x.data.mean()
-
-        def bw(g):
-            return (np.full(x.shape, np.asarray(g).item() / n),)
-    else:
-        if not -x.data.ndim <= axis < x.data.ndim:
-            raise ShapeError(f"mean_axis axis {axis} out of range for shape {x.shape}")
-        n = x.shape[axis]
-        out = x.data.mean(axis=axis, keepdims=True)
-
-        def bw(g):
-            return (np.broadcast_to(g / n, x.shape).copy(),)
-
-    return _record("mean_axis", (x,), out, bw)
-
-
-def max0(x: Tensor) -> Tensor:
-    """Rectifier max(0, x). Subgradient at 0 is defined as 0."""
-    pos = x.data > 0
-    return _record("max0", (x,), np.maximum(x.data, 0.0), lambda g: (g * pos,))
-
-
-def absolute(x: Tensor) -> Tensor:
-    """|x| with subgradient 0 at the kink."""
-    sign = np.sign(x.data)
-    return _record("absolute", (x,), np.abs(x.data), lambda g: (g * sign,))
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = np.float64(x.data.sum())
-    return _record("sum_all", (x,), out, lambda g: (np.full(x.shape, np.asarray(g).item()),))
-
-
-def softplus(x: Tensor) -> Tensor:
-    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)): one exponential,
-    which never overflows."""
-    z = x.data
-    out = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-    sig = 1.0 / (1.0 + np.exp(-np.clip(z, -700, 700)))
-    return _record("softplus", (x,), out, lambda g: (g * sig,))
+    return _record_many("positional", (frames, video_token, table),
+                        (video_token.data + table.data[:1], frames.data + table.data[1:n + 1]),
+                        bw)
 
 
 # Logits within +-_EXP_SAFE are exponentiated without the row max: exp(300)
@@ -516,9 +437,10 @@ def _attend(x: np.ndarray, ws: tuple[Tensor, Tensor, Tensor], num_heads: int,
     return out, p, vjp
 
 
-def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
-              admissible: np.ndarray | None, sink: list[np.ndarray] | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention as one tape op.
+def conquer_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
+                      admissible: np.ndarray | None,
+                      sink: list[np.ndarray] | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention pooled over its rows, one tape op.
 
     ``x`` is [..., n, D]: one sequence or a batch of equal-length sequences.
     The projections ``wq``, ``wk`` and ``wv`` are [D, D]; head h uses columns
@@ -526,21 +448,28 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
     are formed, and the scores go through the masked softmax
     (``_softmax_forward``) with ``admissible`` ([n, n], or any mask that
     broadcasts to the [..., H, n, n] scores; None admits every position).
-    ``sink`` receives one [H, n, n] weight array per sequence. The output is
-    [..., n, D] with the heads side by side along the feature axis; there is
-    no output projection.
+    ``sink`` receives one [H, n, n] weight array per sequence. The attention
+    output has the heads side by side along the feature axis and no output
+    projection; the op returns its mean over the n rows of each sequence,
+    [..., 1, D] ([1, D] for one sequence).
 
     The tape keeps only the attention weights, the per-head Q, K and V and
-    the output, and the backward is written out by hand: the input
-    gradient, and one GEMM over all rows for each projection gradient.
+    the unpooled output, and the backward is written out by hand: each row
+    gets 1/n of its pooled row's gradient, then the input gradient, and one
+    GEMM over all rows for each projection gradient.
     """
     ws = (wq, wk, wv)
     _check_attention(x, ws, num_heads)
     out, p, vjp = _attend(x.data, ws, num_heads, admissible)
     if sink is not None:
         sink.extend(p.reshape(-1, *p.shape[-3:]))
-    return _record("attention", (x, *ws), out.reshape(x.shape),
-                   lambda g: vjp(g.reshape(out.shape), x.data, x.requires_grad))
+
+    def bw(g):
+        rows = np.broadcast_to(g / x.shape[-2], x.shape).copy()
+        return vjp(rows.reshape(out.shape), x.data, x.requires_grad)
+
+    return _record("conquer_attention", (x, *ws),
+                   out.reshape(x.shape).mean(axis=-2, keepdims=True), bw)
 
 
 def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
@@ -552,10 +481,10 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
     ``frames`` [n, D] are cut into consecutive clips of ``clip_len`` frames;
     the last clip keeps the remainder and is never padded. Each clip c runs
     as the sequence [video; frames of c] (``video`` is [1, D]) through the
-    multi-head attention of ``attention`` with ``admissible``, the
-    [clip_len + 1, clip_len + 1] mask of a full clip (None admits every
-    position); a shorter last clip of m frames uses the leading
-    [m + 1, m + 1] block. The input sequence is added back (residual).
+    multi-head attention of ``conquer_attention``, unpooled, with
+    ``admissible``, the [clip_len + 1, clip_len + 1] mask of a full clip
+    (None admits every position); a shorter last clip of m frames uses the
+    leading [m + 1, m + 1] block. The input sequence is added back (residual).
     Returns the clip embeddings [C, D] (position 0 of each clip's output,
     the clip row) and the updated frames [n, D]. ``sink`` receives one
     [H, L, L] weight array per clip, in clip order.
@@ -664,26 +593,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
                      for i in range(len(parts)))
 
     return _record("concat_rows", tuple(parts), out, bw)
-
-
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim not in (1, 2):
-        raise ShapeError(f"slice_rows needs a 1-d or 2-d tensor, got {x.shape}")
-    if not 0 <= start < stop <= x.shape[0]:
-        raise ShapeError(f"row slice [{start}:{stop}] out of range for shape {x.shape}")
-    out = x.data[start:stop]
-
-    def bw(g):
-        full = np.zeros(x.shape)
-        full[start:stop] = g
-        return (full,)
-
-    return _record("slice_rows", (x,), out, bw)
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = x.data.reshape(shape)
-    return _record("reshape", (x,), out, lambda g: (g.reshape(x.shape),))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import autodiff as ad
 from . import data as data_io
-from .data import FormatError, SplitSpec
+from .data import FormatError
 from .losses import VARIANTS, LossConfig, TiedGroundTruthError
 from .metrics import DegenerateInputError
 from .model import DCVQEConfig, DCVQEModel
@@ -238,7 +238,7 @@ def _cmd_train(args) -> int:
     probe_dim = data_io.manifest_feature_dim(manifest)
     model_cfg = _model_config(args, file_cfg, input_dim=probe_dim)
     train_cfg = _train_config(args, file_cfg, seed)
-    tr_m, va_m, _ = data_io.split(manifest, SplitSpec(seed=seed))
+    tr_m, va_m, _ = data_io.split(manifest, seed)
     train_seqs = data_io.load_sequences(tr_m, max_len=model_cfg.max_seq_len)
     val_seqs = data_io.load_sequences(va_m, max_len=model_cfg.max_seq_len)
     model = DCVQEModel.initialize(model_cfg, seed=seed)
@@ -265,7 +265,7 @@ def _cmd_eval(args) -> int:
     cp = load_checkpoint(args.checkpoint)
     manifest = data_io.load_manifest(args.manifest)
     if args.split != "all":
-        parts = data_io.split(manifest, SplitSpec(seed=seed))
+        parts = data_io.split(manifest, seed)
         manifest = dict(zip(("train", "val", "test"), parts))[args.split]
     data_io.manifest_feature_dim(manifest)
     seqs = data_io.load_sequences(manifest, max_len=cp.config.max_seq_len)

@@ -265,19 +265,14 @@ def load_sequences(manifest: DatasetManifest, max_len: int | None = None) -> lis
     return seqs
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    seed: int = 0
-
-
 def split(manifest: DatasetManifest,
-          spec: SplitSpec) -> tuple[DatasetManifest, DatasetManifest, DatasetManifest]:
+          seed: int) -> tuple[DatasetManifest, DatasetManifest, DatasetManifest]:
     """Seeded shuffle, then contiguous 60/20/20 cuts at floor(0.6*n) and
     floor((0.6+0.2)*n). Deterministic, disjoint, covering."""
     n = len(manifest.entries)
     if n < 5:
         raise ValueError(f"split needs at least 5 entries, got {n}")
-    perm = np.random.default_rng(spec.seed).permutation(n)
+    perm = np.random.default_rng(seed).permutation(n)
     cut1 = math.floor(0.6 * n)
     cut2 = math.floor((0.6 + 0.2) * n)
     shuffled = [manifest.entries[i] for i in perm]

@@ -4,6 +4,16 @@ The correlation penalty rewards predictions whose deviations from the batch
 mean agree in sign with the ground-truth deviations; it is an unnormalized
 Spearman-style order constraint, in the mean-deviation form, which equals
 the double-sum anchor form of the definition algebraically.
+
+``total_loss`` is one tape node with a numpy forward and one hand-written
+VJP per term; the ground truths are constants. For an incoming gradient c
+the VJPs sum in the order of the elementwise graph that the node replaced,
+whose bits they keep: L1 (c * alpha / N) * sign(p - g); correlation
+h = ((c * beta * N) * [hinge > 0]) * -1 * (g - mean(g)), then
+h + (-sum(h) / N) through the prediction mean; pwrl
+d = ((c * beta / P) * sigmoid(z)) * s over the P untied pairs, then
+(d.T @ select).T with the [P, N] pair selector. The order term's gradient
+comes first and the L1 gradient is added to it.
 """
 
 from __future__ import annotations
@@ -39,28 +49,93 @@ class LossConfig:
             raise ValueError(f"unknown loss variant {self.variant!r}, expected one of {VARIANTS}")
 
 
-def _as_column(x, what: str) -> Tensor:
-    t = ad.as_tensor(x)
-    if t.data.ndim == 1:
-        t = ad.reshape(t, (t.size, 1))
-    if t.data.ndim != 2 or t.shape[1] != 1:
+def _vector(x, what: str) -> Tensor:
+    t = x if isinstance(x, Tensor) else Tensor(x)
+    if not (t.data.ndim == 1 or t.data.ndim == 2 and t.shape[1] == 1):
         raise ad.ShapeError(f"{what} must be a vector, got shape {t.shape}")
     return t
 
 
-def _pair(p, g) -> tuple[Tensor, Tensor]:
-    pc = _as_column(p, "predictions")
-    gc = _as_column(g, "ground truths")
-    if pc.shape[0] != gc.shape[0]:
-        raise ad.ShapeError(f"length mismatch: {pc.shape[0]} predictions vs "
-                            f"{gc.shape[0]} ground truths")
-    return pc, gc
+# Each term returns its value, times its weight, and its VJP.
+def _l1_term(p: np.ndarray, g: np.ndarray, alpha: float):
+    diff = p - g
+    sign = np.sign(diff)
+
+    def vjp(c):
+        return np.full(p.shape, (c * alpha).item() / p.size) * sign
+
+    return np.abs(diff).mean() * alpha, vjp
+
+
+def _correlation_term(p: np.ndarray, g: np.ndarray, beta: float):
+    dev_g = g - g.mean()
+    hinge = (p - p.mean()) * dev_g * -1.0
+
+    def vjp(c):
+        h = np.full(p.shape, (c * beta * float(p.size)).item()) * (hinge > 0) * -1.0 * dev_g
+        return h + np.full(p.shape, -h.sum() / p.size)
+
+    return np.maximum(hinge, 0.0).sum() * float(p.size) * beta, vjp
+
+
+def _pairwise_term(p: np.ndarray, g: np.ndarray, beta: float):
+    n = len(p)
+    if n < 2:
+        raise ad.ShapeError(f"pairwise ranking loss needs >= 2 samples, got {n}")
+    gv = g.reshape(-1)
+    a, b = np.nonzero(gv[:, None] != gv[None, :])  # untied pairs in row-major order
+    if not a.size:
+        raise TiedGroundTruthError("all ground truths tied; no rankable pairs")
+    select = np.zeros((a.size, n))  # +1 at n and -1 at m in the row of pair (n, m)
+    rows = np.arange(a.size)
+    select[rows, a] = 1.0
+    select[rows, b] = -1.0
+    neg_sign = -np.sign(gv[a] - gv[b]).reshape(-1, 1)
+    z = (select @ p) * neg_sign
+    # softplus as max(z, 0) + log1p(exp(-|z|)) and its derivative: no exp overflows
+    softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    sigmoid = 1.0 / (1.0 + np.exp(-np.clip(z, -700, 700)))
+
+    def vjp(c):
+        d = np.full(z.shape, (c * beta).item() / z.size) * sigmoid * neg_sign
+        return (d.T @ select).T
+
+    return softplus.mean() * beta, vjp
+
+
+def total_loss(p, g, cfg: LossConfig) -> Tensor:
+    """Weighted combination alpha * L1 + beta * order term (per variant), as
+    one tape node with the predictions ``p`` as its input.
+
+    ``p`` and ``g`` are vectors ([N] or [N, 1]) of one length N >= 1. The
+    order term is left out when ``beta`` is 0 or the variant is "l1", and
+    the L1 term when ``alpha`` is 0, unless it is then the only term.
+    """
+    pt = _vector(p, "predictions")
+    pv = pt.data.reshape(-1, 1)
+    gv = _vector(g, "ground truths").data.reshape(-1, 1)
+    if len(pv) != len(gv) or not len(pv):
+        raise ad.ShapeError(f"the loss needs N >= 1 predictions and N ground truths, got "
+                            f"{len(pv)} and {len(gv)}")
+    order = cfg.variant != "l1" and cfg.beta > 0
+    terms = []
+    if cfg.alpha > 0 or not order:
+        terms.append(_l1_term(pv, gv, float(cfg.alpha)))
+    if order:
+        term = _correlation_term if cfg.variant == "correlation" else _pairwise_term
+        terms.append(term(pv, gv, float(cfg.beta)))
+    values, vjps = zip(*terms)
+
+    def bw(c):  # the order term's gradient first, then the L1 gradient added
+        grads = [vjp(c) for vjp in reversed(vjps)]
+        return (sum(grads[1:], grads[0]),)
+
+    return ad._record("total_loss", (pt,), sum(values[1:], values[0]), bw)
 
 
 def l1_loss(p, g) -> Tensor:
     """Mean absolute error; subgradient 0 where prediction equals target."""
-    pc, gc = _pair(p, g)
-    return ad.mean_axis(ad.absolute(ad.sub(pc, gc)), None)
+    return total_loss(p, g, LossConfig(alpha=1.0, beta=0.0, variant="l1"))
 
 
 def correlation_loss(p, g) -> Tensor:
@@ -68,56 +143,14 @@ def correlation_loss(p, g) -> Tensor:
 
     N * sum_n max(0, -(p_n - mean(p)) * (g_n - mean(g))). Gradient flows
     through the prediction mean. Zero exactly whenever p is a positive
-    affine transform of g. Note the N prefactor is kept, so the term scales
-    with batch size; tune its weight per batch size.
+    affine transform of g. The N prefactor makes the term scale with batch
+    size; tune its weight per batch size.
     """
-    pc, gc = _pair(p, g)
-    n = pc.shape[0]
-    dev_p = ad.sub(pc, ad.mean_axis(pc, None))
-    dev_g = ad.sub(gc, ad.mean_axis(gc, None))
-    hinge = ad.max0(ad.scale(ad.mul(dev_p, dev_g), -1.0))
-    return ad.scale(ad.sum_all(hinge), float(n))
+    return total_loss(p, g, LossConfig(alpha=0.0, beta=1.0))
 
 
 def pairwise_ranking_loss(p, g) -> Tensor:
-    """Cross-entropy pairwise ranking baseline.
-
-    Mean over ordered pairs (n, m), n != m, of
-    log(1 + exp(-sign(g_n - g_m) * (p_n - p_m))); pairs with tied ground
-    truths are skipped. The differences p_n - p_m come from one ``linear``
-    node: a [P, N] selector with +1 at n and -1 at m in each pair's row,
-    which is never differentiated, times the predictions [N, 1] as the
-    weight, plus a zero bias.
-    """
-    pc, gc = _pair(p, g)
-    n = pc.shape[0]
-    if n < 2:
-        raise ad.ShapeError(f"pairwise ranking loss needs >= 2 samples, got {n}")
-    gv = gc.data.reshape(-1)
-    a, b = np.nonzero(gv[:, None] != gv[None, :])  # untied pairs in row-major order
-    if not a.size:
-        raise TiedGroundTruthError("all ground truths tied; no rankable pairs")
-    select = np.zeros((a.size, n))
-    rows = np.arange(a.size)
-    select[rows, a] = 1.0
-    select[rows, b] = -1.0
-    neg_sign = Tensor(-np.sign(gv[a] - gv[b]).reshape(-1, 1))
-    diffs = ad.linear(select, pc, Tensor(np.zeros((1, 1))))
-    return ad.mean_axis(ad.softplus(ad.mul(diffs, neg_sign)), None)
-
-
-def total_loss(p, g, cfg: LossConfig) -> Tensor:
-    """Weighted combination alpha * L1 + beta * order term (per variant)."""
-    pc, gc = _pair(p, g)
-    terms = []
-    if cfg.alpha > 0:
-        terms.append(ad.scale(l1_loss(pc, gc), cfg.alpha))
-    if cfg.variant != "l1" and cfg.beta > 0:
-        order = correlation_loss if cfg.variant == "correlation" else pairwise_ranking_loss
-        terms.append(ad.scale(order(pc, gc), cfg.beta))
-    if not terms:
-        return ad.scale(l1_loss(pc, gc), 0.0)
-    out = terms[0]
-    for t in terms[1:]:
-        out = ad.add(out, t)
-    return out
+    """Cross-entropy pairwise ranking baseline: the mean over ordered pairs
+    (n, m), n != m, of log(1 + exp(-sign(g_n - g_m) * (p_n - p_m))); pairs
+    with tied ground truths are skipped."""
+    return total_loss(p, g, LossConfig(alpha=0.0, beta=1.0, variant="pwrl"))

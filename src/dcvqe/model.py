@@ -173,13 +173,13 @@ def transformer_c(proj: tuple[Tensor, Tensor, Tensor], num_heads: int, clip_qes:
                   attn_sink: list[np.ndarray] | None = None) -> Tensor:
     """Conquer-stage attention over the clip embeddings [C, D].
 
-    Unmasked multi-head attention (``autodiff.attention``, no output
-    projection, ``proj`` the (query, key, value) weights) with no residual
-    path, then average pooling over the clip axis. The pooled output is
-    invariant to any permutation of the input rows. ``attn_sink`` receives
-    the [H, C, C] attention weights.
+    Unmasked multi-head attention with no output projection (``proj`` the
+    (query, key, value) weights) and no residual path, then average pooling
+    over the clip axis: one ``autodiff.conquer_attention`` node. The pooled
+    output is invariant to any permutation of the input rows. ``attn_sink``
+    receives the [H, C, C] attention weights.
     """
-    return ad.mean_axis(ad.attention(clip_qes, *proj, num_heads, None, sink=attn_sink), axis=0)
+    return ad.conquer_attention(clip_qes, *proj, num_heads, None, sink=attn_sink)
 
 
 def parameter_shapes(config: DCVQEConfig) -> dict[str, tuple[int, ...]]:
@@ -248,16 +248,9 @@ class DCVQEModel:
         """Attach positional embeddings; index 0 is reserved for the video token.
 
         Returns (video embedding, frame embeddings); frame t gets table row t
-        (1-based).
+        (1-based). One ``autodiff.positional`` node.
         """
-        n = frames.shape[0]
-        if n > self.config.max_seq_len:
-            raise SequenceLengthError(f"sequence length {n} exceeds max_seq_len "
-                                      f"{self.config.max_seq_len}")
-        table = self.params["positional"]
-        video = ad.add(self.params["video_token"], ad.slice_rows(table, 0, 1))
-        frames = ad.add(frames, ad.slice_rows(table, 1, n + 1))
-        return video, frames
+        return ad.positional(frames, self.params["video_token"], self.params["positional"])
 
     def dctr_layer(self, layer: int, frames: Tensor, video_qe: Tensor,
                    sinks: tuple[list, list] | None = None

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import data as data_io
 from .autodiff import Graph, Tensor
-from .data import DatasetManifest, FeatureSequence, SplitSpec
+from .data import DatasetManifest, FeatureSequence
 from .losses import LossConfig, total_loss
 from .metrics import MetricsReport, compute_report, median_report
 from .model import DCVQEConfig, DCVQEModel, parameter_shapes
@@ -373,7 +373,7 @@ def run_repetitions(manifest: DatasetManifest, model_cfg: DCVQEConfig,
     runs = []
     for r in range(train_cfg.repetitions):
         seed_r = train_cfg.seed + r
-        tr_m, va_m, te_m = data_io.split(manifest, SplitSpec(seed=seed_r))
+        tr_m, va_m, te_m = data_io.split(manifest, seed_r)
         if len(te_m) < 2:  # same size in every repetition: fail before the first fit
             raise ValueError(f"evaluate needs >= 2 videos, got {len(te_m)}")
         train_seqs = data_io.load_sequences(tr_m, max_len=model_cfg.max_seq_len)

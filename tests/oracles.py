@@ -1,5 +1,6 @@
-"""Reference computations that only the tests use.
+"""Reference computations and a tape op that only the tests use.
 
+``weighted_sum`` is the scalar that engine and op tests differentiate.
 ``correlation_loss_raw`` is the double-sum anchor form of the order
 constraint, evaluated literally, against which the mean-deviation form of
 ``losses.correlation_loss`` is checked. ``linear_probe`` is a learnability
@@ -14,6 +15,26 @@ import numpy as np
 from dcvqe import autodiff as ad
 from dcvqe import metrics
 from dcvqe.data import DatasetManifest, load_sequences
+
+
+def weighted_sum(*terms, power: int = 1) -> ad.Tensor:
+    """sum_i sum(w_i * x_i ** power) over (tensor, constant weights) pairs,
+    recorded as one tape node. Each weight broadcasts to its tensor's shape.
+    A term that repeats (the same tensor with the same weight object) gets
+    the same gradient array each time, so the node hands one array to
+    several inputs, as a rule may."""
+    value = np.float64(0.0)
+    for x, w in terms:
+        value = value + (w * x.data ** power).sum()
+
+    def bw(g):
+        grads = {}
+        for x, w in terms:
+            if (id(x), id(w)) not in grads:
+                grads[id(x), id(w)] = g * power * w * x.data ** (power - 1)
+        return tuple(grads[id(x), id(w)] for x, w in terms)
+
+    return ad._record("weighted_sum", tuple(x for x, _ in terms), value, bw)
 
 
 def correlation_loss_raw(p, g) -> float:

@@ -14,7 +14,6 @@ import pytest
 from dcvqe import autodiff as ad
 from dcvqe import data as data_io
 from dcvqe.autodiff import Tensor
-from dcvqe.data import SplitSpec
 from dcvqe.losses import LossConfig, correlation_loss, total_loss
 from dcvqe.model import (AttentionCost, AttentionMask, DCVQEConfig, DCVQEModel,
                          transformer_c, transformer_d)
@@ -184,7 +183,7 @@ def test_criterion_08_synthetic_end_to_end(synth500):
                       base_clip_len=30, temporal_range=15, max_seq_len=600)
     train_cfg = TrainConfig(max_epochs=12, batch_size=16, learning_rate=1e-3,
                             loss=LossConfig(0.7, 0.3), seed=7)
-    tr, va, te = data_io.split(synth500, SplitSpec(seed=7))
+    tr, va, te = data_io.split(synth500, 7)
     train_seqs = data_io.load_sequences(tr, max_len=600)
     val_seqs = data_io.load_sequences(va, max_len=600)
     test_seqs = data_io.load_sequences(te, max_len=600)
@@ -259,7 +258,7 @@ def test_criterion_11_determinism(tmp_path_factory):
                       base_clip_len=4, temporal_range=2, max_seq_len=16)
     train_cfg = TrainConfig(max_epochs=2, batch_size=4, learning_rate=1e-3,
                             loss=LossConfig(0.7, 0.3), seed=9)
-    tr, va, _ = data_io.split(manifest, SplitSpec(seed=9))
+    tr, va, _ = data_io.split(manifest, 9)
     train_seqs = data_io.load_sequences(tr, max_len=16)
     val_seqs = data_io.load_sequences(va, max_len=16)
 

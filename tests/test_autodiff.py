@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from dcvqe import autodiff as ad
 from dcvqe.autodiff import (DegenerateMaskError, Graph, GraphError, ShapeError,
                             Tensor, backward, gradient_check)
+from dcvqe.losses import l1_loss
+from oracles import weighted_sum
 
 
 def matmul_oracle(a, b):
@@ -94,8 +96,22 @@ def fallback(monkeypatch):
     monkeypatch.setattr(ad, "_EXP_SAFE", 0.0)
 
 
+def attention_rows(x, ws, heads, mask):
+    """Unpooled multi-head attention of x [..., n, D] with the shifted
+    softmax: the output rows [..., n, D] and the weights [..., H, n, n]."""
+    *lead, n, dim = x.shape
+    d = dim // heads
+
+    def split(w):  # [..., n, D] @ [D, D] -> [..., H, n, d]
+        return (x @ w).reshape(*lead, n, heads, d).swapaxes(-2, -3)
+
+    wq, wk, wv = ws
+    attn = old_softmax(split(wq) @ split(wk).swapaxes(-1, -2) / math.sqrt(d), mask)
+    return (attn @ split(wv)).swapaxes(-2, -3).reshape(x.shape), attn
+
+
 def attention_vjp_reference(x, ws, heads, mask, g):
-    """Gradients of sum(g * attention(x)) for x [B, n, D] and projections
+    """Gradients of sum(g * attention_rows(x)) for x [B, n, D] and projections
     ``ws``, per sequence and head, with the softmax Jacobian of each row
     written out as diag(p) - p p^T."""
     batch, n, dim = x.shape
@@ -157,7 +173,7 @@ class TestMatmul:
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         with Graph() as g:
-            loss = ad.sum_all(product(a, b))
+            loss = weighted_sum((product(a, b), 1.0))
         backward(loss, g)
         np.testing.assert_allclose(
             a.grad, fd_grad(lambda x: (x @ b.data).sum(), a.data.copy()), atol=1e-8)
@@ -190,9 +206,9 @@ class TestLinear:
              "tensor": Tensor(rows, requires_grad=True, name="x")}[kind]
         w = Tensor(rng.normal(size=(4, 3)), requires_grad=True, name="w")
         b = Tensor(rng.normal(size=(1, 3)), requires_grad=True, name="b")
-        c = Tensor(rng.normal(size=(5, 3)))
+        c = rng.normal(size=(5, 3))
         params = [w, b, x] if kind == "tensor" else [w, b]
-        report = gradient_check(lambda: ad.sum_all(ad.mul(ad.linear(x, w, b), c)), params)
+        report = gradient_check(lambda: weighted_sum((ad.linear(x, w, b), c)), params)
         assert len(report.per_parameter) == len(params)
         assert report.passes(1e-4)
 
@@ -239,9 +255,9 @@ class TestLinear:
         rows = rng.standard_normal((600, 4096), dtype=np.float32)
         w = Tensor(rng.normal(scale=0.02, size=(4096, 128)), requires_grad=True)
         b = Tensor(np.zeros((1, 128)), requires_grad=True)
-        c = Tensor(rng.normal(size=(600, 128)))
+        c = rng.normal(size=(600, 128))
         with Graph() as graph:
-            loss = ad.sum_all(ad.mul(ad.linear(rows, w, b), c))
+            loss = weighted_sum((ad.linear(rows, w, b), c))
         tracemalloc.start()
         try:
             backward(loss, graph)
@@ -249,7 +265,7 @@ class TestLinear:
         finally:
             tracemalloc.stop()
         assert peak < 12e6
-        assert np.array_equal(w.grad, rows.astype(np.float64).T @ c.data)
+        assert np.array_equal(w.grad, rows.astype(np.float64).T @ c)
 
     @pytest.mark.parametrize("shapes", [[(3, 5), (4, 2), (1, 2)], [(3, 4), (4, 2), (3, 2)],
                                         [(3, 4), (4, 2), (2,)], [(4,), (4, 2), (1, 2)]])
@@ -322,100 +338,65 @@ class TestSoftmaxMasked:
             grad, fd_grad(lambda z: (old_softmax(z, mask) ** 2).sum(), x.copy()), atol=1e-8)
 
 
-class TestElementwise:
-    def test_max0_negative_branch(self):
-        assert ad.max0(Tensor([-3.5])).data[0] == 0.0
-
-    def test_mean_axis_all(self):
-        assert ad.mean_axis(Tensor([1.0, 2.0, 3.0])).item() == 2.0
-
-    def test_scalar_broadcast(self):
-        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        s = Tensor(10.0)
-        np.testing.assert_array_equal(ad.add(x, s).data, x.data + 10)
-        np.testing.assert_array_equal(ad.mul(s, x).data, 10 * x.data)
-
-    def test_incompatible_shapes_raise(self):
-        with pytest.raises(ShapeError):
-            ad.add(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))))
-        with pytest.raises(ShapeError):
-            ad.mul(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
-        with pytest.raises(ShapeError):  # a scalar with more axes would widen the result
-            ad.sub(Tensor(np.zeros((1, 1))), Tensor(np.zeros(3)))
-
-    def test_scalar_gradient_sums_the_broadcast(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        s = Tensor([[2.0]], requires_grad=True)
-        with Graph() as g:
-            loss = ad.sum_all(ad.mul(ad.sub(x, s), x))
-        backward(loss, g)
-        assert s.grad.shape == (1, 1) and s.grad[0, 0] == -x.data.sum()
-        assert np.array_equal(x.grad, 2 * x.data - 2.0)
-
-    def test_abs_and_sum(self):
-        x = Tensor([-1.0, 2.0, -3.0])
-        assert list(ad.absolute(x).data) == [1.0, 2.0, 3.0]
-        assert ad.sum_all(x).item() == -2.0
-
-    def test_structural_ops_roundtrip(self):
+class TestStructural:
+    def test_concat_rows_roundtrip(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 6))
-        t = Tensor(x)
-        np.testing.assert_array_equal(ad.slice_rows(t, 1, 3).data, x[1:3])
-        np.testing.assert_array_equal(
-            ad.concat_rows([ad.slice_rows(t, 0, 2), ad.slice_rows(t, 2, 4)]).data, x)
-        # column blocks split off as their own axis, as attention splits heads
-        blocks = ad.reshape(t, (4, 2, 3))
-        np.testing.assert_array_equal(blocks.data[:, 0], x[:, 0:3])
-        np.testing.assert_array_equal(blocks.data[:, 1], x[:, 3:6])
-        np.testing.assert_array_equal(ad.reshape(blocks, (4, 6)).data, x)
+        parts = [Tensor(x[:1], requires_grad=True), Tensor(x[1:]), Tensor(x[1:3], requires_grad=True)]
+        g = rng.normal(size=(6, 6))
+        with Graph() as graph:
+            out = ad.concat_rows(parts)
+        np.testing.assert_array_equal(out.data, np.vstack([x, x[1:3]]))
+        (node,) = graph.nodes
+        first, untracked, last = node.backward_fn(g)
+        assert np.array_equal(first, g[:1]) and untracked is None
+        assert np.array_equal(last, g[4:])
 
     def test_structural_ops_reject_bad_operands(self):
         t = Tensor(np.zeros((4, 6)))
         w = Tensor(np.zeros((6, 6)))
         with pytest.raises(ShapeError, match="divisible"):
-            ad.attention(t, w, w, w, 4, None)
+            ad.conquer_attention(t, w, w, w, 4, None)
         with pytest.raises(ShapeError, match="projections"):
-            ad.attention(t, w, w, Tensor(np.zeros((6, 3))), 2, None)
+            ad.conquer_attention(t, w, w, Tensor(np.zeros((6, 3))), 2, None)
         with pytest.raises(ShapeError, match="mask shape"):
-            ad.attention(t, w, w, w, 2, np.ones((3, 3), dtype=bool))
+            ad.conquer_attention(t, w, w, w, 2, np.ones((3, 3), dtype=bool))
+        with pytest.raises(ShapeError, match="equal widths"):
+            ad.concat_rows([t, w, Tensor(np.zeros((2, 5)))])
 
 
 class TestBackward:
     def test_grad_of_sum_is_ones(self):
         x = Tensor(np.random.default_rng(7).normal(size=(3, 5)), requires_grad=True)
         with Graph() as g:
-            loss = ad.sum_all(x)
+            loss = weighted_sum((x, 1.0))
         backward(loss, g)
         assert np.array_equal(x.grad, np.ones((3, 5)))
 
     def test_grad_of_square_sum(self):
         x = Tensor(np.random.default_rng(8).normal(size=(4,)), requires_grad=True)
         with Graph() as g:
-            loss = ad.sum_all(ad.mul(x, x))
+            loss = weighted_sum((x, 1.0), power=2)
         backward(loss, g)
         np.testing.assert_allclose(x.grad, 2 * x.data, rtol=1e-15)
 
     def test_composite_matches_finite_differences(self):
-        # two-layer expression: mean(max0(x @ w1) @ w2) with shared ops
+        # two-layer expression: mean(((x @ w1) @ w2) ** 2)
         rng = np.random.default_rng(9)
         x = rng.normal(size=(5, 4))
         w1 = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
         w2 = Tensor(rng.normal(size=(6, 1)), requires_grad=True)
 
         def run():
-            h = ad.max0(product(x, w1))
-            return ad.mean_axis(product(h, w2))
+            return weighted_sum((product(product(x, w1), w2), 1 / 5), power=2)
 
         ad.zero_grads([w1, w2])
         with Graph() as g:
             loss = run()
         backward(loss, g)
 
-        num1 = fd_grad(lambda w: float((np.maximum(x @ w, 0) @ w2.data).mean()),
-                       w1.data.copy())
-        num2 = fd_grad(lambda w: float((np.maximum(x @ w1.data, 0) @ w).mean()),
-                       w2.data.copy())
+        num1 = fd_grad(lambda w: float(((x @ w @ w2.data) ** 2).mean()), w1.data.copy())
+        num2 = fd_grad(lambda w: float(((x @ w1.data @ w) ** 2).mean()), w2.data.copy())
         for a, n in ((w1.grad, num1), (w2.grad, num2)):
             rel = np.abs(a - n) / np.maximum.reduce([np.abs(a), np.abs(n),
                                                      np.full_like(a, 1e-8)])
@@ -424,23 +405,25 @@ class TestBackward:
     def test_backward_twice_doubles_gradients(self):
         x = Tensor(np.random.default_rng(10).normal(size=(3, 3)), requires_grad=True)
         with Graph() as g:
-            loss = ad.sum_all(ad.mul(x, x))
+            loss = weighted_sum((x, 1.0), power=2)
         backward(loss, g)
         once = x.grad.copy()
         backward(loss, g)
         assert np.array_equal(x.grad, 2 * once)
 
     def test_in_place_sums_leave_the_rules_arrays_alone(self):
-        # add hands one array to both of its inputs; y = add(x, x) then gets a
-        # second and a third contribution, so the engine sums in place.
-        # Small integers keep every sum exact, whatever its order
+        # the sum node hands one array to both inputs of a repeated term: y
+        # and x each get it twice, and x then a third contribution through
+        # the product, so the engine sums in place. Small integers keep every
+        # sum exact, whatever its order
         rng = np.random.default_rng(14)
         x = Tensor(rng.integers(-4, 5, size=(2, 3)), requires_grad=True)
-        c = Tensor(rng.integers(-4, 5, size=(2, 3)))
+        w = Tensor(rng.integers(-4, 5, size=(3, 3)))
+        c, d = rng.integers(-4, 5, size=(2, 2, 3)).astype(float)
         returned = []
         with Graph() as graph:
-            y = ad.add(x, x)
-            loss = ad.sum_all(ad.add(ad.mul(y, c), ad.mul(ad.add(y, y), y)))
+            y = product(x, w)
+            loss = weighted_sum((y, c), (y, c), (x, d), (x, d))
         for node in graph.nodes:
             rule = node.backward_fn
 
@@ -450,8 +433,7 @@ class TestBackward:
                 return out
             node.backward_fn = keep
         backward(loss, graph)
-        gy = c.data + 4 * y.data  # d/dy of y*c + (y + y)*y
-        assert np.array_equal(x.grad, gy + gy)
+        assert np.array_equal(x.grad, d + d + (c + c) @ w.data.T)
         assert all(np.array_equal(r, kept) for r, kept in returned)
 
     def test_leaf_gradients_are_c_contiguous(self):
@@ -461,8 +443,7 @@ class TestBackward:
         rows = [rng.normal(size=(n, 256)) for n in (40, 7)]
         weights = [rng.normal(size=(n, 16)) for n in (40, 7)]
         with Graph() as g:
-            loss = ad.add(*[ad.sum_all(ad.mul(product(a, w), Tensor(c)))
-                            for a, c in zip(rows, weights)])
+            loss = weighted_sum(*[(product(a, w), c) for a, c in zip(rows, weights)])
         backward(loss, g)
         expected = rows[0].T @ weights[0] + rows[1].T @ weights[1]
         assert w.grad.flags.c_contiguous
@@ -477,7 +458,7 @@ class TestBackward:
         w = Tensor(rng.normal(size=(256, 16)), requires_grad=True)
         c = rng.normal(size=(33, 16))
         with Graph() as g:
-            loss = ad.sum_all(ad.mul(product(a, w), Tensor(c)))
+            loss = weighted_sum((product(a, w), c))
         backward(loss, g)
         assert w.grad.flags.c_contiguous
         assert np.array_equal(w.grad, a.T @ c)
@@ -485,7 +466,7 @@ class TestBackward:
     def test_non_scalar_loss_raises(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with Graph() as g:
-            y = ad.mul(x, x)
+            y = product(x, x)
         with pytest.raises(GraphError):
             backward(y, g)
 
@@ -498,16 +479,16 @@ class TestBackward:
         x = Tensor(np.ones(3), requires_grad=True)
         g = Graph()
         with g:
-            ad.sum_all(x)
+            weighted_sum((x, 1.0))
         n_inside = len(g)
-        ad.sum_all(x)
+        weighted_sum((x, 1.0))
         assert n_inside == 1 and len(g) == 1
 
     def test_constant_inputs_get_no_grad(self):
         const = Tensor(np.ones(3))
         x = Tensor(np.ones(3), requires_grad=True)
         with Graph() as g:
-            loss = ad.sum_all(ad.mul(x, const))
+            loss = weighted_sum((x, 1.0), (const, 1.0))
         backward(loss, g)
         assert const.grad is None
         assert x.grad is not None
@@ -518,7 +499,7 @@ class TestGradientCheck:
         theta = Tensor([3.0], requires_grad=True, name="theta")
 
         def f():
-            return ad.sum_all(ad.mul(theta, theta))
+            return weighted_sum((theta, 1.0), power=2)
 
         report = gradient_check(f, [theta], h=1e-5)
         assert report.per_parameter[0].max_rel_error < 1e-8
@@ -526,8 +507,8 @@ class TestGradientCheck:
     def test_kink_flagged_and_excluded(self):
         theta = Tensor([0.0], requires_grad=True, name="theta")
 
-        def f():
-            return ad.sum_all(ad.absolute(theta))
+        def f():  # |theta - 0|, the loss node's kink
+            return l1_loss(theta, [0.0])
 
         report = gradient_check(f, [theta], h=1e-5)
         assert report.per_parameter[0].flagged_nonsmooth == 1
@@ -538,7 +519,7 @@ class TestGradientCheck:
 
         def f():
             with np.errstate(over="ignore"):
-                return ad.sum_all(ad.mul(theta, theta))
+                return weighted_sum((theta, 1.0), power=2)
 
         with pytest.raises(FloatingPointError):
             gradient_check(f, [theta])
@@ -554,10 +535,10 @@ class TestGradientCheck:
     def test_batched_ops(self, op, shapes):
         rng = np.random.default_rng(12)
         params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
-        weights = Tensor(rng.normal(size=op(*params).shape))
+        weights = rng.normal(size=op(*params).shape)
 
         def f():
-            return ad.sum_all(ad.mul(op(*params), weights))
+            return weighted_sum((op(*params), weights))
 
         assert gradient_check(f, params, h=1e-6).max_rel_error <= 1e-4
 
@@ -570,7 +551,7 @@ def banded_mask(n: int, radius: int) -> np.ndarray:
     return mask
 
 
-class TestAttention:
+class TestConquerAttention:
     CLIPS, N, DIM, HEADS = 3, 5, 4, 2
 
     def operands(self, seed):
@@ -586,10 +567,10 @@ class TestAttention:
         if mask is not None:
             assert not mask.all(axis=0).all()  # some columns are masked in some rows
         x, ws = self.operands(21)
-        weights = Tensor(np.random.default_rng(22).normal(size=x.shape))
+        weights = np.random.default_rng(22).normal(size=(self.CLIPS, 1, self.DIM))
 
         def f():
-            return ad.sum_all(ad.mul(ad.attention(x, *ws, self.HEADS, mask), weights))
+            return weighted_sum((ad.conquer_attention(x, *ws, self.HEADS, mask), weights))
 
         report = gradient_check(f, [x, *ws], h=1e-6)
         assert [p.name for p in report.per_parameter] == ["x", "wq", "wk", "wv"]
@@ -602,36 +583,74 @@ class TestAttention:
     @pytest.mark.parametrize("path", ["fast", "fallback"])
     @pytest.mark.parametrize("mask", [banded_mask(5, 1), None], ids=["banded", "unmasked"])
     def test_vjp_matches_the_exact_jacobian(self, mask, path, request):
+        """Every row of a sequence gets 1/n of its pooled row's gradient."""
         if path == "fallback":
             request.getfixturevalue("fallback")
         x, ws = self.operands(24)
-        weights = np.random.default_rng(25).normal(size=x.shape)
+        weights = np.random.default_rng(25).normal(size=(self.CLIPS, 1, self.DIM))
         with Graph() as g:
-            loss = ad.sum_all(ad.mul(ad.attention(x, *ws, self.HEADS, mask), Tensor(weights)))
+            loss = weighted_sum((ad.conquer_attention(x, *ws, self.HEADS, mask), weights))
+        assert [node.op for node in g.nodes] == ["conquer_attention", "weighted_sum"]
         backward(loss, g)
         dx, dws = attention_vjp_reference(x.data, [w.data for w in ws], self.HEADS, mask,
-                                          weights)
+                                          np.broadcast_to(weights / self.N, x.shape))
         for got, want in zip((x, *ws), (dx, *dws)):
             assert_close_to_reference(got.grad, want)
 
     def test_forward_matches_composition(self):
-        x, (wq, wk, wv) = self.operands(23)
+        x, ws = self.operands(23)
         mask = banded_mask(self.N, 1)
         sink = []
-        out = ad.attention(x, wq, wk, wv, self.HEADS, mask, sink=sink).data
-        d = self.DIM // self.HEADS
-
-        def heads(w):  # [C, n, D] @ [D, D] -> [C, H, n, d]
-            return (x.data @ w.data).reshape(self.CLIPS, self.N, self.HEADS, d).swapaxes(1, 2)
-
-        attn = old_softmax(heads(wq) @ heads(wk).swapaxes(2, 3) / math.sqrt(d), mask)
-        want = (attn @ heads(wv)).swapaxes(1, 2).reshape(x.shape)
-        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+        out = ad.conquer_attention(x, *ws, self.HEADS, mask, sink=sink).data
+        rows, attn = attention_rows(x.data, [w.data for w in ws], self.HEADS, mask)
+        np.testing.assert_allclose(out, rows.mean(axis=1, keepdims=True), rtol=0, atol=1e-12)
         assert len(sink) == self.CLIPS
         for c, weights in enumerate(sink):
             assert weights.shape == (self.HEADS, self.N, self.N)
             np.testing.assert_allclose(weights, attn[c], rtol=0, atol=1e-12)
             assert (weights[:, ~mask] == 0.0).all()
+
+
+class TestPositional:
+    def operands(self, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        return (Tensor(rng.normal(size=(n, 4)), requires_grad=True, name="frames"),
+                Tensor(rng.normal(size=(1, 4)), requires_grad=True, name="video_token"),
+                Tensor(rng.normal(size=(rows, 4)), requires_grad=True, name="table"))
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_gradient_check(self, n):
+        frames, token, table = self.operands(n, 6, 90 + n)
+        rng = np.random.default_rng(91)
+        w_video, w_frames = rng.normal(size=(1, 4)), rng.normal(size=(n, 4))
+
+        def f():
+            video, out = ad.positional(frames, token, table)
+            return weighted_sum((video, w_video), (out, w_frames), power=2)
+
+        report = gradient_check(f, [frames, token, table], h=1e-6)
+        assert [p.name for p in report.per_parameter] == ["frames", "video_token", "table"]
+        assert report.max_rel_error <= 1e-4
+
+    def test_one_node_writes_both_gradients_into_one_table(self):
+        frames, token, table = self.operands(3, 6, 92)
+        with Graph() as g:
+            video, out = ad.positional(frames, token, table)
+        assert np.array_equal(video.data, token.data + table.data[:1])
+        assert np.array_equal(out.data, frames.data + table.data[1:4])
+        (node,) = g.nodes
+        assert node.op == "positional" and node.outputs == (video, out)
+        g_video, g_frames = np.full((1, 4), 2.0), np.arange(12.0).reshape(3, 4)
+        d_frames, d_token, d_table = node.backward_fn(g_video, g_frames)
+        assert d_frames is g_frames and d_token is g_video
+        assert np.array_equal(d_table, np.vstack([g_video, g_frames, np.zeros((2, 4))]))
+
+    @pytest.mark.parametrize("shapes", [[(6, 4), (1, 4), (6, 4)], [(0, 4), (1, 4), (6, 4)],
+                                        [(3, 4), (2, 4), (6, 4)], [(3, 4), (1, 4), (6, 3)],
+                                        [(4,), (1, 4), (6, 4)]])
+    def test_rejects_bad_operands(self, shapes):
+        with pytest.raises(ShapeError, match="positional needs"):
+            ad.positional(*(Tensor(np.zeros(s)) for s in shapes))
 
 
 class TestSoftmaxForward:
@@ -721,12 +740,12 @@ class TestDivideAttention:
         mask = None if radius is None else banded_mask(clip_len + 1, radius)
         rng = np.random.default_rng(41)
         clips = -(-n // clip_len)
-        w_clips = Tensor(rng.normal(size=(clips, self.DIM)))
-        w_frames = Tensor(rng.normal(size=(n, self.DIM)))
+        w_clips = rng.normal(size=(clips, self.DIM))
+        w_frames = rng.normal(size=(n, self.DIM))
 
         def f():
             c, fr = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask)
-            return ad.add(ad.sum_all(ad.mul(c, w_clips)), ad.sum_all(ad.mul(fr, w_frames)))
+            return weighted_sum((c, w_clips), (fr, w_frames))
 
         report = gradient_check(f, [frames, video, *ws], h=1e-6)
         assert [p.name for p in report.per_parameter] == ["frames", "video", "wq", "wk", "wv"]
@@ -744,11 +763,12 @@ class TestDivideAttention:
         want_clips, want_frames, want_sink = [], [], []
         for start in range(0, n, clip_len):
             length = min(clip_len, n - start)
-            x = Tensor(rows[np.r_[0, start + 1:start + length + 1]])
-            y = ad.add(x, ad.attention(x, *ws, self.HEADS,
-                                       mask[:length + 1, :length + 1], sink=want_sink))
-            want_clips.append(y.data[:1])
-            want_frames.append(y.data[1:])
+            x = rows[np.r_[0, start + 1:start + length + 1]]
+            out_rows, attn = attention_rows(x, [w.data for w in ws], self.HEADS,
+                                            mask[:length + 1, :length + 1])
+            want_clips.append((x + out_rows)[:1])
+            want_frames.append((x + out_rows)[1:])
+            want_sink.append(attn)
         assert clips.shape == (len(want_clips), self.DIM) and out.shape == (n, self.DIM)
         np.testing.assert_allclose(clips.data, np.vstack(want_clips), rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.data, np.vstack(want_frames), rtol=0, atol=1e-12)
@@ -761,8 +781,8 @@ class TestDivideAttention:
         frames, video, ws = self.operands(10, 51)
         with Graph() as g:
             clips, out = ad.divide_attention(frames, video, *ws, self.HEADS, 4, None)
-            loss = ad.sum_all(ad.mul(clips, clips))  # the frames output is unused
-        assert [node.op for node in g.nodes] == ["divide_attention", "mul", "sum_all"]
+            loss = weighted_sum((clips, 1.0), power=2)  # the frames output is unused
+        assert [node.op for node in g.nodes] == ["divide_attention", "weighted_sum"]
         backward(loss, g)
         assert all(t.grad is not None and np.isfinite(t.grad).all()
                    for t in (frames, video, *ws))
@@ -771,12 +791,12 @@ class TestDivideAttention:
     def test_clip_rows_only_gradient_check(self, n, clip_len, radius):
         frames, video, ws = self.operands(n, 60 + n)
         mask = None if radius is None else banded_mask(clip_len + 1, radius)
-        w_clips = Tensor(np.random.default_rng(61).normal(size=(-(-n // clip_len), self.DIM)))
+        w_clips = np.random.default_rng(61).normal(size=(-(-n // clip_len), self.DIM))
 
         def f():
             c = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask,
                                     clip_rows_only=True)
-            return ad.sum_all(ad.mul(c, w_clips))
+            return weighted_sum((c, w_clips))
 
         report = gradient_check(f, [frames, video, *ws], h=1e-6)
         assert [p.name for p in report.per_parameter] == ["frames", "video", "wq", "wk", "wv"]
@@ -786,7 +806,7 @@ class TestDivideAttention:
     def test_clip_rows_only_matches_the_full_op(self, n, clip_len, radius):
         frames, video, ws = self.operands(n, 70 + n)
         mask = None if radius is None else banded_mask(clip_len + 1, radius)
-        w_clips = Tensor(np.random.default_rng(71).normal(size=(-(-n // clip_len), self.DIM)))
+        w_clips = np.random.default_rng(71).normal(size=(-(-n // clip_len), self.DIM))
 
         def run(clip_rows_only):  # the clip rows feed the loss, the frames nothing
             sink = []
@@ -796,14 +816,14 @@ class TestDivideAttention:
                 out = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask,
                                           sink=sink, clip_rows_only=clip_rows_only)
                 clips = out if clip_rows_only else out[0]
-                loss = ad.sum_all(ad.mul(clips, w_clips))
+                loss = weighted_sum((clips, w_clips))
             backward(loss, g)
             return clips, [t.grad for t in (frames, video, *ws)], sink, g
 
         full, full_grads, full_sink, _ = run(False)
         rows, rows_grads, rows_sink, g = run(True)
         assert [(node.op, len(node.outputs)) for node in g.nodes] == [
-            ("divide_attention", 1), ("mul", 1), ("sum_all", 1)]
+            ("divide_attention", 1), ("weighted_sum", 1)]
         assert g.nodes[0].outputs == (rows,)
         np.testing.assert_allclose(rows.data, full.data, rtol=0, atol=1e-12)
         for got, want in zip(rows_grads, full_grads):
@@ -840,9 +860,7 @@ class TestDivideAttention:
             out = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask,
                                       clip_rows_only=clip_rows_only)
             c = out if clip_rows_only else out[0]
-            loss = ad.sum_all(ad.mul(c, Tensor(w_clips)))
-            if not clip_rows_only:
-                loss = ad.add(loss, ad.sum_all(ad.mul(out[1], Tensor(w_frames))))
+            loss = weighted_sum((c, w_clips), *[] if clip_rows_only else [(out[1], w_frames)])
         backward(loss, g)
 
         d_frames, d_video = np.zeros((n, self.DIM)), np.zeros((1, self.DIM))
@@ -878,7 +896,7 @@ class TestThreadConfinement:
             rng = np.random.default_rng(seed)
             x = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
             with Graph() as g:
-                loss = ad.sum_all(ad.mul(x, x))
+                loss = weighted_sum((x, 1.0), power=2)
             backward(loss, g)
             return np.array_equal(x.grad, 2 * x.data)
 
@@ -896,27 +914,18 @@ class TestDeterminism:
         def run():
             t = Tensor(a, requires_grad=True)
             bias = Tensor(a[:1], requires_grad=True)
-            batch = Tensor(a[[[0, 1, 2, 3, 4, 5], [5, 3, 1, 0, 2, 4]]], requires_grad=True)
+            order = [[0, 1, 2, 3, 4, 5], [5, 3, 1, 0, 2, 4]]
+            rows = Tensor(a[order].reshape(12, 6), requires_grad=True)
+            batch = Tensor(a[order], requires_grad=True)
             with Graph() as g:
-                y = ad.linear(ad.reshape(batch, (12, 6)), t, bias)
-                z = ad.attention(batch, t, t, t, 2, mask)
-                loss = ad.add(ad.sum_all(ad.mul(y, y)), ad.sum_all(ad.mul(z, z)))
+                y = ad.linear(rows, t, bias)
+                z = ad.conquer_attention(batch, t, t, t, 2, mask)
+                loss = weighted_sum((y, 1.0), (z, 1.0), power=2)
             backward(loss, g)
-            return y.data.copy(), z.data.copy(), t.grad, bias.grad, batch.grad
+            return y.data.copy(), z.data.copy(), t.grad, bias.grad, rows.grad, batch.grad
 
         first, second = run(), run()
         assert all(np.array_equal(u, v) for u, v in zip(first, second))
-
-
-finite_vectors = st.lists(st.floats(min_value=-100, max_value=100,
-                                    allow_nan=False, allow_infinity=False),
-                          min_size=1, max_size=20)
-
-
-@given(finite_vectors)
-def test_mean_matches_numpy(xs):
-    assert math.isclose(ad.mean_axis(Tensor(xs)).item(), float(np.mean(xs)),
-                        rel_tol=1e-12, abs_tol=1e-12)
 
 
 @settings(max_examples=30)
@@ -927,7 +936,7 @@ def test_backward_scaling_property(rows, cols, seed):
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(rows, cols)), requires_grad=True)
     with Graph() as g:
-        loss = ad.mean_axis(ad.max0(ad.mul(x, x)))
+        loss = weighted_sum((x, 1 / x.data.size), power=2)
     backward(loss, g)
     once = x.grad.copy()
     backward(loss, g)
@@ -935,36 +944,49 @@ def test_backward_scaling_property(rows, cols, seed):
     assert np.array_equal(x.grad, 3 * once)
 
 
-def tape_ops() -> set[str]:
-    """Public functions of ``autodiff`` whose body records onto the tape."""
-    tree = ast.parse(Path(ad.__file__).read_text())
-    return {fn.name for fn in tree.body
-            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
-            and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
-                    and n.func.id in ("_record", "_record_many") for n in ast.walk(fn))}
+PACKAGE = Path(ad.__file__).parent
 
 
-def autodiff_names_used_elsewhere() -> set[str]:
-    """Names the other package modules take from ``autodiff``: attributes
-    of a name bound to the module and names imported from it."""
+def tape_ops() -> dict[str, str]:
+    """Public functions of the package whose body records onto the tape,
+    mapped to the module that defines them."""
+    def records(call):
+        name = call.func.attr if isinstance(call.func, ast.Attribute) else getattr(
+            call.func, "id", None)
+        return name in ("_record", "_record_many")
+
+    ops = {}
+    for path in PACKAGE.glob("*.py"):
+        for fn in ast.parse(path.read_text()).body:
+            if (isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                    and any(isinstance(n, ast.Call) and records(n) for n in ast.walk(fn))):
+                ops[fn.name] = path.stem
+    return ops
+
+
+def names_used_outside(module: str) -> set[str]:
+    """Names the other package modules take from ``module``: attributes of a
+    name bound to the module and names imported from it."""
     used = set()
-    for path in Path(ad.__file__).parent.glob("*.py"):
-        if path.name == "autodiff.py":
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == module:
             continue
         tree = ast.parse(path.read_text())
-        modules = {"autodiff"}
+        aliases = {module}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 if node.module is None:
-                    modules |= {a.asname or a.name for a in node.names if a.name == "autodiff"}
-                elif node.module == "autodiff":
+                    aliases |= {a.asname or a.name for a in node.names if a.name == module}
+                elif node.module == module:
                     used |= {a.name for a in node.names}
         used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-                 and isinstance(node.value, ast.Name) and node.value.id in modules}
+                 and isinstance(node.value, ast.Name) and node.value.id in aliases}
     return used
 
 
 def test_every_tape_op_has_a_caller_in_the_package():
     ops = tape_ops()
-    assert {"linear", "attention", "divide_attention"} <= ops
-    assert sorted(ops - autodiff_names_used_elsewhere()) == []
+    assert ops == {"linear": "autodiff", "positional": "autodiff",
+                   "divide_attention": "autodiff", "conquer_attention": "autodiff",
+                   "concat_rows": "autodiff", "total_loss": "losses"}
+    assert sorted(op for op, module in ops.items() if op not in names_used_outside(module)) == []

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dcvqe import metrics
 from dcvqe.data import (DatasetManifest, FeatureSequence, FormatError, ManifestEntry,
-                        SplitSpec, load_manifest, load_sequences, read_features,
+                        load_manifest, load_sequences, read_features,
                         save_manifest, split, synth_dataset, truncate, write_features)
 from oracles import linear_probe
 
@@ -239,17 +239,17 @@ class TestManifest:
 
 class TestSplit:
     def test_default_sizes(self, tmp_path):
-        tr, va, te = split(manifest_of(10, tmp_path), SplitSpec(seed=1))
+        tr, va, te = split(manifest_of(10, tmp_path), 1)
         assert (len(tr), len(va), len(te)) == (6, 2, 2)
 
     def test_floor_rule_on_seven(self, tmp_path):
-        tr, va, te = split(manifest_of(7, tmp_path), SplitSpec(seed=1))
+        tr, va, te = split(manifest_of(7, tmp_path), 1)
         assert (len(tr), len(va), len(te)) == (4, 1, 2)
 
     def test_same_seed_same_partition(self, tmp_path):
         m = manifest_of(23, tmp_path)
-        a = split(m, SplitSpec(seed=7))
-        b = split(m, SplitSpec(seed=7))
+        a = split(m, 7)
+        b = split(m, 7)
         for part_a, part_b in zip(a, b):
             assert part_a.entries == part_b.entries
 
@@ -257,7 +257,7 @@ class TestSplit:
     @given(st.integers(min_value=5, max_value=60), st.integers(min_value=0, max_value=10 ** 6))
     def test_disjoint_covering(self, tmp_path_factory, n, seed):
         m = manifest_of(n, tmp_path_factory.mktemp("s"))
-        tr, va, te = split(m, SplitSpec(seed=seed))
+        tr, va, te = split(m, seed)
         ids = [e.video_id for part in (tr, va, te) for e in part.entries]
         assert sorted(ids) == sorted(e.video_id for e in m.entries)
         assert len(tr) + len(va) + len(te) == n
@@ -265,7 +265,7 @@ class TestSplit:
 
     def test_too_few_entries(self, tmp_path):
         with pytest.raises(ValueError):
-            split(manifest_of(4, tmp_path), SplitSpec())
+            split(manifest_of(4, tmp_path), 0)
 
 
 class TestSynthDataset:

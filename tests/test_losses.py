@@ -169,7 +169,8 @@ class TestPairwiseRanking:
     @pytest.mark.parametrize("n, tied", [(2, False), (3, True), (8, False), (33, True)])
     def test_selector_matches_the_double_loop(self, n, tied):
         # the pairs and signs built pair by pair, in row-major order, give
-        # the same loss and prediction gradient bit for bit
+        # the same loss and prediction gradient bit for bit, the gradient
+        # mapped to the predictions as (d.T @ select).T
         rng = np.random.default_rng(n)
         pv = rng.normal(size=(n, 1)) * 10.0
         gv = rng.uniform(1, 5, n).round() if tied else rng.uniform(1, 5, n)
@@ -179,31 +180,45 @@ class TestPairwiseRanking:
                 if a != b and gv[a] != gv[b]:
                     rows.append(np.eye(n)[a] - np.eye(n)[b])
                     signs.append(-np.sign(gv[a] - gv[b]))
-        grads = []
-        for build in ("vectorized", "loop"):
-            p = Tensor(pv, requires_grad=True)
-            with Graph() as g:
-                if build == "vectorized":
-                    loss = pairwise_ranking_loss(p, gv)
-                else:
-                    diffs = ad.linear(np.array(rows), p, Tensor(np.zeros((1, 1))))
-                    loss = ad.mean_axis(ad.softplus(
-                        ad.mul(diffs, Tensor(np.array(signs).reshape(-1, 1)))), None)
-            backward(loss, g)
-            grads.append((loss.data, p.grad))
-        assert all(np.array_equal(u, v) for u, v in zip(*grads))
+        select, signs = np.array(rows), np.array(signs).reshape(-1, 1)
+        z = (select @ pv) * signs
+        want_loss = (np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))).mean()
+        d = np.full(z.shape, 1.0 / z.size) * (1.0 / (1.0 + np.exp(-z))) * signs
+        p = Tensor(pv, requires_grad=True)
+        with Graph() as g:
+            loss = pairwise_ranking_loss(p, gv)
+        backward(loss, g)
+        assert loss.item() == want_loss
+        assert np.array_equal(p.grad, (d.T @ select).T)
 
-    def test_large_gaps_raise_no_overflow_warning(self):
-        z = np.array([-1e308, -1e3, -710.0, -709.0, -0.0, 0.0, 709.0, 710.0, 1e3, 1e308])
+    @pytest.mark.parametrize("gap", [0.0, 709.0, 710.0, 1e3, 1e307])
+    def test_large_gaps_raise_no_overflow_warning(self, gap):
+        # both pairs of two predictions have z = gap when misranked and -gap
+        # when ranked: softplus(gap) is exactly gap from 709 on, and
+        # softplus(-gap) exactly 0 once exp(-gap) underflows (at 1e308 the
+        # mean of the two pairs would overflow)
+        losses = []
+        for p in (Tensor([[gap], [0.0]], requires_grad=True),
+                  Tensor([[0.0], [gap]], requires_grad=True)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with Graph() as g:
+                    loss = pairwise_ranking_loss(p, [1.0, 2.0])
+                backward(loss, g)
+            assert np.isfinite(p.grad).all()
+            losses.append(loss.item())
+        misranked, ranked = losses
+        if gap == 0.0:
+            assert misranked == ranked == math.log(2.0)
+        else:
+            assert misranked == gap and 0.0 <= ranked < 1e-307
+            assert ranked == 0.0 or gap < 1e3
         p = Tensor([[0.0], [1e3], [-1e3], [2.0]], requires_grad=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = ad.softplus(Tensor(z)).data
             with Graph() as g:
                 loss = pairwise_ranking_loss(p, [1.0, 2.0, 3.0, 4.0])
             backward(loss, g)
-        assert np.array_equal(out[z >= 709], z[z >= 709])
-        assert out[0] == out[1] == 0.0 and out[4] == out[5] == math.log(2.0)
         assert math.isfinite(loss.item()) and np.isfinite(p.grad).all()
 
 
@@ -247,6 +262,61 @@ class TestTotalLoss:
             return total_loss(p, g, cfg)
 
         assert ad.gradient_check(f, [p], h=1e-6).max_rel_error <= 1e-6
+
+
+class TestLossNode:
+    CASES = pytest.mark.parametrize("variant, alpha, beta", [
+        ("correlation", 0.7, 0.3), ("correlation", 0.0, 1.0), ("correlation", 1.0, 0.0),
+        ("pwrl", 0.5, 0.5), ("pwrl", 0.0, 1.0), ("pwrl", 1.0, 0.0),
+        ("l1", 0.7, 0.3), ("l1", 0.0, 1.0)])
+
+    @CASES
+    def test_gradient_check(self, variant, alpha, beta):
+        p = Tensor([[1.3], [0.2], [4.0], [2.6], [-0.7]], requires_grad=True, name="p")
+        g = [1.0, 2.0, 3.5, 2.0, 0.5]
+        cfg = LossConfig(alpha=alpha, beta=beta, variant=variant)
+        report = ad.gradient_check(lambda: total_loss(p, g, cfg), [p], h=1e-6)
+        assert report.per_parameter[0].flagged_nonsmooth == 0
+        assert report.max_rel_error <= 1e-4
+
+    @CASES
+    def test_one_node_on_the_predictions(self, variant, alpha, beta):
+        p = Tensor(np.arange(4.0), requires_grad=True)
+        with Graph() as g:
+            loss = total_loss(p, Tensor([2.0, 1.0, 4.0, 3.0]), LossConfig(alpha, beta, variant))
+        (node,) = g.nodes
+        assert node.op == "total_loss" and node.inputs == (p,) and node.outputs == (loss,)
+        assert loss.size == 1
+        backward(loss, g)
+        assert p.grad.shape == (4,)
+
+    def test_correlation_vjp_sums_in_the_documented_order(self):
+        # the hinge's gradient h, then h + (-sum(h) / N) through the
+        # prediction mean, then the L1 gradient added to it
+        rng = np.random.default_rng(3)
+        pv, gv = rng.normal(size=(16, 1)), rng.uniform(1, 5, (16, 1))
+        dev_g = gv - gv.mean()
+        active = (pv - pv.mean()) * dev_g * -1.0 > 0
+        h = np.full(pv.shape, 0.3 * 16.0) * active * -1.0 * dev_g
+        want = h + np.full(pv.shape, -h.sum() / 16) + np.full(pv.shape, 0.7 / 16) * np.sign(pv - gv)
+        p = Tensor(pv, requires_grad=True)
+        with Graph() as g:
+            loss = total_loss(p, gv, LossConfig(0.7, 0.3))
+        backward(loss, g)
+        assert active.any() and not active.all()
+        assert np.array_equal(p.grad, want)
+
+    @pytest.mark.parametrize("loss", [l1_loss, correlation_loss, pairwise_ranking_loss,
+                                      lambda p, g: total_loss(p, g, LossConfig())])
+    def test_empty_input_raises(self, loss):
+        with pytest.raises(ad.ShapeError, match="N >= 1"):
+            loss([], [])
+
+    @given(st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False,
+                              allow_infinity=False), min_size=1, max_size=20))
+    def test_l1_mean_matches_numpy(self, xs):
+        assert math.isclose(l1_loss(xs, [0.0] * len(xs)).item(), float(np.mean(np.abs(xs))),
+                            rel_tol=1e-12, abs_tol=1e-12)
 
 
 class TestLossConfig:

@@ -14,7 +14,7 @@ from dcvqe import data as data_io
 from dcvqe import training
 from dcvqe.autodiff import Tensor
 from dcvqe.cli import main
-from dcvqe.data import FeatureSequence, SplitSpec
+from dcvqe.data import FeatureSequence
 from dcvqe.losses import LossConfig
 from dcvqe.metrics import DegenerateInputError
 from dcvqe.model import DCVQEConfig, DCVQEModel
@@ -36,7 +36,7 @@ def small_dataset(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def small_splits(small_dataset):
-    tr, va, te = data_io.split(small_dataset, SplitSpec(seed=11))
+    tr, va, te = data_io.split(small_dataset, 11)
     return (data_io.load_sequences(tr, max_len=12),
             data_io.load_sequences(va, max_len=12),
             data_io.load_sequences(te, max_len=12))
