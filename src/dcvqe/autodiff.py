@@ -1,10 +1,12 @@
 """Dense float64 tensors with taped reverse-mode automatic differentiation.
 
 All model, loss, and metric math in this package runs on these primitives.
-A ``Graph`` records every operation executed inside its context; ``backward``
-replays the tape in reverse to populate leaf gradients. ``gradient_check``
-compares analytic gradients against central finite differences and is the
-ground truth the rest of the package is validated against.
+A ``Graph`` records every operation executed inside its context, and no
+tensor opts out; ``backward`` replays the tape in reverse to populate the
+gradient of every leaf it reaches. Code that must stay off a caller's tape
+runs inside a graph of its own. ``gradient_check`` compares analytic
+gradients against central finite differences and is the ground truth the
+rest of the package is validated against.
 
 The tape keeps only the ops that the model, the losses and gradient
 checking use, each one node with a hand-written backward: ``linear``,
@@ -17,12 +19,12 @@ sums the gradients that reach one tensor in place, in arrays that it
 allocated itself.
 
 The attention ops share their projection, softmax and backward code.
-``conquer_attention`` is multi-head scaled dot-product attention over a
-batch of sequences (projections, masked softmax and weighted sum), pooled
-by the mean over each sequence's rows. ``divide_attention`` is the whole
-divide stage of one video: it cuts the frames into clips, runs every
-``[video; clip]`` sequence through the same attention, adds the residual,
-and returns two tensors, the clip embeddings and the updated frames (a node
+``conquer_attention`` is unmasked multi-head scaled dot-product attention
+over one sequence (projections, softmax and weighted sum), pooled by the
+mean over its rows. ``divide_attention`` is the whole divide stage of one
+video: it cuts the frames into clips, runs every ``[video; clip]``
+sequence through the same attention, masked, adds the residual, and
+returns two tensors, the clip embeddings and the updated frames (a node
 may have several outputs). The masked softmax has one forward and one
 backward rule (``_softmax_forward``, ``_softmax_vjp``). When every logit
 lies within ``_EXP_SAFE`` of zero, the forward skips the row max and
@@ -60,20 +62,19 @@ class DegenerateMaskError(ValueError):
 
 
 class Tensor:
-    """A dense float64 array, optionally tracked for gradients.
+    """A dense float64 array and the gradient that ``backward`` gives it.
 
     ``data`` is always a C-contiguous (row-major) float64 ndarray, so the
     flat buffer is the row-major enumeration of the logical array. ``grad``
-    is filled in by ``backward`` for tensors with ``requires_grad``, has the
-    same shape as ``data`` and is C-contiguous too, whatever the memory order
-    of the gradients that flowed into it (``linear`` produces F-ordered ones).
+    is filled in by ``backward`` for every leaf it reaches, has the same
+    shape as ``data`` and is C-contiguous too, whatever the memory order of
+    the gradients that flowed into it (``linear`` produces F-ordered ones).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name")
+    __slots__ = ("data", "grad", "name")
 
-    def __init__(self, data, requires_grad: bool = False, name: str = ""):
+    def __init__(self, data, name: str = ""):
         self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self.name = name
 
@@ -95,7 +96,7 @@ class Tensor:
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.shape}{tag})"
 
 
 @dataclass
@@ -103,7 +104,7 @@ class Node:
     """One recorded operation: inputs, outputs, and its vector-Jacobian rule.
 
     ``backward_fn`` takes one gradient per output (zeros for an output the
-    loss does not reach) and returns one gradient (or None) per input.
+    loss does not reach) and returns one gradient per input.
     """
 
     inputs: tuple[Tensor, ...]
@@ -149,11 +150,8 @@ class Graph:
 def _record_many(op: str, inputs: tuple[Tensor, ...], out_data: tuple[np.ndarray, ...],
                  backward_fn: Callable[..., tuple]) -> tuple[Tensor, ...]:
     outs = tuple(Tensor(d) for d in out_data)
-    tracked = any(t.requires_grad for t in inputs)
-    for out in outs:
-        out.requires_grad = tracked
     graph = _active_graph()
-    if graph is not None and tracked:
+    if graph is not None:
         graph.nodes.append(Node(inputs, outs, backward_fn, op))
     return outs
 
@@ -164,7 +162,8 @@ def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
 
 
 def backward(loss: Tensor, graph: Graph) -> None:
-    """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
+    """Populate ``grad`` on every leaf reachable from ``loss``: every input
+    of a recorded op that no recorded op produced.
 
     Intermediate gradients live only inside this call; leaf gradients
     accumulate across calls, so running backward twice on the same graph
@@ -193,8 +192,6 @@ def backward(loss: Tensor, graph: Graph) -> None:
         grads_out = [np.zeros(out.shape) if g is None else g
                      for g, out in zip(grads_out, node.outputs)]
         for tensor, grad in zip(node.inputs, node.backward_fn(*grads_out)):
-            if grad is None or not tensor.requires_grad:
-                continue
             grad = np.asarray(grad, dtype=np.float64).reshape(tensor.shape)
             tid = id(tensor)
             held = flowing.get(tid)
@@ -267,9 +264,8 @@ def linear(x, w: Tensor, b: Tensor) -> Tensor:
         return buf.T  # F-ordered
 
     def bw(g):
-        grads = (weight_grad(g) if w.requires_grad else None,
-                 g.sum(axis=0, keepdims=True) if b.requires_grad else None)
-        return (g @ w.data.T if x.requires_grad else None, *grads) if is_tensor else grads
+        grads = (weight_grad(g), g.sum(axis=0, keepdims=True))
+        return (g @ w.data.T, *grads) if is_tensor else grads
 
     return _record("linear", (x, w, b) if is_tensor else (w, b), out, bw)
 
@@ -361,8 +357,8 @@ def _softmax_vjp(p: np.ndarray, g: np.ndarray, row: np.ndarray) -> np.ndarray:
 
 
 def _check_attention(x: Tensor, ws: tuple[Tensor, ...], num_heads: int) -> None:
-    if x.data.ndim < 2:
-        raise ShapeError(f"attention needs x of shape [..., n, D], got {x.shape}")
+    if x.data.ndim != 2:
+        raise ShapeError(f"attention needs x of shape [n, D], got {x.shape}")
     dim = x.shape[-1]
     if num_heads < 1 or dim % num_heads:
         raise ShapeError(f"feature width {dim} not divisible by {num_heads} heads")
@@ -376,10 +372,9 @@ def _attend(x: np.ndarray, ws: tuple[Tensor, Tensor, Tensor], num_heads: int,
     """Forward of multi-head attention over the array ``x`` [..., n, D].
 
     Returns the output rows [rows, D] (heads side by side), the weights
-    [..., H, m, n] and the VJP: ``vjp(g, x, need_x)`` maps the gradient of
-    the output rows to (dx rows or None, dWq, dWk, dWv), with None for a
-    projection that needs no gradient. The VJP keeps no reference to ``x``,
-    so the caller passes it again (``divide_attention`` rebuilds it). It
+    [..., H, m, n] and the VJP: ``vjp(g, x)`` maps the gradient of the
+    output rows to (dx rows, dWq, dWk, dWv). The VJP keeps no reference to
+    ``x``, so the caller passes it again (``divide_attention`` rebuilds it). It
     does keep the output rows: the softmax's row term sum_j p_ij (g V^T)_ij
     equals g_i . o_i with o = p V, a product over the head width instead of
     a pass over the scores, so the caller must not write into them. With
@@ -412,7 +407,7 @@ def _attend(x: np.ndarray, ws: tuple[Tensor, Tensor, Tensor], num_heads: int,
     out = np.empty(q_rows.shape)
     o = np.matmul(p, v, out=split(out, m))
 
-    def vjp(g, x, need_x):
+    def vjp(g, x):
         q_rows, rows = operands(x)
         g = split(g, m)
         gp = g @ np.ascontiguousarray(v.swapaxes(-1, -2))
@@ -422,54 +417,45 @@ def _attend(x: np.ndarray, ws: tuple[Tensor, Tensor, Tensor], num_heads: int,
         dq *= c
         np.matmul(ds.swapaxes(-1, -2), q, out=split(dk, n))
         np.matmul(p.swapaxes(-1, -2), g, out=split(dv, n))
-        if not need_x:
-            dx = None
-        elif first_row_only:  # the full rule's sum order, with dq zero off row 0
+        if first_row_only:  # the full rule's sum order, with dq zero off row 0
             dx = dk @ wk.data.T
             row0 = dx.reshape(*lead, n, dim)[..., 0, :]
             row0 += (dq @ wq.data.T).reshape(row0.shape)
             dx += dv @ wv.data.T
         else:
             dx = dq @ wq.data.T + dk @ wk.data.T + dv @ wv.data.T
-        return (dx, *(r.T @ d if w.requires_grad else None
-                      for w, r, d in ((wq, q_rows, dq), (wk, rows, dk), (wv, rows, dv))))
+        return dx, q_rows.T @ dq, rows.T @ dk, rows.T @ dv
 
     return out, p, vjp
 
 
 def conquer_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
-                      admissible: np.ndarray | None,
                       sink: list[np.ndarray] | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention pooled over its rows, one tape op.
+    """Unmasked multi-head scaled dot-product attention over the sequence
+    ``x`` [n, D], pooled by the mean over its rows, one tape op.
 
-    ``x`` is [..., n, D]: one sequence or a batch of equal-length sequences.
     The projections ``wq``, ``wk`` and ``wv`` are [D, D]; head h uses columns
     [h*D/H, (h+1)*D/H) of each. Q is scaled by 1/sqrt(D/H) before the scores
-    are formed, and the scores go through the masked softmax
-    (``_softmax_forward``) with ``admissible`` ([n, n], or any mask that
-    broadcasts to the [..., H, n, n] scores; None admits every position).
-    ``sink`` receives one [H, n, n] weight array per sequence. The attention
-    output has the heads side by side along the feature axis and no output
-    projection; the op returns its mean over the n rows of each sequence,
-    [..., 1, D] ([1, D] for one sequence).
+    are formed, and the scores go through the softmax (``_softmax_forward``)
+    with every position admitted. ``sink`` receives the [H, n, n] weights.
+    The attention output has the heads side by side along the feature axis
+    and no output projection; the op returns its mean over the n rows, [1, D].
 
     The tape keeps only the attention weights, the per-head Q, K and V and
     the unpooled output, and the backward is written out by hand: each row
-    gets 1/n of its pooled row's gradient, then the input gradient, and one
+    gets 1/n of the pooled row's gradient, then the input gradient, and one
     GEMM over all rows for each projection gradient.
     """
     ws = (wq, wk, wv)
     _check_attention(x, ws, num_heads)
-    out, p, vjp = _attend(x.data, ws, num_heads, admissible)
+    out, p, vjp = _attend(x.data, ws, num_heads, None)
     if sink is not None:
-        sink.extend(p.reshape(-1, *p.shape[-3:]))
+        sink.append(p)
 
     def bw(g):
-        rows = np.broadcast_to(g / x.shape[-2], x.shape).copy()
-        return vjp(rows.reshape(out.shape), x.data, x.requires_grad)
+        return vjp(np.broadcast_to(g / x.shape[0], x.shape).copy(), x.data)
 
-    return _record("conquer_attention", (x, *ws),
-                   out.reshape(x.shape).mean(axis=-2, keepdims=True), bw)
+    return _record("conquer_attention", (x, *ws), out.mean(axis=0, keepdims=True), bw)
 
 
 def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
@@ -481,7 +467,7 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
     ``frames`` [n, D] are cut into consecutive clips of ``clip_len`` frames;
     the last clip keeps the remainder and is never padded. Each clip c runs
     as the sequence [video; frames of c] (``video`` is [1, D]) through the
-    multi-head attention of ``conquer_attention``, unpooled, with
+    multi-head attention of ``conquer_attention``, unpooled and masked with
     ``admissible``, the [clip_len + 1, clip_len + 1] mask of a full clip
     (None admits every position); a shorter last clip of m frames uses the
     leading [m + 1, m + 1] block. The input sequence is added back (residual).
@@ -505,7 +491,7 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
     """
     ws = (wq, wk, wv)
     _check_attention(frames, ws, num_heads)
-    if frames.data.ndim != 2 or video.shape != (1, frames.shape[1]):
+    if video.shape != (1, frames.shape[1]):
         raise ShapeError(f"divide_attention needs frames [n, D] and video [1, D], got "
                          f"{frames.shape} and {video.shape}")
     if clip_len < 1:
@@ -544,10 +530,7 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
     clips_out = np.concatenate(clip_out)
 
     def bw(g_clips, g_frames=None):
-        need_x = frames.requires_grad or video.requires_grad
-        d_frames = np.empty((n, dim)) if frames.requires_grad else None
-        d_video = None
-        d_ws = [None, None, None]
+        d_frames, d_video, d_ws = np.empty((n, dim)), None, [None, None, None]
         first = len(clips_out)
         for start, stop, length, clips, vjp in reversed(batches):
             first -= clips
@@ -557,17 +540,14 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
                 g = np.empty((clips, length + 1, dim))
                 g[:, 0] = g_clips[first:first + clips]
                 g[:, 1:] = g_frames[start:stop].reshape(clips, length, dim)
-            dx, *dw = vjp(g.reshape(-1, dim), sequences(start, stop, length), need_x)
+            dx, *dw = vjp(g.reshape(-1, dim), sequences(start, stop, length))
             d_ws = [b if a is None else a + b for a, b in zip(d_ws, dw)]
-            if not need_x:
-                continue
             dx = dx.reshape(clips, length + 1, dim)
             if clip_rows_only:
                 dx[:, 0] += g  # the residual path, clip rows only
             else:
                 dx += g  # the residual path
-            if d_frames is not None:
-                d_frames[start:stop] = dx[:, 1:].reshape(-1, dim)
+            d_frames[start:stop] = dx[:, 1:].reshape(-1, dim)
             row = dx[:, 0].sum(axis=0, keepdims=True)
             d_video = row if d_video is None else d_video + row
         return (d_frames, d_video, *d_ws)
@@ -585,12 +565,10 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
             raise ShapeError(f"concat_rows needs 2-d tensors with equal widths, got "
                              f"{[p.shape for p in parts]}")
     out = np.concatenate([t.data for t in parts], axis=0)
-    sizes = [t.shape[0] for t in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.shape[0] for t in parts])
 
     def bw(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] if parts[i].requires_grad else None
-                     for i in range(len(parts)))
+        return tuple(g[start:stop] for start, stop in zip(offsets, offsets[1:]))
 
     return _record("concat_rows", tuple(parts), out, bw)
 

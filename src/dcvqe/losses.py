@@ -56,6 +56,14 @@ def _vector(x, what: str) -> Tensor:
     return t
 
 
+def _mean(a: np.ndarray) -> np.float64:
+    """``a.mean()``, or the sum of each entry divided by the count when that
+    sum overflows although every entry is finite."""
+    with np.errstate(over="ignore"):
+        mean = a.mean()
+    return (a / a.size).sum() if np.isinf(mean) and np.isfinite(a).all() else mean
+
+
 # Each term returns its value, times its weight, and its VJP.
 def _l1_term(p: np.ndarray, g: np.ndarray, alpha: float):
     diff = p - g
@@ -64,12 +72,12 @@ def _l1_term(p: np.ndarray, g: np.ndarray, alpha: float):
     def vjp(c):
         return np.full(p.shape, (c * alpha).item() / p.size) * sign
 
-    return np.abs(diff).mean() * alpha, vjp
+    return _mean(np.abs(diff)) * alpha, vjp
 
 
 def _correlation_term(p: np.ndarray, g: np.ndarray, beta: float):
-    dev_g = g - g.mean()
-    hinge = (p - p.mean()) * dev_g * -1.0
+    dev_g = g - _mean(g)
+    hinge = (p - _mean(p)) * dev_g * -1.0
 
     def vjp(c):
         h = np.full(p.shape, (c * beta * float(p.size)).item()) * (hinge > 0) * -1.0 * dev_g
@@ -100,7 +108,7 @@ def _pairwise_term(p: np.ndarray, g: np.ndarray, beta: float):
         d = np.full(z.shape, (c * beta).item() / z.size) * sigmoid * neg_sign
         return (d.T @ select).T
 
-    return softplus.mean() * beta, vjp
+    return _mean(softplus) * beta, vjp
 
 
 def total_loss(p, g, cfg: LossConfig) -> Tensor:

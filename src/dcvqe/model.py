@@ -73,7 +73,6 @@ class AttentionMask:
 
     size: int
     admissible: np.ndarray
-    temporal_range: int | None
 
     @classmethod
     @functools.lru_cache(maxsize=256)
@@ -88,7 +87,7 @@ class AttentionMask:
             adm[0, :] = True
             adm[:, 0] = True
         adm.flags.writeable = False
-        return cls(size=size, admissible=adm, temporal_range=temporal_range)
+        return cls(size=size, admissible=adm)
 
 
 @dataclass
@@ -179,7 +178,7 @@ def transformer_c(proj: tuple[Tensor, Tensor, Tensor], num_heads: int, clip_qes:
     output is invariant to any permutation of the input rows. ``attn_sink``
     receives the [H, C, C] attention weights.
     """
-    return ad.conquer_attention(clip_qes, *proj, num_heads, None, sink=attn_sink)
+    return ad.conquer_attention(clip_qes, *proj, num_heads, sink=attn_sink)
 
 
 def parameter_shapes(config: DCVQEConfig) -> dict[str, tuple[int, ...]]:
@@ -214,7 +213,7 @@ class DCVQEModel:
         for name, shape in parameter_shapes(config).items():
             value = (np.zeros(shape) if name.endswith(".bias")
                      else rng.normal(0.0, init_scale, shape))
-            params[name] = Tensor(value, requires_grad=True, name=name)
+            params[name] = Tensor(value, name=name)
         return cls(config, params)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
@@ -303,24 +302,24 @@ class DCVQEModel:
     def record(self, features) -> LayerActivations:
         """Every layer's activations and attention maps for one video.
 
-        The model runs once on untracked tensors over its parameter arrays,
-        so nothing reaches a tape, and evaluates every layer in full, the
-        final one included: its clip and video embeddings agree with
-        ``embed``'s to rounding, not bit for bit."""
-        model = DCVQEModel(self.config, {n: Tensor(p.data) for n, p in self.params.items()})
+        The model runs once inside a throwaway ``Graph``, so nothing reaches
+        a caller's tape, and evaluates every layer in full, the final one
+        included: its clip and video embeddings agree with ``embed``'s to
+        rounding, not bit for bit."""
         feats = features.data if isinstance(features, Tensor) else features
-        video, frames = model.add_positional(model.project_input(feats))
         acts = LayerActivations()
-        for layer in range(1, self.config.num_layers + 1):
-            divide, conquer = [], []
-            frames, clips, video = model.dctr_layer(layer, frames, video, (divide, conquer))
-            clip_len = self.config.base_clip_len * 2 ** (layer - 1)
-            acts.clip_boundaries.append(split_clips(len(feats), clip_len))
-            acts.frame_embeddings.append(frames.data)
-            acts.clip_embeddings.append(clips.data)
-            acts.video_embeddings.append(video.data)
-            acts.divide_attention.append(divide)
-            acts.conquer_attention.append(conquer[0])
+        with ad.Graph():
+            video, frames = self.add_positional(self.project_input(feats))
+            for layer in range(1, self.config.num_layers + 1):
+                divide, conquer = sinks = [], []
+                frames, clips, video = self.dctr_layer(layer, frames, video, sinks)
+                clip_len = self.config.base_clip_len * 2 ** (layer - 1)
+                acts.clip_boundaries.append(split_clips(len(feats), clip_len))
+                acts.frame_embeddings.append(frames.data)
+                acts.clip_embeddings.append(clips.data)
+                acts.video_embeddings.append(video.data)
+                acts.divide_attention.append(divide)
+                acts.conquer_attention.append(conquer[0])
         return acts
 
     def predict(self, features) -> float:

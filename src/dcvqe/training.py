@@ -195,7 +195,7 @@ class Checkpoint:
     def build_model(self) -> DCVQEModel:
         """A model over copies of ``params``: nothing is drawn at random, and
         training the model leaves the checkpoint as it is."""
-        return DCVQEModel(self.config, {name: Tensor(value.copy(), requires_grad=True, name=name)
+        return DCVQEModel(self.config, {name: Tensor(value.copy(), name=name)
                                         for name, value in self.params.items()})
 
     def adam_state(self) -> AdamState:

@@ -170,8 +170,8 @@ class TestMatmul:
 
     def test_gradients_flow_to_both_inputs(self):
         rng = np.random.default_rng(1)
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        a = Tensor(rng.normal(size=(3, 4)))
+        b = Tensor(rng.normal(size=(4, 2)))
         with Graph() as g:
             loss = weighted_sum((product(a, b), 1.0))
         backward(loss, g)
@@ -187,14 +187,14 @@ class TestMatmul:
         # a.T @ g bit for bit
         rng = np.random.default_rng(n + din)
         a = Tensor(rng.normal(size=(n, din)))
-        b = Tensor(rng.normal(scale=0.02, size=(din, dout)), requires_grad=True)
+        b = Tensor(rng.normal(scale=0.02, size=(din, dout)))
         g = rng.normal(size=(n, dout))
         with Graph() as graph:
             product(a, b)
         (node,) = graph.nodes
         ga, gb, gbias = node.backward_fn(g)
-        assert ga is None and gbias is None
         assert np.array_equal(gb, a.data.T @ g)
+        assert np.array_equal(ga, g @ b.data.T) and np.array_equal(gbias, g.sum(axis=0)[None])
 
 
 class TestLinear:
@@ -203,9 +203,9 @@ class TestLinear:
         rng = np.random.default_rng(31)
         rows = rng.normal(size=(5, 4))
         x = {"float32": rows.astype(np.float32), "float64": rows,
-             "tensor": Tensor(rows, requires_grad=True, name="x")}[kind]
-        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True, name="w")
-        b = Tensor(rng.normal(size=(1, 3)), requires_grad=True, name="b")
+             "tensor": Tensor(rows, name="x")}[kind]
+        w = Tensor(rng.normal(size=(4, 3)), name="w")
+        b = Tensor(rng.normal(size=(1, 3)), name="b")
         c = rng.normal(size=(5, 3))
         params = [w, b, x] if kind == "tensor" else [w, b]
         report = gradient_check(lambda: weighted_sum((ad.linear(x, w, b), c)), params)
@@ -221,12 +221,12 @@ class TestLinear:
         # input columns end the weight gradient in a partial column block
         rng = np.random.default_rng(n + din)
         rows = rng.standard_normal((n, din), dtype=np.float32)
-        w = Tensor(rng.normal(scale=0.02, size=(din, dout)), requires_grad=True)
-        b = Tensor(rng.normal(size=(1, dout)), requires_grad=True)
+        w = Tensor(rng.normal(scale=0.02, size=(din, dout)))
+        b = Tensor(rng.normal(size=(1, dout)))
         g = rng.normal(size=(n, dout))
         wide = rows.astype(np.float64)
         with Graph() as graph:
-            out = ad.linear(Tensor(rows, requires_grad=True) if tensor_x else rows, w, b)
+            out = ad.linear(Tensor(rows) if tensor_x else rows, w, b)
         (node,) = graph.nodes
         *gx, gw, gb = node.backward_fn(g)
         assert np.array_equal(out.data, wide @ w.data + b.data)
@@ -239,8 +239,8 @@ class TestLinear:
 
     def test_array_operand_gets_no_tape_input(self):
         rows = np.ones((3, 4), dtype=np.float32)
-        w = Tensor(np.ones((4, 2)), requires_grad=True)
-        b = Tensor(np.zeros((1, 2)), requires_grad=True)
+        w = Tensor(np.ones((4, 2)))
+        b = Tensor(np.zeros((1, 2)))
         with Graph() as graph:
             out = ad.linear(rows, w, b)
         (node,) = graph.nodes
@@ -253,8 +253,8 @@ class TestLinear:
         # fit in 12
         rng = np.random.default_rng(13)
         rows = rng.standard_normal((600, 4096), dtype=np.float32)
-        w = Tensor(rng.normal(scale=0.02, size=(4096, 128)), requires_grad=True)
-        b = Tensor(np.zeros((1, 128)), requires_grad=True)
+        w = Tensor(rng.normal(scale=0.02, size=(4096, 128)))
+        b = Tensor(np.zeros((1, 128)))
         c = rng.normal(size=(600, 128))
         with Graph() as graph:
             loss = weighted_sum((ad.linear(rows, w, b), c))
@@ -276,8 +276,9 @@ class TestLinear:
 
 
 class TestSoftmaxMasked:
-    """The masked softmax rule that ``attention`` and ``divide_attention``
-    share: ``_softmax_forward`` and its backward ``_softmax_vjp``."""
+    """The masked softmax rule that ``conquer_attention`` and
+    ``divide_attention`` share: ``_softmax_forward`` and its backward
+    ``_softmax_vjp``, also inside the attention that both ops run."""
 
     def test_uniform_over_admitted(self):
         mask = np.zeros((2, 6), dtype=bool)
@@ -337,44 +338,66 @@ class TestSoftmaxMasked:
         np.testing.assert_allclose(
             grad, fd_grad(lambda z: (old_softmax(z, mask) ** 2).sum(), x.copy()), atol=1e-8)
 
+    @pytest.mark.parametrize("path", ["fast", "fallback"])
+    def test_batched_masked_attention_matches_the_exact_jacobian(self, path, request):
+        """The attention over a batch of sequences [B, n, D] under one banded
+        mask, forward and VJP, against the per-sequence, per-head reference."""
+        if path == "fallback":
+            request.getfixturevalue("fallback")
+        rng = np.random.default_rng(26)
+        x = rng.normal(size=(3, 5, 4))
+        ws = [Tensor(rng.normal(size=(4, 4))) for _ in range(3)]
+        mask = banded_mask(5, 1)
+        assert not mask.all(axis=0).all()  # some columns are masked in some rows
+        g = rng.normal(size=x.shape)
+        out, p, vjp = ad._attend(x, ws, 2, mask)
+        rows, attn = attention_rows(x, [w.data for w in ws], 2, mask)
+        assert_close_to_reference(out.reshape(x.shape), rows)
+        assert_close_to_reference(p, attn)
+        assert (p[..., ~mask] == 0.0).all()
+        dx, *dws = vjp(g.reshape(-1, 4), x)
+        want_dx, want_dws = attention_vjp_reference(x, [w.data for w in ws], 2, mask, g)
+        for got, want in zip((dx.reshape(x.shape), *dws), (want_dx, *want_dws)):
+            assert_close_to_reference(got, want)
+
 
 class TestStructural:
     def test_concat_rows_roundtrip(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 6))
-        parts = [Tensor(x[:1], requires_grad=True), Tensor(x[1:]), Tensor(x[1:3], requires_grad=True)]
+        parts = [Tensor(x[:1]), Tensor(x[1:]), Tensor(x[1:3])]
         g = rng.normal(size=(6, 6))
         with Graph() as graph:
             out = ad.concat_rows(parts)
         np.testing.assert_array_equal(out.data, np.vstack([x, x[1:3]]))
         (node,) = graph.nodes
-        first, untracked, last = node.backward_fn(g)
-        assert np.array_equal(first, g[:1]) and untracked is None
+        first, middle, last = node.backward_fn(g)
+        assert np.array_equal(first, g[:1]) and np.array_equal(middle, g[1:4])
         assert np.array_equal(last, g[4:])
 
     def test_structural_ops_reject_bad_operands(self):
         t = Tensor(np.zeros((4, 6)))
         w = Tensor(np.zeros((6, 6)))
         with pytest.raises(ShapeError, match="divisible"):
-            ad.conquer_attention(t, w, w, w, 4, None)
+            ad.conquer_attention(t, w, w, w, 4)
         with pytest.raises(ShapeError, match="projections"):
-            ad.conquer_attention(t, w, w, Tensor(np.zeros((6, 3))), 2, None)
-        with pytest.raises(ShapeError, match="mask shape"):
-            ad.conquer_attention(t, w, w, w, 2, np.ones((3, 3), dtype=bool))
+            ad.conquer_attention(t, w, w, Tensor(np.zeros((6, 3))), 2)
+        with pytest.raises(ShapeError, match=r"\[n, D\]"):
+            ad.conquer_attention(Tensor(np.zeros((2, 4, 6))), w, w, w, 2)
         with pytest.raises(ShapeError, match="equal widths"):
             ad.concat_rows([t, w, Tensor(np.zeros((2, 5)))])
 
 
 class TestBackward:
     def test_grad_of_sum_is_ones(self):
-        x = Tensor(np.random.default_rng(7).normal(size=(3, 5)), requires_grad=True)
+        x = Tensor(np.random.default_rng(7).normal(size=(3, 5)))
         with Graph() as g:
             loss = weighted_sum((x, 1.0))
         backward(loss, g)
         assert np.array_equal(x.grad, np.ones((3, 5)))
 
     def test_grad_of_square_sum(self):
-        x = Tensor(np.random.default_rng(8).normal(size=(4,)), requires_grad=True)
+        x = Tensor(np.random.default_rng(8).normal(size=(4,)))
         with Graph() as g:
             loss = weighted_sum((x, 1.0), power=2)
         backward(loss, g)
@@ -384,8 +407,8 @@ class TestBackward:
         # two-layer expression: mean(((x @ w1) @ w2) ** 2)
         rng = np.random.default_rng(9)
         x = rng.normal(size=(5, 4))
-        w1 = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-        w2 = Tensor(rng.normal(size=(6, 1)), requires_grad=True)
+        w1 = Tensor(rng.normal(size=(4, 6)))
+        w2 = Tensor(rng.normal(size=(6, 1)))
 
         def run():
             return weighted_sum((product(product(x, w1), w2), 1 / 5), power=2)
@@ -403,7 +426,7 @@ class TestBackward:
             assert rel.max() <= 1e-6
 
     def test_backward_twice_doubles_gradients(self):
-        x = Tensor(np.random.default_rng(10).normal(size=(3, 3)), requires_grad=True)
+        x = Tensor(np.random.default_rng(10).normal(size=(3, 3)))
         with Graph() as g:
             loss = weighted_sum((x, 1.0), power=2)
         backward(loss, g)
@@ -417,7 +440,7 @@ class TestBackward:
         # the product, so the engine sums in place. Small integers keep every
         # sum exact, whatever its order
         rng = np.random.default_rng(14)
-        x = Tensor(rng.integers(-4, 5, size=(2, 3)), requires_grad=True)
+        x = Tensor(rng.integers(-4, 5, size=(2, 3)))
         w = Tensor(rng.integers(-4, 5, size=(3, 3)))
         c, d = rng.integers(-4, 5, size=(2, 2, 3)).astype(float)
         returned = []
@@ -439,7 +462,7 @@ class TestBackward:
     def test_leaf_gradients_are_c_contiguous(self):
         # linear hands back an F-ordered weight gradient; the leaf's grad is C-ordered
         rng = np.random.default_rng(11)
-        w = Tensor(rng.normal(size=(256, 16)), requires_grad=True)
+        w = Tensor(rng.normal(size=(256, 16)))
         rows = [rng.normal(size=(n, 256)) for n in (40, 7)]
         weights = [rng.normal(size=(n, 16)) for n in (40, 7)]
         with Graph() as g:
@@ -455,7 +478,7 @@ class TestBackward:
     def test_single_matmul_leaf_gradient_is_a_t_g(self):
         rng = np.random.default_rng(12)
         a = rng.normal(size=(33, 256))
-        w = Tensor(rng.normal(size=(256, 16)), requires_grad=True)
+        w = Tensor(rng.normal(size=(256, 16)))
         c = rng.normal(size=(33, 16))
         with Graph() as g:
             loss = weighted_sum((product(a, w), c))
@@ -464,7 +487,7 @@ class TestBackward:
         assert np.array_equal(w.grad, a.T @ c)
 
     def test_non_scalar_loss_raises(self):
-        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        x = Tensor(np.ones((2, 2)))
         with Graph() as g:
             y = product(x, x)
         with pytest.raises(GraphError):
@@ -472,11 +495,11 @@ class TestBackward:
 
     def test_empty_graph_is_noop(self):
         g = Graph()
-        loss = Tensor(1.0, requires_grad=True)
+        loss = Tensor(1.0)
         backward(loss, g)  # no nodes: nothing to do, no error
 
     def test_no_recording_without_active_graph(self):
-        x = Tensor(np.ones(3), requires_grad=True)
+        x = Tensor(np.ones(3))
         g = Graph()
         with g:
             weighted_sum((x, 1.0))
@@ -484,19 +507,25 @@ class TestBackward:
         weighted_sum((x, 1.0))
         assert n_inside == 1 and len(g) == 1
 
-    def test_constant_inputs_get_no_grad(self):
-        const = Tensor(np.ones(3))
-        x = Tensor(np.ones(3), requires_grad=True)
+    def test_every_tensor_an_op_uses_gets_its_gradient(self):
+        # a plain Tensor is differentiated like any other: the array operand
+        # of linear is the one input that stays off the tape
+        rng = np.random.default_rng(15)
+        rows = rng.normal(size=(3, 4))
+        x, w, b = (Tensor(rng.normal(size=s)) for s in ((3, 4), (4, 2), (1, 2)))
+        c = rng.normal(size=(3, 2))
         with Graph() as g:
-            loss = weighted_sum((x, 1.0), (const, 1.0))
+            loss = weighted_sum((ad.linear(x, w, b), c), (ad.linear(rows, w, b), c))
+        assert [node.inputs for node in g.nodes[:2]] == [(x, w, b), (w, b)]
         backward(loss, g)
-        assert const.grad is None
-        assert x.grad is not None
+        np.testing.assert_allclose(x.grad, c @ w.data.T, rtol=1e-14)
+        np.testing.assert_allclose(w.grad, x.data.T @ c + rows.T @ c, rtol=1e-14)
+        np.testing.assert_allclose(b.grad, 2 * c.sum(axis=0, keepdims=True), rtol=1e-14)
 
 
 class TestGradientCheck:
     def test_quadratic(self):
-        theta = Tensor([3.0], requires_grad=True, name="theta")
+        theta = Tensor([3.0], name="theta")
 
         def f():
             return weighted_sum((theta, 1.0), power=2)
@@ -505,7 +534,7 @@ class TestGradientCheck:
         assert report.per_parameter[0].max_rel_error < 1e-8
 
     def test_kink_flagged_and_excluded(self):
-        theta = Tensor([0.0], requires_grad=True, name="theta")
+        theta = Tensor([0.0], name="theta")
 
         def f():  # |theta - 0|, the loss node's kink
             return l1_loss(theta, [0.0])
@@ -515,7 +544,7 @@ class TestGradientCheck:
         assert report.per_parameter[0].max_rel_error == 0.0
 
     def test_nonfinite_objective_raises(self):
-        theta = Tensor([1e308], requires_grad=True)
+        theta = Tensor([1e308])
 
         def f():
             with np.errstate(over="ignore"):
@@ -534,7 +563,7 @@ class TestGradientCheck:
     ], ids=["linear_bias_row_over_rows", "linear_bias_row_over_outer_product"])
     def test_batched_ops(self, op, shapes):
         rng = np.random.default_rng(12)
-        params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        params = [Tensor(rng.normal(size=s)) for s in shapes]
         weights = rng.normal(size=op(*params).shape)
 
         def f():
@@ -552,71 +581,61 @@ def banded_mask(n: int, radius: int) -> np.ndarray:
 
 
 class TestConquerAttention:
-    CLIPS, N, DIM, HEADS = 3, 5, 4, 2
+    N, DIM, HEADS = 5, 4, 2
 
     def operands(self, seed):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(size=(self.CLIPS, self.N, self.DIM)), requires_grad=True,
-                   name="x")
-        ws = [Tensor(rng.normal(size=(self.DIM, self.DIM)), requires_grad=True, name=n)
-              for n in ("wq", "wk", "wv")]
+        x = Tensor(rng.normal(size=(self.N, self.DIM)), name="x")
+        ws = [Tensor(rng.normal(size=(self.DIM, self.DIM)), name=n) for n in ("wq", "wk", "wv")]
         return x, ws
 
-    @pytest.mark.parametrize("mask", [banded_mask(5, 1), None], ids=["banded", "unmasked"])
-    def test_gradient_check(self, mask):
-        if mask is not None:
-            assert not mask.all(axis=0).all()  # some columns are masked in some rows
+    def test_gradient_check(self):
         x, ws = self.operands(21)
-        weights = np.random.default_rng(22).normal(size=(self.CLIPS, 1, self.DIM))
+        weights = np.random.default_rng(22).normal(size=(1, self.DIM))
 
         def f():
-            return weighted_sum((ad.conquer_attention(x, *ws, self.HEADS, mask), weights))
+            return weighted_sum((ad.conquer_attention(x, *ws, self.HEADS), weights))
 
         report = gradient_check(f, [x, *ws], h=1e-6)
         assert [p.name for p in report.per_parameter] == ["x", "wq", "wk", "wv"]
         assert report.max_rel_error <= 1e-4
 
-    @pytest.mark.parametrize("mask", [banded_mask(5, 1), None], ids=["banded", "unmasked"])
-    def test_gradient_check_through_the_fallback(self, mask, fallback):
-        self.test_gradient_check(mask)
+    def test_gradient_check_through_the_fallback(self, fallback):
+        self.test_gradient_check()
 
     @pytest.mark.parametrize("path", ["fast", "fallback"])
-    @pytest.mark.parametrize("mask", [banded_mask(5, 1), None], ids=["banded", "unmasked"])
-    def test_vjp_matches_the_exact_jacobian(self, mask, path, request):
-        """Every row of a sequence gets 1/n of its pooled row's gradient."""
+    def test_vjp_matches_the_exact_jacobian(self, path, request):
+        """Every row gets 1/n of the pooled row's gradient."""
         if path == "fallback":
             request.getfixturevalue("fallback")
         x, ws = self.operands(24)
-        weights = np.random.default_rng(25).normal(size=(self.CLIPS, 1, self.DIM))
+        weights = np.random.default_rng(25).normal(size=(1, self.DIM))
         with Graph() as g:
-            loss = weighted_sum((ad.conquer_attention(x, *ws, self.HEADS, mask), weights))
+            loss = weighted_sum((ad.conquer_attention(x, *ws, self.HEADS), weights))
         assert [node.op for node in g.nodes] == ["conquer_attention", "weighted_sum"]
         backward(loss, g)
-        dx, dws = attention_vjp_reference(x.data, [w.data for w in ws], self.HEADS, mask,
-                                          np.broadcast_to(weights / self.N, x.shape))
-        for got, want in zip((x, *ws), (dx, *dws)):
+        dx, dws = attention_vjp_reference(x.data[None], [w.data for w in ws], self.HEADS, None,
+                                          np.broadcast_to(weights / self.N, (1, *x.shape)))
+        for got, want in zip((x, *ws), (dx[0], *dws)):
             assert_close_to_reference(got.grad, want)
 
     def test_forward_matches_composition(self):
         x, ws = self.operands(23)
-        mask = banded_mask(self.N, 1)
         sink = []
-        out = ad.conquer_attention(x, *ws, self.HEADS, mask, sink=sink).data
-        rows, attn = attention_rows(x.data, [w.data for w in ws], self.HEADS, mask)
-        np.testing.assert_allclose(out, rows.mean(axis=1, keepdims=True), rtol=0, atol=1e-12)
-        assert len(sink) == self.CLIPS
-        for c, weights in enumerate(sink):
-            assert weights.shape == (self.HEADS, self.N, self.N)
-            np.testing.assert_allclose(weights, attn[c], rtol=0, atol=1e-12)
-            assert (weights[:, ~mask] == 0.0).all()
+        out = ad.conquer_attention(x, *ws, self.HEADS, sink=sink).data
+        rows, attn = attention_rows(x.data, [w.data for w in ws], self.HEADS, None)
+        np.testing.assert_allclose(out, rows.mean(axis=0, keepdims=True), rtol=0, atol=1e-12)
+        (weights,) = sink
+        assert weights.shape == (self.HEADS, self.N, self.N)
+        np.testing.assert_allclose(weights, attn, rtol=0, atol=1e-12)
 
 
 class TestPositional:
     def operands(self, n, rows, seed):
         rng = np.random.default_rng(seed)
-        return (Tensor(rng.normal(size=(n, 4)), requires_grad=True, name="frames"),
-                Tensor(rng.normal(size=(1, 4)), requires_grad=True, name="video_token"),
-                Tensor(rng.normal(size=(rows, 4)), requires_grad=True, name="table"))
+        return (Tensor(rng.normal(size=(n, 4)), name="frames"),
+                Tensor(rng.normal(size=(1, 4)), name="video_token"),
+                Tensor(rng.normal(size=(rows, 4)), name="table"))
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_gradient_check(self, n):
@@ -724,9 +743,9 @@ class TestDivideAttention:
 
     def operands(self, n, seed):
         rng = np.random.default_rng(seed)
-        frames = Tensor(rng.normal(size=(n, self.DIM)), requires_grad=True, name="frames")
-        video = Tensor(rng.normal(size=(1, self.DIM)), requires_grad=True, name="video")
-        ws = [Tensor(rng.normal(size=(self.DIM, self.DIM)), requires_grad=True, name=name)
+        frames = Tensor(rng.normal(size=(n, self.DIM)), name="frames")
+        video = Tensor(rng.normal(size=(1, self.DIM)), name="video")
+        ws = [Tensor(rng.normal(size=(self.DIM, self.DIM)), name=name)
               for name in ("wq", "wk", "wv")]
         return frames, video, ws
 
@@ -776,6 +795,8 @@ class TestDivideAttention:
         for got, want in zip(sink, want_sink):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            length = got.shape[-1]
+            assert (got[:, ~mask[:length, :length]] == 0.0).all()
 
     def test_one_node_with_two_outputs(self):
         frames, video, ws = self.operands(10, 51)
@@ -894,7 +915,7 @@ class TestThreadConfinement:
 
         def worker(seed):
             rng = np.random.default_rng(seed)
-            x = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
+            x = Tensor(rng.normal(size=(8, 8)))
             with Graph() as g:
                 loss = weighted_sum((x, 1.0), power=2)
             backward(loss, g)
@@ -912,17 +933,16 @@ class TestDeterminism:
         mask[:, 0] = True
 
         def run():
-            t = Tensor(a, requires_grad=True)
-            bias = Tensor(a[:1], requires_grad=True)
-            order = [[0, 1, 2, 3, 4, 5], [5, 3, 1, 0, 2, 4]]
-            rows = Tensor(a[order].reshape(12, 6), requires_grad=True)
-            batch = Tensor(a[order], requires_grad=True)
+            t = Tensor(a)
+            bias = Tensor(a[:1])
+            rows = Tensor(a[[[0, 1, 2, 3, 4, 5], [5, 3, 1, 0, 2, 4]]].reshape(12, 6))
             with Graph() as g:
                 y = ad.linear(rows, t, bias)
-                z = ad.conquer_attention(batch, t, t, t, 2, mask)
-                loss = weighted_sum((y, 1.0), (z, 1.0), power=2)
+                clips, frames = ad.divide_attention(y, bias, t, t, t, 2, 5, mask)
+                z = ad.conquer_attention(clips, t, t, t, 2)
+                loss = weighted_sum((frames, 1.0), (z, 1.0), power=2)
             backward(loss, g)
-            return y.data.copy(), z.data.copy(), t.grad, bias.grad, rows.grad, batch.grad
+            return y.data.copy(), frames.data.copy(), z.data.copy(), t.grad, bias.grad, rows.grad
 
         first, second = run(), run()
         assert all(np.array_equal(u, v) for u, v in zip(first, second))
@@ -934,7 +954,7 @@ class TestDeterminism:
 def test_backward_scaling_property(rows, cols, seed):
     """backward accumulates linearly: k passes give exactly k times one pass."""
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.normal(size=(rows, cols)), requires_grad=True)
+    x = Tensor(rng.normal(size=(rows, cols)))
     with Graph() as g:
         loss = weighted_sum((x, 1 / x.data.size), power=2)
     backward(loss, g)

@@ -4,9 +4,10 @@ config files: a valid file cut short or with one byte changed either loads
 or raises ``FormatError`` (CLI exit 2), never anything else, and valid files
 round-trip. A config file may also fail a dataclass range check, a
 ``ValueError`` that the CLI reports with exit 2 as well. ``predict`` runs on
-checkpoints whose header values are replaced with hostile ones, and
-``dump-embeddings`` on cut and changed manifests and checkpoints; both exit
-with a documented code and print no traceback."""
+checkpoints whose header values are replaced with hostile ones,
+``dump-embeddings`` on cut and changed manifests and checkpoints, and
+``predict`` and ``eval`` on cut and changed feature files; each exits with a
+documented code and prints no traceback."""
 
 import contextlib
 import dataclasses
@@ -243,6 +244,41 @@ def test_dump_embeddings_on_cut_and_changed_inputs(scratch, checkpoint_bytes,
     assert code in (0, 1, 2, 3), stderr.getvalue()
     assert "Traceback" not in stdout.getvalue() + stderr.getvalue()
     assert out.exists() == (code == 0), (code, stderr.getvalue())
+
+
+@pytest.fixture(scope="module")
+def scored_feature_bytes(scratch, checkpoint_bytes):
+    """A checkpoint of ``CONFIG`` and a manifest of three feature files of its
+    width; returns the bytes of the first file, the one the fuzz replaces."""
+    (scratch / "score.ckpt").write_bytes(checkpoint_bytes)
+    rng = np.random.default_rng(5)
+    entries = []
+    for i, frames in enumerate((7, 3, 9)):
+        rows = rng.normal(size=(frames, CONFIG.input_dim))
+        write_features(scratch / f"score{i}.dcvq", FeatureSequence(f"s{i}", rows, 2.0 + i))
+        entries.append(ManifestEntry(f"s{i}", f"score{i}.dcvq", 2.0 + i))
+    save_manifest(DatasetManifest(entries, 1.0, 5.0, scratch), scratch / "score.jsonl")
+    return (scratch / "score0.dcvq").read_bytes()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_predict_and_eval_on_cut_and_changed_feature_files(scratch, scored_feature_bytes,
+                                                            data):
+    raw = scored_feature_bytes
+    if data.draw(st.booleans()):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        raw = changed_byte(data, raw, 16)
+    features, ckpt = str(scratch / "score0.dcvq"), str(scratch / "score.ckpt")
+    (scratch / "score0.dcvq").write_bytes(raw)
+    for argv in (["predict", "--checkpoint", ckpt, features],
+                 ["eval", "--manifest", str(scratch / "score.jsonl"), "--checkpoint", ckpt]):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv[0], stderr.getvalue())
+        assert "Traceback" not in stdout.getvalue() + stderr.getvalue()
 
 
 @FUZZ

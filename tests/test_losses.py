@@ -116,7 +116,7 @@ class TestCorrelationLoss:
         assert l1_loss(p, g).item() >= 0.0
 
     def test_gradient_flows_through_mean(self):
-        p = Tensor([[1.0], [2.0], [4.0]], requires_grad=True, name="p")
+        p = Tensor([[1.0], [2.0], [4.0]], name="p")
         g = [3.0, 2.0, 1.0]
 
         def f():
@@ -158,7 +158,7 @@ class TestPairwiseRanking:
             pairwise_ranking_loss([1.0], [1.0])
 
     def test_gradient_matches_finite_differences(self):
-        p = Tensor([[0.3], [1.1], [-0.4], [2.0]], requires_grad=True, name="p")
+        p = Tensor([[0.3], [1.1], [-0.4], [2.0]], name="p")
         g = [1.0, 3.0, 2.0, 5.0]
 
         def f():
@@ -184,7 +184,7 @@ class TestPairwiseRanking:
         z = (select @ pv) * signs
         want_loss = (np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))).mean()
         d = np.full(z.shape, 1.0 / z.size) * (1.0 / (1.0 + np.exp(-z))) * signs
-        p = Tensor(pv, requires_grad=True)
+        p = Tensor(pv)
         with Graph() as g:
             loss = pairwise_ranking_loss(p, gv)
         backward(loss, g)
@@ -198,8 +198,8 @@ class TestPairwiseRanking:
         # softplus(-gap) exactly 0 once exp(-gap) underflows (at 1e308 the
         # mean of the two pairs would overflow)
         losses = []
-        for p in (Tensor([[gap], [0.0]], requires_grad=True),
-                  Tensor([[0.0], [gap]], requires_grad=True)):
+        for p in (Tensor([[gap], [0.0]]),
+                  Tensor([[0.0], [gap]])):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with Graph() as g:
@@ -213,13 +213,31 @@ class TestPairwiseRanking:
         else:
             assert misranked == gap and 0.0 <= ranked < 1e-307
             assert ranked == 0.0 or gap < 1e3
-        p = Tensor([[0.0], [1e3], [-1e3], [2.0]], requires_grad=True)
+        p = Tensor([[0.0], [1e3], [-1e3], [2.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with Graph() as g:
                 loss = pairwise_ranking_loss(p, [1.0, 2.0, 3.0, 4.0])
             backward(loss, g)
         assert math.isfinite(loss.item()) and np.isfinite(p.grad).all()
+
+
+class TestLargeFiniteTerms:
+    """A mean whose plain sum overflows although every term is finite is the
+    sum of each term divided by the count; no warning, no inf."""
+
+    @pytest.mark.parametrize("loss, p, g, want", [
+        (pairwise_ranking_loss, [[1e308], [0.0]], [1.0, 2.0], 1e308),  # two pairs of 1e308
+        (l1_loss, [[1e308], [-1e308]], [0.0, 0.0], 1e308),
+        (correlation_loss, [[1e308], [1e308]], [1.0, 2.0], 0.0),  # p constant: no misorder
+    ], ids=["pwrl", "l1", "correlation"])
+    def test_loss_is_finite(self, loss, p, g, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert loss(p, g).item() == want
+
+    def test_an_infinite_term_stays_infinite(self):
+        assert l1_loss([[np.inf], [0.0]], [0.0, 0.0]).item() == np.inf
 
 
 class TestTotalLoss:
@@ -254,7 +272,7 @@ class TestTotalLoss:
         assert total_loss(p, g, cfg).item() == l1_loss(p, g).item()
 
     def test_gradient_of_total(self):
-        p = Tensor([[1.3], [0.2], [4.0]], requires_grad=True, name="p")
+        p = Tensor([[1.3], [0.2], [4.0]], name="p")
         g = [1.0, 2.0, 3.5]
         cfg = LossConfig(alpha=0.7, beta=0.3)
 
@@ -272,7 +290,7 @@ class TestLossNode:
 
     @CASES
     def test_gradient_check(self, variant, alpha, beta):
-        p = Tensor([[1.3], [0.2], [4.0], [2.6], [-0.7]], requires_grad=True, name="p")
+        p = Tensor([[1.3], [0.2], [4.0], [2.6], [-0.7]], name="p")
         g = [1.0, 2.0, 3.5, 2.0, 0.5]
         cfg = LossConfig(alpha=alpha, beta=beta, variant=variant)
         report = ad.gradient_check(lambda: total_loss(p, g, cfg), [p], h=1e-6)
@@ -281,7 +299,7 @@ class TestLossNode:
 
     @CASES
     def test_one_node_on_the_predictions(self, variant, alpha, beta):
-        p = Tensor(np.arange(4.0), requires_grad=True)
+        p = Tensor(np.arange(4.0))
         with Graph() as g:
             loss = total_loss(p, Tensor([2.0, 1.0, 4.0, 3.0]), LossConfig(alpha, beta, variant))
         (node,) = g.nodes
@@ -299,7 +317,7 @@ class TestLossNode:
         active = (pv - pv.mean()) * dev_g * -1.0 > 0
         h = np.full(pv.shape, 0.3 * 16.0) * active * -1.0 * dev_g
         want = h + np.full(pv.shape, -h.sum() / 16) + np.full(pv.shape, 0.7 / 16) * np.sign(pv - gv)
-        p = Tensor(pv, requires_grad=True)
+        p = Tensor(pv)
         with Graph() as g:
             loss = total_loss(p, gv, LossConfig(0.7, 0.3))
         backward(loss, g)

@@ -51,7 +51,7 @@ def small_train_cfg(**kwargs):
 
 class TestAdam:
     def one_param(self, value=1.0):
-        p = Tensor([value], requires_grad=True, name="theta")
+        p = Tensor([value], name="theta")
         state = AdamState(step=0, m={"theta": np.zeros(1)}, v={"theta": np.zeros(1)})
         return p, state
 
@@ -99,7 +99,7 @@ class TestAdam:
 
     def test_in_place_update_is_bit_identical_to_formula(self):
         rng = np.random.default_rng(14)
-        p = Tensor(rng.normal(size=(4, 3)), requires_grad=True, name="w")
+        p = Tensor(rng.normal(size=(4, 3)), name="w")
         state = AdamState(step=0, m={"w": np.zeros((4, 3))}, v={"w": np.zeros((4, 3))})
         model = DCVQEModel(DCVQEConfig(input_dim=1, model_dim=2, num_heads=1), {"w": p})
         before = Checkpoint.snapshot(model, state, val_loss=0.0, epoch=0)
@@ -124,8 +124,8 @@ class TestAdam:
         # F-ordered gradient; every block must see the formula's float order
         assert 2 * ADAM_BLOCK < 4096 * 9 < 3 * ADAM_BLOCK
         rng = np.random.default_rng(15)
-        p = Tensor(rng.normal(size=(4096, 9)), requires_grad=True, name="w")
-        small = Tensor(rng.normal(size=(3,)), requires_grad=True, name="b")
+        p = Tensor(rng.normal(size=(4096, 9)), name="w")
+        small = Tensor(rng.normal(size=(3,)), name="b")
         state = AdamState(step=0, m={"w": np.zeros((4096, 9)), "b": np.zeros(3)},
                           v={"w": np.zeros((4096, 9)), "b": np.zeros(3)})
         model = DCVQEModel(DCVQEConfig(input_dim=1, model_dim=2, num_heads=1),
@@ -153,8 +153,8 @@ class TestAdam:
 
     def test_nonfinite_gradient_changes_nothing(self):
         # the first parameter's gradient is fine: it must not be updated either
-        first = Tensor(np.ones(3), requires_grad=True, name="a")
-        second = Tensor(np.ones(3), requires_grad=True, name="b")
+        first = Tensor(np.ones(3), name="a")
+        second = Tensor(np.ones(3), name="b")
         first.grad, second.grad = np.full(3, 0.5), np.array([0.5, np.nan, 0.5])
         state = AdamState(step=4, m={"a": np.full(3, 0.2), "b": np.full(3, 0.2)},
                           v={"a": np.full(3, 0.3), "b": np.full(3, 0.3)})
@@ -343,7 +343,7 @@ class TestCheckpointIO:
         model = cp.build_model()
         assert model.config == cp.config and list(model.params) == list(cp.params)
         for name, p in model.named_parameters():
-            assert p.name == name and p.requires_grad
+            assert p.name == name
             assert p.data.tobytes() == cp.params[name].tobytes()
             p.grad = np.ones(p.shape)
         adam_step(model.named_parameters(), AdamState.for_model(model), lr=0.1)
