@@ -25,18 +25,19 @@ mean over its rows. ``divide_attention`` is the whole divide stage of one
 video: it cuts the frames into clips, runs every ``[video; clip]``
 sequence through the same attention, masked, adds the residual, and
 returns two tensors, the clip embeddings and the updated frames (a node
-may have several outputs). The masked softmax has one forward and one
-backward rule (``_softmax_forward``, ``_softmax_vjp``). When every logit
-lies within ``_EXP_SAFE`` of zero, the forward skips the row max and
-differs from the shifted formula by rounding only; otherwise it takes the
-row max and the exponential over the admitted entries only, bit-identical
-to exponentiating ``-inf``. Masked entries are exact zeros and get exactly
-zero gradient. The backward takes the softmax's row term from the output
-rows (g . o per row and head) rather than from the scores. With
-``clip_rows_only``, ``divide_attention`` evaluates query row 0 of each clip
-alone and returns only the clip embeddings; the model uses it for its final
-layer, whose updated frames nothing reads. ``gradient_check`` checks the
-fused ops like every other op.
+may have several outputs). It checks once, at entry, that its mask admits
+the video row in every row, so the masked softmax checks nothing. That
+softmax has one forward and one backward rule (``_softmax_forward``,
+``_softmax_vjp``). When every logit lies within ``_EXP_SAFE`` of zero, the
+forward skips the row max and differs from the shifted formula by rounding
+only; otherwise it takes the row max and the exponential over the admitted
+entries only, bit-identical to exponentiating ``-inf``. Masked entries are
+exact zeros and get exactly zero gradient. The backward takes the softmax's
+row term from the output rows (g . o per row and head) rather than from the
+scores. With ``clip_rows_only``, ``divide_attention`` evaluates query row 0
+of each clip alone and returns only the clip embeddings; the model uses it
+for its final layer, whose updated frames nothing reads. ``gradient_check``
+checks the fused ops like every other op.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ class ShapeError(ValueError):
 
 class GraphError(ValueError):
     """Backward invoked with a non-scalar loss, or a malformed tape."""
-
-
-class DegenerateMaskError(ValueError):
-    """A softmax mask admits no positions in at least one row."""
 
 
 class Tensor:
@@ -85,9 +82,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -215,7 +209,7 @@ def backward(loss: Tensor, graph: Graph) -> None:
 
 def zero_grads(params: Sequence[Tensor]) -> None:
     for p in params:
-        p.zero_grad()
+        p.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +295,9 @@ _EXP_SAFE = 300.0
 
 def _softmax_forward(z: np.ndarray, admissible: np.ndarray | None) -> np.ndarray:
     """Masked softmax along the last axis, computed in place on the float
-    array ``z``, which is returned. ``admissible`` broadcasts to ``z``; None
-    admits every entry.
+    array ``z``, which is returned. ``admissible``, unchecked, is a boolean
+    array that broadcasts to ``z`` and admits an entry in every row (see
+    ``divide_attention``); None admits every entry.
 
     When every logit lies within ±``_EXP_SAFE`` (one min/max check over the
     array; NaN fails it), the row max is skipped: every entry is
@@ -312,19 +307,6 @@ def _softmax_forward(z: np.ndarray, admissible: np.ndarray | None) -> np.ndarray
     admitted entries only, which equals exponentiating ``-inf`` at masked
     entries bit for bit. Either way masked entries are exact (positive)
     zeros."""
-    if admissible is not None:
-        admissible = np.asarray(admissible, dtype=bool)
-        try:
-            fits = np.broadcast_shapes(admissible.shape, z.shape) == z.shape
-        except ValueError:
-            fits = False
-        if not fits or z.ndim < 1:
-            raise ShapeError(f"mask shape {admissible.shape} does not broadcast to logits "
-                             f"shape {z.shape}")
-        rows_ok = admissible.any(axis=-1).reshape(-1)
-        if not rows_ok.all():
-            raise DegenerateMaskError(f"mask admits no positions in row "
-                                      f"{int(np.argmin(rows_ok))}")
     if -_EXP_SAFE <= z.min(initial=np.inf) and z.max(initial=-np.inf) <= _EXP_SAFE:
         np.exp(z, out=z)
         if admissible is not None:
@@ -381,14 +363,12 @@ def _attend(x: np.ndarray, ws: tuple[Tensor, Tensor, Tensor], num_heads: int,
     ``first_row_only`` only query row 0 of each sequence is evaluated
     (m = 1): K and V still cover every row, the output is that row alone,
     one per sequence, and dx reaches every row through K and V and row 0
-    through Q as well. Otherwise m = n.
+    through Q as well. Otherwise m = n. ``admissible`` is the [m, n] mask.
     """
     *lead, n, dim = x.shape
     head_dim = dim // num_heads
     c = 1.0 / math.sqrt(head_dim)
     m = 1 if first_row_only else n
-    if first_row_only and admissible is not None:
-        admissible = admissible[..., :1, :]
 
     def split(a, length):  # [rows, D] -> [..., H, length, D/H], a view
         return a.reshape(*lead, length, num_heads, head_dim).swapaxes(-2, -3)
@@ -459,7 +439,7 @@ def conquer_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: 
 
 
 def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
-                     num_heads: int, clip_len: int, admissible: np.ndarray | None,
+                     num_heads: int, clip_len: int, admissible: np.ndarray,
                      sink: list[np.ndarray] | None = None,
                      clip_rows_only: bool = False) -> tuple[Tensor, Tensor] | Tensor:
     """The divide stage of one video as one tape op with two outputs.
@@ -468,9 +448,11 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
     the last clip keeps the remainder and is never padded. Each clip c runs
     as the sequence [video; frames of c] (``video`` is [1, D]) through the
     multi-head attention of ``conquer_attention``, unpooled and masked with
-    ``admissible``, the [clip_len + 1, clip_len + 1] mask of a full clip
-    (None admits every position); a shorter last clip of m frames uses the
-    leading [m + 1, m + 1] block. The input sequence is added back (residual).
+    ``admissible``, the boolean [clip_len + 1, clip_len + 1] mask of a full
+    clip; a shorter last clip of m frames uses the leading [m + 1, m + 1]
+    block. The mask must admit position 0, the video row, in every row, so
+    no row of any block is empty; ``ShapeError`` names a wrong shape or dtype
+    or the first row without it. The input sequence is added back (residual).
     Returns the clip embeddings [C, D] (position 0 of each clip's output,
     the clip row) and the updated frames [n, D]. ``sink`` receives one
     [H, L, L] weight array per clip, in clip order.
@@ -496,9 +478,16 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
                          f"{frames.shape} and {video.shape}")
     if clip_len < 1:
         raise ShapeError(f"clip_len must be >= 1, got {clip_len}")
-    if admissible is not None and np.shape(admissible) != (clip_len + 1, clip_len + 1):
-        raise ShapeError(f"mask shape {np.shape(admissible)} is not [{clip_len + 1}, "
-                         f"{clip_len + 1}] for clips of {clip_len} frames")
+    size = clip_len + 1
+    if (not isinstance(admissible, np.ndarray) or admissible.dtype != bool
+            or admissible.shape != (size, size)):
+        raise ShapeError(f"mask must be a boolean [{size}, {size}] array for clips of "
+                         f"{clip_len} frames, got "
+                         f"{getattr(admissible, 'dtype', type(admissible).__name__)} "
+                         f"{np.shape(admissible)}")
+    if not admissible[:, 0].all():
+        raise ShapeError(f"mask row {int(np.argmin(admissible[:, 0]))} does not admit "
+                         f"position 0, the video row")
     n, dim = frames.shape
     full = n - n % clip_len
     batches = []  # (first frame, end frame, frames per clip, clips, vjp)
@@ -515,7 +504,7 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
             continue
         x = sequences(start, stop, length)
         clips = len(x)
-        mask = None if admissible is None else admissible[:length + 1, :length + 1]
+        mask = admissible[:1 if clip_rows_only else length + 1, :length + 1]
         out, p, vjp = _attend(x, ws, num_heads, mask, first_row_only=clip_rows_only)
         if sink is not None:
             sink.extend(p)

@@ -246,8 +246,8 @@ def manifest_feature_dim(manifest: DatasetManifest) -> int:
     return first[1]
 
 
-def load_sequences(manifest: DatasetManifest, max_len: int | None = None) -> list[FeatureSequence]:
-    """Read every video of the manifest, cut to ``max_len`` frames if given.
+def load_sequences(manifest: DatasetManifest, max_len: int) -> list[FeatureSequence]:
+    """Read every video of the manifest, cut to ``max_len`` frames.
 
     The sequences are kept for a whole run, so a cut sequence holds a copy
     of its first rows rather than a view that would keep the cut frames
@@ -256,12 +256,10 @@ def load_sequences(manifest: DatasetManifest, max_len: int | None = None) -> lis
     seqs = []
     for e in manifest.entries:
         seq = read_features(manifest.resolve(e), mos=e.mos, video_id=e.video_id)
-        if max_len is not None:
-            cut = truncate(seq, max_len)
-            if cut is not seq:
-                cut.features = cut.features.copy()
-            seq = cut
-        seqs.append(seq)
+        cut = truncate(seq, max_len)
+        if cut is not seq:
+            cut.features = cut.features.copy()
+        seqs.append(cut)
     return seqs
 
 

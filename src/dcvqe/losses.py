@@ -12,8 +12,10 @@ whose bits they keep: L1 (c * alpha / N) * sign(p - g); correlation
 h = ((c * beta * N) * [hinge > 0]) * -1 * (g - mean(g)), then
 h + (-sum(h) / N) through the prediction mean; pwrl
 d = ((c * beta / P) * sigmoid(z)) * s over the P untied pairs, then
-(d.T @ select).T with the [P, N] pair selector. The order term's gradient
-comes first and the L1 gradient is added to it.
+(d.T @ select).T with the [P, N] pair selector. A batch without an untied
+pair (one video, or every ground truth tied) has nothing to rank: its pwrl
+term is 0 with a zero gradient, as the correlation term is for one video.
+The order term's gradient comes first and the L1 gradient is added to it.
 """
 
 from __future__ import annotations
@@ -24,10 +26,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-
-
-class TiedGroundTruthError(ValueError):
-    """Every ground-truth pair is tied; the pairwise loss is undefined."""
 
 
 VARIANTS = ("correlation", "pwrl", "l1")
@@ -87,14 +85,11 @@ def _correlation_term(p: np.ndarray, g: np.ndarray, beta: float):
 
 
 def _pairwise_term(p: np.ndarray, g: np.ndarray, beta: float):
-    n = len(p)
-    if n < 2:
-        raise ad.ShapeError(f"pairwise ranking loss needs >= 2 samples, got {n}")
     gv = g.reshape(-1)
     a, b = np.nonzero(gv[:, None] != gv[None, :])  # untied pairs in row-major order
-    if not a.size:
-        raise TiedGroundTruthError("all ground truths tied; no rankable pairs")
-    select = np.zeros((a.size, n))  # +1 at n and -1 at m in the row of pair (n, m)
+    if not a.size:  # one video, or every ground truth tied: nothing to rank
+        return np.float64(0.0), lambda c: np.zeros(p.shape)
+    select = np.zeros((a.size, len(p)))  # +1 at n and -1 at m in the row of pair (n, m)
     rows = np.arange(a.size)
     select[rows, a] = 1.0
     select[rows, b] = -1.0
@@ -160,5 +155,6 @@ def correlation_loss(p, g) -> Tensor:
 def pairwise_ranking_loss(p, g) -> Tensor:
     """Cross-entropy pairwise ranking baseline: the mean over ordered pairs
     (n, m), n != m, of log(1 + exp(-sign(g_n - g_m) * (p_n - p_m))); pairs
-    with tied ground truths are skipped."""
+    with tied ground truths are skipped, and without an untied pair the
+    loss is 0 with a zero gradient."""
     return total_loss(p, g, LossConfig(alpha=0.0, beta=1.0, variant="pwrl"))

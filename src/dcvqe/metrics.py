@@ -1,9 +1,10 @@
 """Evaluation criteria: SRCC, KRCC, PLCC, RMSE, and median aggregation.
 
-SRCC uses average ranks for ties; KRCC is tau-b via exhaustive pair
-enumeration; PLCC is plain Pearson with no logistic remapping applied
-beforehand (stated explicitly since toolchains differ on this). Every
-criterion rejects a non-finite input with ``DegenerateInputError``.
+SRCC uses average ranks for ties; KRCC is tau-b over every sample pair,
+counted one row of pairs at a time in O(n) memory; PLCC is plain Pearson
+with no logistic remapping applied beforehand (stated explicitly since
+toolchains differ on this). Every criterion rejects a non-finite input with
+``DegenerateInputError``.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ class MetricsReport:
     plcc: float
     rmse: float
     n: int
-
-    def as_dict(self) -> dict:
-        return {"srcc": self.srcc, "krcc": self.krcc, "plcc": self.plcc,
-                "rmse": self.rmse, "n": self.n}
 
 
 def _vector(x, what: str, min_len: int) -> np.ndarray:
@@ -84,20 +81,21 @@ def srcc(p, g) -> float:
 
 
 def krcc(p, g) -> float:
-    """Kendall tau-b by exhaustive enumeration of all sample pairs."""
+    """Kendall tau-b, counted one row of pairs at a time: row i compares
+    sample i with every later one, by comparisons, in O(n) memory."""
     pv, gv = _pair(p, g, 2)
-    iu = np.triu_indices(pv.size, k=1)
-    dp = np.sign(pv[:, None] - pv[None, :])[iu]
-    dg = np.sign(gv[:, None] - gv[None, :])[iu]
-    concordant = int(((dp * dg) > 0).sum())
-    discordant = int(((dp * dg) < 0).sum())
-    n0 = dp.size
-    ties_p = int((dp == 0).sum())
-    ties_g = int((dg == 0).sum())
-    denom = float(np.sqrt(float(n0 - ties_p) * float(n0 - ties_g)))
+    score = untied_p = untied_g = 0  # concordant minus discordant pairs, untied pairs
+    for i in range(pv.size - 1):
+        # sign(x[i] - x[j]) for j > i, without a subtraction that could overflow
+        dp, dg = ((x[i + 1:] < x[i]).view(np.int8) - (x[i + 1:] > x[i]).view(np.int8)
+                  for x in (pv, gv))
+        score += int((dp * dg).sum())
+        untied_p += np.count_nonzero(dp)
+        untied_g += np.count_nonzero(dg)
+    denom = float(np.sqrt(float(untied_p) * float(untied_g)))
     if denom == 0.0:
         raise DegenerateInputError("tau undefined: all pairs tied on one side")
-    return (concordant - discordant) / denom
+    return score / denom
 
 
 def plcc(p, g) -> float:

@@ -222,9 +222,6 @@ class DCVQEModel:
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def zero_grads(self) -> None:
-        ad.zero_grads(self.parameters())
-
     def _projections(self, layer: int, module: str) -> tuple[Tensor, Tensor, Tensor]:
         return tuple(self.params[f"layer{layer}.{module}.{r}"] for r in ("query", "key", "value"))
 
@@ -300,21 +297,21 @@ class DCVQEModel:
         return score
 
     def record(self, features) -> LayerActivations:
-        """Every layer's activations and attention maps for one video.
+        """Every layer's activations and attention maps for the features
+        [S, input_dim] (an array) of one video.
 
         The model runs once inside a throwaway ``Graph``, so nothing reaches
         a caller's tape, and evaluates every layer in full, the final one
         included: its clip and video embeddings agree with ``embed``'s to
         rounding, not bit for bit."""
-        feats = features.data if isinstance(features, Tensor) else features
         acts = LayerActivations()
         with ad.Graph():
-            video, frames = self.add_positional(self.project_input(feats))
+            video, frames = self.add_positional(self.project_input(features))
             for layer in range(1, self.config.num_layers + 1):
                 divide, conquer = sinks = [], []
                 frames, clips, video = self.dctr_layer(layer, frames, video, sinks)
                 clip_len = self.config.base_clip_len * 2 ** (layer - 1)
-                acts.clip_boundaries.append(split_clips(len(feats), clip_len))
+                acts.clip_boundaries.append(split_clips(len(features), clip_len))
                 acts.frame_embeddings.append(frames.data)
                 acts.clip_embeddings.append(clips.data)
                 acts.video_embeddings.append(video.data)

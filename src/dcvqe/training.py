@@ -144,7 +144,7 @@ def train_epoch(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
     losses = []
     for lo in range(0, len(order), cfg.batch_size):
         batch = [train_seqs[i] for i in order[lo:lo + cfg.batch_size]]
-        model.zero_grads()
+        ad.zero_grads(model.parameters())
         with Graph() as graph:
             preds = _batch_predictions(model, batch)
             targets = Tensor(np.array([[s.mos] for s in batch]))

@@ -6,9 +6,11 @@ constraint, evaluated literally, against which the mean-deviation form of
 ``losses.correlation_loss`` is checked. ``linear_probe`` is a learnability
 check for a synthetic dataset. ``initial_params`` spells out the seeded
 parameter draw of ``DCVQEModel.initialize`` one parameter at a time.
+``krcc_pairs`` is Kendall tau-b from the full matrix of pair signs.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -59,7 +61,7 @@ def linear_probe(manifest: DatasetManifest, seed: int = 0) -> float:
     A cheap learnability check for a dataset: if a linear probe cannot rank
     it, no amount of model training will.
     """
-    seqs = load_sequences(manifest)
+    seqs = load_sequences(manifest, max_len=sys.maxsize)  # every frame
     # accumulating in float64 gives the same bits as the mean of the widened rows
     x = np.stack([s.features.mean(axis=0, dtype=np.float64) for s in seqs])
     y = np.array([s.mos for s in seqs])
@@ -99,3 +101,19 @@ def initial_params(config, seed: int, init_scale: float = 0.02) -> dict[str, np.
     params["regressor.weight"] = normal((d, 1))
     params["regressor.bias"] = np.zeros((1, 1))
     return params
+
+
+def krcc_pairs(p, g) -> float:
+    """Kendall tau-b by exhaustive enumeration: the signs of every pair's
+    differences, gathered from the n x n matrices into the upper triangle."""
+    pv = np.asarray(p, dtype=np.float64).reshape(-1)
+    gv = np.asarray(g, dtype=np.float64).reshape(-1)
+    iu = np.triu_indices(pv.size, k=1)
+    dp = np.sign(pv[:, None] - pv[None, :])[iu]
+    dg = np.sign(gv[:, None] - gv[None, :])[iu]
+    concordant = int(((dp * dg) > 0).sum())
+    discordant = int(((dp * dg) < 0).sum())
+    n0 = dp.size
+    ties_p = int((dp == 0).sum())
+    ties_g = int((dg == 0).sum())
+    return (concordant - discordant) / float(np.sqrt(float(n0 - ties_p) * float(n0 - ties_g)))

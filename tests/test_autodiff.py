@@ -16,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcvqe import autodiff as ad
-from dcvqe.autodiff import (DegenerateMaskError, Graph, GraphError, ShapeError,
-                            Tensor, backward, gradient_check)
+from dcvqe.autodiff import Graph, GraphError, ShapeError, Tensor, backward, gradient_check
 from dcvqe.losses import l1_loss
 from oracles import weighted_sum
 
@@ -304,12 +303,6 @@ class TestSoftmaxMasked:
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
         assert (out[~mask] == 0.0).all()
 
-    def test_fully_masked_row_raises(self):
-        mask = np.ones((2, 2), dtype=bool)
-        mask[1, :] = False
-        with pytest.raises(DegenerateMaskError, match="row 1"):
-            ad._softmax_forward(np.zeros((2, 2)), mask)
-
     def test_mask_broadcasts_over_leading_axes(self):
         x = np.random.default_rng(5).normal(size=(2, 3, 3, 4))
         y = ad._softmax_forward(x.copy(), HEAD_MASK)
@@ -323,8 +316,6 @@ class TestSoftmaxMasked:
         np.testing.assert_allclose(
             grad, fd_grad(lambda z: (old_softmax(z, HEAD_MASK) ** 2).sum(), x.copy()),
             atol=1e-8)
-        with pytest.raises(ShapeError):
-            ad._softmax_forward(x.copy(), np.ones((4, 3), dtype=bool))
 
     def test_gradient_zero_at_masked_entries(self):
         rng = np.random.default_rng(4)
@@ -572,10 +563,11 @@ class TestGradientCheck:
         assert gradient_check(f, params, h=1e-6).max_rel_error <= 1e-4
 
 
-def banded_mask(n: int, radius: int) -> np.ndarray:
-    """The divide-stage mask: a band of ``radius`` plus an always-admitted slot 0."""
+def banded_mask(n: int, radius: int | None) -> np.ndarray:
+    """The divide-stage mask: a band of ``radius`` (None: every position)
+    plus an always-admitted slot 0."""
     idx = np.arange(n)
-    mask = np.abs(idx[:, None] - idx[None, :]) <= radius
+    mask = np.abs(idx[:, None] - idx[None, :]) <= (n if radius is None else radius)
     mask[0, :] = mask[:, 0] = True
     return mask
 
@@ -756,7 +748,7 @@ class TestDivideAttention:
     @CASES
     def test_gradient_check(self, n, clip_len, radius):
         frames, video, ws = self.operands(n, 40 + n)
-        mask = None if radius is None else banded_mask(clip_len + 1, radius)
+        mask = banded_mask(clip_len + 1, radius)
         rng = np.random.default_rng(41)
         clips = -(-n // clip_len)
         w_clips = rng.normal(size=(clips, self.DIM))
@@ -801,7 +793,8 @@ class TestDivideAttention:
     def test_one_node_with_two_outputs(self):
         frames, video, ws = self.operands(10, 51)
         with Graph() as g:
-            clips, out = ad.divide_attention(frames, video, *ws, self.HEADS, 4, None)
+            clips, out = ad.divide_attention(frames, video, *ws, self.HEADS, 4,
+                                             banded_mask(5, None))
             loss = weighted_sum((clips, 1.0), power=2)  # the frames output is unused
         assert [node.op for node in g.nodes] == ["divide_attention", "weighted_sum"]
         backward(loss, g)
@@ -811,7 +804,7 @@ class TestDivideAttention:
     @CASES
     def test_clip_rows_only_gradient_check(self, n, clip_len, radius):
         frames, video, ws = self.operands(n, 60 + n)
-        mask = None if radius is None else banded_mask(clip_len + 1, radius)
+        mask = banded_mask(clip_len + 1, radius)
         w_clips = np.random.default_rng(61).normal(size=(-(-n // clip_len), self.DIM))
 
         def f():
@@ -826,13 +819,12 @@ class TestDivideAttention:
     @CASES
     def test_clip_rows_only_matches_the_full_op(self, n, clip_len, radius):
         frames, video, ws = self.operands(n, 70 + n)
-        mask = None if radius is None else banded_mask(clip_len + 1, radius)
+        mask = banded_mask(clip_len + 1, radius)
         w_clips = np.random.default_rng(71).normal(size=(-(-n // clip_len), self.DIM))
 
         def run(clip_rows_only):  # the clip rows feed the loss, the frames nothing
             sink = []
-            for t in (frames, video, *ws):
-                t.zero_grad()
+            ad.zero_grads([frames, video, *ws])
             with Graph() as g:
                 out = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask,
                                           sink=sink, clip_rows_only=clip_rows_only)
@@ -872,7 +864,7 @@ class TestDivideAttention:
         if path == "fallback":
             request.getfixturevalue("fallback")
         frames, video, ws = self.operands(n, 80 + n)
-        mask = None if radius is None else banded_mask(clip_len + 1, radius)
+        mask = banded_mask(clip_len + 1, radius)
         rng = np.random.default_rng(81)
         clips = -(-n // clip_len)
         w_clips = rng.normal(size=(clips, self.DIM))
@@ -890,7 +882,7 @@ class TestDivideAttention:
             stop = min(start + clip_len, n)
             x = np.vstack([video.data, frames.data[start:stop]])[None]
             grad = np.vstack([w_clips[k:k + 1], w_frames[start:stop]])[None]
-            block = None if mask is None else mask[:len(x[0]), :len(x[0])]
+            block = mask[:len(x[0]), :len(x[0])]
             dx, dw = attention_vjp_reference(x, [w.data for w in ws], self.HEADS, block, grad)
             dx = dx[0] + grad[0]  # the residual path
             d_video += dx[:1]
@@ -901,12 +893,43 @@ class TestDivideAttention:
 
     def test_rejects_bad_operands(self):
         frames, video, ws = self.operands(6, 52)
-        with pytest.raises(ShapeError, match="mask shape"):
-            ad.divide_attention(frames, video, *ws, self.HEADS, 4, banded_mask(4, 1))
+        mask = banded_mask(5, 1)
+        for bad, got in ((banded_mask(4, 1), r"bool \(4, 4\)"), (None, r"NoneType \(\)"),
+                         (mask.astype(np.float64), "float64"), (mask.astype(np.int8), "int8"),
+                         (mask.tolist(), r"list \(5, 5\)")):
+            with pytest.raises(ShapeError, match=r"boolean \[5, 5\] array .* got " + got):
+                ad.divide_attention(frames, video, *ws, self.HEADS, 4, bad)
         with pytest.raises(ShapeError, match="video"):
-            ad.divide_attention(frames, frames, *ws, self.HEADS, 4, None)
+            ad.divide_attention(frames, frames, *ws, self.HEADS, 4, mask)
         with pytest.raises(ShapeError, match="clip_len"):
-            ad.divide_attention(frames, video, *ws, self.HEADS, 0, None)
+            ad.divide_attention(frames, video, *ws, self.HEADS, 0, banded_mask(1, 1))
+
+    @pytest.mark.parametrize("clip_rows_only", [False, True])
+    @pytest.mark.parametrize("bad_rows", [[3], [2, 4], [0]])
+    def test_rejects_a_row_without_position_0(self, bad_rows, clip_rows_only):
+        """Even a row that admits other positions, and even a row past the
+        leading block of a shorter last clip, names the first such row."""
+        frames, video, ws = self.operands(6, 54)
+        mask = banded_mask(5, None)
+        mask[bad_rows, 0] = False
+        with pytest.raises(ShapeError, match=f"mask row {bad_rows[0]} does not admit "
+                                             f"position 0"):
+            ad.divide_attention(frames, video, *ws, self.HEADS, 4, mask,
+                                clip_rows_only=clip_rows_only)
+
+    def test_a_mask_of_column_0_alone_leaves_no_row_empty(self):
+        """Every row of both blocks (a full clip and a shorter last one)
+        puts all its weight on the video row; an empty row would divide by
+        zero, a RuntimeWarning that fails the suite."""
+        frames, video, ws = self.operands(7, 55)
+        mask = np.zeros((5, 5), dtype=bool)
+        mask[:, 0] = True
+        sink = []
+        ad.divide_attention(frames, video, *ws, self.HEADS, 4, mask, sink=sink)
+        assert [w.shape for w in sink] == [(self.HEADS, 5, 5), (self.HEADS, 4, 4)]
+        for w in sink:
+            np.testing.assert_allclose(w[..., 0], 1.0, rtol=1e-15, atol=0)
+            assert (w[..., 1:] == 0.0).all()
 
 
 class TestThreadConfinement:

@@ -4,6 +4,7 @@ diagnostic subcommands, exit codes, and config/flag/env precedence."""
 import dataclasses
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -21,7 +22,12 @@ from dcvqe.model import DCVQEConfig, DCVQEModel
 from dcvqe.training import (AdamState, Checkpoint, TrainConfig, load_checkpoint,
                             save_checkpoint)
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+# a child process does not see pytest's ``pythonpath``: it finds the package
+# through PYTHONPATH, with the checkout's ``src`` first
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
 TINY_MODEL = {"model_dim": 8, "num_heads": 2, "num_layers": 2, "base_clip_len": 4,
               "temporal_range": 2, "max_seq_len": 12}
 
@@ -57,7 +63,7 @@ def run_cli(*args):
     """``python -m dcvqe`` in a child process: a command that hangs fails its
     test at the timeout instead of stalling the suite."""
     return subprocess.run([sys.executable, "-m", "dcvqe", *map(str, args)],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=CHILD_ENV)
 
 
 def edited_checkpoint(src, dst, name, value):
@@ -152,7 +158,7 @@ class TestGradcheck:
 
     def test_subprocess_module_entry(self):
         result = subprocess.run([sys.executable, "-m", "dcvqe", "gradcheck"],
-                                capture_output=True, text=True, timeout=300)
+                                capture_output=True, text=True, timeout=300, env=CHILD_ENV)
         assert result.returncode == 0
 
 

@@ -7,13 +7,15 @@ round-trip. A config file may also fail a dataclass range check, a
 checkpoints whose header values are replaced with hostile ones,
 ``dump-embeddings`` on cut and changed manifests and checkpoints, and
 ``predict`` and ``eval`` on cut and changed feature files; each exits with a
-documented code and prints no traceback."""
+documented code and prints no traceback. ``train`` runs one epoch on small
+manifests, every loss and batch layout, and exits 0."""
 
 import contextlib
 import dataclasses
 import io
 import json
 import struct
+import time
 import traceback
 
 import numpy as np
@@ -383,3 +385,46 @@ def test_config_file_round_trip(scratch, cfg, grid):
     for row, resolved in zip([{}] + grid, runs):
         run = {key: value for key, value in {**cfg, **row}.items() if key != "grid"}
         assert {key: resolved[key] for key in run} == run
+
+
+def train_cases() -> list[tuple[int, int, str, str]]:
+    """(videos, batch size, loss, MOS layout) for ``train``: first the batches
+    that once stopped the pairwise loss, then seeded draws over 5-12 videos,
+    batch sizes 2-4, every loss and every MOS layout."""
+    cases = [(7, 3, "pwrl", "distinct"),   # a last batch of one video
+             (5, 3, "pwrl", "distinct"),   # a one-video validation split
+             (8, 4, "pwrl", "tied")]       # every MOS tied
+    rng = np.random.default_rng(24)
+    for loss in VARIANTS * 8:
+        cases.append((int(rng.integers(5, 13)), int(rng.integers(2, 5)), loss,
+                      str(rng.choice(["distinct", "levels", "tied"]))))
+    return cases
+
+
+def test_train_runs_on_small_manifests(scratch):
+    """``train`` exits 0 and writes a checkpoint on every small manifest, for
+    every loss, whatever the batch or split sizes and MOS ties."""
+    cfg = scratch / "train.json"
+    cfg.write_text(json.dumps({**dataclasses.asdict(CONFIG), "epochs": 1}))
+    started = time.perf_counter()
+    for k, (videos, batch, loss, layout) in enumerate(train_cases()):
+        rng = np.random.default_rng(k)
+        mos = {"distinct": rng.uniform(1.0, 5.0, videos),
+               "levels": rng.integers(1, 4, videos).astype(float),
+               "tied": np.full(videos, 3.0)}[layout]
+        entries = []
+        for i in range(videos):
+            rows = rng.normal(size=(int(rng.integers(1, 2 * CONFIG.max_seq_len)), 6))
+            write_features(scratch / f"train{i}.dcvq", FeatureSequence(f"t{i}", rows, mos[i]))
+            entries.append(ManifestEntry(f"t{i}", f"train{i}.dcvq", float(mos[i])))
+        save_manifest(DatasetManifest(entries, 1.0, 5.0, scratch), scratch / "train.jsonl")
+        out = scratch / f"train{k}.ckpt"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["train", "--manifest", str(scratch / "train.jsonl"), "--out", str(out),
+                         "--config", str(cfg), "--batch-size", str(batch), "--loss", loss,
+                         "--seed", str(k)])
+        case = (videos, batch, loss, layout, stderr.getvalue())
+        assert code == 0 and out.exists(), case
+        assert "Traceback" not in stdout.getvalue() + stderr.getvalue(), case
+    assert time.perf_counter() - started < 5.0

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from dcvqe import autodiff as ad
 from dcvqe.autodiff import Graph, Tensor, backward
-from dcvqe.losses import (LossConfig, TiedGroundTruthError, correlation_loss, l1_loss,
-                          pairwise_ranking_loss, total_loss)
+from dcvqe.losses import (LossConfig, correlation_loss, l1_loss, pairwise_ranking_loss,
+                          total_loss)
 from oracles import correlation_loss_raw
 
 
@@ -149,13 +149,31 @@ class TestPairwiseRanking:
         expected = pwrl_oracle(p, g)
         assert math.isclose(pairwise_ranking_loss(p, g).item(), expected, rel_tol=1e-12)
 
-    def test_all_tied_raises(self):
-        with pytest.raises(TiedGroundTruthError):
-            pairwise_ranking_loss([1.0, 2.0, 3.0], [2.0, 2.0, 2.0])
+    @staticmethod
+    def value_and_gradient(p, g, cfg):
+        pt = Tensor(np.array(p).reshape(-1, 1))
+        with Graph() as graph:
+            loss = total_loss(pt, g, cfg)
+        backward(loss, graph)
+        return loss.item(), pt.grad
 
-    def test_needs_two(self):
-        with pytest.raises(ad.ShapeError):
-            pairwise_ranking_loss([1.0], [1.0])
+    def test_all_tied_is_zero(self):
+        value, grad = self.value_and_gradient([1.0, 2.0, 3.0], [2.0, 2.0, 2.0],
+                                              LossConfig(alpha=0.0, beta=1.0, variant="pwrl"))
+        assert value == 0.0 and np.array_equal(grad, np.zeros((3, 1)))
+
+    def test_one_sample_is_zero(self):
+        value, grad = self.value_and_gradient([1.0], [1.0],
+                                              LossConfig(alpha=0.0, beta=1.0, variant="pwrl"))
+        assert value == 0.0 and np.array_equal(grad, np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("p, g", [([1.5], [4.0]), ([1.0, 2.5, 3.0], [2.0, 2.0, 2.0])],
+                             ids=["one_sample", "all_tied"])
+    def test_without_pairs_only_l1_remains(self, p, g):
+        """With nothing to rank the total is the weighted L1 term, bit for bit."""
+        got = self.value_and_gradient(p, g, LossConfig(alpha=0.7, beta=0.3, variant="pwrl"))
+        want = self.value_and_gradient(p, g, LossConfig(alpha=0.7, beta=0.3, variant="l1"))
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
     def test_gradient_matches_finite_differences(self):
         p = Tensor([[0.3], [1.1], [-0.4], [2.0]], name="p")

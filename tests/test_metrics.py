@@ -1,6 +1,7 @@
 """Rank/linear correlation metrics against scipy oracles and hand anchors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from dcvqe.metrics import (DegenerateInputError, MetricsReport, _average_ranks,
                            compute_report, krcc, median_report, plcc, rmse, srcc)
+from oracles import krcc_pairs
 
 
 def report(s=0.0, k=0.0, p=0.0, r=0.0, n=10):
@@ -63,7 +65,7 @@ class TestKRCC:
     @settings(max_examples=50)
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=3, max_value=40))
     def test_matches_scipy_tau_b(self, seed, n):
-        """Pair enumeration agrees with scipy's O(n log n) tau-b."""
+        """The row-by-row pair count agrees with scipy's O(n log n) tau-b."""
         rng = np.random.default_rng(seed)
         p = rng.integers(0, 6, n).astype(float)
         g = rng.integers(0, 6, n).astype(float)
@@ -71,6 +73,35 @@ class TestKRCC:
             return
         want = scipy.stats.kendalltau(p, g, variant="b").statistic
         assert math.isclose(krcc(p, g), want, rel_tol=1e-12, abs_tol=1e-12)
+
+    @settings(max_examples=50)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=2, max_value=60),
+           st.sampled_from([2, 6, None]))
+    def test_bit_identical_to_the_pair_matrix(self, seed, n, levels):
+        """The same integer counts as the n x n enumeration, so the same
+        tau-b bits, with ties on an integer grid and without them."""
+        rng = np.random.default_rng(seed)
+        p, g = (rng.normal(size=n) if levels is None
+                else rng.integers(0, levels, n).astype(float) for _ in range(2))
+        if np.all(p == p[0]) or np.all(g == g[0]):
+            return
+        assert krcc(p, g) == krcc_pairs(p, g)
+
+    def test_extreme_values_compare_without_overflow(self):
+        # differences of these overflow to inf; the row count only compares
+        assert krcc([-1e308, 0.0, 1e308], [1.0, 2.0, 3.0]) == 1.0
+        assert krcc([1e308, -1e308, 5e-324], [1.0, 2.0, 2.0]) == krcc([2, 0, 1], [1, 2, 2])
+
+    def test_memory_is_linear_in_n(self):
+        rng = np.random.default_rng(7)
+        p, g = rng.normal(size=3000), rng.integers(0, 50, 3000).astype(float)
+        tracemalloc.start()
+        try:
+            krcc(p, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6  # the pair matrices took 3000**2 * 8 bytes = 72 MB each
 
 
 class TestPLCCAndRMSE:

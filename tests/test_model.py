@@ -229,8 +229,7 @@ class TestSoftmaxFallback:
         mos = Tensor(rng.uniform(1, 5, (4, 1)))
 
         def run():
-            for p in model.parameters():
-                p.zero_grad()
+            ad.zero_grads(model.parameters())
             with ad.Graph() as graph:
                 preds = ad.concat_rows([model.forward(v) for v in videos])
                 loss = total_loss(preds, mos, LossConfig(0.7, 0.3))
