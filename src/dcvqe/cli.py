@@ -1,13 +1,14 @@
 """Command-line surface: synth | train | eval | predict | gradcheck |
 dump-embeddings | ablate.
 
-A flag wins over its key in the JSON config file (--config), a file value
-over the default, and DCVQE_SEED is the seed fallback. synth reads the keys
-seed, videos, min_len, max_len, dim and noise; train, eval and ablate read
-seed and every other key. Integer keys take JSON integers, float keys finite
+Every command resolves its settings in ``_settings``: a flag wins over its
+key in the JSON config file (--config), a file value over the default, and
+the seed falls back to DCVQE_SEED, then 0. synth reads the keys seed,
+videos, min_len, max_len, dim and noise; train, eval and ablate read seed
+and every other key. Integer keys take JSON integers, float keys finite
 numbers, loss a string, temporal_range an integer >= 1, "all" or null. An
 ablate grid row may set any key but grid, seed included. Any other key or
-value is a data error that names the key.
+value is a data error that names the key. The input width is the manifest's.
 Exit codes: 0 success, 1 usage, 2 data/format, 3 numeric failure.
 """
 
@@ -61,9 +62,9 @@ def _temporal_range(value):
 
 # every key a config file may hold, over all commands, with the type of its value
 CONFIG_KEYS = {
-    **dict.fromkeys(["input_dim", "model_dim", "num_heads", "num_layers", "base_clip_len",
-                     "max_seq_len", "epochs", "batch_size", "repetitions", "seed", "videos",
-                     "min_len", "max_len", "dim"], int),
+    **dict.fromkeys(["model_dim", "num_heads", "num_layers", "base_clip_len", "max_seq_len",
+                     "epochs", "batch_size", "repetitions", "seed", "videos", "min_len",
+                     "max_len", "dim"], int),
     **dict.fromkeys(["learning_rate", "alpha", "beta", "noise"], float),
     "loss": str, "temporal_range": _temporal_range, "grid": list}
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", list: "a list"}
@@ -81,8 +82,10 @@ TRAINING_FLAGS = {**SEED_FLAG, "--epochs": "epochs", "--batch-size": "batch_size
                   "--heads": "num_heads", "--max-len": "max_seq_len"}
 
 
-def _add_flags(p, flags: dict) -> None:
-    # SUPPRESS leaves a flag that was not given out of vars(args), so that
+def _add_flags(p, flags: dict, config: bool = True) -> None:
+    if config:
+        p.add_argument("--config", type=Path, help="JSON config file")
+    # SUPPRESS leaves a flag that was not given out of the namespace, so that
     # "--temporal-range all" (None) still wins over a file value
     for flag, key in flags.items():
         p.add_argument(flag, dest=key, type=CONFIG_KEYS[key], default=argparse.SUPPRESS,
@@ -95,13 +98,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic feature dataset")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--config", type=Path, help="JSON config file")
     _add_flags(p, SYNTH_FLAGS)
 
     p = sub.add_parser("train", help="fit a model, keep the best-validation checkpoint")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="checkpoint path")
-    p.add_argument("--config", type=Path, help="JSON config file")
     _add_flags(p, TRAINING_FLAGS)
 
     p = sub.add_parser("eval", help="print a metrics report for a checkpoint")
@@ -109,7 +110,6 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--split", choices=["all", "train", "val", "test"], default="all",
                    help="evaluate the whole manifest or one split of it")
-    p.add_argument("--config", type=Path, help="JSON config file")
     _add_flags(p, SEED_FLAG)
 
     p = sub.add_parser("predict", help="print one score per feature file")
@@ -117,7 +117,7 @@ def build_parser() -> _Parser:
     p.add_argument("features", nargs="+", type=Path)
 
     p = sub.add_parser("gradcheck", help="finite-difference check on a tiny model")
-    _add_flags(p, SEED_FLAG)
+    _add_flags(p, SEED_FLAG, config=False)
     p.add_argument("--tol", type=float, default=1e-4)
 
     p = sub.add_parser("dump-embeddings", help="write final video embeddings as JSONL")
@@ -128,14 +128,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ablate", help="run a declared grid of config overrides")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--out", type=Path, help="write the result table as JSON")
-    p.add_argument("--config", type=Path, help="JSON config file")
     _add_flags(p, TRAINING_FLAGS)
     return parser
 
 
-def _checked(cfg, keys, where: str) -> dict:
-    """``cfg`` if it is an object of only ``keys``, each holding a value of
-    the type CONFIG_KEYS gives it, grid rows included; else FormatError."""
+def _check(cfg, keys, where: str) -> None:
+    """FormatError unless ``cfg`` is an object of only ``keys``, each holding
+    a value of the type CONFIG_KEYS gives it, grid rows included."""
     if not isinstance(cfg, dict):
         raise FormatError(f"{where} must be a JSON object")
     unknown = sorted(set(cfg) - keys)
@@ -154,51 +153,38 @@ def _checked(cfg, keys, where: str) -> dict:
             raise FormatError(f"{where}: {key!r} must be {_TYPE_NAMES[kind]}, "
                               f"got {json.dumps(value)}")
     for i, row in enumerate(cfg.get("grid", [])):
-        _checked(row, keys - {"grid"}, f"{where}, grid entry {i}")
-    return cfg
+        _check(row, keys - {"grid"}, f"{where}, grid entry {i}")
 
 
-def _load_config_file(path: Path | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        cfg = json.loads(path.read_text(encoding="utf-8"))
-    except (RecursionError, ValueError) as exc:  # bad JSON, too deeply nested, or not UTF-8
-        raise FormatError(f"config file {path} is not valid JSON: {exc}") from exc
-    return _checked(cfg, CONFIG_KEYS.keys(), f"config file {path}")
-
-
-def _command_config(args) -> dict:
-    """The --config file of ``args``, holding only keys that its command reads."""
-    synth_keys = set(SYNTH_FLAGS.values())
-    reads = synth_keys if args.command == "synth" else CONFIG_KEYS.keys() - synth_keys | {"seed"}
-    return _checked(_load_config_file(args.config), reads,
-                    f"config file {args.config} for {args.command}")
-
-
-def _fields(cls, args, file_cfg: dict) -> dict:
-    """The fields of dataclass ``cls`` that a flag or the file sets, a flag
-    winning over the file; a field that neither sets keeps its default."""
-    given = {_FIELD_NAMES.get(key, key): CONFIG_KEYS[key](value)
-             for key, value in {**file_cfg, **vars(args)}.items() if key in CONFIG_KEYS}
-    return {f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given}
-
-
-def _resolve_seed(args, file_cfg: dict) -> int:
-    seed = {**file_cfg, **vars(args)}.get("seed", os.environ.get("DCVQE_SEED", 0))
-    try:
-        return int(seed)  # file and flag values are integers already
+def _settings(args, cfg: dict | None = None) -> dict:
+    """Every setting of ``args``'s command, keyed by config key and converted
+    to its key's type: a flag wins over ``cfg`` (an ablate run's row over the
+    file; by default the --config file, read and checked against the keys
+    that the command reads), and the seed falls back to DCVQE_SEED, then 0."""
+    path = getattr(args, "config", None)
+    if cfg is None and path is not None:
+        try:
+            cfg = json.loads(path.read_text(encoding="utf-8"))
+        except (RecursionError, ValueError) as exc:  # bad JSON, too deeply nested, or not UTF-8
+            raise FormatError(f"config file {path} is not valid JSON: {exc}") from exc
+        synth = set(SYNTH_FLAGS.values())
+        reads = synth if args.command == "synth" else CONFIG_KEYS.keys() - synth | {"seed"}
+        _check(cfg, reads, f"config file {path} for {args.command}")
+    given = {"seed": os.environ.get("DCVQE_SEED", "0"), **(cfg or {}), **vars(args)}
+    try:  # file and flag values have their key's type already
+        return {key: CONFIG_KEYS[key](value) for key, value in given.items() if key in CONFIG_KEYS}
     except ValueError:
-        raise UsageError(f"DCVQE_SEED must be an integer, got {seed!r}")
+        raise UsageError(f"DCVQE_SEED must be an integer, got {given['seed']!r}") from None
 
 
-def _model_config(args, file_cfg: dict, input_dim: int) -> DCVQEConfig:
-    return DCVQEConfig(**_fields(DCVQEConfig, args, {"input_dim": input_dim, **file_cfg}))
-
-
-def _train_config(args, file_cfg: dict, seed: int) -> TrainConfig:
-    return TrainConfig(**{**_fields(TrainConfig, args, file_cfg), "seed": seed,
-                          "loss": LossConfig(**_fields(LossConfig, args, file_cfg))})
+def _configs(settings: dict, input_dim: int) -> tuple[DCVQEConfig, TrainConfig]:
+    """The model and training configs of ``settings`` for features of
+    ``input_dim`` columns; a field that no setting names keeps its default."""
+    given = {_FIELD_NAMES.get(key, key): value for key, value in settings.items()}
+    fields = {cls: {f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given}
+              for cls in (DCVQEConfig, TrainConfig, LossConfig)}
+    return (DCVQEConfig(**fields[DCVQEConfig], input_dim=input_dim),
+            TrainConfig(**fields[TrainConfig], loss=LossConfig(**fields[LossConfig])))
 
 
 def _check_out(path: Path, directory: bool = False) -> None:
@@ -218,12 +204,11 @@ def _check_out(path: Path, directory: bool = False) -> None:
 
 def _cmd_synth(args) -> int:
     _check_out(args.out, directory=True)
-    file_cfg = _command_config(args)
     run = {"videos": 500, "min_len": 60, "max_len": 300, "dim": 64, "noise": 0.1,
-           **file_cfg, **vars(args)}
+           **_settings(args)}
     manifest = data_io.synth_dataset(
         args.out, n_videos=run["videos"], len_range=(run["min_len"], run["max_len"]),
-        dim=run["dim"], noise_sigma=run["noise"], seed=_resolve_seed(args, file_cfg))
+        dim=run["dim"], noise_sigma=run["noise"], seed=run["seed"])
     print(f"wrote {len(manifest)} videos to {args.out} (manifest.jsonl)")
     return EXIT_OK
 
@@ -232,16 +217,13 @@ def _cmd_train(args) -> int:
     log_path = Path(str(args.out) + ".log")
     for path in (args.out, log_path):
         _check_out(path)
-    file_cfg = _command_config(args)
-    seed = _resolve_seed(args, file_cfg)
+    settings = _settings(args)
     manifest = data_io.load_manifest(args.manifest)
-    probe_dim = data_io.manifest_feature_dim(manifest)
-    model_cfg = _model_config(args, file_cfg, input_dim=probe_dim)
-    train_cfg = _train_config(args, file_cfg, seed)
-    tr_m, va_m, _ = data_io.split(manifest, seed)
+    model_cfg, train_cfg = _configs(settings, data_io.manifest_feature_dim(manifest))
+    tr_m, va_m, _ = data_io.split(manifest, train_cfg.seed)
     train_seqs = data_io.load_sequences(tr_m, max_len=model_cfg.max_seq_len)
     val_seqs = data_io.load_sequences(va_m, max_len=model_cfg.max_seq_len)
-    model = DCVQEModel.initialize(model_cfg, seed=seed)
+    model = DCVQEModel.initialize(model_cfg, seed=train_cfg.seed)
 
     with open(log_path, "w") as log:
         def on_epoch(rec):
@@ -260,8 +242,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    file_cfg = _command_config(args)
-    seed = _resolve_seed(args, file_cfg)
+    seed = _settings(args)["seed"]
     cp = load_checkpoint(args.checkpoint)
     manifest = data_io.load_manifest(args.manifest)
     if args.split != "all":
@@ -288,8 +269,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    seed = _resolve_seed(args, {})
-    report = gradcheck_suite(seed=seed)
+    report = gradcheck_suite(seed=_settings(args)["seed"])
     for check in report.per_parameter:
         print(f"{check.name:24s} max_rel_err={check.max_rel_error:.3e} "
               f"coords={check.checked} nonsmooth={check.flagged_nonsmooth}")
@@ -319,18 +299,16 @@ def _cmd_dump_embeddings(args) -> int:
 def _cmd_ablate(args) -> int:
     if args.out:
         _check_out(args.out)
-    file_cfg = _command_config(args)
-    grid = file_cfg.pop("grid", None)
+    settings = _settings(args)
+    grid = settings.pop("grid", None)
     if not grid:
         raise UsageError("ablate needs a config file with a non-empty 'grid' list of overrides")
     manifest = data_io.load_manifest(args.manifest)
-    probe_dim = data_io.manifest_feature_dim(manifest)
+    input_dim = data_io.manifest_feature_dim(manifest)
 
     rows = []
     for overrides in grid:
-        run = {**file_cfg, **overrides}
-        model_cfg = _model_config(args, run, input_dim=probe_dim)
-        train_cfg = _train_config(args, run, _resolve_seed(args, run))
+        model_cfg, train_cfg = _configs(_settings(args, {**settings, **overrides}), input_dim)
         t0 = time.perf_counter()
         result = run_repetitions(manifest, model_cfg, train_cfg)
         rows.append({"overrides": overrides, "median": dataclasses.asdict(result.median),
@@ -376,8 +354,8 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (FormatError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            PermissionError, ad.ShapeError, ValueError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+            PermissionError, ad.ShapeError, ValueError, MemoryError) as exc:
+        print(f"data error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_DATA
 
 

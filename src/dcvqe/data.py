@@ -305,11 +305,15 @@ def synth_dataset(out_dir, n_videos: int = 500, len_range: tuple[int, int] = (60
         raise ValueError(f"bad len_range {len_range}")
     if dim < 2:
         raise ValueError(f"synth_dataset needs dim >= 2, got {dim}")
-    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise ValueError(f"synth_dataset needs a finite noise_sigma >= 0, got {noise_sigma}")
+    # numpy's standard normal draws stay below 14 in magnitude, so up to this
+    # noise level every feature value stays finite as float32
+    most = float(np.finfo(np.float32).max) / 16
+    if not 0 <= noise_sigma <= most:
+        raise ValueError(f"synth_dataset needs a finite noise_sigma >= 0, got {noise_sigma} "
+                         f"(at most {most:.3g})")
+    rng = np.random.default_rng(seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
 
     def unit(v):
         return v / np.linalg.norm(v)

@@ -62,16 +62,19 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float((dx * dx).sum())
-    syy = float((dy * dy).sum())
+def _pearson(x: np.ndarray, y: np.ndarray, errors: str = "raise") -> float:
+    """Pearson correlation; if a sum over- or underflows, that of the inputs
+    scaled by powers of two, which leave the correlation as it is."""
+    try:
+        with np.errstate(over=errors, under=errors):
+            dx, dy = x - x.mean(), y - y.mean()
+            sxx, syy, sxy = (dx * dx).sum(), (dy * dy).sum(), (dx * dy).sum()
+            denom = np.sqrt(sxx * syy)  # one root keeps equal (or mirrored) inputs at +/-1
+    except FloatingPointError:
+        return _pearson(*(np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (x, y)), "ignore")
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateInputError("correlation undefined for constant input")
-    # single sqrt keeps equal (or mirrored) inputs at exactly +/-1
-    r = float((dx * dy).sum()) / np.sqrt(sxx * syy)
-    return float(min(1.0, max(-1.0, r)))
+    return float(min(1.0, max(-1.0, sxy / denom)))
 
 
 def srcc(p, g) -> float:
@@ -105,8 +108,17 @@ def plcc(p, g) -> float:
 
 
 def rmse(p, g) -> float:
+    """Root mean squared error; if a sum over- or underflows, that of both
+    inputs scaled by one power of two, scaled back."""
     pv, gv = _pair(p, g, 1)
-    return float(np.sqrt(((pv - gv) ** 2).mean()))
+    try:
+        with np.errstate(over="raise", under="raise"):
+            return float(np.sqrt(((pv - gv) ** 2).mean()))
+    except FloatingPointError:
+        exp = np.frexp(max(np.abs(pv).max(), np.abs(gv).max()))[1]
+        d = np.ldexp(pv, -exp) - np.ldexp(gv, -exp)
+        with np.errstate(over="ignore"):  # an rmse beyond the float range is inf
+            return float(np.ldexp(np.sqrt((d ** 2).mean()), exp))
 
 
 def compute_report(p, g) -> MetricsReport:

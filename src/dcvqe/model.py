@@ -32,7 +32,7 @@ class DCVQEConfig:
 
     ``temporal_range`` is the attention-window radius inside a clip;
     ``None`` admits the whole clip. ``base_clip_len`` is the clip length at
-    the first layer; layer k covers ``base_clip_len * 2**(k-1)`` frames.
+    the first layer; layer k covers ``min(base_clip_len * 2**(k-1), max_seq_len)`` frames.
     """
 
     input_dim: int = 4096
@@ -254,19 +254,20 @@ class DCVQEModel:
         """One divide-and-conquer layer.
 
         Splits the frames into clips of ``base_clip_len * 2**(layer-1)``
-        (the last one keeps the remainder), runs the divide transformer over
-        every clip (shared weights, same input video embedding at position
-        0), then the conquer transformer plus pooling over the clip
-        embeddings. Returns the updated frames, the clip embeddings and the
-        video embedding. ``sinks`` is a (divide, conquer) pair of lists that
-        receive the attention weights.
+        frames, at most ``max_seq_len``, the longest video (the last clip
+        keeps the remainder), runs the divide transformer over every clip
+        (shared weights, same input video embedding at position 0), then the
+        conquer transformer plus pooling over the clip embeddings. Returns
+        the updated frames, the clip embeddings and the video embedding.
+        ``sinks`` is a (divide, conquer) pair of lists that receive the
+        attention weights.
 
         The final layer's updated frames reach neither the score nor the
         loss, so without ``sinks`` that layer evaluates the clip rows of its
         divide stage only and returns None for the frames.
         """
         cfg = self.config
-        clip_len = cfg.base_clip_len * 2 ** (layer - 1)
+        clip_len = min(cfg.base_clip_len * 2 ** (layer - 1), cfg.max_seq_len)
         divide_sink, conquer_sink = sinks or (None, None)
         clips, frames = transformer_d(
             self._projections(layer, "divide"), cfg.num_heads, video_qe, frames,

@@ -9,15 +9,16 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from dcvqe import cli, training
 from dcvqe import data as data_io
-from dcvqe import training
-from dcvqe.cli import (_FIELD_NAMES, CONFIG_KEYS, _load_config_file, _model_config,
-                       _resolve_seed, _train_config, build_parser, main)
+from dcvqe.cli import _FIELD_NAMES, CONFIG_KEYS, _configs, _settings, build_parser, main
 from dcvqe.losses import LossConfig
+from dcvqe.metrics import MetricsReport
 from dcvqe.model import DCVQEConfig, DCVQEModel
 from dcvqe.training import (AdamState, Checkpoint, TrainConfig, load_checkpoint,
                             save_checkpoint)
@@ -98,8 +99,11 @@ class TestSynth:
         ("--noise", "inf", "needs a finite noise_sigma >= 0, got inf"),
         ("--noise", "-1", "needs a finite noise_sigma >= 0, got -1.0"),
         ("--dim", "0", "needs dim >= 2, got 0"),
-        ("--dim", "1", "needs dim >= 2, got 1")],
-        ids=["noise_nan", "noise_inf", "noise_negative", "dim_0", "dim_1"])
+        ("--dim", "1", "needs dim >= 2, got 1"),
+        ("--noise", "1e308", "needs a finite noise_sigma >= 0, got 1e+308 (at most 2.13e+37)"),
+        ("--seed", "-1", "expected non-negative integer")],
+        ids=["noise_nan", "noise_inf", "noise_negative", "dim_0", "dim_1", "noise_1e308",
+             "seed_negative"])
     def test_bad_setting_is_named_before_anything_is_written(self, tmp_path, capsys, flag,
                                                               value, message):
         out = tmp_path / "d"
@@ -330,6 +334,16 @@ class TestExitCodes:
             assert "nan" not in result.stdout.lower()
         assert not (tmp_path / "emb.jsonl").exists()  # nothing written, so no NaN either
 
+    def test_memory_error_is_two(self, tmp_path, trained_checkpoint, monkeypatch, capsys):
+        # a config deep enough to exhaust memory is a data error, not a traceback
+        def exhausted(path):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "load_checkpoint", exhausted)
+        code = main(["predict", "--checkpoint", str(trained_checkpoint), "x.dcvq"])
+        assert code == 2
+        assert capsys.readouterr().err == "data error: MemoryError\n"
+
 
 class TestOutputPaths:
     """An output path that cannot be written is refused before any work:
@@ -429,6 +443,48 @@ class TestSeedPrecedence:
         log = (tmp_path / "one_epoch.ckpt.log").read_text().splitlines()
         assert len(log) == 1  # flag value, not the config file's 2
 
+    @pytest.mark.parametrize("command", ["train", "eval", "gradcheck", "ablate"])
+    def test_flag_over_file_over_env_over_zero(self, command, tmp_path, dataset_dir,
+                                               trained_checkpoint, monkeypatch, capsys):
+        seeds = []  # every seed that reaches a split, a gradcheck or an ablate run
+
+        def record(seed, result):
+            seeds.append(seed)
+            return result
+
+        split = data_io.split
+        monkeypatch.setattr(data_io, "split", lambda m, seed: record(seed, split(m, seed)))
+        report = SimpleNamespace(per_parameter=[], max_rel_error=0.0, passes=lambda tol: True)
+        monkeypatch.setattr(cli, "gradcheck_suite", lambda seed: record(seed, report))
+        result = SimpleNamespace(median=MetricsReport(1.0, 1.0, 1.0, 0.0, 4), runs=[])
+        monkeypatch.setattr(cli, "run_repetitions",
+                            lambda manifest, model_cfg, cfg: record(cfg.seed, result))
+        cfg = dict(TINY_MODEL, epochs=1, batch_size=4, repetitions=1, grid=[{"alpha": 1.0}])
+        seeded, unseeded = tmp_path / "seeded.json", tmp_path / "unseeded.json"
+        seeded.write_text(json.dumps(dict(cfg, seed=12)))
+        unseeded.write_text(json.dumps(cfg))
+        manifest = str(dataset_dir / "manifest.jsonl")
+        argv = {"train": ["train", "--manifest", manifest, "--out", str(tmp_path / "m.ckpt")],
+                "eval": ["eval", "--manifest", manifest, "--checkpoint",
+                         str(trained_checkpoint), "--split", "val"],
+                "gradcheck": ["gradcheck"],
+                "ablate": ["ablate", "--manifest", manifest]}[command]
+        for flags, config, env, expected in [(["--seed", "11"], seeded, "13", 11),
+                                             ([], seeded, "13", 12),
+                                             ([], unseeded, "13", 13),
+                                             ([], unseeded, None, 0)]:
+            if command == "gradcheck":  # it reads no config file
+                if config is seeded and not flags:
+                    continue
+                config = None
+            if env is None:
+                monkeypatch.delenv("DCVQE_SEED", raising=False)
+            else:
+                monkeypatch.setenv("DCVQE_SEED", env)
+            seeds.clear()
+            assert main(argv + flags + (["--config", str(config)] if config else [])) == 0
+            assert seeds and set(seeds) == {expected}, (flags, config, env)
+
     def test_temporal_range_all_flag_respected(self, tmp_path, dataset_dir,
                                                config_file, capsys):
         out = tmp_path / "all_range.ckpt"
@@ -442,13 +498,14 @@ class TestSeedPrecedence:
 class TestShippedConfigs:
     @pytest.mark.parametrize("name", ["example.json", "ablate.json"])
     def test_every_key_reaches_the_run(self, name):
-        file_cfg = _load_config_file(CONFIGS / name)
-        args = build_parser().parse_args(["ablate", "--manifest", "m.jsonl"])
-        runs = [dict(file_cfg, **overrides) for overrides in file_cfg.get("grid", [{}])]
-        for run in runs:
-            run.pop("grid", None)
-            model_cfg = _model_config(args, run, input_dim=64)
-            train_cfg = _train_config(args, run, _resolve_seed(args, run))
+        file_cfg = json.loads((CONFIGS / name).read_text())
+        args = build_parser().parse_args(["ablate", "--manifest", "m.jsonl",
+                                          "--config", str(CONFIGS / name)])
+        settings = _settings(args)
+        for overrides in settings.pop("grid", [{}]):
+            model_cfg, train_cfg = _configs(_settings(args, {**settings, **overrides}), 64)
+            run = {key: value for key, value in {**file_cfg, **overrides}.items()
+                   if key != "grid"}
             resolved = dict(dataclasses.asdict(model_cfg), seed=train_cfg.seed,
                             epochs=train_cfg.max_epochs, batch_size=train_cfg.batch_size,
                             learning_rate=train_cfg.learning_rate,
@@ -562,13 +619,30 @@ class TestConfigValues:
         assert "learning_rate must be finite and >= 0" in capsys.readouterr().err
 
     def test_every_config_field_has_a_key(self):
-        # TrainConfig.loss is the nested LossConfig, whose fields are checked themselves
+        # TrainConfig.loss is the nested LossConfig, whose fields are checked themselves,
+        # and DCVQEConfig.input_dim is always the manifest's feature width
         reachable = {_FIELD_NAMES.get(key, key) for key in CONFIG_KEYS}
         unreachable = [f"{cls.__name__}.{f.name}"
                        for cls in (DCVQEConfig, TrainConfig, LossConfig)
-                       for f in dataclasses.fields(cls)
-                       if f.name not in reachable and (cls, f.name) != (TrainConfig, "loss")]
+                       for f in dataclasses.fields(cls) if f.name not in reachable
+                       and (cls, f.name) not in {(TrainConfig, "loss"), (DCVQEConfig, "input_dim")}]
         assert unreachable == []
+
+    def test_input_dim_in_a_file_is_two_before_any_output(self, tmp_path, dataset_dir, capsys):
+        assert self.train(tmp_path, dataset_dir, dict(TINY_MODEL, epochs=1, input_dim=6)) == 2
+        assert "for train: unknown config key(s) 'input_dim'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    def test_input_dim_in_a_grid_row_is_two_before_any_output(self, tmp_path, dataset_dir,
+                                                              capsys):
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps({"epochs": 1, "grid": [{"input_dim": 6}]}))
+        code = main(["ablate", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                     "--config", str(cfg_path), "--out", str(tmp_path / "table.json")])
+        assert code == 2
+        assert ("for ablate, grid entry 0: unknown config key(s) 'input_dim'"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     def test_grid_of_wrong_type_is_two_in_ablate(self, tmp_path, dataset_dir, capsys):
         cfg_path = tmp_path / "grid.json"
@@ -590,10 +664,10 @@ class TestConfigValues:
     def test_file_values_of_the_right_type_resolve(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"temporal_range": "all", "alpha": 1, "epochs": 3}))
-        file_cfg = _load_config_file(path)
-        args = build_parser().parse_args(["ablate", "--manifest", "m.jsonl"])
-        assert _model_config(args, file_cfg, input_dim=6).temporal_range is None
-        train_cfg = _train_config(args, file_cfg, seed=0)
+        args = build_parser().parse_args(["ablate", "--manifest", "m.jsonl",
+                                          "--config", str(path)])
+        model_cfg, train_cfg = _configs(_settings(args), input_dim=6)
+        assert (model_cfg.input_dim, model_cfg.temporal_range) == (6, None)
         assert (train_cfg.max_epochs, train_cfg.loss.alpha) == (3, 1.0)
         assert type(train_cfg.loss.alpha) is float
 

@@ -8,15 +8,21 @@ checkpoints whose header values are replaced with hostile ones,
 ``dump-embeddings`` on cut and changed manifests and checkpoints, and
 ``predict`` and ``eval`` on cut and changed feature files; each exits with a
 documented code and prints no traceback. ``train`` runs one epoch on small
-manifests, every loss and batch layout, and exits 0."""
+manifests, every loss and batch layout, and exits 0. ``synth``, ``train``,
+``eval`` and ``ablate`` run on cut and changed copies of the shipped configs,
+shrunk to tiny settings, and on hostile flag values; each exits with a
+documented code, prints no traceback, and leaves no output on exit 1 or 2."""
 
 import contextlib
 import dataclasses
 import io
 import json
+import shutil
 import struct
 import time
 import traceback
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dcvqe.cli import (_load_config_file, _model_config, _resolve_seed, _train_config,
+from dcvqe.cli import (SEED_FLAG, SYNTH_FLAGS, TRAINING_FLAGS, _configs, _settings,
                        build_parser, main)
 from dcvqe.data import (DatasetManifest, FeatureSequence, FormatError, ManifestEntry,
                         load_manifest, read_features, save_manifest, write_features)
@@ -66,25 +72,23 @@ def manifest_bytes(scratch):
 
 
 # every key that train and ablate read, and grid rows that reset some of them
-CONFIG_FILE = {"input_dim": 6, "model_dim": 8, "num_heads": 2, "num_layers": 2,
+CONFIG_FILE = {"model_dim": 8, "num_heads": 2, "num_layers": 2,
                "base_clip_len": 4, "temporal_range": 2, "max_seq_len": 12, "epochs": 3,
                "batch_size": 4, "learning_rate": 0.001, "alpha": 0.7, "beta": 0.3,
                "loss": "correlation", "seed": 7, "repetitions": 2,
                "grid": [{"alpha": 1.0, "beta": 0.0, "seed": 3},
                         {"temporal_range": "all", "loss": "pwrl"}]}
-ABLATE_ARGS = build_parser().parse_args(["ablate", "--manifest", "m.jsonl"])
 
 
 def resolve_config(path) -> list[dict]:
     """Each run the config file at ``path`` declares, resolved as ``ablate``
     resolves it (the file alone first, then each grid row over the file),
     as a flat dict of config keys."""
-    file_cfg = _load_config_file(path)
+    args = build_parser().parse_args(["ablate", "--manifest", "m.jsonl", "--config", str(path)])
+    settings = _settings(args)
     runs = []
-    for row in [{}] + file_cfg.get("grid", []):
-        run = {**file_cfg, **row}
-        model_cfg = _model_config(ABLATE_ARGS, run, input_dim=6)
-        train_cfg = _train_config(ABLATE_ARGS, run, _resolve_seed(ABLATE_ARGS, run))
+    for row in [{}] + settings.pop("grid", []):
+        model_cfg, train_cfg = _configs(_settings(args, {**settings, **row}), input_dim=6)
         runs.append(dict(dataclasses.asdict(model_cfg), seed=train_cfg.seed,
                          epochs=train_cfg.max_epochs, batch_size=train_cfg.batch_size,
                          learning_rate=train_cfg.learning_rate,
@@ -361,8 +365,7 @@ def run_configs(draw) -> dict:
     """Some of the keys train and ablate read, each with a value that passes
     the range checks whatever defaults the other keys take."""
     number = st.floats(0.01, 10.0) | st.integers(1, 10)
-    values = {"input_dim": st.integers(1, 4096),
-              "model_dim": st.integers(1, 64).map(lambda k: 4 * k),
+    values = {"model_dim": st.integers(1, 64).map(lambda k: 4 * k),
               "num_heads": st.sampled_from([1, 2, 4]), "num_layers": st.integers(1, 4),
               "base_clip_len": st.integers(1, 30),
               "temporal_range": st.none() | st.integers(1, 60),
@@ -380,7 +383,6 @@ def test_config_file_round_trip(scratch, cfg, grid):
     if grid:
         cfg["grid"] = grid
     (scratch / "rt.json").write_text(json.dumps(cfg))
-    assert _load_config_file(scratch / "rt.json") == cfg
     runs = resolve_config(scratch / "rt.json")
     for row, resolved in zip([{}] + grid, runs):
         run = {key: value for key, value in {**cfg, **row}.items() if key != "grid"}
@@ -405,7 +407,8 @@ def test_train_runs_on_small_manifests(scratch):
     """``train`` exits 0 and writes a checkpoint on every small manifest, for
     every loss, whatever the batch or split sizes and MOS ties."""
     cfg = scratch / "train.json"
-    cfg.write_text(json.dumps({**dataclasses.asdict(CONFIG), "epochs": 1}))
+    model = {key: value for key, value in dataclasses.asdict(CONFIG).items() if key != "input_dim"}
+    cfg.write_text(json.dumps({**model, "epochs": 1}))
     started = time.perf_counter()
     for k, (videos, batch, loss, layout) in enumerate(train_cases()):
         rng = np.random.default_rng(k)
@@ -428,3 +431,90 @@ def test_train_runs_on_small_manifests(scratch):
         assert code == 0 and out.exists(), case
         assert "Traceback" not in stdout.getvalue() + stderr.getvalue(), case
     assert time.perf_counter() - started < 5.0
+
+
+# tiny values for the keys of the shipped configs, and a tiny synth config
+TINY_SETTINGS = {"model_dim": 8, "num_heads": 2, "num_layers": 2, "base_clip_len": 4,
+                 "temporal_range": 2, "max_seq_len": 12, "epochs": 1, "batch_size": 4,
+                 "repetitions": 1}
+SYNTH_FILE = {"seed": 7, "videos": 5, "min_len": 1, "max_len": 6, "dim": 3, "noise": 0.1}
+COMMAND_FLAGS = {"synth": SYNTH_FLAGS, "train": TRAINING_FLAGS, "eval": SEED_FLAG,
+                 "ablate": TRAINING_FLAGS}
+# a wrong type, zero, a negative, nan, inf and a huge value, next to a valid one
+HOSTILE_FLAG_VALUES = ["x", "2.5", "0", "-1", "nan", "inf", "1e308", "3"]
+
+
+@pytest.fixture(scope="module")
+def settings_inputs(scratch):
+    """The raw config files that the settings fuzz cuts and changes, and a
+    manifest of eight short videos of ``CONFIG``'s width with a checkpoint."""
+    configs = sorted(Path(__file__).resolve().parents[1].glob("configs/*.json"))
+    raws = [json.dumps({key: TINY_SETTINGS.get(key, value)
+                        for key, value in json.loads(path.read_text()).items()}).encode()
+            for path in configs]
+    rng = np.random.default_rng(6)
+    entries = []
+    for i, frames in enumerate(rng.integers(1, 2 * CONFIG.max_seq_len, 8)):
+        rows = rng.normal(size=(int(frames), CONFIG.input_dim))
+        write_features(scratch / f"settings{i}.dcvq", FeatureSequence(f"s{i}", rows, 1.0 + i / 2))
+        entries.append(ManifestEntry(f"s{i}", f"settings{i}.dcvq", 1.0 + i / 2))
+    save_manifest(DatasetManifest(entries, 1.0, 5.0, scratch), scratch / "settings.jsonl")
+    model = DCVQEModel.initialize(CONFIG, seed=3)
+    save_checkpoint(scratch / "settings.ckpt",
+                    Checkpoint.snapshot(model, AdamState.for_model(model), 0.5, 1))
+    return raws, json.dumps(SYNTH_FILE).encode()
+
+
+def settings_cases(shipped: list[bytes], synth_raw: bytes) -> list[tuple[str, bytes, list]]:
+    """(command, config file bytes, flags): first every flag of every command
+    with each hostile value over an unchanged config, then seeded draws of a
+    config cut short or with one byte changed and up to two hostile flags."""
+    raws = {"synth": [synth_raw], "train": shipped, "eval": shipped,
+            "ablate": [raw for raw in shipped if b'"grid"' in raw]}
+    cases = [(command, raws[command][i % len(raws[command])], [flag, value])
+             for command, flags in COMMAND_FLAGS.items()
+             for i, flag in enumerate(flags) for value in HOSTILE_FLAG_VALUES]
+    rng = np.random.default_rng(25)
+    for _ in range(200):
+        command = str(rng.choice(list(COMMAND_FLAGS)))
+        raw = shipped[rng.integers(len(shipped))] if command != "synth" else synth_raw
+        at = int(rng.integers(len(raw)))
+        raw = raw[:at] + (bytes([int(rng.integers(256))]) + raw[at + 1:]
+                          if rng.integers(2) else b"")
+        flags = []
+        for flag in rng.permutation(list(COMMAND_FLAGS[command]))[:rng.integers(3)]:
+            flags += [str(flag), str(rng.choice(HOSTILE_FLAG_VALUES))]
+        cases.append((command, raw, flags))
+    return cases
+
+
+def test_settings_from_cut_and_changed_files_and_hostile_flags(scratch, settings_inputs):
+    """Every command that takes settings exits 0-3 without a traceback on
+    each case of ``settings_cases``, and an exit of 1 or 2 leaves no output
+    behind. numpy warns only on the way to a numeric failure (exit 3): a
+    diverging run overflows before the non-finite loss stops it."""
+    manifest, config, out = (str(scratch / "settings.jsonl"), scratch / "settings.json",
+                             scratch / "settings-out")
+    outputs = {"synth": ["--out", str(out / "data")],
+               "train": ["--manifest", manifest, "--out", str(out / "m.ckpt")],
+               "eval": ["--manifest", manifest, "--checkpoint", str(scratch / "settings.ckpt"),
+                        "--split", "val"],
+               "ablate": ["--manifest", manifest, "--out", str(out / "table.json")]}
+    started = time.perf_counter()
+    for command, raw, flags in settings_cases(*settings_inputs):
+        config.write_bytes(raw)
+        out.mkdir()
+        argv = [command, "--config", str(config), *flags, *outputs[command]]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # a warning does not stop a command-line run
+            code = main(argv)
+        case = (argv, raw, stderr.getvalue(), [str(w.message) for w in caught])
+        assert code in (0, 1, 2, 3), case
+        assert code == 3 or not caught, case
+        assert "Traceback" not in stdout.getvalue() + stderr.getvalue(), case
+        if code in (1, 2):
+            assert list(out.iterdir()) == [], case
+        shutil.rmtree(out)
+    assert time.perf_counter() - started < 10.0

@@ -130,6 +130,24 @@ class TestPLCCAndRMSE:
         with pytest.raises(DegenerateInputError):
             plcc([2.0, 2.0], [1.0, 3.0])
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 2.0 ** -1070])
+    def test_extreme_finite_inputs(self, scale):
+        # the squares of the deviations over- or underflow; the scaled sums do not
+        p, g = np.array([1.0, -1.0, 0.0]) * scale, [1.0, 2.0, 3.0]
+        assert math.isclose(plcc(p, g), -0.5, rel_tol=1e-15)
+        assert math.isclose(plcc(g, p), -0.5, rel_tol=1e-15)
+        assert math.isclose(rmse(p, [0.0] * 3), scale * math.sqrt(2 / 3), rel_tol=1e-15)
+        assert math.isclose(rmse(p, -p), 2 * scale * math.sqrt(2 / 3), rel_tol=1e-15)
+
+    def test_an_rmse_beyond_the_float_range_is_inf(self):
+        assert rmse([1e308, -1e308], [-1e308, 1e308]) == math.inf
+
+    def test_tiny_but_constant_input_still_raises(self):
+        with pytest.raises(DegenerateInputError):
+            plcc([1e-200, 1e-200, 1e-200], [1.0, 2.0, 3.0])
+        with pytest.raises(DegenerateInputError):
+            plcc([0.0, 0.0], [5e-324, 1.0])
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("metric", [srcc, krcc, plcc, rmse, compute_report],

@@ -412,6 +412,24 @@ class TestForward:
             want = reference_forward(cfg, model.params, feats)
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
+    def test_deep_layers_build_no_mask_longer_than_a_video(self, monkeypatch):
+        # layer 11 would cut clips of 4 * 2**10 frames, but no video is longer than
+        # max_seq_len, so every mask stays within max_seq_len + 1 and the score
+        # still matches the reference, which cuts the uncapped clip length
+        cfg = DCVQEConfig(input_dim=12, model_dim=8, num_heads=2, num_layers=11,
+                          base_clip_len=4, temporal_range=2, max_seq_len=12)
+        sizes, banded = [], AttentionMask.banded
+        monkeypatch.setattr(AttentionMask, "banded",
+                            lambda size, radius: sizes.append(size) or banded(size, radius))
+        model = make_model(cfg, seed=5)
+        feats = np.random.default_rng(16).normal(size=(12, 12))
+        got = model.predict(feats)
+        assert len(sizes) == 11 and max(sizes) == cfg.max_seq_len + 1
+        want = reference_forward(cfg, model.params, feats)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+        acts = model.record(feats)
+        assert acts.clip_boundaries[2:] == [[(0, 12)]] * 9
+
     def test_clip_counts_double_in_coverage(self):
         cfg = DCVQEConfig(input_dim=4, model_dim=8, num_heads=2, num_layers=3,
                           base_clip_len=30, temporal_range=15, max_seq_len=600)
