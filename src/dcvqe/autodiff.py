@@ -2,11 +2,13 @@
 
 All model, loss, and metric math in this package runs on these primitives.
 A ``Graph`` records every operation executed inside its context, and no
-tensor opts out; ``backward`` replays the tape in reverse to populate the
-gradient of every leaf it reaches. Code that must stay off a caller's tape
-runs inside a graph of its own. ``gradient_check`` compares analytic
-gradients against central finite differences and is the ground truth the
-rest of the package is validated against.
+tensor opts out; ``backward(loss, graph, wrt)`` replays the tape in reverse
+and returns the gradient of each tensor of ``wrt``. A tensor holds no
+gradient, so a graph's backward changes no state that another graph sees.
+Code that must stay off a caller's tape runs inside a graph of its own.
+``gradient_check`` compares those gradients against central finite
+differences and is the ground truth the rest of the package is validated
+against.
 
 The tape keeps only the ops that the model, the losses and gradient
 checking use, each one node with a hand-written backward: ``linear``,
@@ -59,20 +61,16 @@ class GraphError(ValueError):
 
 
 class Tensor:
-    """A dense float64 array and the gradient that ``backward`` gives it.
+    """A dense float64 array and its name; a tensor holds no gradient.
 
     ``data`` is always a C-contiguous (row-major) float64 ndarray, so the
-    flat buffer is the row-major enumeration of the logical array. ``grad``
-    is filled in by ``backward`` for every leaf it reaches, has the same
-    shape as ``data`` and is C-contiguous too, whatever the memory order of
-    the gradients that flowed into it (``linear`` produces F-ordered ones).
+    flat buffer is the row-major enumeration of the logical array.
     """
 
-    __slots__ = ("data", "grad", "name")
+    __slots__ = ("data", "name")
 
     def __init__(self, data, name: str = ""):
         self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        self.grad: np.ndarray | None = None
         self.name = name
 
     @property
@@ -155,14 +153,12 @@ def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     return _record_many(op, inputs, (out_data,), backward_fn)[0]
 
 
-def backward(loss: Tensor, graph: Graph) -> None:
-    """Populate ``grad`` on every leaf reachable from ``loss``: every input
-    of a recorded op that no recorded op produced.
-
-    Intermediate gradients live only inside this call; leaf gradients
-    accumulate across calls, so running backward twice on the same graph
-    yields exactly twice the single-pass gradient. Each leaf's ``grad`` is
-    C-contiguous. A graph with no recorded nodes is a no-op.
+def backward(loss: Tensor, graph: Graph, wrt: Sequence[Tensor]) -> list[np.ndarray]:
+    """The gradients of the scalar ``loss`` with respect to the tensors of
+    ``wrt``, in its order: new C-contiguous float64 arrays, zeros where the
+    loss does not reach. ``wrt`` holds leaves, inputs of recorded ops that no
+    recorded op produced; an op's output gets zeros. Nothing is written to
+    any tensor, so graphs over shared parameters may run on several threads.
 
     When a second gradient reaches a tensor, the engine allocates the sum
     and adds every later one into it in place, so a weight that every video
@@ -170,15 +166,12 @@ def backward(loss: Tensor, graph: Graph) -> None:
     memory order of its terms: adding F-ordered gradients into a C-ordered
     buffer costs several times a contiguous add. It never adds into an
     array that a rule returned: a rule may hand the same array to several
-    inputs. A leaf whose total is such an engine-owned sum, C-ordered, takes
-    it as its ``grad`` without a copy.
+    inputs. An engine-owned total in C order is returned without a copy.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
-    produced = {id(out) for n in graph.nodes for out in n.outputs}
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     owned: set[int] = set()  # tensors whose flowing sum this call allocated
-    leaves: dict[int, Tensor] = {}
     for node in reversed(graph.nodes):
         grads_out = [flowing.pop(id(out), None) for out in node.outputs]
         if all(g is None for g in grads_out):
@@ -196,20 +189,10 @@ def backward(loss: Tensor, graph: Graph) -> None:
             else:
                 flowing[tid] = held + grad
                 owned.add(tid)
-            if tid not in produced:
-                leaves[tid] = tensor
-    # one accumulation per leaf per pass, so repeated backward scales exactly
-    for tid, tensor in leaves.items():
-        total = flowing[tid]
-        if tensor.grad is not None:
-            tensor.grad = np.add(tensor.grad, total, order="C")
-        else:
-            tensor.grad = total if tid in owned and total.flags.c_contiguous else total.copy()
-
-
-def zero_grads(params: Sequence[Tensor]) -> None:
-    for p in params:
-        p.grad = None
+    totals = [flowing.get(id(t)) for t in wrt]
+    return [np.zeros(t.shape) if total is None
+            else total if id(t) in owned and total.flags.c_contiguous else total.copy()
+            for t, total in zip(wrt, totals)]
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +571,8 @@ class GradCheckReport:
 
 def gradient_check(f: Callable[[], Tensor], params: Sequence[Tensor],
                    h: float = 1e-5) -> GradCheckReport:
-    """Compare analytic gradients of ``f()`` against central differences.
+    """Compare the gradients that ``backward(loss, graph, params)`` returns
+    for ``loss = f()`` against central differences.
 
     ``f`` must be deterministic and return a scalar tensor built from
     ``params``. Relative error per coordinate uses the denominator
@@ -598,14 +582,12 @@ def gradient_check(f: Callable[[], Tensor], params: Sequence[Tensor],
     """
     if h <= 0:
         raise ValueError(f"step h must be positive, got {h}")
-    zero_grads(params)
     with Graph() as graph:
         loss = f()
     f0 = loss.item()
     if not math.isfinite(f0):
         raise FloatingPointError(f"objective is non-finite: {f0}")
-    backward(loss, graph)
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros(p.shape) for p in params]
+    analytic = backward(loss, graph, params)
 
     report = GradCheckReport()
     for idx, p in enumerate(params):

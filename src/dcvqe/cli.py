@@ -225,16 +225,15 @@ def _cmd_train(args) -> int:
     val_seqs = data_io.load_sequences(va_m, max_len=model_cfg.max_seq_len)
     model = DCVQEModel.initialize(model_cfg, seed=train_cfg.seed)
 
-    with open(log_path, "w") as log:
-        def on_epoch(rec):
+    def on_epoch(rec):  # the first record creates the log: a failed run leaves none
+        with open(log_path, "w" if rec.epoch == 1 else "a") as log:
             log.write(json.dumps({"epoch": rec.epoch, "train_loss": rec.train_loss,
                                   "val_loss": rec.val_loss,
                                   "wall_time_s": rec.wall_time_s}) + "\n")
-            log.flush()
-            print(f"epoch {rec.epoch}: train {rec.train_loss:.4f} "
-                  f"val {rec.val_loss:.4f} ({rec.wall_time_s:.1f}s)")
+        print(f"epoch {rec.epoch}: train {rec.train_loss:.4f} "
+              f"val {rec.val_loss:.4f} ({rec.wall_time_s:.1f}s)")
 
-        result = fit(model, train_seqs, val_seqs, train_cfg, on_epoch=on_epoch)
+    result = fit(model, train_seqs, val_seqs, train_cfg, on_epoch=on_epoch)
     save_checkpoint(args.out, result.best)
     print(f"best epoch {result.best.epoch} (val loss {result.best.best_val_loss:.4f}) "
           f"-> {args.out}")

@@ -9,6 +9,7 @@ earlier epoch).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -79,31 +80,31 @@ ADAM_BLOCK = 1 << 14
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def adam_step(named_params: Sequence[tuple[str, Tensor]], state: AdamState, lr: float) -> None:
+def adam_step(named_params: Sequence[tuple[str, Tensor]], grads: Sequence[np.ndarray],
+              state: AdamState, lr: float) -> None:
     """One Adam update with bias correction, at b1 = ``ADAM_BETA1``,
-    b2 = ``ADAM_BETA2`` and eps = ``ADAM_EPS``. The moments and the parameters
-    are updated in place, in the float order of
+    b2 = ``ADAM_BETA2`` and eps = ``ADAM_EPS``, of each parameter by the
+    gradient at its position in ``grads``, as ``backward`` returns them. The
+    moments and the parameters are updated in place, in the float order of
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
     ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, so results are bit-identical
-    to that formula. Missing gradients are treated as zero (the moments
-    still decay). A non-finite gradient raises ``FloatingPointError`` before
-    any parameter, moment or the step count changes.
+    to that formula. A non-finite gradient raises ``FloatingPointError``
+    before any parameter, moment or the step count changes.
 
     The update runs over flat views of the gradient, the moments and
     ``p.data``, ``ADAM_BLOCK`` elements at a time, through two scratch
     buffers of one block: each element sees the same operations as in one
     pass over whole arrays, but the working set stays in the cache. The
     views write through to the arrays that the model and the state hold."""
-    for name, p in named_params:
-        if p.grad is not None and not np.isfinite(p.grad).all():
+    for (name, _), g in zip(named_params, grads, strict=True):
+        if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     t = state.step
     corr1, corr2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
     largest = max((p.size for _, p in named_params), default=0)
     buf_a, buf_b = np.empty((2, min(largest, ADAM_BLOCK)))
-    for name, p in named_params:
-        g = p.grad if p.grad is not None else np.zeros(p.shape)
+    for (name, p), g in zip(named_params, grads):
         # a flat view of a C-ordered array is no copy (p.data is C-ordered by contract)
         m = state.m[name] = np.ascontiguousarray(state.m[name])
         v = state.v[name] = np.ascontiguousarray(state.v[name])
@@ -127,8 +128,16 @@ def adam_step(named_params: Sequence[tuple[str, Tensor]], state: AdamState, lr: 
             q -= a
 
 
-def _batch_predictions(model: DCVQEModel, batch: Sequence[FeatureSequence]) -> Tensor:
-    return ad.concat_rows([model.forward(seq.features) for seq in batch])
+@contextlib.contextmanager
+def _numeric_failure(where: str):
+    """Raise at the first overflow, invalid value or division by zero, not
+    warn on the way to a non-finite loss, and name ``where`` in the error.
+    Underflow stays silent: the masked softmax relies on it."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{exc} in {where}") from exc
 
 
 def train_epoch(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
@@ -136,25 +145,25 @@ def train_epoch(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
     """One pass over the training videos; returns the mean batch loss.
 
     The shuffle depends only on (seed, epoch_index), so resumed runs replay
-    the exact same batch order.
-    """
+    the exact same batch order. Each batch's forward pass, loss, backward
+    pass and Adam step run under ``_numeric_failure`` (epoch and 1-based
+    batch)."""
     if not train_seqs:
         raise ValueError("training set is empty")
     order = np.random.default_rng([cfg.seed, epoch_index]).permutation(len(train_seqs))
     losses = []
-    for lo in range(0, len(order), cfg.batch_size):
+    for number, lo in enumerate(range(0, len(order), cfg.batch_size), start=1):
         batch = [train_seqs[i] for i in order[lo:lo + cfg.batch_size]]
-        ad.zero_grads(model.parameters())
-        with Graph() as graph:
-            preds = _batch_predictions(model, batch)
-            targets = Tensor(np.array([[s.mos] for s in batch]))
-            loss = total_loss(preds, targets, cfg.loss)
-        value = loss.item()
-        if not math.isfinite(value):
-            raise FloatingPointError(f"non-finite training loss {value} in epoch "
-                                     f"{epoch_index + 1}")
-        ad.backward(loss, graph)
-        adam_step(model.named_parameters(), state, cfg.learning_rate)
+        with _numeric_failure(f"epoch {epoch_index + 1}, batch {number}"):
+            with Graph() as graph:
+                preds = ad.concat_rows([model.forward(s.features) for s in batch])
+                targets = Tensor(np.array([[s.mos] for s in batch]))
+                loss = total_loss(preds, targets, cfg.loss)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise FloatingPointError(f"non-finite training loss {value}")
+            grads = ad.backward(loss, graph, model.parameters())
+            adam_step(model.named_parameters(), grads, state, cfg.learning_rate)
         losses.append(value)
     return float(np.mean(losses))
 
@@ -316,7 +325,8 @@ def fit(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
 
     ``start_epoch``/``state`` allow resuming from a prior checkpoint's final
     state; the shuffle schedule depends only on (seed, epoch), so a resumed
-    run reproduces the unbroken trajectory.
+    run reproduces the unbroken trajectory. Validation runs under
+    ``_numeric_failure`` too.
     """
     if not val_seqs:
         raise ValueError("validation set is empty")
@@ -327,10 +337,10 @@ def fit(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
     for epoch_index in range(start_epoch, cfg.max_epochs):
         t0 = time.perf_counter()
         train_loss = train_epoch(model, train_seqs, cfg, state, epoch_index)
-        val_loss = validation_loss(model, val_seqs, cfg.loss)
-        if not math.isfinite(val_loss):  # a NaN would never compare as worse than "best"
-            raise FloatingPointError(f"non-finite validation loss {val_loss} in epoch "
-                                     f"{epoch_index + 1}")
+        with _numeric_failure(f"epoch {epoch_index + 1}, validation"):
+            val_loss = validation_loss(model, val_seqs, cfg.loss)
+            if not math.isfinite(val_loss):  # a NaN would never compare as worse than "best"
+                raise FloatingPointError(f"non-finite validation loss {val_loss}")
         record = EpochRecord(epoch=epoch_index + 1, train_loss=train_loss,
                              val_loss=val_loss, wall_time_s=time.perf_counter() - t0)
         history.append(record)

@@ -6,7 +6,11 @@ gradient claim.
 """
 
 import ast
+import concurrent.futures
 import math
+import re
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +22,8 @@ from hypothesis import strategies as st
 from dcvqe import autodiff as ad
 from dcvqe.autodiff import Graph, GraphError, ShapeError, Tensor, backward, gradient_check
 from dcvqe.losses import l1_loss
+from dcvqe.model import DCVQEModel
+from dcvqe.training import TINY_CONFIG
 from oracles import weighted_sum
 
 
@@ -173,11 +179,11 @@ class TestMatmul:
         b = Tensor(rng.normal(size=(4, 2)))
         with Graph() as g:
             loss = weighted_sum((product(a, b), 1.0))
-        backward(loss, g)
+        da, db = backward(loss, g, [a, b])
         np.testing.assert_allclose(
-            a.grad, fd_grad(lambda x: (x @ b.data).sum(), a.data.copy()), atol=1e-8)
+            da, fd_grad(lambda x: (x @ b.data).sum(), a.data.copy()), atol=1e-8)
         np.testing.assert_allclose(
-            b.grad, fd_grad(lambda x: (a.data @ x).sum(), b.data.copy()), atol=1e-8)
+            db, fd_grad(lambda x: (a.data @ x).sum(), b.data.copy()), atol=1e-8)
 
     @pytest.mark.parametrize("din,dout", [(64, 32), (4096, 128)])
     @pytest.mark.parametrize("n", [1, 60, 300, 600])
@@ -259,12 +265,12 @@ class TestLinear:
             loss = weighted_sum((ad.linear(rows, w, b), c))
         tracemalloc.start()
         try:
-            backward(loss, graph)
+            (dw,) = backward(loss, graph, [w])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 12e6
-        assert np.array_equal(w.grad, rows.astype(np.float64).T @ c)
+        assert np.array_equal(dw, rows.astype(np.float64).T @ c)
 
     @pytest.mark.parametrize("shapes", [[(3, 5), (4, 2), (1, 2)], [(3, 4), (4, 2), (3, 2)],
                                         [(3, 4), (4, 2), (2,)], [(4,), (4, 2), (1, 2)]])
@@ -384,15 +390,13 @@ class TestBackward:
         x = Tensor(np.random.default_rng(7).normal(size=(3, 5)))
         with Graph() as g:
             loss = weighted_sum((x, 1.0))
-        backward(loss, g)
-        assert np.array_equal(x.grad, np.ones((3, 5)))
+        assert np.array_equal(backward(loss, g, [x])[0], np.ones((3, 5)))
 
     def test_grad_of_square_sum(self):
         x = Tensor(np.random.default_rng(8).normal(size=(4,)))
         with Graph() as g:
             loss = weighted_sum((x, 1.0), power=2)
-        backward(loss, g)
-        np.testing.assert_allclose(x.grad, 2 * x.data, rtol=1e-15)
+        np.testing.assert_allclose(backward(loss, g, [x])[0], 2 * x.data, rtol=1e-15)
 
     def test_composite_matches_finite_differences(self):
         # two-layer expression: mean(((x @ w1) @ w2) ** 2)
@@ -404,26 +408,36 @@ class TestBackward:
         def run():
             return weighted_sum((product(product(x, w1), w2), 1 / 5), power=2)
 
-        ad.zero_grads([w1, w2])
         with Graph() as g:
             loss = run()
-        backward(loss, g)
+        grads = backward(loss, g, [w1, w2])
 
         num1 = fd_grad(lambda w: float(((x @ w @ w2.data) ** 2).mean()), w1.data.copy())
         num2 = fd_grad(lambda w: float(((x @ w1.data @ w) ** 2).mean()), w2.data.copy())
-        for a, n in ((w1.grad, num1), (w2.grad, num2)):
+        for a, n in zip(grads, (num1, num2)):
             rel = np.abs(a - n) / np.maximum.reduce([np.abs(a), np.abs(n),
                                                      np.full_like(a, 1e-8)])
             assert rel.max() <= 1e-6
 
-    def test_backward_twice_doubles_gradients(self):
+    def test_two_calls_on_one_graph_return_equal_arrays(self):
+        # nothing accumulates between calls, and no call writes to a tensor
         x = Tensor(np.random.default_rng(10).normal(size=(3, 3)))
         with Graph() as g:
             loss = weighted_sum((x, 1.0), power=2)
-        backward(loss, g)
-        once = x.grad.copy()
-        backward(loss, g)
-        assert np.array_equal(x.grad, 2 * once)
+        first, second = backward(loss, g, [x]), backward(loss, g, [x])
+        assert np.array_equal(first[0], 2 * x.data) and np.array_equal(first[0], second[0])
+        assert first[0] is not second[0]
+
+    def test_a_tensor_the_loss_does_not_reach_gets_zeros(self):
+        rng = np.random.default_rng(16)
+        x, unused, w = (Tensor(rng.normal(size=s)) for s in ((2, 3), (4, 5), (3, 3)))
+        with Graph() as g:
+            y = product(x, w)  # recorded, but the loss does not read it
+            loss = weighted_sum((x, 1.0))
+        dy, du, dx, dw = backward(loss, g, [y, unused, x, w])
+        for got, t in ((dy, y), (du, unused), (dw, w)):
+            assert got.shape == t.shape and got.dtype == np.float64 and not got.any()
+        assert np.array_equal(dx, np.ones((2, 3)))
 
     def test_in_place_sums_leave_the_rules_arrays_alone(self):
         # the sum node hands one array to both inputs of a repeated term: y
@@ -446,25 +460,23 @@ class TestBackward:
                 returned.extend((r, r.copy()) for r in out if r is not None)
                 return out
             node.backward_fn = keep
-        backward(loss, graph)
-        assert np.array_equal(x.grad, d + d + (c + c) @ w.data.T)
+        (dx,) = backward(loss, graph, [x])
+        assert np.array_equal(dx, d + d + (c + c) @ w.data.T)
         assert all(np.array_equal(r, kept) for r, kept in returned)
 
     def test_leaf_gradients_are_c_contiguous(self):
-        # linear hands back an F-ordered weight gradient; the leaf's grad is C-ordered
+        # linear hands back F-ordered weight gradients; their sum is returned C-ordered
         rng = np.random.default_rng(11)
         w = Tensor(rng.normal(size=(256, 16)))
         rows = [rng.normal(size=(n, 256)) for n in (40, 7)]
         weights = [rng.normal(size=(n, 16)) for n in (40, 7)]
         with Graph() as g:
             loss = weighted_sum(*[(product(a, w), c) for a, c in zip(rows, weights)])
-        backward(loss, g)
         expected = rows[0].T @ weights[0] + rows[1].T @ weights[1]
-        assert w.grad.flags.c_contiguous
-        assert np.array_equal(w.grad, expected)
-        backward(loss, g)
-        assert w.grad.flags.c_contiguous
-        assert np.array_equal(w.grad, expected + expected)
+        for _ in range(2):
+            (dw,) = backward(loss, g, [w])
+            assert dw.flags.c_contiguous
+            assert np.array_equal(dw, expected)
 
     def test_single_matmul_leaf_gradient_is_a_t_g(self):
         rng = np.random.default_rng(12)
@@ -473,21 +485,21 @@ class TestBackward:
         c = rng.normal(size=(33, 16))
         with Graph() as g:
             loss = weighted_sum((product(a, w), c))
-        backward(loss, g)
-        assert w.grad.flags.c_contiguous
-        assert np.array_equal(w.grad, a.T @ c)
+        (dw,) = backward(loss, g, [w])
+        assert dw.flags.c_contiguous
+        assert np.array_equal(dw, a.T @ c)
 
     def test_non_scalar_loss_raises(self):
         x = Tensor(np.ones((2, 2)))
         with Graph() as g:
             y = product(x, x)
         with pytest.raises(GraphError):
-            backward(y, g)
+            backward(y, g, [x])
 
     def test_empty_graph_is_noop(self):
-        g = Graph()
-        loss = Tensor(1.0)
-        backward(loss, g)  # no nodes: nothing to do, no error
+        x = Tensor(np.ones((2, 3)))
+        (dx,) = backward(Tensor(1.0), Graph(), [x])  # no nodes: zeros, no error
+        assert np.array_equal(dx, np.zeros((2, 3)))
 
     def test_no_recording_without_active_graph(self):
         x = Tensor(np.ones(3))
@@ -508,10 +520,10 @@ class TestBackward:
         with Graph() as g:
             loss = weighted_sum((ad.linear(x, w, b), c), (ad.linear(rows, w, b), c))
         assert [node.inputs for node in g.nodes[:2]] == [(x, w, b), (w, b)]
-        backward(loss, g)
-        np.testing.assert_allclose(x.grad, c @ w.data.T, rtol=1e-14)
-        np.testing.assert_allclose(w.grad, x.data.T @ c + rows.T @ c, rtol=1e-14)
-        np.testing.assert_allclose(b.grad, 2 * c.sum(axis=0, keepdims=True), rtol=1e-14)
+        dx, dw, db = backward(loss, g, [x, w, b])
+        np.testing.assert_allclose(dx, c @ w.data.T, rtol=1e-14)
+        np.testing.assert_allclose(dw, x.data.T @ c + rows.T @ c, rtol=1e-14)
+        np.testing.assert_allclose(db, 2 * c.sum(axis=0, keepdims=True), rtol=1e-14)
 
 
 class TestGradientCheck:
@@ -605,11 +617,11 @@ class TestConquerAttention:
         with Graph() as g:
             loss = weighted_sum((ad.conquer_attention(x, *ws, self.HEADS), weights))
         assert [node.op for node in g.nodes] == ["conquer_attention", "weighted_sum"]
-        backward(loss, g)
+        grads = backward(loss, g, [x, *ws])
         dx, dws = attention_vjp_reference(x.data[None], [w.data for w in ws], self.HEADS, None,
                                           np.broadcast_to(weights / self.N, (1, *x.shape)))
-        for got, want in zip((x, *ws), (dx[0], *dws)):
-            assert_close_to_reference(got.grad, want)
+        for got, want in zip(grads, (dx[0], *dws)):
+            assert_close_to_reference(got, want)
 
     def test_forward_matches_composition(self):
         x, ws = self.operands(23)
@@ -797,9 +809,8 @@ class TestDivideAttention:
                                              banded_mask(5, None))
             loss = weighted_sum((clips, 1.0), power=2)  # the frames output is unused
         assert [node.op for node in g.nodes] == ["divide_attention", "weighted_sum"]
-        backward(loss, g)
-        assert all(t.grad is not None and np.isfinite(t.grad).all()
-                   for t in (frames, video, *ws))
+        grads = backward(loss, g, [frames, video, *ws])
+        assert all(d.any() and np.isfinite(d).all() for d in grads)
 
     @CASES
     def test_clip_rows_only_gradient_check(self, n, clip_len, radius):
@@ -824,14 +835,12 @@ class TestDivideAttention:
 
         def run(clip_rows_only):  # the clip rows feed the loss, the frames nothing
             sink = []
-            ad.zero_grads([frames, video, *ws])
             with Graph() as g:
                 out = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask,
                                           sink=sink, clip_rows_only=clip_rows_only)
                 clips = out if clip_rows_only else out[0]
                 loss = weighted_sum((clips, w_clips))
-            backward(loss, g)
-            return clips, [t.grad for t in (frames, video, *ws)], sink, g
+            return clips, backward(loss, g, [frames, video, *ws]), sink, g
 
         full, full_grads, full_sink, _ = run(False)
         rows, rows_grads, rows_sink, g = run(True)
@@ -874,7 +883,7 @@ class TestDivideAttention:
                                       clip_rows_only=clip_rows_only)
             c = out if clip_rows_only else out[0]
             loss = weighted_sum((c, w_clips), *[] if clip_rows_only else [(out[1], w_frames)])
-        backward(loss, g)
+        grads = backward(loss, g, [frames, video, *ws])
 
         d_frames, d_video = np.zeros((n, self.DIM)), np.zeros((1, self.DIM))
         d_ws = [np.zeros((self.DIM, self.DIM)) for _ in ws]
@@ -888,8 +897,8 @@ class TestDivideAttention:
             d_video += dx[:1]
             d_frames[start:stop] = dx[1:]
             d_ws = [a + b for a, b in zip(d_ws, dw)]
-        for got, want in zip((frames, video, *ws), (d_frames, d_video, *d_ws)):
-            assert_close_to_reference(got.grad, want)
+        for got, want in zip(grads, (d_frames, d_video, *d_ws)):
+            assert_close_to_reference(got, want)
 
     def test_rejects_bad_operands(self):
         frames, video, ws = self.operands(6, 52)
@@ -933,19 +942,38 @@ class TestDivideAttention:
 
 
 class TestThreadConfinement:
-    def test_distinct_graphs_on_distinct_threads(self):
-        import concurrent.futures
+    def test_graphs_over_shared_parameters_on_four_threads(self):
+        """Four threads each run forward and backward 16 times on graphs of
+        their own, over one model's parameters and each on its own video.
+        Every run's score and gradients equal the thread's sequential run
+        bit for bit: the threads share no gradient state."""
+        model = DCVQEModel.initialize(TINY_CONFIG, seed=3, init_scale=0.5)
+        rng = np.random.default_rng(17)
+        videos = [rng.normal(size=(n, TINY_CONFIG.input_dim)) for n in (12, 9, 5, 2)]
 
-        def worker(seed):
-            rng = np.random.default_rng(seed)
-            x = Tensor(rng.normal(size=(8, 8)))
+        def run(video):
             with Graph() as g:
-                loss = weighted_sum((x, 1.0), power=2)
-            backward(loss, g)
-            return np.array_equal(x.grad, 2 * x.data)
+                score = model.forward(video)
+                loss = weighted_sum((score, 1.0), power=2)
+            return [score.data.copy(), *backward(loss, g, model.parameters())]
 
-        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-            assert all(pool.map(worker, range(16)))
+        sequential = [run(v) for v in videos]
+        start = threading.Barrier(len(videos))
+
+        def worker(video):
+            start.wait(timeout=60)
+            return [run(video) for _ in range(16)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=len(videos)) as pool:
+                threaded = list(pool.map(worker, videos, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for want, runs in zip(sequential, threaded, strict=True):
+            for got in runs:
+                assert all(np.array_equal(a, b) for a, b in zip(want, got, strict=True))
 
 
 class TestDeterminism:
@@ -964,8 +992,8 @@ class TestDeterminism:
                 clips, frames = ad.divide_attention(y, bias, t, t, t, 2, 5, mask)
                 z = ad.conquer_attention(clips, t, t, t, 2)
                 loss = weighted_sum((frames, 1.0), (z, 1.0), power=2)
-            backward(loss, g)
-            return y.data.copy(), frames.data.copy(), z.data.copy(), t.grad, bias.grad, rows.grad
+            return (y.data.copy(), frames.data.copy(), z.data.copy(),
+                    *backward(loss, g, [t, bias, rows]))
 
         first, second = run(), run()
         assert all(np.array_equal(u, v) for u, v in zip(first, second))
@@ -974,17 +1002,17 @@ class TestDeterminism:
 @settings(max_examples=30)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
        st.integers(min_value=0, max_value=2 ** 32 - 1))
-def test_backward_scaling_property(rows, cols, seed):
-    """backward accumulates linearly: k passes give exactly k times one pass."""
+def test_repeated_backward_property(rows, cols, seed):
+    """backward keeps no state: three calls on one graph return equal
+    arrays, and the tensors' data is left as it was."""
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(rows, cols)))
+    before = x.data.copy()
     with Graph() as g:
         loss = weighted_sum((x, 1 / x.data.size), power=2)
-    backward(loss, g)
-    once = x.grad.copy()
-    backward(loss, g)
-    backward(loss, g)
-    assert np.array_equal(x.grad, 3 * once)
+    (once,) = backward(loss, g, [x])
+    assert all(np.array_equal(backward(loss, g, [x])[0], once) for _ in range(2))
+    assert np.array_equal(x.data, before) and x.__slots__ == ("data", "name")
 
 
 PACKAGE = Path(ad.__file__).parent
@@ -1025,6 +1053,17 @@ def names_used_outside(module: str) -> set[str]:
         used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                  and isinstance(node.value, ast.Name) and node.value.id in aliases}
     return used
+
+
+def test_gradients_live_only_in_what_backward_returns():
+    """A tensor has a data array and a name, and no module of the package
+    stores a gradient on a tensor or clears one."""
+    assert Tensor.__slots__ == ("data", "name")
+    with pytest.raises(AttributeError):
+        Tensor(1.0).grad = np.ones(1)
+    for path in PACKAGE.glob("*.py"):
+        text = path.read_text()
+        assert not re.search(r"\.grad\b|zero_grads", text), path.name
 
 
 def test_every_tape_op_has_a_caller_in_the_package():

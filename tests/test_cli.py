@@ -285,6 +285,18 @@ class TestExitCodes:
         assert code == 3
         assert "validation loss nan in epoch 1" in capsys.readouterr().err
 
+    def test_diverging_run_is_three_without_a_warning_or_a_file(self, tmp_path, dataset_dir,
+                                                                config_file):
+        # the first Adam step moves the weights to about 1e308, so the second
+        # batch's input projection overflows: that overflow is the failure,
+        # and neither the checkpoint nor its log is written
+        result = run_cli("train", "--manifest", dataset_dir / "manifest.jsonl", "--out",
+                         tmp_path / "m.ckpt", "--config", config_file, "--lr", "1e308")
+        assert result.returncode == 3
+        assert result.stderr == ("numeric failure: overflow encountered in matmul in epoch 1, "
+                                 "batch 2\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_model_eval_degenerate_is_three(self, tmp_path, dataset_dir, capsys):
         cfg = DCVQEConfig(input_dim=6, **{k: v for k, v in TINY_MODEL.items()})
         model = DCVQEModel.initialize(cfg, seed=0)

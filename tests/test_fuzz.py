@@ -491,8 +491,8 @@ def settings_cases(shipped: list[bytes], synth_raw: bytes) -> list[tuple[str, by
 def test_settings_from_cut_and_changed_files_and_hostile_flags(scratch, settings_inputs):
     """Every command that takes settings exits 0-3 without a traceback on
     each case of ``settings_cases``, and an exit of 1 or 2 leaves no output
-    behind. numpy warns only on the way to a numeric failure (exit 3): a
-    diverging run overflows before the non-finite loss stops it."""
+    behind. No run warns: a diverging run stops at its first overflow or
+    invalid value, which is the numeric failure (exit 3)."""
     manifest, config, out = (str(scratch / "settings.jsonl"), scratch / "settings.json",
                              scratch / "settings-out")
     outputs = {"synth": ["--out", str(out / "data")],
@@ -512,7 +512,7 @@ def test_settings_from_cut_and_changed_files_and_hostile_flags(scratch, settings
             code = main(argv)
         case = (argv, raw, stderr.getvalue(), [str(w.message) for w in caught])
         assert code in (0, 1, 2, 3), case
-        assert code == 3 or not caught, case
+        assert not caught, case
         assert "Traceback" not in stdout.getvalue() + stderr.getvalue(), case
         if code in (1, 2):
             assert list(out.iterdir()) == [], case
