@@ -20,11 +20,12 @@ and the weight gradient widens it one column block at a time. ``backward``
 sums the gradients that reach one tensor in place, in arrays that it
 allocated itself.
 
-The attention ops share their projection, softmax and backward code.
+The attention ops share one forward and backward, ``_attend``, which
+evaluates the first m query rows of each sequence against all of its rows.
 ``conquer_attention`` is unmasked multi-head scaled dot-product attention
-over one sequence (projections, softmax and weighted sum), pooled by the
-mean over its rows. ``divide_attention`` is the whole divide stage of one
-video: it cuts the frames into clips, runs every ``[video; clip]``
+over one sequence (projections, softmax and weighted sum, m = n), pooled by
+the mean over its rows. ``divide_attention`` is the whole divide stage of
+one video: it cuts the frames into clips, runs every ``[video; clip]``
 sequence through the same attention, masked, adds the residual, and
 returns two tensors, the clip embeddings and the updated frames (a node
 may have several outputs). It checks once, at entry, that its mask admits
@@ -36,8 +37,8 @@ only; otherwise it takes the row max and the exponential over the admitted
 entries only, bit-identical to exponentiating ``-inf``. Masked entries are
 exact zeros and get exactly zero gradient. The backward takes the softmax's
 row term from the output rows (g . o per row and head) rather than from the
-scores. With ``clip_rows_only``, ``divide_attention`` evaluates query row 0
-of each clip alone and returns only the clip embeddings; the model uses it
+scores. With ``clip_rows_only``, ``divide_attention`` takes m = 1, the clip
+row alone, through the same path and returns no frames; the model uses it
 for its final layer, whose updated frames nothing reads. ``gradient_check``
 checks the fused ops like every other op.
 """
@@ -333,32 +334,31 @@ def _check_attention(x: Tensor, ws: tuple[Tensor, ...], num_heads: int) -> None:
 
 
 def _attend(x: np.ndarray, ws: tuple[Tensor, Tensor, Tensor], num_heads: int,
-            admissible: np.ndarray | None, first_row_only: bool = False):
-    """Forward of multi-head attention over the array ``x`` [..., n, D].
+            admissible: np.ndarray | None):
+    """Forward of multi-head attention over the array ``x`` [..., n, D],
+    evaluated for the first m query rows of each sequence, where
+    ``admissible`` is the [m, n] mask (None: m = n, unmasked).
 
-    Returns the output rows [rows, D] (heads side by side), the weights
-    [..., H, m, n] and the VJP: ``vjp(g, x)`` maps the gradient of the
-    output rows to (dx rows, dWq, dWk, dWv). The VJP keeps no reference to
-    ``x``, so the caller passes it again (``divide_attention`` rebuilds it). It
-    does keep the output rows: the softmax's row term sum_j p_ij (g V^T)_ij
-    equals g_i . o_i with o = p V, a product over the head width instead of
-    a pass over the scores, so the caller must not write into them. With
-    ``first_row_only`` only query row 0 of each sequence is evaluated
-    (m = 1): K and V still cover every row, the output is that row alone,
-    one per sequence, and dx reaches every row through K and V and row 0
-    through Q as well. Otherwise m = n. ``admissible`` is the [m, n] mask.
+    K and V cover every row. Returns the output rows [rows, D] (m per
+    sequence, heads side by side), the weights [..., H, m, n] and the VJP:
+    ``vjp(g, x)`` maps the gradient of the output rows to (dx rows, dWq,
+    dWk, dWv); dx reaches every row through K and V and the query rows
+    through Q as well. The VJP keeps no reference to ``x``, so the caller
+    passes it again (``divide_attention`` rebuilds it). It does keep the
+    output rows: the softmax's row term sum_j p_ij (g V^T)_ij equals
+    g_i . o_i with o = p V, a product over the head width instead of a pass
+    over the scores, so the caller must not write into them.
     """
     *lead, n, dim = x.shape
+    m = n if admissible is None else len(admissible)
     head_dim = dim // num_heads
     c = 1.0 / math.sqrt(head_dim)
-    m = 1 if first_row_only else n
 
     def split(a, length):  # [rows, D] -> [..., H, length, D/H], a view
         return a.reshape(*lead, length, num_heads, head_dim).swapaxes(-2, -3)
 
     def operands(x):  # the query rows and all rows of x, [rows, D] each
-        rows = x.reshape(-1, dim)
-        return (x[..., 0, :].reshape(-1, dim) if first_row_only else rows), rows
+        return x[..., :m, :].reshape(-1, dim), x.reshape(-1, dim)
 
     wq, wk, wv = ws
     q_rows, rows = operands(x)
@@ -380,13 +380,10 @@ def _attend(x: np.ndarray, ws: tuple[Tensor, Tensor, Tensor], num_heads: int,
         dq *= c
         np.matmul(ds.swapaxes(-1, -2), q, out=split(dk, n))
         np.matmul(p.swapaxes(-1, -2), g, out=split(dv, n))
-        if first_row_only:  # the full rule's sum order, with dq zero off row 0
-            dx = dk @ wk.data.T
-            row0 = dx.reshape(*lead, n, dim)[..., 0, :]
-            row0 += (dq @ wq.data.T).reshape(row0.shape)
-            dx += dv @ wv.data.T
-        else:
-            dx = dq @ wq.data.T + dk @ wk.data.T + dv @ wv.data.T
+        # K, then Q on the query rows, then V: the bits of (Q + K) + V at m = n
+        dx = dk @ wk.data.T
+        dx.reshape(*lead, n, dim)[..., :m, :] += (dq @ wq.data.T).reshape(*lead, m, dim)
+        dx += dv @ wv.data.T
         return dx, q_rows.T @ dq, rows.T @ dk, rows.T @ dv
 
     return out, p, vjp
@@ -424,8 +421,8 @@ def conquer_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: 
 def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
                      num_heads: int, clip_len: int, admissible: np.ndarray,
                      sink: list[np.ndarray] | None = None,
-                     clip_rows_only: bool = False) -> tuple[Tensor, Tensor] | Tensor:
-    """The divide stage of one video as one tape op with two outputs.
+                     clip_rows_only: bool = False) -> tuple[Tensor, Tensor | None]:
+    """The divide stage of one video as one tape op.
 
     ``frames`` [n, D] are cut into consecutive clips of ``clip_len`` frames;
     the last clip keeps the remainder and is never padded. Each clip c runs
@@ -438,15 +435,15 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
     or the first row without it. The input sequence is added back (residual).
     Returns the clip embeddings [C, D] (position 0 of each clip's output,
     the clip row) and the updated frames [n, D]. ``sink`` receives one
-    [H, L, L] weight array per clip, in clip order.
+    [H, m, L] weight array per clip, in clip order.
 
-    With ``clip_rows_only`` only the clip rows are evaluated: K and V still
-    cover every position, but Q, the scores, the softmax and the output are
-    formed for position 0 alone, the residual goes on that row, and the op
-    returns the clip embeddings [C, D] as its single output (``sink`` then
-    receives [H, 1, L] arrays). The model uses this for its final layer,
-    whose updated frames reach neither the score nor the loss; the clip
-    embeddings agree with the full op's to rounding.
+    Every sequence is evaluated for its first m query rows, with the leading
+    m rows of the mask; K and V always cover every position. By default
+    m = L and the op has both outputs. With ``clip_rows_only``, m = 1: only
+    the clip row is formed, and the op records the clip embeddings as its
+    one output and returns None for the frames. The model uses this for its
+    final layer, whose updated frames reach neither the score nor the loss;
+    the clip embeddings agree with the full op's to rounding.
 
     All full-length clips run as one batch and a shorter last clip as a
     second one; the backward sums the two batches' projection gradients and
@@ -473,7 +470,7 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
                          f"position 0, the video row")
     n, dim = frames.shape
     full = n - n % clip_len
-    batches = []  # (first frame, end frame, frames per clip, clips, vjp)
+    batches = []  # (first frame, end frame, frames per clip, clips, query rows, vjp)
     clip_out, frames_out = [], None if clip_rows_only else np.empty((n, dim))
 
     def sequences(start, stop, length):  # [video; clip] for each clip, [clips, length + 1, D]
@@ -486,47 +483,38 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
         if stop == start:
             continue
         x = sequences(start, stop, length)
-        clips = len(x)
-        mask = admissible[:1 if clip_rows_only else length + 1, :length + 1]
-        out, p, vjp = _attend(x, ws, num_heads, mask, first_row_only=clip_rows_only)
+        clips, m = len(x), 1 if clip_rows_only else length + 1
+        out, p, vjp = _attend(x, ws, num_heads, admissible[:m, :length + 1])
         if sink is not None:
             sink.extend(p)
         # the residual goes into new arrays: the vjp keeps ``out``
-        if clip_rows_only:
-            clip_out.append(out + x[:, 0])
-        else:
-            out = out.reshape(x.shape)
-            clip_out.append(out[:, 0] + x[:, 0])
+        out = out.reshape(clips, m, dim)
+        clip_out.append(out[:, 0] + x[:, 0])
+        if frames_out is not None:
             np.add(out[:, 1:], x[:, 1:], out=frames_out[start:stop].reshape(clips, length, dim))
-        batches.append((start, stop, length, clips, vjp))
+        batches.append((start, stop, length, clips, m, vjp))
     clips_out = np.concatenate(clip_out)
 
     def bw(g_clips, g_frames=None):
         d_frames, d_video, d_ws = np.empty((n, dim)), None, [None, None, None]
         first = len(clips_out)
-        for start, stop, length, clips, vjp in reversed(batches):
+        for start, stop, length, clips, m, vjp in reversed(batches):
             first -= clips
-            if clip_rows_only:
-                g = g_clips[first:first + clips]
-            else:
-                g = np.empty((clips, length + 1, dim))
-                g[:, 0] = g_clips[first:first + clips]
+            g = np.empty((clips, m, dim))
+            g[:, 0] = g_clips[first:first + clips]
+            if g_frames is not None:
                 g[:, 1:] = g_frames[start:stop].reshape(clips, length, dim)
             dx, *dw = vjp(g.reshape(-1, dim), sequences(start, stop, length))
             d_ws = [b if a is None else a + b for a, b in zip(d_ws, dw)]
             dx = dx.reshape(clips, length + 1, dim)
-            if clip_rows_only:
-                dx[:, 0] += g  # the residual path, clip rows only
-            else:
-                dx += g  # the residual path
+            dx[:, :m] += g  # the residual path
             d_frames[start:stop] = dx[:, 1:].reshape(-1, dim)
             row = dx[:, 0].sum(axis=0, keepdims=True)
             d_video = row if d_video is None else d_video + row
         return (d_frames, d_video, *d_ws)
 
-    outputs = (clips_out,) if clip_rows_only else (clips_out, frames_out)
-    recorded = _record_many("divide_attention", (frames, video, *ws), outputs, bw)
-    return recorded[0] if clip_rows_only else recorded
+    outputs = (clips_out,) if frames_out is None else (clips_out, frames_out)
+    return (*_record_many("divide_attention", (frames, video, *ws), outputs, bw), None)[:2]
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:

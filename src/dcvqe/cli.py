@@ -29,8 +29,8 @@ from .data import FormatError
 from .losses import VARIANTS, LossConfig
 from .metrics import DegenerateInputError
 from .model import DCVQEConfig, DCVQEModel
-from .training import (TrainConfig, evaluate, fit, gradcheck_suite,
-                       load_checkpoint, run_repetitions, save_checkpoint)
+from .training import (TrainConfig, evaluate, fit, gradcheck_suite, load_checkpoint,
+                       numeric_failure, run_repetitions, save_checkpoint)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -260,7 +260,8 @@ def _cmd_predict(args) -> int:
     model = cp.build_model()
     for path in args.features:
         seq = data_io.truncate(data_io.read_features(path), cp.config.max_seq_len)
-        score = model.predict(seq.features)
+        with numeric_failure(f"file {path}"):
+            score = model.predict(seq.features)
         if not math.isfinite(score):
             raise FloatingPointError(f"non-finite score {score} for {path}")
         print(f"{path}\t{score:.6f}")
@@ -268,6 +269,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if not args.tol >= 0:  # NaN fails too: such a tolerance could never pass
+        raise ValueError(f"--tol must be a number >= 0, got {args.tol}")
     report = gradcheck_suite(seed=_settings(args)["seed"])
     for check in report.per_parameter:
         print(f"{check.name:24s} max_rel_err={check.max_rel_error:.3e} "
@@ -284,7 +287,8 @@ def _cmd_dump_embeddings(args) -> int:
     data_io.manifest_feature_dim(manifest)
     lines = []  # written only once every video has been read and embedded
     for seq in data_io.load_sequences(manifest, max_len=cp.config.max_seq_len):
-        embedding = model.embed(seq.features).data.reshape(-1).tolist()
+        with numeric_failure(f"video {seq.video_id!r}"):
+            embedding = model.embed(seq.features).data.reshape(-1).tolist()
         if not all(map(math.isfinite, embedding)):
             raise FloatingPointError(f"non-finite embedding for video {seq.video_id!r}")
         lines.append(json.dumps({"video_id": seq.video_id, "mos": seq.mos,

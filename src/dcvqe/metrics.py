@@ -137,5 +137,5 @@ def median_report(reports: Sequence[MetricsReport]) -> MetricsReport:
         krcc=float(statistics.median([r.krcc for r in reports])),
         plcc=float(statistics.median([r.plcc for r in reports])),
         rmse=float(statistics.median([r.rmse for r in reports])),
-        n=int(med_n) if float(med_n).is_integer() else int(round(med_n)),
+        n=int(round(med_n)),
     )

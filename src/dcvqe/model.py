@@ -111,7 +111,7 @@ class AttentionCost:
         """Add the attention MACs of one forward over ``n_frames`` frames."""
         dim = config.model_dim
         for layer in range(1, config.num_layers + 1):
-            clips = split_clips(n_frames, config.base_clip_len * 2 ** (layer - 1))
+            clips = split_clips(n_frames, layer_clip_len(config, layer))
             divide = sum(2 * (stop - start + 1) ** 2 * dim for start, stop in clips)
             conquer = 2 * len(clips) ** 2 * dim
             for key, macs in (((layer, "divide"), divide), ((layer, "conquer"), conquer)):
@@ -131,6 +131,12 @@ class LayerActivations:
     video_embeddings: list[np.ndarray] = field(default_factory=list)
     divide_attention: list[list[np.ndarray]] = field(default_factory=list)
     conquer_attention: list[np.ndarray] = field(default_factory=list)
+
+
+def layer_clip_len(config: DCVQEConfig, layer: int) -> int:
+    """Frames per clip at ``layer`` (1-based): ``base_clip_len * 2**(layer-1)``,
+    at most ``max_seq_len``, the longest video."""
+    return min(config.base_clip_len * 2 ** (layer - 1), config.max_seq_len)
 
 
 def split_clips(length: int, clip_len: int) -> list[tuple[int, int]]:
@@ -158,14 +164,14 @@ def transformer_d(proj: tuple[Tensor, Tensor, Tensor], num_heads: int, video_qe:
     leading block, which for a banded mask is the banded mask of that size.
     Returns the clip-level embeddings [C, D] and the updated frame
     embeddings [n, D], or None for them with ``clip_rows_only``, which
-    evaluates the clip rows alone (see ``autodiff.divide_attention``). The
-    whole stage is one ``autodiff.divide_attention`` node on the tape. Its
-    attention MACs follow from the clip layout alone (``AttentionCost``).
+    evaluates the clip rows alone: the one-query-row case of the same
+    attention (see ``autodiff.divide_attention``). The whole stage is one
+    ``autodiff.divide_attention`` node on the tape. Its attention MACs
+    follow from the clip layout alone (``AttentionCost``).
     """
     clip_len = frames.shape[0] if clip_len is None else clip_len
-    out = ad.divide_attention(frames, video_qe, *proj, num_heads, clip_len, mask.admissible,
-                              sink=attn_sink, clip_rows_only=clip_rows_only)
-    return (out, None) if clip_rows_only else out
+    return ad.divide_attention(frames, video_qe, *proj, num_heads, clip_len, mask.admissible,
+                               sink=attn_sink, clip_rows_only=clip_rows_only)
 
 
 def transformer_c(proj: tuple[Tensor, Tensor, Tensor], num_heads: int, clip_qes: Tensor,
@@ -253,21 +259,20 @@ class DCVQEModel:
                    ) -> tuple[Tensor | None, Tensor, Tensor]:
         """One divide-and-conquer layer.
 
-        Splits the frames into clips of ``base_clip_len * 2**(layer-1)``
-        frames, at most ``max_seq_len``, the longest video (the last clip
-        keeps the remainder), runs the divide transformer over every clip
-        (shared weights, same input video embedding at position 0), then the
-        conquer transformer plus pooling over the clip embeddings. Returns
-        the updated frames, the clip embeddings and the video embedding.
-        ``sinks`` is a (divide, conquer) pair of lists that receive the
-        attention weights.
+        Splits the frames into clips of ``layer_clip_len(config, layer)``
+        frames (the last clip keeps the remainder), runs the divide
+        transformer over every clip (shared weights, same input video
+        embedding at position 0), then the conquer transformer plus pooling
+        over the clip embeddings. Returns the updated frames, the clip
+        embeddings and the video embedding. ``sinks`` is a (divide, conquer)
+        pair of lists that receive the attention weights.
 
         The final layer's updated frames reach neither the score nor the
         loss, so without ``sinks`` that layer evaluates the clip rows of its
         divide stage only and returns None for the frames.
         """
         cfg = self.config
-        clip_len = min(cfg.base_clip_len * 2 ** (layer - 1), cfg.max_seq_len)
+        clip_len = layer_clip_len(cfg, layer)
         divide_sink, conquer_sink = sinks or (None, None)
         clips, frames = transformer_d(
             self._projections(layer, "divide"), cfg.num_heads, video_qe, frames,
@@ -311,8 +316,8 @@ class DCVQEModel:
             for layer in range(1, self.config.num_layers + 1):
                 divide, conquer = sinks = [], []
                 frames, clips, video = self.dctr_layer(layer, frames, video, sinks)
-                clip_len = self.config.base_clip_len * 2 ** (layer - 1)
-                acts.clip_boundaries.append(split_clips(len(features), clip_len))
+                acts.clip_boundaries.append(
+                    split_clips(len(features), layer_clip_len(self.config, layer)))
                 acts.frame_embeddings.append(frames.data)
                 acts.clip_embeddings.append(clips.data)
                 acts.video_embeddings.append(video.data)

@@ -129,10 +129,11 @@ def adam_step(named_params: Sequence[tuple[str, Tensor]], grads: Sequence[np.nda
 
 
 @contextlib.contextmanager
-def _numeric_failure(where: str):
+def numeric_failure(where: str):
     """Raise at the first overflow, invalid value or division by zero, not
-    warn on the way to a non-finite loss, and name ``where`` in the error.
-    Underflow stays silent: the masked softmax relies on it."""
+    warn on the way to a non-finite loss or score, and name ``where`` in the
+    error. Every training batch, validation pass and scored video runs
+    under it. Underflow stays silent: the masked softmax relies on it."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             yield
@@ -146,7 +147,7 @@ def train_epoch(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
 
     The shuffle depends only on (seed, epoch_index), so resumed runs replay
     the exact same batch order. Each batch's forward pass, loss, backward
-    pass and Adam step run under ``_numeric_failure`` (epoch and 1-based
+    pass and Adam step run under ``numeric_failure`` (epoch and 1-based
     batch)."""
     if not train_seqs:
         raise ValueError("training set is empty")
@@ -154,7 +155,7 @@ def train_epoch(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
     losses = []
     for number, lo in enumerate(range(0, len(order), cfg.batch_size), start=1):
         batch = [train_seqs[i] for i in order[lo:lo + cfg.batch_size]]
-        with _numeric_failure(f"epoch {epoch_index + 1}, batch {number}"):
+        with numeric_failure(f"epoch {epoch_index + 1}, batch {number}"):
             with Graph() as graph:
                 preds = ad.concat_rows([model.forward(s.features) for s in batch])
                 targets = Tensor(np.array([[s.mos] for s in batch]))
@@ -326,7 +327,7 @@ def fit(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
     ``start_epoch``/``state`` allow resuming from a prior checkpoint's final
     state; the shuffle schedule depends only on (seed, epoch), so a resumed
     run reproduces the unbroken trajectory. Validation runs under
-    ``_numeric_failure`` too.
+    ``numeric_failure`` too.
     """
     if not val_seqs:
         raise ValueError("validation set is empty")
@@ -337,7 +338,7 @@ def fit(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
     for epoch_index in range(start_epoch, cfg.max_epochs):
         t0 = time.perf_counter()
         train_loss = train_epoch(model, train_seqs, cfg, state, epoch_index)
-        with _numeric_failure(f"epoch {epoch_index + 1}, validation"):
+        with numeric_failure(f"epoch {epoch_index + 1}, validation"):
             val_loss = validation_loss(model, val_seqs, cfg.loss)
             if not math.isfinite(val_loss):  # a NaN would never compare as worse than "best"
                 raise FloatingPointError(f"non-finite validation loss {val_loss}")
@@ -357,10 +358,14 @@ def fit(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
 
 
 def evaluate(model: DCVQEModel, test_seqs: Sequence[FeatureSequence]) -> MetricsReport:
-    """Per-video inference (no graphs), then the four criteria."""
+    """Per-video inference (no graphs), each video under ``numeric_failure``,
+    then the four criteria."""
     if len(test_seqs) < 2:
         raise ValueError(f"evaluate needs >= 2 videos, got {len(test_seqs)}")
-    preds = [model.predict(s.features) for s in test_seqs]
+    preds = []
+    for s in test_seqs:
+        with numeric_failure(f"video {s.video_id!r}"):
+            preds.append(model.predict(s.features))
     targets = [s.mos for s in test_seqs]
     return compute_report(preds, targets)
 

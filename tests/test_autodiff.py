@@ -335,25 +335,31 @@ class TestSoftmaxMasked:
         np.testing.assert_allclose(
             grad, fd_grad(lambda z: (old_softmax(z, mask) ** 2).sum(), x.copy()), atol=1e-8)
 
-    @pytest.mark.parametrize("path", ["fast", "fallback"])
-    def test_batched_masked_attention_matches_the_exact_jacobian(self, path, request):
+    @pytest.mark.parametrize("path, m", [("fast", 5), ("fallback", 5), ("fast", 1),
+                                         ("fallback", 1)],
+                             ids=["fast", "fallback", "fast_one_row", "fallback_one_row"])
+    def test_batched_masked_attention_matches_the_exact_jacobian(self, path, m, request):
         """The attention over a batch of sequences [B, n, D] under one banded
-        mask, forward and VJP, against the per-sequence, per-head reference."""
+        mask, forward and VJP, against the per-sequence, per-head reference.
+        A mask of its first m rows evaluates those query rows alone: the
+        reference's rows, and its VJP with a zero gradient on the other rows."""
         if path == "fallback":
             request.getfixturevalue("fallback")
         rng = np.random.default_rng(26)
         x = rng.normal(size=(3, 5, 4))
         ws = [Tensor(rng.normal(size=(4, 4))) for _ in range(3)]
-        mask = banded_mask(5, 1)
-        assert not mask.all(axis=0).all()  # some columns are masked in some rows
+        full_mask = banded_mask(5, 1)
+        assert not full_mask.all(axis=0).all()  # some columns are masked in some rows
+        mask = full_mask[:m]
         g = rng.normal(size=x.shape)
+        g[:, m:] = 0.0
         out, p, vjp = ad._attend(x, ws, 2, mask)
-        rows, attn = attention_rows(x, [w.data for w in ws], 2, mask)
-        assert_close_to_reference(out.reshape(x.shape), rows)
-        assert_close_to_reference(p, attn)
+        rows, attn = attention_rows(x, [w.data for w in ws], 2, full_mask)
+        assert_close_to_reference(out.reshape(3, m, 4), rows[:, :m])
+        assert_close_to_reference(p, attn[..., :m, :])
         assert (p[..., ~mask] == 0.0).all()
-        dx, *dws = vjp(g.reshape(-1, 4), x)
-        want_dx, want_dws = attention_vjp_reference(x, [w.data for w in ws], 2, mask, g)
+        dx, *dws = vjp(g[:, :m].reshape(-1, 4), x)
+        want_dx, want_dws = attention_vjp_reference(x, [w.data for w in ws], 2, full_mask, g)
         for got, want in zip((dx.reshape(x.shape), *dws), (want_dx, *want_dws)):
             assert_close_to_reference(got, want)
 
@@ -819,8 +825,8 @@ class TestDivideAttention:
         w_clips = np.random.default_rng(61).normal(size=(-(-n // clip_len), self.DIM))
 
         def f():
-            c = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask,
-                                    clip_rows_only=True)
+            c, _ = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask,
+                                       clip_rows_only=True)
             return weighted_sum((c, w_clips))
 
         report = gradient_check(f, [frames, video, *ws], h=1e-6)
@@ -836,9 +842,8 @@ class TestDivideAttention:
         def run(clip_rows_only):  # the clip rows feed the loss, the frames nothing
             sink = []
             with Graph() as g:
-                out = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask,
-                                          sink=sink, clip_rows_only=clip_rows_only)
-                clips = out if clip_rows_only else out[0]
+                clips, _ = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask,
+                                               sink=sink, clip_rows_only=clip_rows_only)
                 loss = weighted_sum((clips, w_clips))
             return clips, backward(loss, g, [frames, video, *ws]), sink, g
 
@@ -879,10 +884,10 @@ class TestDivideAttention:
         w_clips = rng.normal(size=(clips, self.DIM))
         w_frames = np.zeros((n, self.DIM)) if clip_rows_only else rng.normal(size=(n, self.DIM))
         with Graph() as g:
-            out = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask,
-                                      clip_rows_only=clip_rows_only)
-            c = out if clip_rows_only else out[0]
-            loss = weighted_sum((c, w_clips), *[] if clip_rows_only else [(out[1], w_frames)])
+            c, fr = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask,
+                                        clip_rows_only=clip_rows_only)
+            loss = weighted_sum((c, w_clips), *[] if clip_rows_only else [(fr, w_frames)])
+        assert (fr is None) == clip_rows_only
         grads = backward(loss, g, [frames, video, *ws])
 
         d_frames, d_video = np.zeros((n, self.DIM)), np.zeros((1, self.DIM))

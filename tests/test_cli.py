@@ -160,6 +160,17 @@ class TestGradcheck:
         assert code == 0
         assert "overall max relative error" in out
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_a_tolerance_that_cannot_pass_is_two_before_the_check(self, tol, monkeypatch,
+                                                                  capsys):
+        def never(seed):
+            raise AssertionError("the check ran")
+
+        monkeypatch.setattr(cli, "gradcheck_suite", never)
+        assert main(["gradcheck", "--tol", tol]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("data error: --tol must be a number >= 0")
+
     def test_subprocess_module_entry(self):
         result = subprocess.run([sys.executable, "-m", "dcvqe", "gradcheck"],
                                 capture_output=True, text=True, timeout=300, env=CHILD_ENV)
@@ -326,23 +337,23 @@ class TestExitCodes:
 
     def test_nonfinite_scores_in_eval_are_three(self, tmp_path, dataset_dir,
                                                 trained_checkpoint):
-        # finite but huge weights overflow the attention scores, so every score is NaN
+        # finite but huge weights overflow the attention scores
         bad = edited_checkpoint(trained_checkpoint, tmp_path / "huge.ckpt", "input.weight",
                                 1e300)
         manifest = dataset_dir / "manifest.jsonl"
         feature_file = dataset_dir / "synth00000.dcvq"
-        for args, message in [
-            (["eval", "--manifest", manifest, "--checkpoint", bad],
-             "predictions hold a non-finite value nan at index 0"),
-            (["predict", "--checkpoint", bad, feature_file],
-             f"non-finite score nan for {feature_file}"),
+        # that first overflow is the failure, named with its file or video, and no
+        # numpy warning is printed on the way
+        for args, where in [
+            (["eval", "--manifest", manifest, "--checkpoint", bad], "video 'synth00000'"),
+            (["predict", "--checkpoint", bad, feature_file], f"file {feature_file}"),
             (["dump-embeddings", "--manifest", manifest, "--checkpoint", bad,
-              "--out", tmp_path / "emb.jsonl"],
-             "non-finite embedding for video 'synth00000'"),
+              "--out", tmp_path / "emb.jsonl"], "video 'synth00000'"),
         ]:
             result = run_cli(*args)
             assert result.returncode == 3, args[0]
-            assert f"numeric failure: {message}" in result.stderr
+            assert result.stderr == (f"numeric failure: overflow encountered in matmul in "
+                                     f"{where}\n"), args[0]
             assert "nan" not in result.stdout.lower()
         assert not (tmp_path / "emb.jsonl").exists()  # nothing written, so no NaN either
 
