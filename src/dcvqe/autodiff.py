@@ -16,7 +16,9 @@ checking use, each one node with a hand-written backward: ``linear``,
 ``concat_rows`` here, and the loss node that ``losses.total_loss`` records
 through ``_record``. ``linear`` is the one matrix product. It keeps a
 float32 ``x`` as it is: its float64 copy lives only inside the forward GEMM,
-and the weight gradient widens it one column block at a time. ``backward``
+and the weight gradient widens it one column block at a time. When a second
+core is free, its large products (the paper-shape input projection) run on
+two threads with the bits of one. ``backward``
 sums the gradients that reach one tensor in place, in arrays that it
 allocated itself.
 
@@ -45,9 +47,14 @@ checks the fused ops like every other op.
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
 import math
+import os
 import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -204,7 +211,77 @@ def backward(loss: Tensor, graph: Graph, wrt: Sequence[Tensor]) -> list[np.ndarr
 # at 4096 input columns: one backward over 600 rows peaks at 9.7 MB with 1024
 # (14.6 MB with 2048, 24.5 MB unblocked); 512 saves 0.7 MB more, but the
 # weight gradient of 300 rows then takes 9.2 ms against 8.3 ms (7.6 unblocked).
+# On two threads each widens blocks of half as many columns.
 WGRAD_COLS = 1024
+# ``linear`` splits a product over two threads only from this many
+# multiply-adds (the paper-shape input projection of 32 frames; the 64-d one
+# of 600 frames is 1.2 M) and only when each half has this many rows: for
+# fewer, numpy and BLAS take other kernels (gemv for one row), whose bits
+# can differ.
+SPLIT_MACS = 2 ** 24
+SPLIT_ROWS = 16
+
+
+@functools.cache
+def _blas_thread_count() -> Callable[[], int] | None:
+    """The thread-count getter of the OpenBLAS that numpy loaded from its
+    wheel's ``numpy.libs``, or None for any other BLAS."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:  # RTLD_NOLOAD: only a library that numpy has already loaded
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            getter = lib.scipy_openblas_get_num_threads64_
+        except (AttributeError, OSError):
+            continue
+        getter.restype, getter.argtypes = ctypes.c_int, ()
+        return getter
+    return None
+
+
+def _two_cores() -> bool:
+    """Whether a second core is there for ``linear``'s second thread: this
+    process may run on two CPUs or more, and BLAS is known to run one
+    thread (a second BLAS thread already takes the second core)."""
+    getter = _blas_thread_count()
+    return (getter is not None and getter() == 1 and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+_helper = None  # a concurrent.futures.ThreadPoolExecutor of one thread, once started
+_helper_lock = threading.Lock()
+
+
+def _forget_helper() -> None:
+    # a forked child has none of its parent's threads
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _on_two_threads(here: Callable[[], None], there: Callable[[], None]) -> None:
+    """Run ``there`` on the one helper thread that every caller shares,
+    started at its first use, while ``here`` runs on this thread, and return
+    when both have finished: if ``here`` raises, its exception propagates,
+    else that of ``there``. ``there`` runs in a copy of this thread's
+    context, so ``np.errstate`` holds there too. Nothing that runs on the
+    helper may wait for it."""
+    # imported here, not with the module: with the logging module it pulls
+    # in, it adds 0.4 MB to the peak of every process, split or not
+    from concurrent import futures
+
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            _helper = futures.ThreadPoolExecutor(1, thread_name_prefix="dcvqe-linear")
+        pending = _helper.submit(contextvars.copy_context().run, there)
+    try:
+        here()
+    finally:
+        futures.wait((pending,))
+    pending.result()
 
 
 def linear(x, w: Tensor, b: Tensor) -> Tensor:
@@ -212,9 +289,9 @@ def linear(x, w: Tensor, b: Tensor) -> Tensor:
 
     ``x`` is a ``Tensor`` (its gradient is ``g @ w.T``) or an array, kept as
     given and never differentiated: float32 rows stay float32 on the tape and
-    are widened to float64 whole only inside the forward GEMM. The weight
-    gradient is formed as ``(g.T @ x).T``, which BLAS computes with the bits
-    of ``x.T @ g`` in about half the time at the input projection's
+    are widened to float64 only inside the GEMMs. The weight gradient is
+    formed as ``(g.T @ x).T``, which BLAS computes with the bits of
+    ``x.T @ g`` in about half the time at the input projection's
     [S, 4096] x [4096, 128] shape. It is computed into one [N, K] buffer,
     ``WGRAD_COLS`` columns of ``x`` at a time, and only that block is
     widened; each element is still one GEMM sum over the S rows. With
@@ -222,23 +299,65 @@ def linear(x, w: Tensor, b: Tensor) -> Tensor:
     one block or is a multiple of 8; at other widths the last bit can differ,
     as BLAS picks other kernels for a narrow block. The result is F-ordered,
     and ``backward`` returns leaf gradients in C order. The bias gradient
-    sums ``g`` over its rows."""
+    sums ``g`` over its rows.
+
+    Products of at least ``SPLIT_MACS`` multiply-adds over at least
+    2 * ``SPLIT_ROWS`` rows (the paper-shape input projection of 32 frames
+    or more) run on two threads when the second core is free for them: the
+    process may run on two CPUs or more and numpy's OpenBLAS runs one
+    thread. The forward gives each thread half of the rows. The weight
+    gradient gives each thread one half of every full column block, so two
+    widened half blocks take the memory of one block; a last, narrower block
+    runs whole on the calling thread after both, since halving it could
+    change its bits. Every element still comes from the same BLAS kernel on
+    the same operands, so the bits are those of one thread. ``taskset -c
+    0``, a BLAS thread count above 1 or a BLAS other than numpy's bundled
+    OpenBLAS keeps every product on the calling thread."""
     is_tensor = isinstance(x, Tensor)
     rows = x.data if is_tensor else x
     if (np.ndim(rows) != 2 or w.data.ndim != 2 or rows.shape[1] != w.shape[0]
             or b.shape != (1, w.shape[1])):
         raise ShapeError(f"linear needs x [S, K], w [K, N] and b [1, N], got "
                          f"{np.shape(rows)}, {w.shape} and {b.shape}")
+    (n_rows, width), n_out = rows.shape, w.shape[1]
+    split = (n_rows * width * n_out >= SPLIT_MACS and n_rows >= 2 * SPLIT_ROWS
+             and _two_cores())
 
-    out = np.ascontiguousarray(rows, dtype=np.float64) @ w.data
-    out += b.data
+    wide = (rows if rows.dtype == np.float64 and rows.flags.c_contiguous
+            else np.empty(rows.shape))
+    out = np.empty((n_rows, n_out))
+
+    def project(part):
+        if wide is not rows:
+            wide[part] = rows[part]
+        np.matmul(wide[part], w.data, out=out[part])
+        out[part] += b.data
+
+    if split:
+        half = n_rows // 2
+        _on_two_threads(lambda: project(slice(half)), lambda: project(slice(half, None)))
+    else:
+        project(slice(None))
 
     def weight_grad(g):
-        buf = np.empty((g.shape[1], rows.shape[1]))
-        for start in range(0, rows.shape[1], WGRAD_COLS):
-            cols = slice(start, start + WGRAD_COLS)
-            np.matmul(g.T, np.ascontiguousarray(rows[:, cols], dtype=np.float64),
-                      out=buf[:, cols])
+        buf = np.empty((n_out, width))
+
+        def blocks(starts, cols):
+            for start in starts:
+                part = slice(start, start + cols)
+                np.matmul(g.T, np.ascontiguousarray(rows[:, part], dtype=np.float64),
+                          out=buf[:, part])
+
+        starts = range(0, width, WGRAD_COLS)
+        if split and width >= WGRAD_COLS:
+            # each thread takes one half of every full block; a last, narrower
+            # block runs whole, here, once both are done: as two blocks its
+            # bits could differ
+            halves = range(0, width - width % WGRAD_COLS, WGRAD_COLS // 2)
+            _on_two_threads(lambda: blocks(halves[::2], WGRAD_COLS // 2),
+                            lambda: blocks(halves[1::2], WGRAD_COLS // 2))
+            starts = starts[len(halves) // 2:]
+        blocks(starts, WGRAD_COLS)
         return buf.T  # F-ordered
 
     def bw(g):

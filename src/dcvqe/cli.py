@@ -19,6 +19,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -43,6 +44,14 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a word after a flag for a value when it looks like a
+        # negative number, by default only "-1" or "-.5": "--lr -inf" and
+        # "--tol -1e-3" then read as flags without a value. Every negative
+        # number that float() reads is a value here; no flag starts so.
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):  # argparse defaults to exit code 2; we use 1 for usage
         raise UsageError(message)
 

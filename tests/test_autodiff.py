@@ -8,6 +8,7 @@ gradient claim.
 import ast
 import concurrent.futures
 import math
+import multiprocessing
 import re
 import sys
 import threading
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from dcvqe import autodiff as ad
 from dcvqe.autodiff import Graph, GraphError, ShapeError, Tensor, backward, gradient_check
 from dcvqe.losses import l1_loss
-from dcvqe.model import DCVQEModel
+from dcvqe.model import DCVQEConfig, DCVQEModel
 from dcvqe.training import TINY_CONFIG
 from oracles import weighted_sum
 
@@ -278,6 +279,147 @@ class TestLinear:
         x, w, b = (np.zeros(s) for s in shapes)
         with pytest.raises(ShapeError, match="linear needs"):
             ad.linear(x, Tensor(w), Tensor(b))
+
+
+def linear_outputs(rows, w, b, g):
+    """The output of ``linear`` and every gradient that its node returns."""
+    with Graph() as graph:
+        out = ad.linear(rows, w, b)
+    (node,) = graph.nodes
+    return [out.data, *node.backward_fn(g)]
+
+
+def paper_projection(n, seed=0):
+    """Float32 rows [n, 4096] and the input projection to 128 wide."""
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((n, 4096), dtype=np.float32),
+            Tensor(rng.normal(scale=0.02, size=(4096, 128))), Tensor(rng.normal(size=(1, 128))))
+
+
+def split_in_child(rows, w, b, want, second_core):
+    # runs in a forked child, after its parent has used the helper thread
+    got = ad.linear(rows, w, b).data
+    sys.exit(0 if np.array_equal(got, want) and second_core.splits == 2 else 1)
+
+
+class TestLinearOnTwoThreads:
+    """``linear`` on two threads: the forward's halves of the rows and the
+    weight gradient's halves of each column block give the bits of one
+    thread."""
+
+    @pytest.mark.parametrize("width, n_out", [(64, 32), (1025, 128), (1700, 128), (2500, 128),
+                                              (4096, 128)])
+    def test_bit_identical_to_one_thread(self, width, n_out, second_core, monkeypatch):
+        # a split at any size, so that 16..31 rows (halves of 8..15) stay whole;
+        # at 1700 the last column block, 676 wide, would change bits if halved
+        monkeypatch.setattr(ad, "SPLIT_MACS", 0)
+        rng = np.random.default_rng(width)
+        w = Tensor(rng.normal(scale=0.02, size=(width, n_out)))
+        b = Tensor(rng.normal(size=(1, n_out)))
+        for n in [*range(16, 200, 23), 31, 32, 33, 200]:
+            for tensor_x in (False, True):
+                rows = rng.standard_normal((n, width), dtype=np.float32)
+                x = Tensor(rows) if tensor_x else rows
+                g = rng.normal(size=(n, n_out))
+                second_core.force(False)
+                want = linear_outputs(x, w, b, g)
+                second_core.force(True)
+                second_core.splits = 0
+                got = linear_outputs(x, w, b, g)
+                # the forward splits from 32 rows, and the weight gradient too
+                # when there is a full column block to halve
+                assert second_core.splits == (n >= 32) * (1 + (width >= ad.WGRAD_COLS)), n
+                assert len(got) == len(want) == 3 + tensor_x
+                assert all(np.array_equal(a, c) for a, c in zip(got, want)), (n, tensor_x)
+
+    @pytest.mark.parametrize("n, din, dout, two_cores, splits", [
+        (32, 4096, 128, True, 2),    # 2**24 multiply-adds: the smallest split product
+        (31, 4096, 128, True, 0),    # just below it
+        (600, 64, 32, True, 0),      # the 64-d projection: 1.2 M
+        (600, 4096, 128, False, 0),  # no free second core
+    ])
+    def test_splits_only_large_products_on_a_free_second_core(self, n, din, dout, two_cores,
+                                                               splits, second_core):
+        rng = np.random.default_rng(n)
+        second_core.force(two_cores)
+        rows = rng.standard_normal((n, din), dtype=np.float32)
+        linear_outputs(rows, Tensor(rng.normal(size=(din, dout))),
+                       Tensor(rng.normal(size=(1, dout))), rng.normal(size=(n, dout)))
+        assert second_core.splits == splits
+
+    def test_two_widened_half_blocks_take_the_memory_of_one_block(self, second_core):
+        # as test_backward_widens_one_column_block_at_a_time, on two threads
+        second_core.force(True)
+        rng = np.random.default_rng(13)
+        rows, w, b = paper_projection(600, seed=13)
+        c = rng.normal(size=(600, 128))
+        with Graph() as graph:
+            loss = weighted_sum((ad.linear(rows, w, b), c))
+        tracemalloc.start()
+        try:
+            (dw,) = backward(loss, graph, [w])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert second_core.splits == 2
+        assert peak < 12e6
+        assert np.array_equal(dw, rows.astype(np.float64).T @ c)
+
+    @pytest.mark.parametrize("blas_threads, cpus, free", [
+        (1, {0, 1}, True), (2, {0, 1}, False), (1, {0}, False), (None, {0, 1}, False)])
+    def test_second_core_needs_one_blas_thread_and_two_cpus(self, blas_threads, cpus, free,
+                                                            monkeypatch):
+        monkeypatch.setattr(ad, "_blas_thread_count",
+                            lambda: None if blas_threads is None else lambda: blas_threads)
+        monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: cpus)
+        assert ad._two_cores() is free
+
+    def test_reads_the_thread_count_of_numpys_openblas(self):
+        # numpy's wheels bundle OpenBLAS in numpy.libs; another BLAS is unknown
+        bundled = list((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+        getter = ad._blas_thread_count()
+        assert (getter is not None) == bool(bundled)
+        if getter is not None:
+            assert getter() >= 1
+
+    def test_waits_for_the_helper_when_its_own_half_raises(self):
+        finished = threading.Event()
+
+        def slow():
+            finished.wait(0.2)
+            finished.set()
+
+        def fails():
+            raise ValueError("this half")
+
+        with pytest.raises(ValueError, match="this half"):
+            ad._on_two_threads(fails, slow)
+        assert finished.is_set()
+        with pytest.raises(ValueError, match="this half"):
+            ad._on_two_threads(lambda: None, fails)
+
+    def test_helper_runs_in_the_callers_errstate(self):
+        seen = []
+        with np.errstate(over="raise", under="ignore"):
+            ad._on_two_threads(lambda: None, lambda: seen.append(np.geterr()))
+            assert seen == [np.geterr()]
+        with pytest.raises(FloatingPointError, match="overflow"):
+            with np.errstate(over="raise"):
+                ad._on_two_threads(lambda: None, lambda: np.exp(np.array([1e3])))
+
+    def test_forked_child_starts_a_helper_of_its_own(self, second_core):
+        second_core.force(True)
+        rows, w, b = paper_projection(64)
+        want = ad.linear(rows, w, b).data
+        assert second_core.splits == 1 and ad._helper is not None
+        child = multiprocessing.get_context("fork").Process(
+            target=split_in_child, args=(rows, w, b, want, second_core))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():  # a child that waits for its parent's helper hangs
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
 
 
 class TestSoftmaxMasked:
@@ -976,6 +1118,41 @@ class TestThreadConfinement:
                 threaded = list(pool.map(worker, videos, timeout=120))
         finally:
             sys.setswitchinterval(interval)
+        for want, runs in zip(sequential, threaded, strict=True):
+            for got in runs:
+                assert all(np.array_equal(a, b) for a, b in zip(want, got, strict=True))
+
+    def test_split_projections_over_shared_parameters_on_four_threads(self, second_core):
+        """The same at the paper shape, where each thread's input projection
+        and its weight gradient also run on the one shared helper thread:
+        every run equals a sequential run on one thread bit for bit."""
+        model = DCVQEModel.initialize(DCVQEConfig(), seed=3)
+        rng = np.random.default_rng(18)
+        videos = [rng.standard_normal((n, 4096), dtype=np.float32) for n in (64, 47, 40, 33)]
+
+        def run(video):
+            with Graph() as g:
+                score = model.forward(video)
+                loss = weighted_sum((score, 1.0), power=2)
+            return [score.data.copy(), *backward(loss, g, model.parameters())]
+
+        sequential = [run(v) for v in videos]
+        assert second_core.splits == 0
+        second_core.force(True)
+        start = threading.Barrier(len(videos))
+
+        def worker(video):
+            start.wait(timeout=60)
+            return [run(video) for _ in range(4)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=len(videos)) as pool:
+                threaded = list(pool.map(worker, videos, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert second_core.splits == 2 * 4 * len(videos)  # forward and weight gradient
         for want, runs in zip(sequential, threaded, strict=True):
             for got in runs:
                 assert all(np.array_equal(a, b) for a, b in zip(want, got, strict=True))

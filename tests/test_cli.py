@@ -8,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -357,6 +358,30 @@ class TestExitCodes:
             assert "nan" not in result.stdout.lower()
         assert not (tmp_path / "emb.jsonl").exists()  # nothing written, so no NaN either
 
+    def test_overflow_on_the_second_thread_is_three_without_a_warning(self, tmp_path,
+                                                                       second_core, capsys):
+        # a paper-shape projection splits its rows over two threads; only the
+        # second half of this file overflows, so the failure is raised on the
+        # helper thread, under the errstate of the file it scores
+        model = DCVQEModel.initialize(DCVQEConfig(), seed=0)
+        model.params["input.weight"].data[:] = 1e300
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(ckpt, Checkpoint.snapshot(model, AdamState.for_model(model),
+                                                  val_loss=0.0, epoch=1))
+        features = np.random.default_rng(0).standard_normal((64, 4096), dtype=np.float32)
+        features[32:] *= 1e10
+        path = tmp_path / "split.dcvq"
+        data_io.write_features(path, data_io.FeatureSequence("split", features, 0.0))
+        second_core.force(True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["predict", "--checkpoint", str(ckpt), str(path)])
+        assert second_core.splits == 1
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", f"numeric failure: overflow encountered in matmul in file {path}\n")
+        assert [str(w.message) for w in caught] == []
+
     def test_memory_error_is_two(self, tmp_path, trained_checkpoint, monkeypatch, capsys):
         # a config deep enough to exhaust memory is a data error, not a traceback
         def exhausted(path):
@@ -635,6 +660,27 @@ class TestConfigValues:
         assert self.train(tmp_path, dataset_dir, dict(TINY_MODEL, epochs=1), *flags) == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan", "-1e-3", "-.5"])
+    def test_negative_value_after_a_separate_flag_reads_as_the_value(self, tmp_path,
+                                                                     dataset_dir, value,
+                                                                     monkeypatch, capsys):
+        # "--lr -inf" gets the exit code and message of "--lr=-inf", not a
+        # usage error for a flag without its value
+        cfg = dict(TINY_MODEL, epochs=1)
+        messages = []
+        for flags in (["--lr", value], [f"--lr={value}"]):
+            assert self.train(tmp_path, dataset_dir, cfg, *flags) == 2
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("data error: learning_rate must be finite and >= 0")
+        assert not (tmp_path / "x.ckpt").exists()
+
+        monkeypatch.setattr(cli, "gradcheck_suite", lambda seed: pytest.fail("the check ran"))
+        for flags in (["--tol", value], [f"--tol={value}"]):
+            assert main(["gradcheck", *flags]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("data error: --tol must be a number >= 0")
 
     def test_negative_learning_rate_in_file_is_two(self, tmp_path, dataset_dir, capsys):
         cfg = dict(TINY_MODEL, epochs=1, learning_rate=-1.0)

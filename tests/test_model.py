@@ -369,6 +369,21 @@ class TestProjectAndPositional:
             model.add_positional(Tensor(np.zeros((17, 8))))
 
 
+class TestScoringOnTwoThreads:
+    def test_paper_shape_scores_are_bit_identical(self, second_core):
+        # the input projection of every video of 32 frames or more runs on two
+        # threads; the scores keep every bit
+        model = DCVQEModel.initialize(DCVQEConfig(), seed=5)
+        rng = np.random.default_rng(6)
+        videos = [rng.standard_normal((n, 4096), dtype=np.float32)
+                  for n in (1, 16, 31, 32, 33, 121, 600)]
+        one_thread = [model.predict(v) for v in videos]
+        second_core.force(True)
+        two_threads = [model.predict(v) for v in videos]
+        assert second_core.splits == 4
+        assert two_threads == one_thread
+
+
 class TestForward:
     def test_zero_model_outputs_bias(self):
         model = zero_model()

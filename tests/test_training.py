@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from dcvqe import autodiff as ad
 from dcvqe import data as data_io
 from dcvqe import training
 from dcvqe.autodiff import Tensor
 from dcvqe.cli import main
 from dcvqe.data import FeatureSequence
-from dcvqe.losses import LossConfig
+from dcvqe.losses import LossConfig, total_loss
 from dcvqe.metrics import DegenerateInputError
-from dcvqe.model import DCVQEConfig, DCVQEModel
+from dcvqe.model import DCVQEConfig, DCVQEModel, parameter_shapes
 from dcvqe.training import (ADAM_BLOCK, AdamState, Checkpoint, TrainConfig, adam_step,
                             evaluate, fit, load_checkpoint, run_repetitions,
                             save_checkpoint, train_epoch, validation_loss)
@@ -158,6 +159,32 @@ class TestAdam:
             assert np.array_equal(p.data, np.ones(3))
             assert np.array_equal(state.m[name], np.full(3, 0.2))
             assert np.array_equal(state.v[name], np.full(3, 0.3))
+
+
+class TestTrainStepOnTwoThreads:
+    def test_paper_shape_step_is_bit_identical(self, second_core):
+        # a batch of four paper-shape videos: the loss, every gradient, the
+        # updated parameters and both Adam moments keep every bit when the
+        # input projection and its weight gradient run on two threads
+        def step():
+            model = DCVQEModel.initialize(DCVQEConfig(), seed=7)
+            state = AdamState.for_model(model)
+            rng = np.random.default_rng(8)
+            videos = [rng.standard_normal((n, 4096), dtype=np.float32) for n in (60, 33, 121, 16)]
+            with ad.Graph() as graph:
+                preds = ad.concat_rows([model.forward(v) for v in videos])
+                loss = total_loss(preds, Tensor(rng.uniform(1, 5, size=(4, 1))), LossConfig())
+            grads = ad.backward(loss, graph, model.parameters())
+            adam_step(model.named_parameters(), grads, state, 1e-3)
+            return [loss.data, *grads, *(p.data for p in model.parameters()),
+                    *state.m.values(), *state.v.values()]
+
+        one_thread = step()
+        second_core.force(True)
+        two_threads = step()
+        assert second_core.splits == 2 * 3  # forward and weight gradient of 3 videos
+        assert len(two_threads) == len(one_thread) == 1 + 4 * len(parameter_shapes(DCVQEConfig()))
+        assert all(np.array_equal(a, b) for a, b in zip(one_thread, two_threads))
 
 
 class TestTrainEpoch:
