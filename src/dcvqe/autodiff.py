@@ -18,9 +18,8 @@ through ``_record``. ``linear`` is the one matrix product. It keeps a
 float32 ``x`` as it is: its float64 copy lives only inside the forward GEMM,
 and the weight gradient widens it one column block at a time. When a second
 core is free, its large products (the paper-shape input projection) run on
-two threads with the bits of one. ``backward``
-sums the gradients that reach one tensor in place, in arrays that it
-allocated itself.
+two threads with the bits of one. ``backward`` sums the gradients that
+reach one tensor in place, in arrays that it allocated itself.
 
 The attention ops share one forward and backward, ``_attend``, which
 evaluates the first m query rows of each sequence against all of its rows.
@@ -41,8 +40,9 @@ exact zeros and get exactly zero gradient. The backward takes the softmax's
 row term from the output rows (g . o per row and head) rather than from the
 scores. With ``clip_rows_only``, ``divide_attention`` takes m = 1, the clip
 row alone, through the same path and returns no frames; the model uses it
-for its final layer, whose updated frames nothing reads. ``gradient_check``
-checks the fused ops like every other op.
+for its final layer, whose updated frames nothing reads. The node of an
+attention op keeps its weights, so they are observed from the tape.
+``gradient_check`` checks the fused ops like every other op.
 """
 
 from __future__ import annotations
@@ -104,13 +104,15 @@ class Node:
     """One recorded operation: inputs, outputs, and its vector-Jacobian rule.
 
     ``backward_fn`` takes one gradient per output (zeros for an output the
-    loss does not reach) and returns one gradient per input.
+    loss does not reach) and returns one gradient per input. An attention
+    op's ``weights`` are those its forward formed and its backward keeps.
     """
 
     inputs: tuple[Tensor, ...]
     outputs: tuple[Tensor, ...]
     backward_fn: Callable[..., tuple]
     op: str
+    weights: tuple[np.ndarray, ...] = ()
 
 
 _graph_stack = threading.local()
@@ -148,17 +150,17 @@ class Graph:
 
 
 def _record_many(op: str, inputs: tuple[Tensor, ...], out_data: tuple[np.ndarray, ...],
-                 backward_fn: Callable[..., tuple]) -> tuple[Tensor, ...]:
+                 backward_fn: Callable[..., tuple], weights: tuple = ()) -> tuple[Tensor, ...]:
     outs = tuple(Tensor(d) for d in out_data)
     graph = _active_graph()
     if graph is not None:
-        graph.nodes.append(Node(inputs, outs, backward_fn, op))
+        graph.nodes.append(Node(inputs, outs, backward_fn, op, weights))
     return outs
 
 
 def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
-            backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
-    return _record_many(op, inputs, (out_data,), backward_fn)[0]
+            backward_fn: Callable[[np.ndarray], tuple], weights: tuple = ()) -> Tensor:
+    return _record_many(op, inputs, (out_data,), backward_fn, weights)[0]
 
 
 def backward(loss: Tensor, graph: Graph, wrt: Sequence[Tensor]) -> list[np.ndarray]:
@@ -508,38 +510,34 @@ def _attend(x: np.ndarray, ws: tuple[Tensor, Tensor, Tensor], num_heads: int,
     return out, p, vjp
 
 
-def conquer_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
-                      sink: list[np.ndarray] | None = None) -> Tensor:
+def conquer_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int) -> Tensor:
     """Unmasked multi-head scaled dot-product attention over the sequence
     ``x`` [n, D], pooled by the mean over its rows, one tape op.
 
     The projections ``wq``, ``wk`` and ``wv`` are [D, D]; head h uses columns
     [h*D/H, (h+1)*D/H) of each. Q is scaled by 1/sqrt(D/H) before the scores
     are formed, and the scores go through the softmax (``_softmax_forward``)
-    with every position admitted. ``sink`` receives the [H, n, n] weights.
-    The attention output has the heads side by side along the feature axis
-    and no output projection; the op returns its mean over the n rows, [1, D].
+    with every position admitted. The attention output has the heads side by
+    side along the feature axis and no output projection; the op returns its
+    mean over the n rows, [1, D].
 
-    The tape keeps only the attention weights, the per-head Q, K and V and
-    the unpooled output, and the backward is written out by hand: each row
-    gets 1/n of the pooled row's gradient, then the input gradient, and one
-    GEMM over all rows for each projection gradient.
+    The tape keeps only the [H, n, n] weights (the node's ``weights``), the
+    per-head Q, K and V and the unpooled output, and the backward is written
+    out by hand: each row gets 1/n of the pooled row's gradient, then the
+    input gradient, and one GEMM over all rows for each projection gradient.
     """
     ws = (wq, wk, wv)
     _check_attention(x, ws, num_heads)
     out, p, vjp = _attend(x.data, ws, num_heads, None)
-    if sink is not None:
-        sink.append(p)
 
     def bw(g):
         return vjp(np.broadcast_to(g / x.shape[0], x.shape).copy(), x.data)
 
-    return _record("conquer_attention", (x, *ws), out.mean(axis=0, keepdims=True), bw)
+    return _record("conquer_attention", (x, *ws), out.mean(axis=0, keepdims=True), bw, (p,))
 
 
 def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
                      num_heads: int, clip_len: int, admissible: np.ndarray,
-                     sink: list[np.ndarray] | None = None,
                      clip_rows_only: bool = False) -> tuple[Tensor, Tensor | None]:
     """The divide stage of one video as one tape op.
 
@@ -553,8 +551,7 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
     no row of any block is empty; ``ShapeError`` names a wrong shape or dtype
     or the first row without it. The input sequence is added back (residual).
     Returns the clip embeddings [C, D] (position 0 of each clip's output,
-    the clip row) and the updated frames [n, D]. ``sink`` receives one
-    [H, m, L] weight array per clip, in clip order.
+    the clip row) and the updated frames [n, D].
 
     Every sequence is evaluated for its first m query rows, with the leading
     m rows of the mask; K and V always cover every position. By default
@@ -567,8 +564,9 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
     All full-length clips run as one batch and a shorter last clip as a
     second one; the backward sums the two batches' projection gradients and
     scatters the input gradient back to the frames and the video row. The
-    tape keeps each batch's attention output before the residual, not its
-    ``[video; clip]`` sequences, which the backward rebuilds from the inputs.
+    tape keeps each batch's [clips, H, m, L] weights (the node's ``weights``)
+    and attention output before the residual; the backward rebuilds the
+    ``[video; clip]`` sequences from the inputs.
     """
     ws = (wq, wk, wv)
     _check_attention(frames, ws, num_heads)
@@ -590,7 +588,7 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
     n, dim = frames.shape
     full = n - n % clip_len
     batches = []  # (first frame, end frame, frames per clip, clips, query rows, vjp)
-    clip_out, frames_out = [], None if clip_rows_only else np.empty((n, dim))
+    clip_out, weights, frames_out = [], [], None if clip_rows_only else np.empty((n, dim))
 
     def sequences(start, stop, length):  # [video; clip] for each clip, [clips, length + 1, D]
         x = np.empty(((stop - start) // length, length + 1, dim))
@@ -604,8 +602,7 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
         x = sequences(start, stop, length)
         clips, m = len(x), 1 if clip_rows_only else length + 1
         out, p, vjp = _attend(x, ws, num_heads, admissible[:m, :length + 1])
-        if sink is not None:
-            sink.extend(p)
+        weights.append(p)
         # the residual goes into new arrays: the vjp keeps ``out``
         out = out.reshape(clips, m, dim)
         clip_out.append(out[:, 0] + x[:, 0])
@@ -633,7 +630,8 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
         return (d_frames, d_video, *d_ws)
 
     outputs = (clips_out,) if frames_out is None else (clips_out, frames_out)
-    return (*_record_many("divide_attention", (frames, video, *ws), outputs, bw), None)[:2]
+    return (*_record_many("divide_attention", (frames, video, *ws), outputs, bw,
+                          tuple(weights)), None)[:2]
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:

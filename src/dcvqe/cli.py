@@ -9,7 +9,8 @@ and every other key. Integer keys take JSON integers, float keys finite
 numbers, loss a string, temporal_range an integer >= 1, "all" or null. An
 ablate grid row may set any key but grid, seed included. Any other key or
 value is a data error that names the key. The input width is the manifest's.
-Exit codes: 0 success, 1 usage, 2 data/format, 3 numeric failure.
+Exit codes: 0 success, 1 usage, 2 data/format (any operating-system error
+on a path included), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -211,6 +212,14 @@ def _check_out(path: Path, directory: bool = False) -> None:
         raise NotADirectoryError(f"cannot write {path}: {path.parent} is not a directory")
 
 
+def _check_width(width: int, source: str, cp, checkpoint: Path) -> None:
+    """Refuse features of ``width`` columns from ``source`` (a manifest or a
+    file) that the checkpoint ``cp``, read from ``checkpoint``, cannot score."""
+    if width != cp.config.input_dim:
+        raise FormatError(f"{source} has feature width {width}, but checkpoint {checkpoint} "
+                          f"takes {cp.config.input_dim}")
+
+
 def _cmd_synth(args) -> int:
     _check_out(args.out, directory=True)
     run = {"videos": 500, "min_len": 60, "max_len": 300, "dim": 64, "noise": 0.1,
@@ -256,7 +265,8 @@ def _cmd_eval(args) -> int:
     if args.split != "all":
         parts = data_io.split(manifest, seed)
         manifest = dict(zip(("train", "val", "test"), parts))[args.split]
-    data_io.manifest_feature_dim(manifest)
+    _check_width(data_io.manifest_feature_dim(manifest), f"manifest {args.manifest}", cp,
+                 args.checkpoint)
     seqs = data_io.load_sequences(manifest, max_len=cp.config.max_seq_len)
     report = evaluate(cp.build_model(), seqs)
     print(f"srcc={report.srcc:.4f} krcc={report.krcc:.4f} plcc={report.plcc:.4f} "
@@ -269,6 +279,7 @@ def _cmd_predict(args) -> int:
     model = cp.build_model()
     for path in args.features:
         seq = data_io.truncate(data_io.read_features(path), cp.config.max_seq_len)
+        _check_width(seq.feature_dim, f"file {path}", cp, args.checkpoint)
         with numeric_failure(f"file {path}"):
             score = model.predict(seq.features)
         if not math.isfinite(score):
@@ -293,7 +304,8 @@ def _cmd_dump_embeddings(args) -> int:
     cp = load_checkpoint(args.checkpoint)
     model = cp.build_model()
     manifest = data_io.load_manifest(args.manifest)
-    data_io.manifest_feature_dim(manifest)
+    _check_width(data_io.manifest_feature_dim(manifest), f"manifest {args.manifest}", cp,
+                 args.checkpoint)
     lines = []  # written only once every video has been read and embedded
     for seq in data_io.load_sequences(manifest, max_len=cp.config.max_seq_len):
         with numeric_failure(f"video {seq.video_id!r}"):
@@ -365,8 +377,7 @@ def main(argv=None) -> int:
     except (FloatingPointError, DegenerateInputError, ad.GraphError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FormatError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            PermissionError, ad.ShapeError, ValueError, MemoryError) as exc:
+    except (FormatError, OSError, ad.ShapeError, ValueError, MemoryError) as exc:
         print(f"data error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_DATA
 

@@ -151,8 +151,7 @@ def split_clips(length: int, clip_len: int) -> list[tuple[int, int]]:
 
 
 def transformer_d(proj: tuple[Tensor, Tensor, Tensor], num_heads: int, video_qe: Tensor,
-                  frames: Tensor, mask: AttentionMask,
-                  attn_sink: list[np.ndarray] | None = None, clip_len: int | None = None,
+                  frames: Tensor, mask: AttentionMask, clip_len: int | None = None,
                   clip_rows_only: bool = False) -> tuple[Tensor, Tensor | None]:
     """Divide-stage attention over the frames [n, D] of one video, cut into
     clips of ``clip_len`` frames (default: one clip of all n frames).
@@ -171,20 +170,19 @@ def transformer_d(proj: tuple[Tensor, Tensor, Tensor], num_heads: int, video_qe:
     """
     clip_len = frames.shape[0] if clip_len is None else clip_len
     return ad.divide_attention(frames, video_qe, *proj, num_heads, clip_len, mask.admissible,
-                               sink=attn_sink, clip_rows_only=clip_rows_only)
+                               clip_rows_only=clip_rows_only)
 
 
-def transformer_c(proj: tuple[Tensor, Tensor, Tensor], num_heads: int, clip_qes: Tensor,
-                  attn_sink: list[np.ndarray] | None = None) -> Tensor:
+def transformer_c(proj: tuple[Tensor, Tensor, Tensor], num_heads: int,
+                  clip_qes: Tensor) -> Tensor:
     """Conquer-stage attention over the clip embeddings [C, D].
 
     Unmasked multi-head attention with no output projection (``proj`` the
     (query, key, value) weights) and no residual path, then average pooling
     over the clip axis: one ``autodiff.conquer_attention`` node. The pooled
-    output is invariant to any permutation of the input rows. ``attn_sink``
-    receives the [H, C, C] attention weights.
+    output is invariant to any permutation of the input rows.
     """
-    return ad.conquer_attention(clip_qes, *proj, num_heads, sink=attn_sink)
+    return ad.conquer_attention(clip_qes, *proj, num_heads)
 
 
 def parameter_shapes(config: DCVQEConfig) -> dict[str, tuple[int, ...]]:
@@ -255,32 +253,18 @@ class DCVQEModel:
         return ad.positional(frames, self.params["video_token"], self.params["positional"])
 
     def dctr_layer(self, layer: int, frames: Tensor, video_qe: Tensor,
-                   sinks: tuple[list, list] | None = None
-                   ) -> tuple[Tensor | None, Tensor, Tensor]:
-        """One divide-and-conquer layer.
-
-        Splits the frames into clips of ``layer_clip_len(config, layer)``
-        frames (the last clip keeps the remainder), runs the divide
-        transformer over every clip (shared weights, same input video
-        embedding at position 0), then the conquer transformer plus pooling
-        over the clip embeddings. Returns the updated frames, the clip
-        embeddings and the video embedding. ``sinks`` is a (divide, conquer)
-        pair of lists that receive the attention weights.
-
-        The final layer's updated frames reach neither the score nor the
-        loss, so without ``sinks`` that layer evaluates the clip rows of its
-        divide stage only and returns None for the frames.
-        """
+                   clip_rows_only: bool = False) -> tuple[Tensor | None, Tensor]:
+        """One divide-and-conquer layer: ``transformer_d`` over clips of
+        ``layer_clip_len(config, layer)`` frames, then ``transformer_c`` over
+        their embeddings. Returns the updated frames (None with
+        ``clip_rows_only``) and the video embedding."""
         cfg = self.config
         clip_len = layer_clip_len(cfg, layer)
-        divide_sink, conquer_sink = sinks or (None, None)
         clips, frames = transformer_d(
             self._projections(layer, "divide"), cfg.num_heads, video_qe, frames,
-            AttentionMask.banded(clip_len + 1, cfg.temporal_range), attn_sink=divide_sink,
-            clip_len=clip_len, clip_rows_only=sinks is None and layer == cfg.num_layers)
-        video = transformer_c(self._projections(layer, "conquer"), cfg.num_heads, clips,
-                              attn_sink=conquer_sink)
-        return frames, clips, video
+            AttentionMask.banded(clip_len + 1, cfg.temporal_range), clip_len=clip_len,
+            clip_rows_only=clip_rows_only)
+        return frames, transformer_c(self._projections(layer, "conquer"), cfg.num_heads, clips)
 
     def embed(self, features) -> Tensor:
         """The [1, D] video embedding that the regressor scores, for features
@@ -288,8 +272,9 @@ class DCVQEModel:
         rows of a ``FeatureSequence`` stay float32 on the tape and are widened
         only inside the input projection's GEMMs (``project_input``)."""
         video, frames = self.add_positional(self.project_input(features))
-        for layer in range(1, self.config.num_layers + 1):
-            frames, _, video = self.dctr_layer(layer, frames, video)
+        last = self.config.num_layers
+        for layer in range(1, last + 1):
+            frames, video = self.dctr_layer(layer, frames, video, clip_rows_only=layer == last)
         return video
 
     def forward(self, features, cost: AttentionCost | None = None) -> Tensor:
@@ -309,21 +294,23 @@ class DCVQEModel:
         The model runs once inside a throwaway ``Graph``, so nothing reaches
         a caller's tape, and evaluates every layer in full, the final one
         included: its clip and video embeddings agree with ``embed``'s to
-        rounding, not bit for bit."""
-        acts = LayerActivations()
-        with ad.Graph():
+        rounding, not bit for bit. Every array is the output or ``weights`` of
+        one of that graph's attention nodes."""
+        with ad.Graph() as graph:
             video, frames = self.add_positional(self.project_input(features))
             for layer in range(1, self.config.num_layers + 1):
-                divide, conquer = sinks = [], []
-                frames, clips, video = self.dctr_layer(layer, frames, video, sinks)
-                acts.clip_boundaries.append(
-                    split_clips(len(features), layer_clip_len(self.config, layer)))
-                acts.frame_embeddings.append(frames.data)
-                acts.clip_embeddings.append(clips.data)
-                acts.video_embeddings.append(video.data)
-                acts.divide_attention.append(divide)
-                acts.conquer_attention.append(conquer[0])
-        return acts
+                frames, video = self.dctr_layer(layer, frames, video)
+        divides = [node for node in graph.nodes if node.op == "divide_attention"]
+        conquers = [node for node in graph.nodes if node.op == "conquer_attention"]
+        return LayerActivations(
+            clip_boundaries=[split_clips(len(features), layer_clip_len(self.config, layer))
+                             for layer in range(1, len(divides) + 1)],
+            frame_embeddings=[node.outputs[1].data for node in divides],
+            clip_embeddings=[node.outputs[0].data for node in divides],
+            video_embeddings=[node.outputs[0].data for node in conquers],
+            divide_attention=[[clip for batch in node.weights for clip in batch]
+                              for node in divides],
+            conquer_attention=[node.weights[0] for node in conquers])
 
     def predict(self, features) -> float:
         """Plain inference: scalar score with no graph recorded."""

@@ -13,6 +13,7 @@ import contextlib
 import itertools
 import json
 import math
+import os
 import struct
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -215,7 +216,14 @@ class Checkpoint:
 
 
 def save_checkpoint(path, cp: Checkpoint) -> None:
-    """Deterministic binary serialization: byte-identical for equal contents."""
+    """Deterministic binary serialization: byte-identical for equal contents.
+
+    The bytes stream to a temporary file in the directory of ``path``, which
+    then replaces ``path`` in one rename: a write that fails leaves the
+    previous file as it was and no temporary file (a killed one may leave
+    the temporary file, never a cut checkpoint)."""
+    path = Path(path)
+    tmp = path.with_name(f".checkpoint-{os.getpid()}.tmp")
     names = list(cp.params)
     header = json.dumps({
         "config": asdict(cp.config),
@@ -224,13 +232,17 @@ def save_checkpoint(path, cp: Checkpoint) -> None:
         "adam_step": cp.adam_step_count,
         "params": [{"name": n, "shape": list(cp.params[n].shape)} for n in names],
     }, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header)))
-        fh.write(header)
-        for group in (cp.params, cp.adam_m, cp.adam_v):
-            for n in names:
-                fh.write(np.ascontiguousarray(group[n], dtype="<f8").tobytes())
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header)))
+            fh.write(header)
+            for group in (cp.params, cp.adam_m, cp.adam_v):
+                for n in names:
+                    fh.write(np.ascontiguousarray(group[n], dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:  # after the rename there is nothing left to remove
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> Checkpoint:

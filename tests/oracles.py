@@ -7,6 +7,7 @@ constraint, evaluated literally, against which the mean-deviation form of
 check for a synthetic dataset. ``initial_params`` spells out the seeded
 parameter draw of ``DCVQEModel.initialize`` one parameter at a time.
 ``krcc_pairs`` is Kendall tau-b from the full matrix of pair signs.
+``clip_maps`` reads the per-clip attention weights off a tape.
 """
 
 import math
@@ -37,6 +38,14 @@ def weighted_sum(*terms, power: int = 1) -> ad.Tensor:
         return tuple(grads[id(x), id(w)] for x, w in terms)
 
     return ad._record("weighted_sum", tuple(x for x, _ in terms), value, bw)
+
+
+def clip_maps(graph: ad.Graph) -> list[np.ndarray]:
+    """The [H, m, L] attention weights of every clip of the graph's
+    ``divide_attention`` nodes, in the order recorded, read from the nodes'
+    ``weights`` as ``DCVQEModel.record`` reads them."""
+    return [clip for node in graph.nodes if node.op == "divide_attention"
+            for batch in node.weights for clip in batch]
 
 
 def correlation_loss_raw(p, g) -> float:

@@ -25,7 +25,7 @@ from dcvqe.autodiff import Graph, GraphError, ShapeError, Tensor, backward, grad
 from dcvqe.losses import l1_loss
 from dcvqe.model import DCVQEConfig, DCVQEModel
 from dcvqe.training import TINY_CONFIG
-from oracles import weighted_sum
+from oracles import clip_maps, weighted_sum
 
 
 def matmul_oracle(a, b):
@@ -773,11 +773,11 @@ class TestConquerAttention:
 
     def test_forward_matches_composition(self):
         x, ws = self.operands(23)
-        sink = []
-        out = ad.conquer_attention(x, *ws, self.HEADS, sink=sink).data
+        with Graph() as g:
+            out = ad.conquer_attention(x, *ws, self.HEADS).data
         rows, attn = attention_rows(x.data, [w.data for w in ws], self.HEADS, None)
         np.testing.assert_allclose(out, rows.mean(axis=0, keepdims=True), rtol=0, atol=1e-12)
-        (weights,) = sink
+        (weights,) = g.nodes[0].weights
         assert weights.shape == (self.HEADS, self.N, self.N)
         np.testing.assert_allclose(weights, attn, rtol=0, atol=1e-12)
 
@@ -927,9 +927,9 @@ class TestDivideAttention:
         clip_len = 4
         frames, video, ws = self.operands(n, 50)
         mask = banded_mask(clip_len + 1, 1)
-        sink = []
-        clips, out = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask,
-                                         sink=sink)
+        with Graph() as g:
+            clips, out = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask)
+        sink = clip_maps(g)
         rows = np.vstack([video.data, frames.data])  # row 0 the video, row 1 + t frame t
         want_clips, want_frames, want_sink = [], [], []
         for start in range(0, n, clip_len):
@@ -982,12 +982,11 @@ class TestDivideAttention:
         w_clips = np.random.default_rng(71).normal(size=(-(-n // clip_len), self.DIM))
 
         def run(clip_rows_only):  # the clip rows feed the loss, the frames nothing
-            sink = []
             with Graph() as g:
                 clips, _ = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask,
-                                               sink=sink, clip_rows_only=clip_rows_only)
+                                               clip_rows_only=clip_rows_only)
                 loss = weighted_sum((clips, w_clips))
-            return clips, backward(loss, g, [frames, video, *ws]), sink, g
+            return clips, backward(loss, g, [frames, video, *ws]), clip_maps(g), g
 
         full, full_grads, full_sink, _ = run(False)
         rows, rows_grads, rows_sink, g = run(True)
@@ -1080,8 +1079,9 @@ class TestDivideAttention:
         frames, video, ws = self.operands(7, 55)
         mask = np.zeros((5, 5), dtype=bool)
         mask[:, 0] = True
-        sink = []
-        ad.divide_attention(frames, video, *ws, self.HEADS, 4, mask, sink=sink)
+        with Graph() as g:
+            ad.divide_attention(frames, video, *ws, self.HEADS, 4, mask)
+        sink = clip_maps(g)
         assert [w.shape for w in sink] == [(self.HEADS, 5, 5), (self.HEADS, 4, 4)]
         for w in sink:
             np.testing.assert_allclose(w[..., 0], 1.0, rtol=1e-15, atol=0)

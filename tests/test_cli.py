@@ -392,6 +392,52 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == "data error: MemoryError\n"
 
+    @pytest.mark.parametrize("command, flag, bad", [
+        ("predict", "--checkpoint", "long"), ("train", "--manifest", "long"),
+        ("synth", "--out", "long"), ("dump-embeddings", "--out", "long"),
+        ("predict", "--checkpoint", "loop"), ("train", "--manifest", "loop")])
+    def test_a_path_the_system_refuses_is_two_in_one_line(self, tmp_path, dataset_dir,
+                                                          trained_checkpoint, command, flag,
+                                                          bad, capsys):
+        """A path component longer than the file system takes (ENAMETOOLONG)
+        or a symbolic link to itself (ELOOP) is a data error: one line on
+        stderr, no traceback and no file."""
+        loop = tmp_path / "loop"
+        loop.symlink_to(loop)
+        manifest = dataset_dir / "manifest.jsonl"
+        argv = {"predict": ["--checkpoint", trained_checkpoint, dataset_dir / "synth00000.dcvq"],
+                "train": ["--manifest", manifest, "--out", tmp_path / "m.ckpt"],
+                "synth": ["--out", tmp_path / "d", "--videos", 5],
+                "dump-embeddings": ["--manifest", manifest, "--checkpoint", trained_checkpoint,
+                                    "--out", tmp_path / "e.jsonl"]}[command]
+        argv[argv.index(flag) + 1] = loop if bad == "loop" else tmp_path / ("x" * 300)
+        before = sorted(tmp_path.iterdir())
+        code = main([command, *map(str, argv)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["eval", "dump-embeddings", "predict"])
+    def test_a_width_the_checkpoint_cannot_score_is_two_before_any_payload(
+            self, tmp_path, trained_checkpoint, command, monkeypatch, capsys):
+        data_io.synth_dataset(tmp_path, n_videos=6, len_range=(4, 8), dim=5, seed=3)
+        manifest, first = tmp_path / "manifest.jsonl", tmp_path / "synth00000.dcvq"
+        monkeypatch.setattr(data_io, "load_sequences",
+                            lambda *a, **k: pytest.fail("payloads were read"))
+        out = tmp_path / "e.jsonl"
+        argv = {"eval": ["--manifest", manifest],
+                "dump-embeddings": ["--manifest", manifest, "--out", out],
+                "predict": [first]}[command]
+        code = main([command, "--checkpoint", str(trained_checkpoint), *map(str, argv)])
+        source = f"file {first}" if command == "predict" else f"manifest {manifest}"
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: {source} has feature width 5, but checkpoint {trained_checkpoint} "
+            f"takes 6\n")
+        assert not out.exists()
+
 
 class TestOutputPaths:
     """An output path that cannot be written is refused before any work:

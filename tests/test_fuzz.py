@@ -5,13 +5,14 @@ or raises ``FormatError`` (CLI exit 2), never anything else, and valid files
 round-trip. A config file may also fail a dataclass range check, a
 ``ValueError`` that the CLI reports with exit 2 as well. ``predict`` runs on
 checkpoints whose header values are replaced with hostile ones,
-``dump-embeddings`` on cut and changed manifests and checkpoints, and
-``predict`` and ``eval`` on cut and changed feature files; each exits with a
-documented code and prints no traceback. ``train`` runs one epoch on small
-manifests, every loss and batch layout, and exits 0. ``synth``, ``train``,
-``eval`` and ``ablate`` run on cut and changed copies of the shipped configs,
-shrunk to tiny settings, and on hostile flag values; each exits with a
-documented code, prints no traceback, and leaves no output on exit 1 or 2."""
+``dump-embeddings`` and ``eval`` on cut and changed manifests and
+checkpoints, and ``predict`` and ``eval`` on cut and changed feature files;
+each exits with a documented code and prints no traceback. ``train`` runs
+one epoch on small manifests, every loss and batch layout, and exits 0.
+``synth``, ``train``, ``eval`` and ``ablate`` run on cut and changed copies
+of the shipped configs, shrunk to tiny settings, and on hostile flag values;
+each exits with a documented code, prints no traceback, and leaves no
+output on exit 1 or 2."""
 
 import contextlib
 import dataclasses
@@ -227,18 +228,23 @@ def dump_manifest_bytes(scratch):
     return (scratch / "dump.jsonl").read_bytes()
 
 
+def cut_or_changed(data, files: dict[str, bytes]) -> dict[str, bytes]:
+    """``files`` (a manifest and a checkpoint) with one of them cut short or
+    with one byte changed, half the time in its header."""
+    which = data.draw(st.sampled_from(sorted(files)))
+    raw = files[which]
+    if data.draw(st.booleans()):
+        return {**files, which: raw[:data.draw(st.integers(0, len(raw) - 1))]}
+    focus = raw.index(b"\n") if which == "manifest" else header_end(raw)
+    return {**files, which: changed_byte(data, raw, focus)}
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.data())
 def test_dump_embeddings_on_cut_and_changed_inputs(scratch, checkpoint_bytes,
                                                    dump_manifest_bytes, data):
-    files = {"manifest": dump_manifest_bytes, "checkpoint": checkpoint_bytes}
-    which = data.draw(st.sampled_from(sorted(files)))
-    raw = files[which]
-    if data.draw(st.booleans()):
-        files[which] = raw[:data.draw(st.integers(0, len(raw) - 1))]
-    else:
-        focus = raw.index(b"\n") if which == "manifest" else header_end(raw)
-        files[which] = changed_byte(data, raw, focus)
+    files = cut_or_changed(data, {"manifest": dump_manifest_bytes,
+                                  "checkpoint": checkpoint_bytes})
     (scratch / "dump.jsonl").write_bytes(files["manifest"])
     (scratch / "dump.ckpt").write_bytes(files["checkpoint"])
     out = scratch / "embeddings.jsonl"
@@ -250,6 +256,25 @@ def test_dump_embeddings_on_cut_and_changed_inputs(scratch, checkpoint_bytes,
     assert code in (0, 1, 2, 3), stderr.getvalue()
     assert "Traceback" not in stdout.getvalue() + stderr.getvalue()
     assert out.exists() == (code == 0), (code, stderr.getvalue())
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_eval_on_cut_and_changed_manifests_and_checkpoints(scratch, checkpoint_bytes,
+                                                           dump_manifest_bytes, data):
+    files = cut_or_changed(data, {"manifest": dump_manifest_bytes,
+                                  "checkpoint": checkpoint_bytes})
+    split = data.draw(st.sampled_from(["all", "test"]))
+    (scratch / "eval.jsonl").write_bytes(files["manifest"])
+    (scratch / "eval.ckpt").write_bytes(files["checkpoint"])
+    before = sorted(scratch.iterdir())
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["eval", "--manifest", str(scratch / "eval.jsonl"),
+                     "--checkpoint", str(scratch / "eval.ckpt"), "--split", split])
+    assert code in (0, 1, 2, 3), stderr.getvalue()
+    assert "Traceback" not in stdout.getvalue() + stderr.getvalue()
+    assert sorted(scratch.iterdir()) == before, (code, stderr.getvalue())
 
 
 @pytest.fixture(scope="module")

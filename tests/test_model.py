@@ -1,6 +1,7 @@
 """Architecture behavior: masks, clip splitting, both transformer stages,
 and the full forward pass against a straight-line numpy reimplementation."""
 
+import inspect
 import json
 import math
 import tracemalloc
@@ -19,7 +20,7 @@ from dcvqe.model import (AttentionCost, AttentionMask, DCVQEConfig, DCVQEModel,
                          SequenceLengthError, parameter_shapes, split_clips, transformer_c,
                          transformer_d)
 from dcvqe.training import TINY_CONFIG, AdamState, Checkpoint, save_checkpoint
-from oracles import initial_params
+from oracles import clip_maps, initial_params
 
 TINY = DCVQEConfig(input_dim=12, model_dim=8, num_heads=2, num_layers=2,
                    base_clip_len=4, temporal_range=2, max_seq_len=16)
@@ -152,9 +153,9 @@ class TestAttentionMask:
         video = Tensor(rng.normal(size=(1, 8)))
         frames = Tensor(rng.normal(size=(6, 8)))
         mask = AttentionMask.banded(7, 2)
-        sink = []
-        transformer_d(proj, 2, video, frames, mask, attn_sink=sink)
-        weights = sink[0]  # (heads, 7, 7); frame f sits at position f+1
+        with ad.Graph() as graph:
+            transformer_d(proj, 2, video, frames, mask)
+        weights = clip_maps(graph)[0]  # (heads, 7, 7); frame f sits at position f+1
         assert (weights[:, 2 + 1, 5 + 1] == 0.0).all()
         assert (weights[:, 5 + 1, 2 + 1] == 0.0).all()
         assert (weights[:, 0, :] > 0).all() and (weights[:, :, 0] > 0).all()
@@ -167,13 +168,12 @@ class TestTransformerD:
         proj = (Tensor(np.zeros((dim, dim))),) * 3
         video = Tensor(rng.normal(size=(1, dim)))
         frames = Tensor(rng.normal(size=(5, dim)))
-        sink = []
-        clip_qe, out = transformer_d(proj, 2, video, frames,
-                                     AttentionMask.banded(6, 2), attn_sink=sink)
+        with ad.Graph() as graph:
+            clip_qe, out = transformer_d(proj, 2, video, frames, AttentionMask.banded(6, 2))
         assert np.array_equal(clip_qe.data, video.data)
         assert np.array_equal(out.data, frames.data)
         # with zero scores the attention is uniform over admitted positions
-        weights = sink[0]
+        weights = clip_maps(graph)[0]
         adm = AttentionMask.banded(6, 2).admissible
         expected = adm / adm.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(weights[0], expected, atol=1e-15)
@@ -181,10 +181,10 @@ class TestTransformerD:
     def test_single_frame_fully_admissible(self):
         rng = np.random.default_rng(2)
         proj = random_projections(rng, 8)
-        sink = []
-        transformer_d(proj, 2, Tensor(rng.normal(size=(1, 8))),
-                      Tensor(rng.normal(size=(1, 8))),
-                      AttentionMask.banded(2, 1), attn_sink=sink)
+        with ad.Graph() as graph:
+            transformer_d(proj, 2, Tensor(rng.normal(size=(1, 8))),
+                          Tensor(rng.normal(size=(1, 8))), AttentionMask.banded(2, 1))
+        sink = clip_maps(graph)
         assert sink[0].shape == (2, 2, 2)
         assert (sink[0] > 0).all()
 
@@ -201,16 +201,18 @@ class TestTransformerD:
         proj = random_projections(rng, 8)
         video = Tensor(rng.normal(size=(1, 8)))
         frames = Tensor(rng.normal(size=(10, 8)))
-        sink = []
-        clip_qes, out = transformer_d(proj, 2, video, frames, AttentionMask.banded(5, 2),
-                                      attn_sink=sink, clip_len=4)
-        want_sink = []
-        for c, (start, stop) in enumerate(split_clips(10, 4)):
-            clip_frames = Tensor(frames.data[start:stop])
-            qe, f = transformer_d(proj, 2, video, clip_frames,
-                                  AttentionMask.banded(stop - start + 1, 2), attn_sink=want_sink)
-            np.testing.assert_allclose(clip_qes.data[c:c + 1], qe.data, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(out.data[start:stop], f.data, rtol=0, atol=1e-12)
+        with ad.Graph() as graph:
+            clip_qes, out = transformer_d(proj, 2, video, frames, AttentionMask.banded(5, 2),
+                                          clip_len=4)
+        sink = clip_maps(graph)
+        with ad.Graph() as per_clip:
+            for c, (start, stop) in enumerate(split_clips(10, 4)):
+                clip_frames = Tensor(frames.data[start:stop])
+                qe, f = transformer_d(proj, 2, video, clip_frames,
+                                      AttentionMask.banded(stop - start + 1, 2))
+                np.testing.assert_allclose(clip_qes.data[c:c + 1], qe.data, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(out.data[start:stop], f.data, rtol=0, atol=1e-12)
+        want_sink = clip_maps(per_clip)
         assert [w.shape for w in sink] == [w.shape for w in want_sink]
         for got, want in zip(sink, want_sink):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -531,6 +533,54 @@ class TestObservation:
                 assert np.array_equal(a, b)
         for a, b in zip(got.divide_attention, want.divide_attention, strict=True):
             assert all(np.array_equal(u, v) for u, v in zip(a, b, strict=True))
+
+
+    def test_record_reads_its_arrays_from_the_tape(self, monkeypatch):
+        """Every array of ``record`` is an output or the attention weights of
+        one of its own graph's attention nodes, not a copy."""
+        graphs = []
+
+        class Kept(ad.Graph):
+            def __init__(self):
+                super().__init__()
+                graphs.append(self)
+
+        monkeypatch.setattr(ad, "Graph", Kept)
+        model = make_model()
+        acts = model.record(np.random.default_rng(35).normal(size=(10, 12)))
+        (graph,) = graphs
+        divides = [node for node in graph.nodes if node.op == "divide_attention"]
+        conquers = [node for node in graph.nodes if node.op == "conquer_attention"]
+        assert len(divides) == len(conquers) == model.config.num_layers
+        for k, (divide, conquer) in enumerate(zip(divides, conquers)):
+            clips, frames = divide.outputs
+            assert acts.clip_embeddings[k] is clips.data
+            assert acts.frame_embeddings[k] is frames.data
+            assert acts.video_embeddings[k] is conquer.outputs[0].data
+            assert acts.conquer_attention[k] is conquer.weights[0]
+            maps = acts.divide_attention[k]
+            assert len(maps) == sum(len(batch) for batch in divide.weights)
+            assert all(any(np.shares_memory(m, batch) for batch in divide.weights)
+                       for m in maps)
+
+
+def keyword_parameters(fn) -> list[str]:
+    """The parameters of ``fn`` that a caller may leave out."""
+    return [name for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not inspect.Parameter.empty]
+
+
+def test_attention_is_observed_through_the_tape_not_through_parameters():
+    """The attention path takes no parameter that only collects what it
+    computed: ``record`` reads the tape. What a caller may leave out is
+    ``clip_rows_only``, the final layer's short cut, ``transformer_d``'s
+    clip length and ``forward``'s MAC counter."""
+    fns = (ad.divide_attention, ad.conquer_attention, transformer_d, transformer_c,
+           DCVQEModel.dctr_layer, DCVQEModel.forward)
+    assert {fn.__qualname__: keyword_parameters(fn) for fn in fns} == {
+        "divide_attention": ["clip_rows_only"], "conquer_attention": [],
+        "transformer_d": ["clip_len", "clip_rows_only"], "transformer_c": [],
+        "DCVQEModel.dctr_layer": ["clip_rows_only"], "DCVQEModel.forward": ["cost"]}
 
 
 class TestLocality:

@@ -506,6 +506,26 @@ class TestCheckpointIO:
             save_checkpoint(second, load_checkpoint(first))
             assert first.read_bytes() == second.read_bytes(), which
 
+    def test_a_write_that_fails_leaves_the_previous_checkpoint(self, tmp_path):
+        """The bytes go to a temporary file that replaces the checkpoint only
+        once it is whole: a write that raises partway, here at the last
+        group of the payload, leaves the old file byte for byte and no
+        temporary file."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self.make_checkpoint())
+        before = path.read_bytes()
+        cp = self.make_checkpoint(seed=1)
+        cp.adam_v["regressor.bias"] = np.array([["not a number"]])
+        with pytest.raises(ValueError, match="could not convert"):
+            save_checkpoint(path, cp)
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
+        whole = self.make_checkpoint(seed=1)
+        save_checkpoint(path, whole)  # a whole write replaces it
+        assert np.array_equal(load_checkpoint(path).params["input.weight"],
+                              whole.params["input.weight"])
+        assert sorted(tmp_path.iterdir()) == [path]
+
     def test_truncated_payload_rejected(self, tmp_path):
         cp = self.make_checkpoint()
         path = tmp_path / "t.ckpt"
