@@ -21,26 +21,26 @@ core is free, its large products (the paper-shape input projection) run on
 two threads with the bits of one. ``backward`` sums the gradients that
 reach one tensor in place, in arrays that it allocated itself.
 
-The attention ops share one forward and backward, ``_attend``, which
-evaluates the first m query rows of each sequence against all of its rows.
-``conquer_attention`` is unmasked multi-head scaled dot-product attention
-over one sequence (projections, softmax and weighted sum, m = n), pooled by
+The attention ops share one forward and backward, ``_attend``, whose
+boolean [m, n] mask's rows are the query rows that it evaluates, the first
+m of each sequence. ``conquer_attention`` is multi-head scaled dot-product
+attention over one sequence under an all-admitting [n, n] mask, pooled by
 the mean over its rows. ``divide_attention`` is the whole divide stage of
 one video: it cuts the frames into clips, runs every ``[video; clip]``
-sequence through the same attention, masked, adds the residual, and
-returns two tensors, the clip embeddings and the updated frames (a node
-may have several outputs). It checks once, at entry, that its mask admits
-the video row in every row, so the masked softmax checks nothing. That
-softmax has one forward and one backward rule (``_softmax_forward``,
-``_softmax_vjp``). When every logit lies within ``_EXP_SAFE`` of zero, the
-forward skips the row max and differs from the shifted formula by rounding
-only; otherwise it takes the row max and the exponential over the admitted
-entries only, bit-identical to exponentiating ``-inf``. Masked entries are
-exact zeros and get exactly zero gradient. The backward takes the softmax's
-row term from the output rows (g . o per row and head) rather than from the
-scores. With ``clip_rows_only``, ``divide_attention`` takes m = 1, the clip
-row alone, through the same path and returns no frames; the model uses it
-for its final layer, whose updated frames nothing reads. The node of an
+sequence through the same attention, masked, adds the residual, and returns
+two tensors, the clip embeddings and the updated frames (a node may have
+several outputs). It checks once, at entry, that its mask admits the video
+row in every row, so the masked softmax checks nothing. That softmax has
+one forward and one backward rule (``_softmax_forward``, ``_softmax_vjp``).
+When every logit lies within ``_EXP_SAFE`` of zero, the forward skips the
+row max and differs from the shifted formula by rounding only; otherwise it
+takes the row max and the exponential over the admitted entries only,
+bit-identical to exponentiating ``-inf``. Masked entries are exact zeros
+and get exactly zero gradient. The backward takes the softmax's row term
+from the output rows (g . o per row and head) rather than from the scores.
+Given the one-row mask, ``divide_attention`` takes m = 1, the clip row
+alone, through the same path and returns no frames; the model uses it for
+its final layer, whose updated frames nothing reads. The node of an
 attention op keeps its weights, so they are observed from the tape.
 ``gradient_check`` checks the fused ops like every other op.
 """
@@ -398,11 +398,11 @@ def positional(frames: Tensor, video_token: Tensor, table: Tensor) -> tuple[Tens
 _EXP_SAFE = 300.0
 
 
-def _softmax_forward(z: np.ndarray, admissible: np.ndarray | None) -> np.ndarray:
+def _softmax_forward(z: np.ndarray, admissible: np.ndarray) -> np.ndarray:
     """Masked softmax along the last axis, computed in place on the float
     array ``z``, which is returned. ``admissible``, unchecked, is a boolean
     array that broadcasts to ``z`` and admits an entry in every row (see
-    ``divide_attention``); None admits every entry.
+    ``divide_attention``); all-admitting, it gives the unmasked bits.
 
     When every logit lies within ±``_EXP_SAFE`` (one min/max check over the
     array; NaN fails it), the row max is skipped: every entry is
@@ -414,20 +414,15 @@ def _softmax_forward(z: np.ndarray, admissible: np.ndarray | None) -> np.ndarray
     zeros."""
     if -_EXP_SAFE <= z.min(initial=np.inf) and z.max(initial=-np.inf) <= _EXP_SAFE:
         np.exp(z, out=z)
-        if admissible is not None:
-            z *= admissible
+        z *= admissible
         # row sums by a GEMV, several times faster than a row reduction
         z *= np.reciprocal(z @ np.ones(z.shape[-1]))[..., None]
         return z
-    if admissible is not None:
-        # exp(-inf) costs several times a finite exp, so masked entries are
-        # skipped and then set to exact zeros
-        z -= z.max(axis=-1, keepdims=True, where=admissible, initial=-np.inf)
-        np.exp(z, out=z, where=admissible)
-        np.copyto(z, 0.0, where=~admissible)
-    else:
-        z -= z.max(axis=-1, keepdims=True)
-        np.exp(z, out=z)
+    # exp(-inf) costs several times a finite exp, so masked entries are
+    # skipped and then set to exact zeros
+    z -= z.max(axis=-1, keepdims=True, where=admissible, initial=-np.inf)
+    np.exp(z, out=z, where=admissible)
+    np.copyto(z, 0.0, where=~admissible)
     z /= z.sum(axis=-1, keepdims=True)
     return z
 
@@ -455,10 +450,10 @@ def _check_attention(x: Tensor, ws: tuple[Tensor, ...], num_heads: int) -> None:
 
 
 def _attend(x: np.ndarray, ws: tuple[Tensor, Tensor, Tensor], num_heads: int,
-            admissible: np.ndarray | None):
+            admissible: np.ndarray):
     """Forward of multi-head attention over the array ``x`` [..., n, D],
     evaluated for the first m query rows of each sequence, where
-    ``admissible`` is the [m, n] mask (None: m = n, unmasked).
+    ``admissible`` is the boolean [m, n] mask: its rows are the query rows.
 
     K and V cover every row. Returns the output rows [rows, D] (m per
     sequence, heads side by side), the weights [..., H, m, n] and the VJP:
@@ -471,7 +466,7 @@ def _attend(x: np.ndarray, ws: tuple[Tensor, Tensor, Tensor], num_heads: int,
     over the scores, so the caller must not write into them.
     """
     *lead, n, dim = x.shape
-    m = n if admissible is None else len(admissible)
+    m = len(admissible)
     head_dim = dim // num_heads
     c = 1.0 / math.sqrt(head_dim)
 
@@ -511,15 +506,15 @@ def _attend(x: np.ndarray, ws: tuple[Tensor, Tensor, Tensor], num_heads: int,
 
 
 def conquer_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int) -> Tensor:
-    """Unmasked multi-head scaled dot-product attention over the sequence
-    ``x`` [n, D], pooled by the mean over its rows, one tape op.
+    """Multi-head scaled dot-product attention over the sequence ``x``
+    [n, D], pooled by the mean over its rows, one tape op.
 
     The projections ``wq``, ``wk`` and ``wv`` are [D, D]; head h uses columns
     [h*D/H, (h+1)*D/H) of each. Q is scaled by 1/sqrt(D/H) before the scores
     are formed, and the scores go through the softmax (``_softmax_forward``)
-    with every position admitted. The attention output has the heads side by
-    side along the feature axis and no output projection; the op returns its
-    mean over the n rows, [1, D].
+    under an all-admitting [n, n] mask. The attention output has the heads
+    side by side along the feature axis and no output projection; the op
+    returns its mean over the n rows, [1, D].
 
     The tape keeps only the [H, n, n] weights (the node's ``weights``), the
     per-head Q, K and V and the unpooled output, and the backward is written
@@ -528,36 +523,35 @@ def conquer_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: 
     """
     ws = (wq, wk, wv)
     _check_attention(x, ws, num_heads)
-    out, p, vjp = _attend(x.data, ws, num_heads, None)
+    n = x.shape[0]
+    out, p, vjp = _attend(x.data, ws, num_heads, np.ones((n, n), dtype=bool))
 
     def bw(g):
-        return vjp(np.broadcast_to(g / x.shape[0], x.shape).copy(), x.data)
+        return vjp(np.broadcast_to(g / n, x.shape).copy(), x.data)
 
     return _record("conquer_attention", (x, *ws), out.mean(axis=0, keepdims=True), bw, (p,))
 
 
 def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
-                     num_heads: int, clip_len: int, admissible: np.ndarray,
-                     clip_rows_only: bool = False) -> tuple[Tensor, Tensor | None]:
+                     num_heads: int, clip_len: int,
+                     admissible: np.ndarray) -> tuple[Tensor, Tensor | None]:
     """The divide stage of one video as one tape op.
 
     ``frames`` [n, D] are cut into consecutive clips of ``clip_len`` frames;
     the last clip keeps the remainder and is never padded. Each clip c runs
     as the sequence [video; frames of c] (``video`` is [1, D]) through the
     multi-head attention of ``conquer_attention``, unpooled and masked with
-    ``admissible``, the boolean [clip_len + 1, clip_len + 1] mask of a full
-    clip; a shorter last clip of m frames uses the leading [m + 1, m + 1]
-    block. The mask must admit position 0, the video row, in every row, so
-    no row of any block is empty; ``ShapeError`` names a wrong shape or dtype
-    or the first row without it. The input sequence is added back (residual).
-    Returns the clip embeddings [C, D] (position 0 of each clip's output,
-    the clip row) and the updated frames [n, D].
-
-    Every sequence is evaluated for its first m query rows, with the leading
-    m rows of the mask; K and V always cover every position. By default
-    m = L and the op has both outputs. With ``clip_rows_only``, m = 1: only
-    the clip row is formed, and the op records the clip embeddings as its
-    one output and returns None for the frames. The model uses this for its
+    ``admissible``, the boolean mask of a full clip: [clip_len + 1,
+    clip_len + 1], or its first row [1, clip_len + 1]. Its rows are the
+    query rows evaluated; K and V always cover every position. A shorter
+    last clip of m frames uses the leading block of m + 1 columns and up to
+    m + 1 rows. The mask must admit position 0, the video row, in every row,
+    so no row of any block is empty; ``ShapeError`` names a wrong shape or
+    dtype or the first row without it. The input sequence is added back
+    (residual). Returns the clip embeddings [C, D] (position 0 of each
+    clip's output, the clip row) and the updated frames [n, D]. The one-row
+    mask forms only the clip rows: the op records the clip embeddings as its
+    one output and returns None for the frames. The model uses it for its
     final layer, whose updated frames reach neither the score nor the loss;
     the clip embeddings agree with the full op's to rounding.
 
@@ -577,9 +571,9 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
         raise ShapeError(f"clip_len must be >= 1, got {clip_len}")
     size = clip_len + 1
     if (not isinstance(admissible, np.ndarray) or admissible.dtype != bool
-            or admissible.shape != (size, size)):
-        raise ShapeError(f"mask must be a boolean [{size}, {size}] array for clips of "
-                         f"{clip_len} frames, got "
+            or admissible.shape not in ((size, size), (1, size))):
+        raise ShapeError(f"mask must be a boolean [{size}, {size}] array or its first row "
+                         f"[1, {size}] for clips of {clip_len} frames, got "
                          f"{getattr(admissible, 'dtype', type(admissible).__name__)} "
                          f"{np.shape(admissible)}")
     if not admissible[:, 0].all():
@@ -588,7 +582,7 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
     n, dim = frames.shape
     full = n - n % clip_len
     batches = []  # (first frame, end frame, frames per clip, clips, query rows, vjp)
-    clip_out, weights, frames_out = [], [], None if clip_rows_only else np.empty((n, dim))
+    clip_out, weights, frames_out = [], [], None if len(admissible) == 1 else np.empty((n, dim))
 
     def sequences(start, stop, length):  # [video; clip] for each clip, [clips, length + 1, D]
         x = np.empty(((stop - start) // length, length + 1, dim))
@@ -600,8 +594,8 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
         if stop == start:
             continue
         x = sequences(start, stop, length)
-        clips, m = len(x), 1 if clip_rows_only else length + 1
-        out, p, vjp = _attend(x, ws, num_heads, admissible[:m, :length + 1])
+        out, p, vjp = _attend(x, ws, num_heads, admissible[:length + 1, :length + 1])
+        clips, m = p.shape[0], p.shape[-2]
         weights.append(p)
         # the residual goes into new arrays: the vjp keeps ``out``
         out = out.reshape(clips, m, dim)

@@ -170,7 +170,8 @@ def _settings(args, cfg: dict | None = None) -> dict:
     """Every setting of ``args``'s command, keyed by config key and converted
     to its key's type: a flag wins over ``cfg`` (an ablate run's row over the
     file; by default the --config file, read and checked against the keys
-    that the command reads), and the seed falls back to DCVQE_SEED, then 0."""
+    that the command reads), and the seed falls back to DCVQE_SEED, then 0.
+    A negative seed is a data error, or a usage error from DCVQE_SEED."""
     path = getattr(args, "config", None)
     if cfg is None and path is not None:
         try:
@@ -182,9 +183,15 @@ def _settings(args, cfg: dict | None = None) -> dict:
         _check(cfg, reads, f"config file {path} for {args.command}")
     given = {"seed": os.environ.get("DCVQE_SEED", "0"), **(cfg or {}), **vars(args)}
     try:  # file and flag values have their key's type already
-        return {key: CONFIG_KEYS[key](value) for key, value in given.items() if key in CONFIG_KEYS}
-    except ValueError:
-        raise UsageError(f"DCVQE_SEED must be an integer, got {given['seed']!r}") from None
+        settings = {key: CONFIG_KEYS[key](value) for key, value in given.items()
+                    if key in CONFIG_KEYS}
+        if settings["seed"] >= 0:
+            return settings
+    except ValueError:  # DCVQE_SEED is no integer
+        pass
+    if isinstance(given["seed"], str):  # DCVQE_SEED, the one value given as text
+        raise UsageError(f"DCVQE_SEED must be an integer >= 0, got {given['seed']!r}")
+    raise ValueError(f"seed must be >= 0, got {given['seed']}")
 
 
 def _configs(settings: dict, input_dim: int) -> tuple[DCVQEConfig, TrainConfig]:
@@ -245,9 +252,7 @@ def _cmd_train(args) -> int:
 
     def on_epoch(rec):  # the first record creates the log: a failed run leaves none
         with open(log_path, "w" if rec.epoch == 1 else "a") as log:
-            log.write(json.dumps({"epoch": rec.epoch, "train_loss": rec.train_loss,
-                                  "val_loss": rec.val_loss,
-                                  "wall_time_s": rec.wall_time_s}) + "\n")
+            log.write(json.dumps(dataclasses.asdict(rec)) + "\n")
         print(f"epoch {rec.epoch}: train {rec.train_loss:.4f} "
               f"val {rec.val_loss:.4f} ({rec.wall_time_s:.1f}s)")
 
@@ -276,10 +281,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_predict(args) -> int:
     cp = load_checkpoint(args.checkpoint)
+    for path in args.features:  # every width is checked before the first payload is read
+        _check_width(data_io.read_header(path)[1], f"file {path}", cp, args.checkpoint)
     model = cp.build_model()
     for path in args.features:
         seq = data_io.truncate(data_io.read_features(path), cp.config.max_seq_len)
-        _check_width(seq.feature_dim, f"file {path}", cp, args.checkpoint)
         with numeric_failure(f"file {path}"):
             score = model.predict(seq.features)
         if not math.isfinite(score):
@@ -329,10 +335,12 @@ def _cmd_ablate(args) -> int:
         raise UsageError("ablate needs a config file with a non-empty 'grid' list of overrides")
     manifest = data_io.load_manifest(args.manifest)
     input_dim = data_io.manifest_feature_dim(manifest)
+    # every row is checked before the first one trains
+    configs = [_configs(_settings(args, {**settings, **overrides}), input_dim)
+               for overrides in grid]
 
     rows = []
-    for overrides in grid:
-        model_cfg, train_cfg = _configs(_settings(args, {**settings, **overrides}), input_dim)
+    for overrides, (model_cfg, train_cfg) in zip(grid, configs):
         t0 = time.perf_counter()
         result = run_repetitions(manifest, model_cfg, train_cfg)
         rows.append({"overrides": overrides, "median": dataclasses.asdict(result.median),

@@ -107,6 +107,15 @@ def _parse_header(raw: bytes, path: Path) -> tuple[int, int]:
     return num_frames, feature_dim
 
 
+def read_header(path) -> tuple[int, int]:
+    """(num_frames, feature_dim) from the header of the feature file at
+    ``path``, validated as ``read_features`` validates it; no payload byte
+    is read."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        return _parse_header(fh.read(_HEADER.size), path)
+
+
 def read_features(path, mos: float = 0.0, video_id: str | None = None) -> FeatureSequence:
     """Parse one feature file, validating magic, version, extents, finiteness.
 
@@ -235,9 +244,7 @@ def manifest_feature_dim(manifest: DatasetManifest) -> int:
         raise FormatError(f"manifest in {manifest.root} has no entries")
     first = None
     for e in manifest.entries:
-        path = manifest.resolve(e)
-        with open(path, "rb") as fh:
-            _, dim = _parse_header(fh.read(_HEADER.size), path)
+        _, dim = read_header(manifest.resolve(e))
         if first is None:
             first = (e.video_id, dim)
         elif dim != first[1]:

@@ -62,13 +62,14 @@ class DCVQEConfig:
 
 @dataclass(frozen=True)
 class AttentionMask:
-    """Boolean admissibility matrix for one clip's attention.
+    """Boolean admissibility matrix for one clip's attention: its rows are
+    the query rows evaluated (all ``size``, or row 0 alone), its columns keys.
 
     Position 0 is reserved for the video-level embedding: row 0 and column 0
     are always admissible. Frame positions i, j >= 1 are admissible iff
-    |i - j| <= temporal_range (always, when the range is None). The matrix
-    is symmetric with an admissible diagonal. ``banded`` returns one shared,
-    read-only mask per (size, temporal_range).
+    |i - j| <= temporal_range (always, when the range is None). ``banded``
+    returns one shared, read-only, symmetric [size, size] mask per (size,
+    temporal_range).
     """
 
     size: int
@@ -151,8 +152,8 @@ def split_clips(length: int, clip_len: int) -> list[tuple[int, int]]:
 
 
 def transformer_d(proj: tuple[Tensor, Tensor, Tensor], num_heads: int, video_qe: Tensor,
-                  frames: Tensor, mask: AttentionMask, clip_len: int | None = None,
-                  clip_rows_only: bool = False) -> tuple[Tensor, Tensor | None]:
+                  frames: Tensor, mask: AttentionMask,
+                  clip_len: int | None = None) -> tuple[Tensor, Tensor | None]:
     """Divide-stage attention over the frames [n, D] of one video, cut into
     clips of ``clip_len`` frames (default: one clip of all n frames).
 
@@ -162,15 +163,13 @@ def transformer_d(proj: tuple[Tensor, Tensor, Tensor], num_heads: int, video_qe:
     a full clip (size ``clip_len + 1``); a shorter last clip uses its
     leading block, which for a banded mask is the banded mask of that size.
     Returns the clip-level embeddings [C, D] and the updated frame
-    embeddings [n, D], or None for them with ``clip_rows_only``, which
-    evaluates the clip rows alone: the one-query-row case of the same
-    attention (see ``autodiff.divide_attention``). The whole stage is one
-    ``autodiff.divide_attention`` node on the tape. Its attention MACs
-    follow from the clip layout alone (``AttentionCost``).
+    embeddings [n, D], or None for them when the mask is row 0 alone, which
+    evaluates the clip rows only (see ``autodiff.divide_attention``). The
+    whole stage is one ``autodiff.divide_attention`` node on the tape. Its
+    attention MACs follow from the clip layout alone (``AttentionCost``).
     """
     clip_len = frames.shape[0] if clip_len is None else clip_len
-    return ad.divide_attention(frames, video_qe, *proj, num_heads, clip_len, mask.admissible,
-                               clip_rows_only=clip_rows_only)
+    return ad.divide_attention(frames, video_qe, *proj, num_heads, clip_len, mask.admissible)
 
 
 def transformer_c(proj: tuple[Tensor, Tensor, Tensor], num_heads: int,
@@ -257,13 +256,14 @@ class DCVQEModel:
         """One divide-and-conquer layer: ``transformer_d`` over clips of
         ``layer_clip_len(config, layer)`` frames, then ``transformer_c`` over
         their embeddings. Returns the updated frames (None with
-        ``clip_rows_only``) and the video embedding."""
+        ``clip_rows_only``, whose mask is row 0 alone) and the video embedding."""
         cfg = self.config
         clip_len = layer_clip_len(cfg, layer)
-        clips, frames = transformer_d(
-            self._projections(layer, "divide"), cfg.num_heads, video_qe, frames,
-            AttentionMask.banded(clip_len + 1, cfg.temporal_range), clip_len=clip_len,
-            clip_rows_only=clip_rows_only)
+        mask = AttentionMask.banded(clip_len + 1, cfg.temporal_range)
+        if clip_rows_only:
+            mask = AttentionMask(mask.size, mask.admissible[:1])
+        clips, frames = transformer_d(self._projections(layer, "divide"), cfg.num_heads,
+                                      video_qe, frames, mask, clip_len=clip_len)
         return frames, transformer_c(self._projections(layer, "conquer"), cfg.num_heads, clips)
 
     def embed(self, features) -> Tensor:

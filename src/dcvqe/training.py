@@ -186,33 +186,31 @@ def validation_loss(model: DCVQEModel, val_seqs: Sequence[FeatureSequence],
 
 @dataclass
 class Checkpoint:
+    """The model's config and parameters, the optimizer state that trained
+    them, and the epoch and validation loss at which they were taken."""
+
     config: DCVQEConfig
     params: dict[str, np.ndarray]
-    adam_m: dict[str, np.ndarray]
-    adam_v: dict[str, np.ndarray]
-    adam_step_count: int
+    adam: AdamState
     best_val_loss: float
     epoch: int
 
     @classmethod
     def snapshot(cls, model: DCVQEModel, state: AdamState, val_loss: float,
                  epoch: int) -> "Checkpoint":
+        """Copies of the parameters and of the Adam state: training on
+        leaves the checkpoint as it is."""
         return cls(config=model.config,
                    params={k: p.data.copy() for k, p in model.named_parameters()},
-                   adam_m={k: a.copy() for k, a in state.m.items()},
-                   adam_v={k: a.copy() for k, a in state.v.items()},
-                   adam_step_count=state.step, best_val_loss=val_loss, epoch=epoch)
+                   adam=AdamState(step=state.step, m={k: a.copy() for k, a in state.m.items()},
+                                  v={k: a.copy() for k, a in state.v.items()}),
+                   best_val_loss=val_loss, epoch=epoch)
 
     def build_model(self) -> DCVQEModel:
         """A model over copies of ``params``: nothing is drawn at random, and
         training the model leaves the checkpoint as it is."""
         return DCVQEModel(self.config, {name: Tensor(value.copy(), name=name)
                                         for name, value in self.params.items()})
-
-    def adam_state(self) -> AdamState:
-        return AdamState(step=self.adam_step_count,
-                         m={k: a.copy() for k, a in self.adam_m.items()},
-                         v={k: a.copy() for k, a in self.adam_v.items()})
 
 
 def save_checkpoint(path, cp: Checkpoint) -> None:
@@ -229,7 +227,7 @@ def save_checkpoint(path, cp: Checkpoint) -> None:
         "config": asdict(cp.config),
         "epoch": cp.epoch,
         "best_val_loss": cp.best_val_loss,
-        "adam_step": cp.adam_step_count,
+        "adam_step": cp.adam.step,
         "params": [{"name": n, "shape": list(cp.params[n].shape)} for n in names],
     }, sort_keys=True).encode()
     try:
@@ -237,7 +235,7 @@ def save_checkpoint(path, cp: Checkpoint) -> None:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header)))
             fh.write(header)
-            for group in (cp.params, cp.adam_m, cp.adam_v):
+            for group in (cp.params, cp.adam.m, cp.adam.v):
                 for n in names:
                     fh.write(np.ascontiguousarray(group[n], dtype="<f8").tobytes())
         os.replace(tmp, path)
@@ -307,8 +305,9 @@ def load_checkpoint(path) -> Checkpoint:
         groups.append(group)
     if offset != len(raw):
         raise data_io.FormatError(f"{len(raw) - offset} trailing bytes", offset=offset)
-    return Checkpoint(config=cfg, params=groups[0], adam_m=groups[1], adam_v=groups[2],
-                      adam_step_count=adam_step, best_val_loss=float(loss), epoch=epoch)
+    return Checkpoint(config=cfg, params=groups[0],
+                      adam=AdamState(step=adam_step, m=groups[1], v=groups[2]),
+                      best_val_loss=float(loss), epoch=epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +336,9 @@ def fit(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
     """Train for up to ``max_epochs`` epochs with per-epoch validation.
 
     ``start_epoch``/``state`` allow resuming from a prior checkpoint's final
-    state; the shuffle schedule depends only on (seed, epoch), so a resumed
-    run reproduces the unbroken trajectory. Validation runs under
-    ``numeric_failure`` too.
+    state (its ``adam``, which the run updates in place); the shuffle
+    schedule depends only on (seed, epoch), so a resumed run reproduces the
+    unbroken trajectory. Validation runs under ``numeric_failure`` too.
     """
     if not val_seqs:
         raise ValueError("validation set is empty")

@@ -835,7 +835,7 @@ class TestSoftmaxForward:
         ((2, 2, 4, 4), SLOT_ONLY),
         ((3, 2, 6, 6), (np.random.default_rng(30).random((3, 1, 6, 6)) < 0.5)
          | np.eye(6, dtype=bool)),
-        ((2, 3, 5, 5), None),
+        ((2, 3, 5, 5), np.ones((5, 5), dtype=bool)),
     ], ids=["banded", "slot_only_rows", "broadcast_per_clip", "unmasked"])
 
     @CASES
@@ -854,9 +854,8 @@ class TestSoftmaxForward:
             else:
                 np.testing.assert_allclose(got, unshifted_softmax_oracle(z, mask), rtol=1e-14,
                                            atol=0)
-            if mask is not None:
-                assert (got[..., ~np.broadcast_to(mask, shape)] == 0.0).all()
-                assert not np.signbit(got).any()
+            assert (got[..., ~np.broadcast_to(mask, shape)] == 0.0).all()
+            assert not np.signbit(got).any()
 
     @CASES
     def test_fast_path_matches_the_fallback(self, shape, mask, monkeypatch):
@@ -875,7 +874,7 @@ class TestSoftmaxForward:
     def test_logits_out_of_range_take_the_fallback(self):
         # +800 and -800 in one row: exp(800) overflows without the shift
         z = np.array([[800.0, -800.0, 0.0, 1.0], [0.0, 1.0, 2.0, 3.0]])
-        got = ad._softmax_forward(z.copy(), None)
+        got = ad._softmax_forward(z.copy(), np.ones(z.shape, dtype=bool))
         assert np.isfinite(got).all() and np.array_equal(got, old_softmax(z, None))
         # an admitted row far below a masked entry: every admitted exp would
         # underflow to 0 without the shift
@@ -886,7 +885,7 @@ class TestSoftmaxForward:
         assert got[1, 0] == 0.0 and got[1, 1] > got[1, 2] > 0.0
         # NaN fails the range check too
         z = np.array([[np.nan, 0.0, 1.0], [0.0, 1.0, 2.0]])
-        got = ad._softmax_forward(z.copy(), None)
+        got = ad._softmax_forward(z.copy(), np.ones(z.shape, dtype=bool))
         assert np.array_equal(got, old_softmax(z, None), equal_nan=True)
 
 
@@ -967,8 +966,7 @@ class TestDivideAttention:
         w_clips = np.random.default_rng(61).normal(size=(-(-n // clip_len), self.DIM))
 
         def f():
-            c, _ = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask,
-                                       clip_rows_only=True)
+            c, _ = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask[:1])
             return weighted_sum((c, w_clips))
 
         report = gradient_check(f, [frames, video, *ws], h=1e-6)
@@ -983,8 +981,8 @@ class TestDivideAttention:
 
         def run(clip_rows_only):  # the clip rows feed the loss, the frames nothing
             with Graph() as g:
-                clips, _ = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask,
-                                               clip_rows_only=clip_rows_only)
+                clips, _ = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len,
+                                               mask[:1] if clip_rows_only else mask)
                 loss = weighted_sum((clips, w_clips))
             return clips, backward(loss, g, [frames, video, *ws]), clip_maps(g), g
 
@@ -1025,8 +1023,8 @@ class TestDivideAttention:
         w_clips = rng.normal(size=(clips, self.DIM))
         w_frames = np.zeros((n, self.DIM)) if clip_rows_only else rng.normal(size=(n, self.DIM))
         with Graph() as g:
-            c, fr = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask,
-                                        clip_rows_only=clip_rows_only)
+            c, fr = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len,
+                                        mask[:1] if clip_rows_only else mask)
             loss = weighted_sum((c, w_clips), *[] if clip_rows_only else [(fr, w_frames)])
         assert (fr is None) == clip_rows_only
         grads = backward(loss, g, [frames, video, *ws])
@@ -1050,6 +1048,8 @@ class TestDivideAttention:
         frames, video, ws = self.operands(6, 52)
         mask = banded_mask(5, 1)
         for bad, got in ((banded_mask(4, 1), r"bool \(4, 4\)"), (None, r"NoneType \(\)"),
+                         (mask[:2], r"bool \(2, 5\)"), (mask[:, :1], r"bool \(5, 1\)"),
+                         (banded_mask(4, 1)[:1], r"bool \(1, 4\)"),
                          (mask.astype(np.float64), "float64"), (mask.astype(np.int8), "int8"),
                          (mask.tolist(), r"list \(5, 5\)")):
             with pytest.raises(ShapeError, match=r"boolean \[5, 5\] array .* got " + got):
@@ -1063,14 +1063,17 @@ class TestDivideAttention:
     @pytest.mark.parametrize("bad_rows", [[3], [2, 4], [0]])
     def test_rejects_a_row_without_position_0(self, bad_rows, clip_rows_only):
         """Even a row that admits other positions, and even a row past the
-        leading block of a shorter last clip, names the first such row."""
+        leading block of a shorter last clip, names the first such row. A
+        one-row mask made of the first bad row is rejected as row 0."""
         frames, video, ws = self.operands(6, 54)
         mask = banded_mask(5, None)
         mask[bad_rows, 0] = False
-        with pytest.raises(ShapeError, match=f"mask row {bad_rows[0]} does not admit "
+        first = bad_rows[0]
+        if clip_rows_only:
+            mask, first = mask[first:first + 1], 0
+        with pytest.raises(ShapeError, match=f"mask row {first} does not admit "
                                              f"position 0"):
-            ad.divide_attention(frames, video, *ws, self.HEADS, 4, mask,
-                                clip_rows_only=clip_rows_only)
+            ad.divide_attention(frames, video, *ws, self.HEADS, 4, mask)
 
     def test_a_mask_of_column_0_alone_leaves_no_row_empty(self):
         """Every row of both blocks (a full clip and a shorter last one)

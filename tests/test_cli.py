@@ -102,7 +102,7 @@ class TestSynth:
         ("--dim", "0", "needs dim >= 2, got 0"),
         ("--dim", "1", "needs dim >= 2, got 1"),
         ("--noise", "1e308", "needs a finite noise_sigma >= 0, got 1e+308 (at most 2.13e+37)"),
-        ("--seed", "-1", "expected non-negative integer")],
+        ("--seed", "-1", "seed must be >= 0, got -1")],
         ids=["noise_nan", "noise_inf", "noise_negative", "dim_0", "dim_1", "noise_1e308",
              "seed_negative"])
     def test_bad_setting_is_named_before_anything_is_written(self, tmp_path, capsys, flag,
@@ -121,7 +121,7 @@ class TestTrainEvalPredict:
                      ).read_text().splitlines()
         records = [json.loads(line) for line in log_lines]
         assert [r["epoch"] for r in records] == [1, 2]
-        assert all("train_loss" in r and "val_loss" in r and "wall_time_s" in r
+        assert all(list(r) == ["epoch", "train_loss", "val_loss", "wall_time_s"]
                    for r in records)
 
     def test_eval_prints_report(self, trained_checkpoint, dataset_dir, capsys):
@@ -438,6 +438,18 @@ class TestExitCodes:
             f"takes 6\n")
         assert not out.exists()
 
+    def test_predict_checks_every_width_before_it_reads_or_scores(
+            self, tmp_path, dataset_dir, trained_checkpoint, monkeypatch, capsys):
+        data_io.synth_dataset(tmp_path, n_videos=5, len_range=(4, 8), dim=5, seed=3)
+        good, bad = dataset_dir / "synth00000.dcvq", tmp_path / "synth00000.dcvq"
+        monkeypatch.setattr(data_io, "read_features",
+                            lambda *a, **k: pytest.fail("a payload was read"))
+        code = main(["predict", "--checkpoint", str(trained_checkpoint), str(good), str(bad)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == (f"data error: file {bad} has feature width 5, but checkpoint "
+                       f"{trained_checkpoint} takes 6\n")
+
 
 class TestOutputPaths:
     """An output path that cannot be written is refused before any work:
@@ -528,6 +540,40 @@ class TestSeedPrecedence:
     def test_bad_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DCVQE_SEED", "not-a-number")
         assert main(["synth", "--out", str(tmp_path / "x"), "--videos", "5"]) == 1
+
+    @pytest.mark.parametrize("command, flags, env, code, message", [
+        ("gradcheck", ["--seed", "-1"], None, 2, "data error: seed must be >= 0, got -1"),
+        ("gradcheck", [], "-2", 1, "usage error: DCVQE_SEED must be an integer >= 0, got '-2'"),
+        ("synth", ["--seed", "-1"], None, 2, "data error: seed must be >= 0, got -1"),
+        ("synth", [], "-2", 1, "usage error: DCVQE_SEED must be an integer >= 0, got '-2'"),
+        ("eval", ["--split", "test", "--seed", "-1"], None, 2,
+         "data error: seed must be >= 0, got -1"),
+        ("eval", ["--split", "test"], "-2", 1,
+         "usage error: DCVQE_SEED must be an integer >= 0, got '-2'"),
+        ("train", ["--config", "file"], None, 2, "data error: seed must be >= 0, got -3"),
+        ("ablate", ["--config", "grid"], None, 2, "data error: seed must be >= 0, got -3"),
+    ], ids=["gradcheck_flag", "gradcheck_env", "synth_flag", "synth_env", "eval_flag",
+            "eval_env", "train_file", "ablate_grid_row"])
+    def test_a_negative_seed_is_named_before_any_work(self, command, flags, env, code, message,
+                                                      tmp_path, dataset_dir, trained_checkpoint,
+                                                      monkeypatch, capsys):
+        for name in ("gradcheck_suite", "load_checkpoint", "fit", "run_repetitions"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("work started"))
+        if env is not None:
+            monkeypatch.setenv("DCVQE_SEED", env)
+        configs = {"file": {"seed": -3}, "grid": {"grid": [{"seed": 0}, {"seed": -3}]}}
+        for name, cfg in configs.items():
+            (tmp_path / name).write_text(json.dumps(cfg))
+        flags = [str(tmp_path / f) if f in configs else f for f in flags]
+        manifest = str(dataset_dir / "manifest.jsonl")
+        out = tmp_path / "out"
+        argv = {"gradcheck": [], "synth": ["--out", out],
+                "eval": ["--manifest", manifest, "--checkpoint", trained_checkpoint],
+                "train": ["--manifest", manifest, "--out", out],
+                "ablate": ["--manifest", manifest, "--out", out]}[command]
+        assert main([command, *map(str, argv), *flags]) == code
+        assert capsys.readouterr() == ("", message + "\n")
+        assert sorted(tmp_path.iterdir()) == [tmp_path / name for name in sorted(configs)]
 
     def test_flag_overrides_config_file(self, tmp_path, dataset_dir, config_file, capsys):
         out = tmp_path / "one_epoch.ckpt"
@@ -659,6 +705,20 @@ class TestAblate:
         printed = capsys.readouterr().out
         assert "srcc" in printed and "alpha" in printed
         assert printed.count("\n") >= 7  # header, rule, five data rows
+
+    def test_every_row_is_checked_before_any_row_trains(self, tmp_path, dataset_dir,
+                                                         monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_repetitions",
+                            lambda *a, **k: pytest.fail("a row trained"))
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps({**TINY_MODEL, "epochs": 1, "grid": [
+            {"alpha": 1.0, "beta": 0.0}, {"beta": -1.0}]}))
+        out = tmp_path / "table.json"
+        code = main(["ablate", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                     "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert "beta" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_grid_is_usage_error(self, tmp_path, dataset_dir, capsys):
         cfg_path = tmp_path / "nogrid.json"

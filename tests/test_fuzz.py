@@ -6,8 +6,10 @@ round-trip. A config file may also fail a dataclass range check, a
 ``ValueError`` that the CLI reports with exit 2 as well. ``predict`` runs on
 checkpoints whose header values are replaced with hostile ones,
 ``dump-embeddings`` and ``eval`` on cut and changed manifests and
-checkpoints, and ``predict`` and ``eval`` on cut and changed feature files;
-each exits with a documented code and prints no traceback. ``train`` runs
+checkpoints, ``predict`` and ``eval`` on cut and changed feature files,
+``train`` and ``ablate`` on cut and changed manifests and feature files,
+and ``gradcheck`` on hostile seeds and tolerances; each exits with a
+documented code and prints no traceback. ``train`` runs
 one epoch on small manifests, every loss and batch layout, and exits 0.
 ``synth``, ``train``, ``eval`` and ``ablate`` run on cut and changed copies
 of the shipped configs, shrunk to tiny settings, and on hostile flag values;
@@ -31,6 +33,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dcvqe import autodiff as ad
+from dcvqe.autodiff import GradCheckReport, ParameterGradCheck
 from dcvqe.cli import (SEED_FLAG, SYNTH_FLAGS, TRAINING_FLAGS, _configs, _settings,
                        build_parser, main)
 from dcvqe.data import (DatasetManifest, FeatureSequence, FormatError, ManifestEntry,
@@ -229,13 +233,14 @@ def dump_manifest_bytes(scratch):
 
 
 def cut_or_changed(data, files: dict[str, bytes]) -> dict[str, bytes]:
-    """``files`` (a manifest and a checkpoint) with one of them cut short or
-    with one byte changed, half the time in its header."""
+    """``files`` (a manifest with a checkpoint or a feature file) with one of
+    them cut short or with one byte changed, half the time in its header."""
     which = data.draw(st.sampled_from(sorted(files)))
     raw = files[which]
     if data.draw(st.booleans()):
         return {**files, which: raw[:data.draw(st.integers(0, len(raw) - 1))]}
-    focus = raw.index(b"\n") if which == "manifest" else header_end(raw)
+    focus = (raw.index(b"\n") if which == "manifest"
+             else header_end(raw) if which == "checkpoint" else 16)
     return {**files, which: changed_byte(data, raw, focus)}
 
 
@@ -275,6 +280,86 @@ def test_eval_on_cut_and_changed_manifests_and_checkpoints(scratch, checkpoint_b
     assert code in (0, 1, 2, 3), stderr.getvalue()
     assert "Traceback" not in stdout.getvalue() + stderr.getvalue()
     assert sorted(scratch.iterdir()) == before, (code, stderr.getvalue())
+
+
+@pytest.fixture(scope="module")
+def training_inputs(scratch):
+    """A manifest of six short videos of ``CONFIG``'s width, the bytes of
+    the manifest and of its first feature file, and a tiny config file with
+    one grid row for ``ablate``."""
+    rng = np.random.default_rng(7)
+    entries = []
+    for i in range(6):
+        rows = rng.normal(size=(int(rng.integers(1, 2 * CONFIG.max_seq_len)), CONFIG.input_dim))
+        write_features(scratch / f"fit{i}.dcvq", FeatureSequence(f"f{i}", rows, 1.0 + 0.7 * i))
+        entries.append(ManifestEntry(f"f{i}", f"fit{i}.dcvq", 1.0 + 0.7 * i))
+    save_manifest(DatasetManifest(entries, 1.0, 5.0, scratch), scratch / "fit.jsonl")
+    model = {key: value for key, value in dataclasses.asdict(CONFIG).items() if key != "input_dim"}
+    (scratch / "fit.json").write_text(json.dumps({**model, "epochs": 1, "batch_size": 3,
+                                                  "grid": [{"loss": "pwrl"}]}))
+    return {"manifest": (scratch / "fit.jsonl").read_bytes(),
+            "features": (scratch / "fit0.dcvq").read_bytes()}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_train_and_ablate_on_cut_and_changed_manifests_and_feature_files(
+        scratch, training_inputs, data):
+    """Each run exits 0-3 with no traceback and no warning; an exit of 1 or
+    2 leaves no checkpoint, log or table, and an exit of 0 leaves them."""
+    files = cut_or_changed(data, training_inputs)
+    (scratch / "fit.jsonl").write_bytes(files["manifest"])
+    (scratch / "fit0.dcvq").write_bytes(files["features"])
+    out = scratch / "fit-out"
+    out.mkdir()
+    command = data.draw(st.sampled_from(["train", "ablate"]))
+    written = {"train": [out / "m.ckpt", out / "m.ckpt.log"], "ablate": [out / "t.json"]}
+    argv = [command, "--manifest", str(scratch / "fit.jsonl"), "--config",
+            str(scratch / "fit.json"), "--out", str(written[command][0])]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    case = (argv, files, stderr.getvalue(), [str(w.message) for w in caught])
+    assert code in (0, 1, 2, 3), case
+    assert not caught, case
+    assert "Traceback" not in stdout.getvalue() + stderr.getvalue(), case
+    if code in (1, 2):
+        assert list(out.iterdir()) == [], case
+    if code == 0:
+        assert sorted(out.iterdir()) == sorted(written[command]), case
+    shutil.rmtree(out)
+
+
+# hostile --seed and --tol values, next to valid ones; the empty --seed is a
+# usage error, the others reach the settings or the tolerance check
+GRADCHECK_SEEDS = ["-1", "x", "2.5", "nan", "1e3", "", "-0", "0", str(2 ** 80), str(-2 ** 80)]
+GRADCHECK_TOLS = ["x", "nan", "-1", "-inf", "inf", "1e400", "-0.0", "0", "1e-4", "-1e-3"]
+
+
+def test_gradcheck_on_hostile_seeds_and_tolerances(monkeypatch):
+    """Every pairing exits 0-3 with no traceback. The finite differences are
+    replaced by one forward, so each accepted seed still draws the model and
+    the videos that the suite checks."""
+    def one_forward(f, params, h=1e-5):
+        f()
+        return GradCheckReport([ParameterGradCheck("loss", 0.0, 1, 0)])
+
+    monkeypatch.setattr(ad, "gradient_check", one_forward)
+    codes = set()
+    started = time.perf_counter()
+    for seed in GRADCHECK_SEEDS:
+        for tol in GRADCHECK_TOLS:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["gradcheck", "--seed", seed, "--tol", tol])
+            case = (seed, tol, stderr.getvalue())
+            assert code in (0, 1, 2, 3), case
+            assert "Traceback" not in stdout.getvalue() + stderr.getvalue(), case
+            codes.add(code)
+    assert codes == {0, 1, 2}
+    assert time.perf_counter() - started < 3.0
 
 
 @pytest.fixture(scope="module")
@@ -366,11 +451,11 @@ def test_checkpoint_round_trip(scratch, regressor, val_loss, step, epoch):
     cp = Checkpoint.snapshot(model, state, val_loss, epoch)
     save_checkpoint(scratch / "rt.ckpt", cp)
     back = load_checkpoint(scratch / "rt.ckpt")
-    assert (back.config, back.epoch, back.adam_step_count, back.best_val_loss) == \
+    assert (back.config, back.epoch, back.adam.step, back.best_val_loss) == \
         (CONFIG, epoch, step, val_loss)
-    for group in ("params", "adam_m", "adam_v"):
-        for name, value in getattr(cp, group).items():
-            assert np.array_equal(getattr(back, group)[name], value)
+    for group in (lambda c: c.params, lambda c: c.adam.m, lambda c: c.adam.v):
+        for name, value in group(cp).items():
+            assert np.array_equal(group(back)[name], value)
     save_checkpoint(scratch / "rt2.ckpt", back)
     assert (scratch / "rt.ckpt").read_bytes() == (scratch / "rt2.ckpt").read_bytes()
 

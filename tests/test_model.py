@@ -572,14 +572,15 @@ def keyword_parameters(fn) -> list[str]:
 
 def test_attention_is_observed_through_the_tape_not_through_parameters():
     """The attention path takes no parameter that only collects what it
-    computed: ``record`` reads the tape. What a caller may leave out is
+    computed: ``record`` reads the tape, and the mask's rows say which query
+    rows are evaluated. What a caller may leave out is ``dctr_layer``'s
     ``clip_rows_only``, the final layer's short cut, ``transformer_d``'s
     clip length and ``forward``'s MAC counter."""
     fns = (ad.divide_attention, ad.conquer_attention, transformer_d, transformer_c,
            DCVQEModel.dctr_layer, DCVQEModel.forward)
     assert {fn.__qualname__: keyword_parameters(fn) for fn in fns} == {
-        "divide_attention": ["clip_rows_only"], "conquer_attention": [],
-        "transformer_d": ["clip_len", "clip_rows_only"], "transformer_c": [],
+        "divide_attention": [], "conquer_attention": [],
+        "transformer_d": ["clip_len"], "transformer_c": [],
         "DCVQEModel.dctr_layer": ["clip_rows_only"], "DCVQEModel.forward": ["cost"]}
 
 

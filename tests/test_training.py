@@ -111,8 +111,8 @@ class TestAdam:
             adam_step([("w", p)], [g], state, lr=lr)
             assert np.array_equal(p.data, theta)
             assert np.array_equal(state.m["w"], m) and np.array_equal(state.v["w"], v)
-        assert np.array_equal(before.adam_m["w"], np.zeros((4, 3)))
-        assert np.array_equal(before.adam_v["w"], np.zeros((4, 3)))
+        assert np.array_equal(before.adam.m["w"], np.zeros((4, 3)))
+        assert np.array_equal(before.adam.v["w"], np.zeros((4, 3)))
         assert np.array_equal(before.params["w"], initial)
 
     def test_blocked_update_spans_blocks_and_writes_through(self):
@@ -323,7 +323,7 @@ class TestFit:
         first = fit(model_b, train_seqs, val_seqs, small_train_cfg(max_epochs=2))
         resumed_model = first.final.build_model()
         second = fit(resumed_model, train_seqs, val_seqs, cfg,
-                     start_epoch=2, state=first.final.adam_state())
+                     start_epoch=2, state=first.final.adam)
 
         joined = [(r.epoch, r.train_loss, r.val_loss) for r in first.history + second.history]
         reference = [(r.epoch, r.train_loss, r.val_loss) for r in full.history]
@@ -353,12 +353,12 @@ class TestCheckpointIO:
         save_checkpoint(tmp_path / "c.ckpt", cp)
         back = load_checkpoint(tmp_path / "c.ckpt")
         assert back.config == cp.config
-        assert back.epoch == 3 and back.adam_step_count == 5
+        assert back.epoch == 3 and back.adam.step == 5
         assert back.best_val_loss == 1.25
         for k in cp.params:
             assert np.array_equal(back.params[k], cp.params[k])
-            assert np.array_equal(back.adam_m[k], cp.adam_m[k])
-            assert np.array_equal(back.adam_v[k], cp.adam_v[k])
+            assert np.array_equal(back.adam.m[k], cp.adam.m[k])
+            assert np.array_equal(back.adam.v[k], cp.adam.v[k])
 
     def test_build_model_draws_nothing_and_copies_the_payloads(self, monkeypatch):
         cp = self.make_checkpoint(seed=4)
@@ -390,7 +390,8 @@ class TestCheckpointIO:
     def test_nonfinite_payload_value_rejected_at_its_offset(self, tmp_path, group, bad):
         cp = self.make_checkpoint()
         sentinel = 12345.678  # marks the element's bytes in the file
-        getattr(cp, group)["layer2.divide.key"][3, 5] = sentinel
+        {"params": cp.params, "adam_m": cp.adam.m, "adam_v": cp.adam.v}[group][
+            "layer2.divide.key"][3, 5] = sentinel
         path = tmp_path / "n.ckpt"
         save_checkpoint(path, cp)
         raw = path.read_bytes()
@@ -515,7 +516,7 @@ class TestCheckpointIO:
         save_checkpoint(path, self.make_checkpoint())
         before = path.read_bytes()
         cp = self.make_checkpoint(seed=1)
-        cp.adam_v["regressor.bias"] = np.array([["not a number"]])
+        cp.adam.v["regressor.bias"] = np.array([["not a number"]])
         with pytest.raises(ValueError, match="could not convert"):
             save_checkpoint(path, cp)
         assert path.read_bytes() == before
