@@ -533,27 +533,27 @@ def conquer_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: 
 
 
 def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
-                     num_heads: int, clip_len: int,
-                     admissible: np.ndarray) -> tuple[Tensor, Tensor | None]:
+                     num_heads: int, admissible: np.ndarray) -> tuple[Tensor, Tensor | None]:
     """The divide stage of one video as one tape op.
 
-    ``frames`` [n, D] are cut into consecutive clips of ``clip_len`` frames;
+    ``admissible`` is the boolean mask of a full clip of L frames: its L + 1
+    columns fix L, and its rows are the query rows evaluated, all of them
+    ([L + 1, L + 1]) or row 0 alone ([1, L + 1]); K and V always cover every
+    position. ``frames`` [n, D] are cut into consecutive clips of L frames;
     the last clip keeps the remainder and is never padded. Each clip c runs
     as the sequence [video; frames of c] (``video`` is [1, D]) through the
-    multi-head attention of ``conquer_attention``, unpooled and masked with
-    ``admissible``, the boolean mask of a full clip: [clip_len + 1,
-    clip_len + 1], or its first row [1, clip_len + 1]. Its rows are the
-    query rows evaluated; K and V always cover every position. A shorter
-    last clip of m frames uses the leading block of m + 1 columns and up to
-    m + 1 rows. The mask must admit position 0, the video row, in every row,
-    so no row of any block is empty; ``ShapeError`` names a wrong shape or
-    dtype or the first row without it. The input sequence is added back
-    (residual). Returns the clip embeddings [C, D] (position 0 of each
-    clip's output, the clip row) and the updated frames [n, D]. The one-row
-    mask forms only the clip rows: the op records the clip embeddings as its
-    one output and returns None for the frames. The model uses it for its
-    final layer, whose updated frames reach neither the score nor the loss;
-    the clip embeddings agree with the full op's to rounding.
+    multi-head attention of ``conquer_attention``, unpooled and masked. A
+    shorter last clip of m frames uses the leading block of m + 1 columns
+    and up to m + 1 rows. The mask must admit position 0, the video row, in
+    every row, so no row of any block is empty; ``ShapeError`` names any
+    other shape, a wrong dtype or the first row without it. The input
+    sequence is added back (residual). Returns the clip embeddings [C, D]
+    (position 0 of each clip's output, the clip row) and the updated frames
+    [n, D]. The one-row mask forms only the clip rows: the op records the
+    clip embeddings as its one output and returns None for the frames. The
+    model uses it for its final layer, whose updated frames reach neither
+    the score nor the loss; the clip embeddings agree with the full op's to
+    rounding.
 
     All full-length clips run as one batch and a shorter last clip as a
     second one; the backward sums the two batches' projection gradients and
@@ -567,15 +567,14 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
     if video.shape != (1, frames.shape[1]):
         raise ShapeError(f"divide_attention needs frames [n, D] and video [1, D], got "
                          f"{frames.shape} and {video.shape}")
-    if clip_len < 1:
-        raise ShapeError(f"clip_len must be >= 1, got {clip_len}")
-    size = clip_len + 1
     if (not isinstance(admissible, np.ndarray) or admissible.dtype != bool
-            or admissible.shape not in ((size, size), (1, size))):
-        raise ShapeError(f"mask must be a boolean [{size}, {size}] array or its first row "
-                         f"[1, {size}] for clips of {clip_len} frames, got "
+            or admissible.ndim != 2 or admissible.shape[1] < 2
+            or len(admissible) not in (1, admissible.shape[1])):
+        raise ShapeError(f"mask must be a boolean [L + 1, L + 1] array or its first row "
+                         f"[1, L + 1] for clips of L >= 1 frames, got "
                          f"{getattr(admissible, 'dtype', type(admissible).__name__)} "
                          f"{np.shape(admissible)}")
+    clip_len = admissible.shape[1] - 1
     if not admissible[:, 0].all():
         raise ShapeError(f"mask row {int(np.argmin(admissible[:, 0]))} does not admit "
                          f"position 0, the video row")
@@ -679,8 +678,8 @@ def gradient_check(f: Callable[[], Tensor], params: Sequence[Tensor],
     difference quotients disagree by more than 1e-2 relative (kinks, e.g.
     |x| at 0) are flagged as non-smooth and excluded from the error maximum.
     """
-    if h <= 0:
-        raise ValueError(f"step h must be positive, got {h}")
+    if not 0 < h < math.inf:  # NaN fails too
+        raise ValueError(f"step h must be positive and finite, got {h}")
     with Graph() as graph:
         loss = f()
     f0 = loss.item()

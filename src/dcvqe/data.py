@@ -176,6 +176,9 @@ class DatasetManifest:
 
     def __post_init__(self):
         self.root = Path(self.root)
+        for key in ("scale_min", "scale_max"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.scale_min >= self.scale_max:
             raise ValueError(f"scale_min {self.scale_min} must be < scale_max {self.scale_max}")
         seen = set()
@@ -204,12 +207,16 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
                                  "mos": e.mos}, sort_keys=True) + "\n")
 
 
+def _number(record: dict, key: str) -> float:
+    if type(record[key]) not in (int, float):  # bool is a subclass of int
+        raise TypeError(f"{key} must be a number in {record}")
+    return float(record[key])
+
+
 def _manifest_entry(e: dict) -> ManifestEntry:
     if not (type(e["video_id"]) is str and type(e["feature_path"]) is str):
         raise TypeError(f"video_id and feature_path must be strings in {e}")
-    if type(e["mos"]) not in (int, float):  # bool is a subclass of int
-        raise TypeError(f"mos must be a number in {e}")
-    return ManifestEntry(e["video_id"], e["feature_path"], float(e["mos"]))
+    return ManifestEntry(e["video_id"], e["feature_path"], _number(e, "mos"))
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -228,8 +235,8 @@ def load_manifest(path) -> DatasetManifest:
     try:
         return DatasetManifest(
             entries=[_manifest_entry(e) for e in entries],
-            scale_min=float(header["scale_min"]),
-            scale_max=float(header["scale_max"]),
+            scale_min=_number(header, "scale_min"),
+            scale_max=_number(header, "scale_max"),
             root=path.parent,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

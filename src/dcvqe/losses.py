@@ -2,8 +2,13 @@
 
 The correlation penalty rewards predictions whose deviations from the batch
 mean agree in sign with the ground-truth deviations; it is an unnormalized
-Spearman-style order constraint, in the mean-deviation form, which equals
-the double-sum anchor form of the definition algebraically.
+Spearman-style order constraint, in the mean-deviation form
+N * sum_n max(0, -(p_n - mean(p)) * (g_n - mean(g))), which equals the
+double-sum anchor form of the definition algebraically. It is zero exactly
+whenever p is a positive affine transform of g. The N prefactor makes the
+term scale with batch size; tune its weight per batch size. The pairwise
+baseline averages log(1 + exp(-sign(g_n - g_m) * (p_n - p_m))) over the
+ordered pairs with g_n != g_m.
 
 ``total_loss`` is one tape node with a numpy forward and one hand-written
 VJP per term; the ground truths are constants. For an incoming gradient c
@@ -134,27 +139,3 @@ def total_loss(p, g, cfg: LossConfig) -> Tensor:
         return (sum(grads[1:], grads[0]),)
 
     return ad._record("total_loss", (pt,), sum(values[1:], values[0]), bw)
-
-
-def l1_loss(p, g) -> Tensor:
-    """Mean absolute error; subgradient 0 where prediction equals target."""
-    return total_loss(p, g, LossConfig(alpha=1.0, beta=0.0, variant="l1"))
-
-
-def correlation_loss(p, g) -> Tensor:
-    """Order-constraint penalty, mean-deviation form (the training path).
-
-    N * sum_n max(0, -(p_n - mean(p)) * (g_n - mean(g))). Gradient flows
-    through the prediction mean. Zero exactly whenever p is a positive
-    affine transform of g. The N prefactor makes the term scale with batch
-    size; tune its weight per batch size.
-    """
-    return total_loss(p, g, LossConfig(alpha=0.0, beta=1.0))
-
-
-def pairwise_ranking_loss(p, g) -> Tensor:
-    """Cross-entropy pairwise ranking baseline: the mean over ordered pairs
-    (n, m), n != m, of log(1 + exp(-sign(g_n - g_m) * (p_n - p_m))); pairs
-    with tied ground truths are skipped, and without an untied pair the
-    loss is 0 with a zero gradient."""
-    return total_loss(p, g, LossConfig(alpha=0.0, beta=1.0, variant="pwrl"))

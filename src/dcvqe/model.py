@@ -5,10 +5,11 @@ positional embeddings plus a learned video-level token, then stacks
 divide-and-conquer layers: windowed multi-head attention inside clips
 (divide, with a residual path) followed by unmasked attention plus average
 pooling over the clip embeddings (conquer, no residual). Clip coverage
-doubles at every layer. ``embed`` returns the final video embedding and
-``forward`` its scalar score from a linear regressor. The final layer's
-divide stage evaluates only the clip rows, since its updated frames reach
-nothing downstream; ``record`` evaluates every layer in full to observe it.
+doubles at every layer. An attention mask describes its divide call: its
+columns give the clip length plus the video row, its rows the query rows
+evaluated. The final layer's mask is row 0 alone, since its updated frames
+reach nothing downstream. ``embed`` returns the final video embedding and
+``forward`` its scalar score from a linear regressor.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ class DCVQEConfig:
 @dataclass(frozen=True)
 class AttentionMask:
     """Boolean admissibility matrix for one clip's attention: its rows are
-    the query rows evaluated (all ``size``, or row 0 alone), its columns keys.
+    the query rows evaluated (all ``size``, or row 0 alone), its ``size``
+    columns the keys, which fix the clip length at ``size - 1`` frames.
 
     Position 0 is reserved for the video-level embedding: row 0 and column 0
     are always admissible. Frame positions i, j >= 1 are admissible iff
@@ -122,18 +124,6 @@ class AttentionCost:
         return self.macs.get((layer, stage), 0)
 
 
-@dataclass
-class LayerActivations:
-    """Per-layer intermediate quantities from ``DCVQEModel.record``, off the tape."""
-
-    clip_boundaries: list[list[tuple[int, int]]] = field(default_factory=list)
-    frame_embeddings: list[np.ndarray] = field(default_factory=list)
-    clip_embeddings: list[np.ndarray] = field(default_factory=list)
-    video_embeddings: list[np.ndarray] = field(default_factory=list)
-    divide_attention: list[list[np.ndarray]] = field(default_factory=list)
-    conquer_attention: list[np.ndarray] = field(default_factory=list)
-
-
 def layer_clip_len(config: DCVQEConfig, layer: int) -> int:
     """Frames per clip at ``layer`` (1-based): ``base_clip_len * 2**(layer-1)``,
     at most ``max_seq_len``, the longest video."""
@@ -152,24 +142,22 @@ def split_clips(length: int, clip_len: int) -> list[tuple[int, int]]:
 
 
 def transformer_d(proj: tuple[Tensor, Tensor, Tensor], num_heads: int, video_qe: Tensor,
-                  frames: Tensor, mask: AttentionMask,
-                  clip_len: int | None = None) -> tuple[Tensor, Tensor | None]:
+                  frames: Tensor, mask: AttentionMask) -> tuple[Tensor, Tensor | None]:
     """Divide-stage attention over the frames [n, D] of one video, cut into
-    clips of ``clip_len`` frames (default: one clip of all n frames).
+    clips of ``mask.size - 1`` frames.
 
     ``proj`` is the (query, key, value) weights. Each clip runs as the
     sequence [video_qe; clip frames] through masked multi-head attention,
     and the module input is added back (residual). ``mask`` is the mask of
-    a full clip (size ``clip_len + 1``); a shorter last clip uses its
-    leading block, which for a banded mask is the banded mask of that size.
-    Returns the clip-level embeddings [C, D] and the updated frame
-    embeddings [n, D], or None for them when the mask is row 0 alone, which
-    evaluates the clip rows only (see ``autodiff.divide_attention``). The
-    whole stage is one ``autodiff.divide_attention`` node on the tape. Its
-    attention MACs follow from the clip layout alone (``AttentionCost``).
+    a full clip; a shorter last clip uses its leading block, which for a
+    banded mask is the banded mask of that size. Returns the clip-level
+    embeddings [C, D] and the updated frame embeddings [n, D], or None for
+    them when the mask is row 0 alone, which evaluates the clip rows only
+    (see ``autodiff.divide_attention``). The whole stage is one
+    ``autodiff.divide_attention`` node on the tape. Its attention MACs
+    follow from the clip layout alone (``AttentionCost``).
     """
-    clip_len = frames.shape[0] if clip_len is None else clip_len
-    return ad.divide_attention(frames, video_qe, *proj, num_heads, clip_len, mask.admissible)
+    return ad.divide_attention(frames, video_qe, *proj, num_heads, mask.admissible)
 
 
 def transformer_c(proj: tuple[Tensor, Tensor, Tensor], num_heads: int,
@@ -251,19 +239,19 @@ class DCVQEModel:
         """
         return ad.positional(frames, self.params["video_token"], self.params["positional"])
 
-    def dctr_layer(self, layer: int, frames: Tensor, video_qe: Tensor,
-                   clip_rows_only: bool = False) -> tuple[Tensor | None, Tensor]:
+    def dctr_layer(self, layer: int, frames: Tensor,
+                   video_qe: Tensor) -> tuple[Tensor | None, Tensor]:
         """One divide-and-conquer layer: ``transformer_d`` over clips of
         ``layer_clip_len(config, layer)`` frames, then ``transformer_c`` over
-        their embeddings. Returns the updated frames (None with
-        ``clip_rows_only``, whose mask is row 0 alone) and the video embedding."""
+        their embeddings. Returns the updated frames and the video embedding.
+        The final layer's mask is row 0 alone: it evaluates the clip rows
+        only and returns None for the frames, which reach nothing."""
         cfg = self.config
-        clip_len = layer_clip_len(cfg, layer)
-        mask = AttentionMask.banded(clip_len + 1, cfg.temporal_range)
-        if clip_rows_only:
+        mask = AttentionMask.banded(layer_clip_len(cfg, layer) + 1, cfg.temporal_range)
+        if layer == cfg.num_layers:
             mask = AttentionMask(mask.size, mask.admissible[:1])
         clips, frames = transformer_d(self._projections(layer, "divide"), cfg.num_heads,
-                                      video_qe, frames, mask, clip_len=clip_len)
+                                      video_qe, frames, mask)
         return frames, transformer_c(self._projections(layer, "conquer"), cfg.num_heads, clips)
 
     def embed(self, features) -> Tensor:
@@ -272,9 +260,8 @@ class DCVQEModel:
         rows of a ``FeatureSequence`` stay float32 on the tape and are widened
         only inside the input projection's GEMMs (``project_input``)."""
         video, frames = self.add_positional(self.project_input(features))
-        last = self.config.num_layers
-        for layer in range(1, last + 1):
-            frames, video = self.dctr_layer(layer, frames, video, clip_rows_only=layer == last)
+        for layer in range(1, self.config.num_layers + 1):
+            frames, video = self.dctr_layer(layer, frames, video)
         return video
 
     def forward(self, features, cost: AttentionCost | None = None) -> Tensor:
@@ -286,31 +273,6 @@ class DCVQEModel:
         if cost is not None:
             cost.count_video(self.config, features.shape[0])
         return score
-
-    def record(self, features) -> LayerActivations:
-        """Every layer's activations and attention maps for the features
-        [S, input_dim] (an array) of one video.
-
-        The model runs once inside a throwaway ``Graph``, so nothing reaches
-        a caller's tape, and evaluates every layer in full, the final one
-        included: its clip and video embeddings agree with ``embed``'s to
-        rounding, not bit for bit. Every array is the output or ``weights`` of
-        one of that graph's attention nodes."""
-        with ad.Graph() as graph:
-            video, frames = self.add_positional(self.project_input(features))
-            for layer in range(1, self.config.num_layers + 1):
-                frames, video = self.dctr_layer(layer, frames, video)
-        divides = [node for node in graph.nodes if node.op == "divide_attention"]
-        conquers = [node for node in graph.nodes if node.op == "conquer_attention"]
-        return LayerActivations(
-            clip_boundaries=[split_clips(len(features), layer_clip_len(self.config, layer))
-                             for layer in range(1, len(divides) + 1)],
-            frame_embeddings=[node.outputs[1].data for node in divides],
-            clip_embeddings=[node.outputs[0].data for node in divides],
-            video_embeddings=[node.outputs[0].data for node in conquers],
-            divide_attention=[[clip for batch in node.weights for clip in batch]
-                              for node in divides],
-            conquer_attention=[node.weights[0] for node in conquers])
 
     def predict(self, features) -> float:
         """Plain inference: scalar score with no graph recorded."""

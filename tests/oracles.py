@@ -1,23 +1,26 @@
-"""Reference computations and a tape op that only the tests use.
+"""Reference computations, observation and a tape op that only the tests use.
 
 ``weighted_sum`` is the scalar that engine and op tests differentiate.
 ``correlation_loss_raw`` is the double-sum anchor form of the order
 constraint, evaluated literally, against which the mean-deviation form of
-``losses.correlation_loss`` is checked. ``linear_probe`` is a learnability
-check for a synthetic dataset. ``initial_params`` spells out the seeded
-parameter draw of ``DCVQEModel.initialize`` one parameter at a time.
-``krcc_pairs`` is Kendall tau-b from the full matrix of pair signs.
-``clip_maps`` reads the per-clip attention weights off a tape.
+the correlation term of ``losses.total_loss`` is checked. ``linear_probe``
+is a learnability check for a synthetic dataset. ``initial_params`` spells
+out the seeded parameter draw of ``DCVQEModel.initialize`` one parameter at
+a time. ``krcc_pairs`` is Kendall tau-b from the full matrix of pair signs.
+``clip_maps`` reads the per-clip attention weights off a tape, and
+``record`` every layer's activations and attention maps.
 """
 
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from dcvqe import autodiff as ad
 from dcvqe import metrics
 from dcvqe.data import DatasetManifest, load_sequences
+from dcvqe.model import AttentionMask, layer_clip_len, split_clips, transformer_c, transformer_d
 
 
 def weighted_sum(*terms, power: int = 1) -> ad.Tensor:
@@ -43,9 +46,51 @@ def weighted_sum(*terms, power: int = 1) -> ad.Tensor:
 def clip_maps(graph: ad.Graph) -> list[np.ndarray]:
     """The [H, m, L] attention weights of every clip of the graph's
     ``divide_attention`` nodes, in the order recorded, read from the nodes'
-    ``weights`` as ``DCVQEModel.record`` reads them."""
+    ``weights`` as ``record`` reads them."""
     return [clip for node in graph.nodes if node.op == "divide_attention"
             for batch in node.weights for clip in batch]
+
+
+@dataclass
+class LayerActivations:
+    """Per-layer quantities of one video, the final layer evaluated in full."""
+
+    clip_boundaries: list[list[tuple[int, int]]]
+    frame_embeddings: list[np.ndarray]
+    clip_embeddings: list[np.ndarray]
+    video_embeddings: list[np.ndarray]
+    divide_attention: list[list[np.ndarray]]
+    conquer_attention: list[np.ndarray]
+
+
+def record(model, features) -> LayerActivations:
+    """Every layer's activations and attention maps for the features
+    [S, input_dim] (an array) of one video.
+
+    The model's layers run once inside a throwaway ``Graph``, so nothing
+    reaches a caller's tape, each with the full banded mask of its clips,
+    the final layer included: its clip and video embeddings agree with
+    ``embed``'s to rounding, not bit for bit. Every array is the output or
+    ``weights`` of one of that graph's attention nodes."""
+    cfg = model.config
+    with ad.Graph() as graph:
+        video, frames = model.add_positional(model.project_input(features))
+        for layer in range(1, cfg.num_layers + 1):
+            mask = AttentionMask.banded(layer_clip_len(cfg, layer) + 1, cfg.temporal_range)
+            clips, frames = transformer_d(model._projections(layer, "divide"), cfg.num_heads,
+                                          video, frames, mask)
+            video = transformer_c(model._projections(layer, "conquer"), cfg.num_heads, clips)
+    divides = [node for node in graph.nodes if node.op == "divide_attention"]
+    conquers = [node for node in graph.nodes if node.op == "conquer_attention"]
+    return LayerActivations(
+        clip_boundaries=[split_clips(len(features), layer_clip_len(cfg, layer))
+                         for layer in range(1, cfg.num_layers + 1)],
+        frame_embeddings=[node.outputs[1].data for node in divides],
+        clip_embeddings=[node.outputs[0].data for node in divides],
+        video_embeddings=[node.outputs[0].data for node in conquers],
+        divide_attention=[[clip for batch in node.weights for clip in batch]
+                          for node in divides],
+        conquer_attention=[node.weights[0] for node in conquers])
 
 
 def correlation_loss_raw(p, g) -> float:

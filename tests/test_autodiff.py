@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from dcvqe import autodiff as ad
 from dcvqe.autodiff import Graph, GraphError, ShapeError, Tensor, backward, gradient_check
-from dcvqe.losses import l1_loss
+from dcvqe.losses import LossConfig, total_loss
 from dcvqe.model import DCVQEConfig, DCVQEModel
 from dcvqe.training import TINY_CONFIG
 from oracles import clip_maps, weighted_sum
@@ -688,7 +688,7 @@ class TestGradientCheck:
         theta = Tensor([0.0], name="theta")
 
         def f():  # |theta - 0|, the loss node's kink
-            return l1_loss(theta, [0.0])
+            return total_loss(theta, [0.0], LossConfig(alpha=1.0, beta=0.0, variant="l1"))
 
         report = gradient_check(f, [theta], h=1e-5)
         assert report.per_parameter[0].flagged_nonsmooth == 1
@@ -704,9 +704,10 @@ class TestGradientCheck:
         with pytest.raises(FloatingPointError):
             gradient_check(f, [theta])
 
-    def test_bad_step_rejected(self):
-        with pytest.raises(ValueError):
-            gradient_check(lambda: Tensor(0.0), [], h=0.0)
+    @pytest.mark.parametrize("h", [0.0, math.nan, math.inf, -1e-5])
+    def test_bad_step_rejected(self, h):
+        with pytest.raises(ValueError, match="step h"):
+            gradient_check(lambda: Tensor(0.0), [], h=h)
 
     @pytest.mark.parametrize("op, shapes", [
         (ad.linear, [(5, 4), (4, 3), (1, 3)]),
@@ -914,7 +915,7 @@ class TestDivideAttention:
         w_frames = rng.normal(size=(n, self.DIM))
 
         def f():
-            c, fr = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask)
+            c, fr = ad.divide_attention(frames, video, *ws, self.HEADS, mask)
             return weighted_sum((c, w_clips), (fr, w_frames))
 
         report = gradient_check(f, [frames, video, *ws], h=1e-6)
@@ -927,7 +928,7 @@ class TestDivideAttention:
         frames, video, ws = self.operands(n, 50)
         mask = banded_mask(clip_len + 1, 1)
         with Graph() as g:
-            clips, out = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask)
+            clips, out = ad.divide_attention(frames, video, *ws, self.HEADS, mask)
         sink = clip_maps(g)
         rows = np.vstack([video.data, frames.data])  # row 0 the video, row 1 + t frame t
         want_clips, want_frames, want_sink = [], [], []
@@ -952,7 +953,7 @@ class TestDivideAttention:
     def test_one_node_with_two_outputs(self):
         frames, video, ws = self.operands(10, 51)
         with Graph() as g:
-            clips, out = ad.divide_attention(frames, video, *ws, self.HEADS, 4,
+            clips, out = ad.divide_attention(frames, video, *ws, self.HEADS,
                                              banded_mask(5, None))
             loss = weighted_sum((clips, 1.0), power=2)  # the frames output is unused
         assert [node.op for node in g.nodes] == ["divide_attention", "weighted_sum"]
@@ -966,7 +967,7 @@ class TestDivideAttention:
         w_clips = np.random.default_rng(61).normal(size=(-(-n // clip_len), self.DIM))
 
         def f():
-            c, _ = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len, mask[:1])
+            c, _ = ad.divide_attention(frames, video, *ws, self.HEADS, mask[:1])
             return weighted_sum((c, w_clips))
 
         report = gradient_check(f, [frames, video, *ws], h=1e-6)
@@ -981,7 +982,7 @@ class TestDivideAttention:
 
         def run(clip_rows_only):  # the clip rows feed the loss, the frames nothing
             with Graph() as g:
-                clips, _ = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len,
+                clips, _ = ad.divide_attention(frames, video, *ws, self.HEADS,
                                                mask[:1] if clip_rows_only else mask)
                 loss = weighted_sum((clips, w_clips))
             return clips, backward(loss, g, [frames, video, *ws]), clip_maps(g), g
@@ -1023,7 +1024,7 @@ class TestDivideAttention:
         w_clips = rng.normal(size=(clips, self.DIM))
         w_frames = np.zeros((n, self.DIM)) if clip_rows_only else rng.normal(size=(n, self.DIM))
         with Graph() as g:
-            c, fr = ad.divide_attention(frames, video, *ws, self.HEADS, clip_len,
+            c, fr = ad.divide_attention(frames, video, *ws, self.HEADS,
                                         mask[:1] if clip_rows_only else mask)
             loss = weighted_sum((c, w_clips), *[] if clip_rows_only else [(fr, w_frames)])
         assert (fr is None) == clip_rows_only
@@ -1045,19 +1046,21 @@ class TestDivideAttention:
             assert_close_to_reference(got, want)
 
     def test_rejects_bad_operands(self):
+        """A mask of fewer than 2 columns, of neither 1 row nor as many rows
+        as columns, not 2-d, or not a boolean array is refused."""
         frames, video, ws = self.operands(6, 52)
         mask = banded_mask(5, 1)
-        for bad, got in ((banded_mask(4, 1), r"bool \(4, 4\)"), (None, r"NoneType \(\)"),
+        for bad, got in ((banded_mask(4, 1)[:3], r"bool \(3, 4\)"), (None, r"NoneType \(\)"),
                          (mask[:2], r"bool \(2, 5\)"), (mask[:, :1], r"bool \(5, 1\)"),
-                         (banded_mask(4, 1)[:1], r"bool \(1, 4\)"),
+                         (banded_mask(1, 1), r"bool \(1, 1\)"),
+                         (mask[None], r"bool \(1, 5, 5\)"), (mask[0], r"bool \(5,\)"),
                          (mask.astype(np.float64), "float64"), (mask.astype(np.int8), "int8"),
                          (mask.tolist(), r"list \(5, 5\)")):
-            with pytest.raises(ShapeError, match=r"boolean \[5, 5\] array .* got " + got):
-                ad.divide_attention(frames, video, *ws, self.HEADS, 4, bad)
+            with pytest.raises(ShapeError, match=r"boolean \[L \+ 1, L \+ 1\] array .* got "
+                                                 + got):
+                ad.divide_attention(frames, video, *ws, self.HEADS, bad)
         with pytest.raises(ShapeError, match="video"):
-            ad.divide_attention(frames, frames, *ws, self.HEADS, 4, mask)
-        with pytest.raises(ShapeError, match="clip_len"):
-            ad.divide_attention(frames, video, *ws, self.HEADS, 0, banded_mask(1, 1))
+            ad.divide_attention(frames, frames, *ws, self.HEADS, mask)
 
     @pytest.mark.parametrize("clip_rows_only", [False, True])
     @pytest.mark.parametrize("bad_rows", [[3], [2, 4], [0]])
@@ -1073,7 +1076,7 @@ class TestDivideAttention:
             mask, first = mask[first:first + 1], 0
         with pytest.raises(ShapeError, match=f"mask row {first} does not admit "
                                              f"position 0"):
-            ad.divide_attention(frames, video, *ws, self.HEADS, 4, mask)
+            ad.divide_attention(frames, video, *ws, self.HEADS, mask)
 
     def test_a_mask_of_column_0_alone_leaves_no_row_empty(self):
         """Every row of both blocks (a full clip and a shorter last one)
@@ -1083,7 +1086,7 @@ class TestDivideAttention:
         mask = np.zeros((5, 5), dtype=bool)
         mask[:, 0] = True
         with Graph() as g:
-            ad.divide_attention(frames, video, *ws, self.HEADS, 4, mask)
+            ad.divide_attention(frames, video, *ws, self.HEADS, mask)
         sink = clip_maps(g)
         assert [w.shape for w in sink] == [(self.HEADS, 5, 5), (self.HEADS, 4, 4)]
         for w in sink:
@@ -1174,7 +1177,7 @@ class TestDeterminism:
             rows = Tensor(a[[[0, 1, 2, 3, 4, 5], [5, 3, 1, 0, 2, 4]]].reshape(12, 6))
             with Graph() as g:
                 y = ad.linear(rows, t, bias)
-                clips, frames = ad.divide_attention(y, bias, t, t, t, 2, 5, mask)
+                clips, frames = ad.divide_attention(y, bias, t, t, t, 2, mask)
                 z = ad.conquer_attention(clips, t, t, t, 2)
                 loss = weighted_sum((frames, 1.0), (z, 1.0), power=2)
             return (y.data.copy(), frames.data.copy(), z.data.copy(),

@@ -193,6 +193,17 @@ class TestExitCodes:
         assert "no.json" in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
 
+    def test_manifest_scale_bound_not_finite_is_two(self, tmp_path, trained_checkpoint,
+                                                     capsys):
+        bad = tmp_path / "manifest.jsonl"
+        bad.write_text('{"scale_min": 1, "scale_max": NaN}\n'
+                       '{"video_id": "a", "feature_path": "a.dcvq", "mos": 2.0}\n')
+        assert main(["eval", "--manifest", str(bad),
+                     "--checkpoint", str(trained_checkpoint)]) == 2
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err and len(err.splitlines()) == 1
+        assert "scale_max must be finite" in err
+
     def test_corrupt_feature_file_is_two(self, tmp_path, trained_checkpoint, capsys):
         bad = tmp_path / "bad.dcvq"
         bad.write_bytes(b"NOPE" + b"\x00" * 20)

@@ -230,6 +230,26 @@ class TestManifest:
         with pytest.raises(FormatError, match=field):
             load_manifest(path)
 
+    @pytest.mark.parametrize("header, key", [
+        ('{"scale_min": "1", "scale_max": "5"}', "scale_min"),
+        ('{"scale_min": true, "scale_max": 5}', "scale_min"),
+        ('{"scale_min": -Infinity, "scale_max": Infinity}', "scale_min"),
+        ('{"scale_min": 1, "scale_max": NaN}', "scale_max"),
+    ], ids=["strings", "bool", "infinite", "nan"])
+    def test_scale_bound_that_is_not_a_finite_number_is_format_error(self, tmp_path, header,
+                                                                     key):
+        path = tmp_path / "m.jsonl"
+        path.write_text(header + "\n"
+                        + json.dumps({"video_id": "a", "feature_path": "a.dcvq", "mos": 2.0})
+                        + "\n")
+        with pytest.raises(FormatError, match=key):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("scale", [(math.nan, 5.0), (1.0, math.inf), (-math.inf, 5.0)])
+    def test_scale_bounds_must_be_finite(self, tmp_path, scale):
+        with pytest.raises(ValueError, match="finite"):
+            manifest_of(0, tmp_path, scale)
+
     def test_manifest_not_utf8_is_format_error(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_bytes(b'{"scale_min": 1.0, "scale_max": 5.0}\n{"video_id": "\xff"}\n')

@@ -11,9 +11,13 @@ from hypothesis import strategies as st
 
 from dcvqe import autodiff as ad
 from dcvqe.autodiff import Graph, Tensor, backward
-from dcvqe.losses import (LossConfig, correlation_loss, l1_loss, pairwise_ranking_loss,
-                          total_loss)
+from dcvqe.losses import LossConfig, total_loss
 from oracles import correlation_loss_raw
+
+# each term alone at weight 1
+L1 = LossConfig(alpha=1.0, beta=0.0, variant="l1")
+CORRELATION = LossConfig(alpha=0.0, beta=1.0)
+PWRL = LossConfig(alpha=0.0, beta=1.0, variant="pwrl")
 
 
 def l1_oracle(p, g):
@@ -50,35 +54,35 @@ batches = st.integers(min_value=1, max_value=32).flatmap(
 
 class TestL1:
     def test_zero_at_equality(self):
-        assert l1_loss([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]).item() == 0.0
+        assert total_loss([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], L1).item() == 0.0
 
     def test_hand_sum(self):
-        assert l1_loss([1.0, 2.0], [2.0, 4.0]).item() == 1.5
+        assert total_loss([1.0, 2.0], [2.0, 4.0], L1).item() == 1.5
 
     def test_scalar_loop_oracle(self):
         rng = np.random.default_rng(0)
         p = rng.uniform(-5, 5, 50).tolist()
         g = rng.uniform(-5, 5, 50).tolist()
-        assert math.isclose(l1_loss(p, g).item(), l1_oracle(p, g), rel_tol=1e-12)
+        assert math.isclose(total_loss(p, g, L1).item(), l1_oracle(p, g), rel_tol=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ad.ShapeError):
-            l1_loss([1.0], [1.0, 2.0])
+            total_loss([1.0], [1.0, 2.0], L1)
 
 
 class TestCorrelationLoss:
     def test_reversed_order_anchor(self):
         # deviations (-1,0,1) vs (1,0,-1): hinge terms 1,0,1; times N=3 -> 6
-        assert correlation_loss([1, 2, 3], [3, 2, 1]).item() == 6.0
+        assert total_loss([1, 2, 3], [3, 2, 1], CORRELATION).item() == 6.0
         assert correlation_loss_raw([1, 2, 3], [3, 2, 1]) == 6.0
 
     def test_single_sample_is_zero(self):
-        assert correlation_loss([4.2], [1.0]).item() == 0.0
+        assert total_loss([4.2], [1.0], CORRELATION).item() == 0.0
         assert correlation_loss_raw([4.2], [1.0]) == 0.0
 
     def test_equal_vectors_zero(self):
         g = [1.0, 3.0, 2.0, 5.0]
-        assert correlation_loss(g, g).item() == 0.0
+        assert total_loss(g, g, CORRELATION).item() == 0.0
 
     def test_positive_affine_annihilation_exact(self):
         rng = np.random.default_rng(1)
@@ -86,41 +90,41 @@ class TestCorrelationLoss:
             g = rng.uniform(-10, 10, int(rng.integers(2, 12)))
             a = float(rng.uniform(0.1, 5.0))
             b = float(rng.uniform(-10, 10))
-            assert correlation_loss(a * g + b, g).item() == 0.0
+            assert total_loss(a * g + b, g, CORRELATION).item() == 0.0
 
     def test_anti_affine_worst_case(self):
         g = np.array([1.0, 2.0, 4.0, 7.0])
         n = len(g)
         expected = n * ((g - g.mean()) ** 2).sum()
-        assert math.isclose(correlation_loss(-g, g).item(), expected, rel_tol=1e-12)
+        assert math.isclose(total_loss(-g, g, CORRELATION).item(), expected, rel_tol=1e-12)
 
     @given(batches)
     def test_equivalence_of_both_forms(self, pg):
         p, g = pg
         raw = correlation_loss_raw(p, g)
-        simplified = correlation_loss(p, g).item()
+        simplified = total_loss(p, g, CORRELATION).item()
         assert abs(raw - simplified) <= 1e-9 * max(1.0, abs(raw), abs(simplified))
 
     @given(batches, st.floats(min_value=0.01, max_value=50, allow_nan=False))
     def test_quadratic_scaling(self, pg, c):
         p, g = pg
-        base = correlation_loss(p, g).item()
-        scaled = correlation_loss(c * np.asarray(p), c * np.asarray(g)).item()
+        base = total_loss(p, g, CORRELATION).item()
+        scaled = total_loss(c * np.asarray(p), c * np.asarray(g), CORRELATION).item()
         assert math.isclose(scaled, c * c * base, rel_tol=1e-9, abs_tol=1e-9)
 
     @given(batches)
     def test_nonnegative(self, pg):
         p, g = pg
-        assert correlation_loss(p, g).item() >= 0.0
+        assert total_loss(p, g, CORRELATION).item() >= 0.0
         assert correlation_loss_raw(p, g) >= 0.0
-        assert l1_loss(p, g).item() >= 0.0
+        assert total_loss(p, g, L1).item() >= 0.0
 
     def test_gradient_flows_through_mean(self):
         p = Tensor([[1.0], [2.0], [4.0]], name="p")
         g = [3.0, 2.0, 1.0]
 
         def f():
-            return correlation_loss(p, g)
+            return total_loss(p, g, CORRELATION)
 
         report = ad.gradient_check(f, [p], h=1e-6)
         assert report.max_rel_error <= 1e-6
@@ -130,24 +134,24 @@ class TestPairwiseRanking:
     def test_large_margin_near_zero(self):
         p = [0.0, 100.0, 200.0]
         g = [1.0, 2.0, 3.0]
-        assert pairwise_ranking_loss(p, g).item() < 1e-10
+        assert total_loss(p, g, PWRL).item() < 1e-10
 
     def test_tied_prediction_pair_gives_log2(self):
-        loss = pairwise_ranking_loss([1.0, 1.0], [1.0, 2.0]).item()
+        loss = total_loss([1.0, 1.0], [1.0, 2.0], PWRL).item()
         assert math.isclose(loss, math.log(2.0), rel_tol=1e-12)
 
     def test_scalar_loop_oracle(self):
         rng = np.random.default_rng(2)
         p = rng.uniform(-3, 3, 10).tolist()
         g = rng.uniform(1, 5, 10).tolist()
-        assert math.isclose(pairwise_ranking_loss(p, g).item(), pwrl_oracle(p, g),
+        assert math.isclose(total_loss(p, g, PWRL).item(), pwrl_oracle(p, g),
                             rel_tol=1e-10)
 
     def test_tied_pairs_skipped(self):
         p = [1.0, 2.0, 3.0]
         g = [1.0, 1.0, 2.0]  # pair (0,1) tied, skipped
         expected = pwrl_oracle(p, g)
-        assert math.isclose(pairwise_ranking_loss(p, g).item(), expected, rel_tol=1e-12)
+        assert math.isclose(total_loss(p, g, PWRL).item(), expected, rel_tol=1e-12)
 
     @staticmethod
     def value_and_gradient(p, g, cfg):
@@ -179,7 +183,7 @@ class TestPairwiseRanking:
         g = [1.0, 3.0, 2.0, 5.0]
 
         def f():
-            return pairwise_ranking_loss(p, g)
+            return total_loss(p, g, PWRL)
 
         assert ad.gradient_check(f, [p], h=1e-6).max_rel_error <= 1e-6
 
@@ -203,7 +207,7 @@ class TestPairwiseRanking:
         d = np.full(z.shape, 1.0 / z.size) * (1.0 / (1.0 + np.exp(-z))) * signs
         p = Tensor(pv)
         with Graph() as g:
-            loss = pairwise_ranking_loss(p, gv)
+            loss = total_loss(p, gv, PWRL)
         (dp,) = backward(loss, g, [p])
         assert loss.item() == want_loss
         assert np.array_equal(dp, (d.T @ select).T)
@@ -220,7 +224,7 @@ class TestPairwiseRanking:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with Graph() as g:
-                    loss = pairwise_ranking_loss(p, [1.0, 2.0])
+                    loss = total_loss(p, [1.0, 2.0], PWRL)
                 (dp,) = backward(loss, g, [p])
             assert np.isfinite(dp).all()
             losses.append(loss.item())
@@ -234,7 +238,7 @@ class TestPairwiseRanking:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with Graph() as g:
-                loss = pairwise_ranking_loss(p, [1.0, 2.0, 3.0, 4.0])
+                loss = total_loss(p, [1.0, 2.0, 3.0, 4.0], PWRL)
             (dp,) = backward(loss, g, [p])
         assert math.isfinite(loss.item()) and np.isfinite(dp).all()
 
@@ -243,37 +247,37 @@ class TestLargeFiniteTerms:
     """A mean whose plain sum overflows although every term is finite is the
     sum of each term divided by the count; no warning, no inf."""
 
-    @pytest.mark.parametrize("loss, p, g, want", [
-        (pairwise_ranking_loss, [[1e308], [0.0]], [1.0, 2.0], 1e308),  # two pairs of 1e308
-        (l1_loss, [[1e308], [-1e308]], [0.0, 0.0], 1e308),
-        (correlation_loss, [[1e308], [1e308]], [1.0, 2.0], 0.0),  # p constant: no misorder
+    @pytest.mark.parametrize("cfg, p, g, want", [
+        (PWRL, [[1e308], [0.0]], [1.0, 2.0], 1e308),  # two pairs of 1e308
+        (L1, [[1e308], [-1e308]], [0.0, 0.0], 1e308),
+        (CORRELATION, [[1e308], [1e308]], [1.0, 2.0], 0.0),  # p constant: no misorder
     ], ids=["pwrl", "l1", "correlation"])
-    def test_loss_is_finite(self, loss, p, g, want):
+    def test_loss_is_finite(self, cfg, p, g, want):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert loss(p, g).item() == want
+            assert total_loss(p, g, cfg).item() == want
 
     def test_an_infinite_term_stays_infinite(self):
-        assert l1_loss([[np.inf], [0.0]], [0.0, 0.0]).item() == np.inf
+        assert total_loss([[np.inf], [0.0]], [0.0, 0.0], L1).item() == np.inf
 
 
 class TestTotalLoss:
     def test_pure_l1(self):
         cfg = LossConfig(alpha=1.0, beta=0.0)
         p, g = [1.0, 4.0], [2.0, 2.0]
-        assert total_loss(p, g, cfg).item() == l1_loss(p, g).item()
+        assert total_loss(p, g, cfg).item() == total_loss(p, g, L1).item()
 
     def test_pure_correlation(self):
         cfg = LossConfig(alpha=0.0, beta=1.0)
         p, g = [1.0, 4.0, 2.0], [2.0, 2.0, 5.0]
-        assert total_loss(p, g, cfg).item() == correlation_loss(p, g).item()
+        assert total_loss(p, g, cfg).item() == total_loss(p, g, CORRELATION).item()
 
     def test_weighted_anchor_via_hand_evaluation(self):
         # l1 = (|1-2| + |2-1|)/2 = 1; correlation: deviations (-.5,.5) vs
         # (.5,-.5), hinge terms .25 each, times N=2 -> 1; both forms agree
         p, g = [1.0, 2.0], [2.0, 1.0]
         assert correlation_loss_raw(p, g) == 1.0
-        assert correlation_loss(p, g).item() == 1.0
+        assert total_loss(p, g, CORRELATION).item() == 1.0
         total = total_loss(p, g, LossConfig(alpha=0.7, beta=0.3)).item()
         assert abs(total - (0.7 * 1.0 + 0.3 * 1.0)) <= 1e-12
 
@@ -286,7 +290,7 @@ class TestTotalLoss:
     def test_l1_only_variant_ignores_beta(self):
         cfg = LossConfig(alpha=1.0, beta=0.5, variant="l1")
         p, g = [1.0, 2.0], [2.0, 1.0]
-        assert total_loss(p, g, cfg).item() == l1_loss(p, g).item()
+        assert total_loss(p, g, cfg).item() == total_loss(p, g, L1).item()
 
     def test_gradient_of_total(self):
         p = Tensor([[1.3], [0.2], [4.0]], name="p")
@@ -340,17 +344,16 @@ class TestLossNode:
         assert active.any() and not active.all()
         assert np.array_equal(dp, want)
 
-    @pytest.mark.parametrize("loss", [l1_loss, correlation_loss, pairwise_ranking_loss,
-                                      lambda p, g: total_loss(p, g, LossConfig())])
-    def test_empty_input_raises(self, loss):
+    @pytest.mark.parametrize("cfg", [L1, CORRELATION, PWRL, LossConfig()])
+    def test_empty_input_raises(self, cfg):
         with pytest.raises(ad.ShapeError, match="N >= 1"):
-            loss([], [])
+            total_loss([], [], cfg)
 
     @given(st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False,
                               allow_infinity=False), min_size=1, max_size=20))
     def test_l1_mean_matches_numpy(self, xs):
-        assert math.isclose(l1_loss(xs, [0.0] * len(xs)).item(), float(np.mean(np.abs(xs))),
-                            rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(total_loss(xs, [0.0] * len(xs), L1).item(),
+                            float(np.mean(np.abs(xs))), rel_tol=1e-12, abs_tol=1e-12)
 
 
 class TestLossConfig:

@@ -20,7 +20,7 @@ from dcvqe.model import (AttentionCost, AttentionMask, DCVQEConfig, DCVQEModel,
                          SequenceLengthError, parameter_shapes, split_clips, transformer_c,
                          transformer_d)
 from dcvqe.training import TINY_CONFIG, AdamState, Checkpoint, save_checkpoint
-from oracles import clip_maps, initial_params
+from oracles import clip_maps, initial_params, record
 
 TINY = DCVQEConfig(input_dim=12, model_dim=8, num_heads=2, num_layers=2,
                    base_clip_len=4, temporal_range=2, max_seq_len=16)
@@ -188,22 +188,26 @@ class TestTransformerD:
         assert sink[0].shape == (2, 2, 2)
         assert (sink[0] > 0).all()
 
-    def test_mask_size_check(self):
+    @pytest.mark.parametrize("admissible", [np.ones((1, 1), dtype=bool),
+                                            np.ones((3, 4), dtype=bool),
+                                            np.ones((1, 5, 5), dtype=bool)],
+                             ids=["no_frame_column", "rows_neither_1_nor_columns", "3d"])
+    def test_mask_size_check(self, admissible):
         rng = np.random.default_rng(3)
         proj = random_projections(rng, 8)
         with pytest.raises(ad.ShapeError):
             transformer_d(proj, 2, Tensor(rng.normal(size=(1, 8))),
-                          Tensor(rng.normal(size=(4, 8))), AttentionMask.banded(4, 2))
+                          Tensor(rng.normal(size=(4, 8))),
+                          AttentionMask(admissible.shape[-1], admissible))
 
 
-    def test_clip_len_form_matches_one_call_per_clip(self):
+    def test_mask_columns_cut_the_clips_as_one_call_per_clip(self):
         rng = np.random.default_rng(5)
         proj = random_projections(rng, 8)
         video = Tensor(rng.normal(size=(1, 8)))
         frames = Tensor(rng.normal(size=(10, 8)))
-        with ad.Graph() as graph:
-            clip_qes, out = transformer_d(proj, 2, video, frames, AttentionMask.banded(5, 2),
-                                          clip_len=4)
+        with ad.Graph() as graph:  # 5 columns: clips of 4 frames
+            clip_qes, out = transformer_d(proj, 2, video, frames, AttentionMask.banded(5, 2))
         sink = clip_maps(graph)
         with ad.Graph() as per_clip:
             for c, (start, stop) in enumerate(split_clips(10, 4)):
@@ -411,7 +415,7 @@ class TestForward:
         assert seq.features.dtype == np.float32
         wide = seq.features.astype(np.float64)
         assert np.array_equal(model.forward(seq.features).data, model.forward(wide).data)
-        acts32, acts64 = model.record(seq.features), model.record(wide)
+        acts32, acts64 = record(model, seq.features), record(model, wide)
         for a32, a64 in zip(acts32.frame_embeddings, acts64.frame_embeddings):
             assert np.array_equal(a32, a64)
 
@@ -441,28 +445,28 @@ class TestForward:
         assert len(sizes) == 11 and max(sizes) == cfg.max_seq_len + 1
         want = reference_forward(cfg, model.params, feats)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
-        acts = model.record(feats)
+        acts = record(model, feats)
         assert acts.clip_boundaries[2:] == [[(0, 12)]] * 9
 
     def test_clip_counts_double_in_coverage(self):
         cfg = DCVQEConfig(input_dim=4, model_dim=8, num_heads=2, num_layers=3,
                           base_clip_len=30, temporal_range=15, max_seq_len=600)
         model = make_model(cfg, scale=0.05)
-        acts = model.record(np.zeros((600, 4)))
+        acts = record(model, np.zeros((600, 4)))
         assert [len(b) for b in acts.clip_boundaries] == [20, 10, 5]
-        acts = model.record(np.zeros((10, 4)))
+        acts = record(model, np.zeros((10, 4)))
         assert [len(b) for b in acts.clip_boundaries] == [1, 1, 1]
 
     def test_short_sequence_single_clip(self):
         model = make_model()
-        acts = model.record(np.random.default_rng(14).normal(size=(2, 12)))
+        acts = record(model, np.random.default_rng(14).normal(size=(2, 12)))
         assert acts.clip_boundaries[0] == [(0, 2)]
         assert acts.clip_embeddings[0].shape == (1, 8)
 
     def test_activation_shapes(self):
         model = make_model()
         s = 10
-        acts = model.record(np.random.default_rng(15).normal(size=(s, 12)))
+        acts = record(model, np.random.default_rng(15).normal(size=(s, 12)))
         for layer in range(2):
             assert acts.frame_embeddings[layer].shape == (s, 8)
             assert acts.video_embeddings[layer].shape == (1, 8)
@@ -477,8 +481,8 @@ class TestForward:
 
 class TestObservation:
     """``forward`` is the regression of ``embed``, whose final layer evaluates
-    its clip rows only; ``record`` evaluates every layer in full, off the
-    tape, and must not change a score."""
+    its clip rows only; ``oracles.record`` evaluates every layer in full, off
+    the tape, and must not change a score."""
 
     @pytest.mark.parametrize("input_dim,model_dim,frames", [
         (64, 32, 1), (64, 32, 31), (64, 32, 121), (64, 32, 600), (4096, 128, 300)])
@@ -488,7 +492,7 @@ class TestObservation:
         model = make_model(cfg, seed=31, scale=0.3)
         feats = np.random.default_rng(32).normal(size=(frames, input_dim))
         want = model.predict(feats)
-        acts = model.record(feats)
+        acts = record(model, feats)
         score = model.forward(feats, cost=AttentionCost())
         assert np.array_equal(score.data, [[want]])
         embedding = model.embed(feats)
@@ -505,63 +509,19 @@ class TestObservation:
         with ad.Graph() as graph:
             model.forward(feats)
             ops = [node.op for node in graph.nodes]
-            acts = model.record(feats)
+            acts = record(model, feats)
         assert [node.op for node in graph.nodes] == ops
         divides = [node for node in graph.nodes if node.op == "divide_attention"]
         assert [len(node.outputs) for node in divides] == [2, 1]
         # the record's final frames are those of a full evaluation of that layer
         wq, wk, wv = model._projections(2, "divide")
         clips, want = ad.divide_attention(Tensor(acts.frame_embeddings[0]),
-                                          Tensor(acts.video_embeddings[0]), wq, wk, wv, 2, 8,
+                                          Tensor(acts.video_embeddings[0]), wq, wk, wv, 2,
                                           AttentionMask.banded(9, 2).admissible)
         assert np.array_equal(acts.frame_embeddings[-1], want.data)
         assert np.array_equal(acts.clip_embeddings[-1], clips.data)
         assert [w.shape for w in acts.divide_attention[-1]] == [(2, 9, 9), (2, 3, 3)]
         assert [w.shape for w in acts.conquer_attention] == [(2, 3, 3), (2, 2, 2)]
-
-
-    def test_record_stays_off_an_outer_tape(self):
-        model = make_model()
-        feats = np.random.default_rng(34).normal(size=(10, 12))
-        want = model.record(feats)
-        with ad.Graph() as graph:
-            got = model.record(feats)
-        assert len(graph) == 0
-        for field in ("clip_boundaries", "frame_embeddings", "clip_embeddings",
-                      "video_embeddings", "conquer_attention"):
-            for a, b in zip(getattr(got, field), getattr(want, field), strict=True):
-                assert np.array_equal(a, b)
-        for a, b in zip(got.divide_attention, want.divide_attention, strict=True):
-            assert all(np.array_equal(u, v) for u, v in zip(a, b, strict=True))
-
-
-    def test_record_reads_its_arrays_from_the_tape(self, monkeypatch):
-        """Every array of ``record`` is an output or the attention weights of
-        one of its own graph's attention nodes, not a copy."""
-        graphs = []
-
-        class Kept(ad.Graph):
-            def __init__(self):
-                super().__init__()
-                graphs.append(self)
-
-        monkeypatch.setattr(ad, "Graph", Kept)
-        model = make_model()
-        acts = model.record(np.random.default_rng(35).normal(size=(10, 12)))
-        (graph,) = graphs
-        divides = [node for node in graph.nodes if node.op == "divide_attention"]
-        conquers = [node for node in graph.nodes if node.op == "conquer_attention"]
-        assert len(divides) == len(conquers) == model.config.num_layers
-        for k, (divide, conquer) in enumerate(zip(divides, conquers)):
-            clips, frames = divide.outputs
-            assert acts.clip_embeddings[k] is clips.data
-            assert acts.frame_embeddings[k] is frames.data
-            assert acts.video_embeddings[k] is conquer.outputs[0].data
-            assert acts.conquer_attention[k] is conquer.weights[0]
-            maps = acts.divide_attention[k]
-            assert len(maps) == sum(len(batch) for batch in divide.weights)
-            assert all(any(np.shares_memory(m, batch) for batch in divide.weights)
-                       for m in maps)
 
 
 def keyword_parameters(fn) -> list[str]:
@@ -572,16 +532,15 @@ def keyword_parameters(fn) -> list[str]:
 
 def test_attention_is_observed_through_the_tape_not_through_parameters():
     """The attention path takes no parameter that only collects what it
-    computed: ``record`` reads the tape, and the mask's rows say which query
-    rows are evaluated. What a caller may leave out is ``dctr_layer``'s
-    ``clip_rows_only``, the final layer's short cut, ``transformer_d``'s
-    clip length and ``forward``'s MAC counter."""
+    computed: activations are read from the tape, and the mask says which
+    query rows are evaluated and, by its columns, how long a clip is. What a
+    caller may leave out is ``forward``'s MAC counter alone."""
     fns = (ad.divide_attention, ad.conquer_attention, transformer_d, transformer_c,
            DCVQEModel.dctr_layer, DCVQEModel.forward)
     assert {fn.__qualname__: keyword_parameters(fn) for fn in fns} == {
         "divide_attention": [], "conquer_attention": [],
-        "transformer_d": ["clip_len"], "transformer_c": [],
-        "DCVQEModel.dctr_layer": ["clip_rows_only"], "DCVQEModel.forward": ["cost"]}
+        "transformer_d": [], "transformer_c": [],
+        "DCVQEModel.dctr_layer": [], "DCVQEModel.forward": ["cost"]}
 
 
 class TestLocality:
@@ -591,11 +550,11 @@ class TestLocality:
         model = make_model(cfg, seed=3)
         rng = np.random.default_rng(16)
         feats = rng.normal(size=(16, 6))
-        base = model.record(feats)
+        base = record(model, feats)
         t = 4  # inside the first clip (frames 0..7)
         bumped = feats.copy()
         bumped[t] += 1.0
-        pert = model.record(bumped)
+        pert = record(model, bumped)
         changed = np.flatnonzero(
             np.abs(base.frame_embeddings[0] - pert.frame_embeddings[0]).max(axis=1))
         expected = {i for i in range(8) if abs(i - t) <= 2}

@@ -22,6 +22,7 @@ from dcvqe.model import DCVQEConfig, DCVQEModel, parameter_shapes
 from dcvqe.training import (ADAM_BLOCK, AdamState, Checkpoint, TrainConfig, adam_step,
                             evaluate, fit, load_checkpoint, run_repetitions,
                             save_checkpoint, train_epoch, validation_loss)
+from oracles import record
 
 SMALL_CFG = DCVQEConfig(input_dim=6, model_dim=8, num_heads=2, num_layers=2,
                         base_clip_len=4, temporal_range=2, max_seq_len=12)
@@ -255,7 +256,7 @@ class TestTrainEpoch:
                 batch = train_seqs[step * cfg.batch_size:(step + 1) * cfg.batch_size]
                 losses.append(train_epoch(model, batch, cfg, state, step))
                 if observe:
-                    acts = model.record(train_seqs[step].features)
+                    acts = record(model, train_seqs[step].features)
                     assert len(acts.video_embeddings) == SMALL_CFG.num_layers
             path = tmp_path / f"observed{observe}.ckpt"
             save_checkpoint(path, Checkpoint.snapshot(model, state, 0.5, 3))
