@@ -12,9 +12,9 @@ against.
 
 The tape keeps only the ops that the model, the losses and gradient
 checking use, each one node with a hand-written backward: ``linear``,
-``positional``, ``divide_attention``, ``conquer_attention`` and
-``concat_rows`` here, and the loss node that ``losses.total_loss`` records
-through ``_record``. ``linear`` is the one matrix product. It keeps a
+``positional``, ``divide_attention`` and ``conquer_attention`` here, and
+the loss node that ``losses.total_loss`` records through ``_record`` on
+the videos' scores. ``linear`` is the one matrix product. It keeps a
 float32 ``x`` as it is: its float64 copy lives only inside the forward GEMM,
 and the weight gradient widens it one column block at a time. When a second
 core is free, its large products (the paper-shape input projection) run on
@@ -625,22 +625,6 @@ def divide_attention(frames: Tensor, video: Tensor, wq: Tensor, wk: Tensor, wv: 
     outputs = (clips_out,) if frames_out is None else (clips_out, frames_out)
     return (*_record_many("divide_attention", (frames, video, *ws), outputs, bw,
                           tuple(weights)), None)[:2]
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ShapeError("concat_rows needs at least one tensor")
-    for t in parts:
-        if t.data.ndim != 2 or t.shape[1] != parts[0].shape[1]:
-            raise ShapeError(f"concat_rows needs 2-d tensors with equal widths, got "
-                             f"{[p.shape for p in parts]}")
-    out = np.concatenate([t.data for t in parts], axis=0)
-    offsets = np.cumsum([0] + [t.shape[0] for t in parts])
-
-    def bw(g):
-        return tuple(g[start:stop] for start, stop in zip(offsets, offsets[1:]))
-
-    return _record("concat_rows", tuple(parts), out, bw)
 
 
 # ---------------------------------------------------------------------------

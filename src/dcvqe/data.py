@@ -208,9 +208,9 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 
 
 def _number(record: dict, key: str) -> float:
-    if type(record[key]) not in (int, float):  # bool is a subclass of int
+    if type(record[key]) is not float:  # JSON integers are read as floats; bool is no float
         raise TypeError(f"{key} must be a number in {record}")
-    return float(record[key])
+    return record[key]
 
 
 def _manifest_entry(e: dict) -> ManifestEntry:
@@ -227,9 +227,9 @@ def load_manifest(path) -> DatasetManifest:
         raise FormatError(f"manifest {path} is not UTF-8: {exc}") from exc
     if not lines:
         raise FormatError(f"empty manifest {path}")
-    try:
-        header = json.loads(lines[0])
-        entries = [json.loads(line) for line in lines[1:] if line.strip()]
+    try:  # integers as floats: one past the float range (or int's digit limit) is inf
+        header = json.loads(lines[0], parse_int=float)
+        entries = [json.loads(line, parse_int=float) for line in lines[1:] if line.strip()]
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise FormatError(f"manifest {path} is not line-delimited JSON: {exc}") from exc
     try:
@@ -239,7 +239,7 @@ def load_manifest(path) -> DatasetManifest:
             scale_max=_number(header, "scale_max"),
             root=path.parent,
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"manifest {path}: {exc}") from exc
 
 

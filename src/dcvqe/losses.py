@@ -11,16 +11,19 @@ baseline averages log(1 + exp(-sign(g_n - g_m) * (p_n - p_m))) over the
 ordered pairs with g_n != g_m.
 
 ``total_loss`` is one tape node with a numpy forward and one hand-written
-VJP per term; the ground truths are constants. For an incoming gradient c
-the VJPs sum in the order of the elementwise graph that the node replaced,
-whose bits they keep: L1 (c * alpha / N) * sign(p - g); correlation
+VJP per term; its inputs are the predictions, whose rows it joins, and
+the ground truths are constants. For an incoming gradient c the VJPs sum
+in the order of the elementwise graph that the node replaced, whose bits
+they keep: L1 (c * alpha / N) * sign(p - g); correlation
 h = ((c * beta * N) * [hinge > 0]) * -1 * (g - mean(g)), then
 h + (-sum(h) / N) through the prediction mean; pwrl
 d = ((c * beta / P) * sigmoid(z)) * s over the P untied pairs, then
-(d.T @ select).T with the [P, N] pair selector. A batch without an untied
-pair (one video, or every ground truth tied) has nothing to rank: its pwrl
-term is 0 with a zero gradient, as the correlation term is for one video.
-The order term's gradient comes first and the L1 gradient is added to it.
+(d.T @ select).T with the [P, N] pair selector, which only the VJP builds
+(the forward indexes p). Each input gets its rows of the gradient. A batch
+without an untied pair (one video, or every ground truth tied) has nothing
+to rank: its pwrl term is 0 with a zero gradient, as the correlation term
+is for one video. The order term's gradient comes first and the L1
+gradient is added to it.
 """
 
 from __future__ import annotations
@@ -52,11 +55,11 @@ class LossConfig:
             raise ValueError(f"unknown loss variant {self.variant!r}, expected one of {VARIANTS}")
 
 
-def _vector(x, what: str) -> Tensor:
-    t = x if isinstance(x, Tensor) else Tensor(x)
-    if not (t.data.ndim == 1 or t.data.ndim == 2 and t.shape[1] == 1):
-        raise ad.ShapeError(f"{what} must be a vector, got shape {t.shape}")
-    return t
+def _column(x, what: str) -> np.ndarray:
+    a = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    if a.ndim > 2 or a.ndim == 2 and a.shape[1] != 1:
+        raise ad.ShapeError(f"{what} must be vectors, got shape {a.shape}")
+    return a.reshape(-1, 1)
 
 
 def _mean(a: np.ndarray) -> np.float64:
@@ -94,18 +97,16 @@ def _pairwise_term(p: np.ndarray, g: np.ndarray, beta: float):
     a, b = np.nonzero(gv[:, None] != gv[None, :])  # untied pairs in row-major order
     if not a.size:  # one video, or every ground truth tied: nothing to rank
         return np.float64(0.0), lambda c: np.zeros(p.shape)
-    select = np.zeros((a.size, len(p)))  # +1 at n and -1 at m in the row of pair (n, m)
-    rows = np.arange(a.size)
-    select[rows, a] = 1.0
-    select[rows, b] = -1.0
     neg_sign = -np.sign(gv[a] - gv[b]).reshape(-1, 1)
-    z = (select @ p) * neg_sign
+    z = (p[a] - p[b]) * neg_sign
     # softplus as max(z, 0) + log1p(exp(-|z|)) and its derivative: no exp overflows
     softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
     sigmoid = 1.0 / (1.0 + np.exp(-np.clip(z, -700, 700)))
 
     def vjp(c):
         d = np.full(z.shape, (c * beta).item() / z.size) * sigmoid * neg_sign
+        select = np.zeros((a.size, len(p)))  # +1 at n and -1 at m in the row of pair (n, m)
+        select[np.arange(a.size), a], select[np.arange(a.size), b] = 1.0, -1.0
         return (d.T @ select).T
 
     return _mean(softplus) * beta, vjp
@@ -113,18 +114,21 @@ def _pairwise_term(p: np.ndarray, g: np.ndarray, beta: float):
 
 def total_loss(p, g, cfg: LossConfig) -> Tensor:
     """Weighted combination alpha * L1 + beta * order term (per variant), as
-    one tape node with the predictions ``p`` as its input.
+    one tape node whose inputs are the ``Tensor``s among the predictions.
 
-    ``p`` and ``g`` are vectors ([N] or [N, 1]) of one length N >= 1. The
-    order term is left out when ``beta`` is 0 or the variant is "l1", and
-    the L1 term when ``alpha`` is 0, unless it is then the only term.
+    ``p`` is one vector ([N] or [N, 1]) or a list or tuple of scores or
+    vectors, joined in order; ``g`` is a vector of the same length N >= 1.
+    The order term is left out when ``beta`` is 0 or the variant is "l1",
+    and the L1 term when ``alpha`` is 0, unless it is then the only term.
     """
-    pt = _vector(p, "predictions")
-    pv = pt.data.reshape(-1, 1)
-    gv = _vector(g, "ground truths").data.reshape(-1, 1)
-    if len(pv) != len(gv) or not len(pv):
+    items = p if isinstance(p, (list, tuple)) else [p]
+    cols = [_column(x, "predictions") for x in items]
+    gv = _column(g, "ground truths")
+    bounds = np.cumsum([0] + [len(c) for c in cols])
+    if bounds[-1] != len(gv) or not bounds[-1]:
         raise ad.ShapeError(f"the loss needs N >= 1 predictions and N ground truths, got "
-                            f"{len(pv)} and {len(gv)}")
+                            f"{bounds[-1]} and {len(gv)}")
+    pv = np.concatenate(cols)
     order = cfg.variant != "l1" and cfg.beta > 0
     terms = []
     if cfg.alpha > 0 or not order:
@@ -136,6 +140,9 @@ def total_loss(p, g, cfg: LossConfig) -> Tensor:
 
     def bw(c):  # the order term's gradient first, then the L1 gradient added
         grads = [vjp(c) for vjp in reversed(vjps)]
-        return (sum(grads[1:], grads[0]),)
+        grad = sum(grads[1:], grads[0])
+        return tuple(grad[start:stop] for x, start, stop in zip(items, bounds, bounds[1:])
+                     if isinstance(x, Tensor))
 
-    return ad._record("total_loss", (pt,), sum(values[1:], values[0]), bw)
+    inputs = tuple(x for x in items if isinstance(x, Tensor))
+    return ad._record("total_loss", inputs, sum(values[1:], values[0]), bw)

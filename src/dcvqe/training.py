@@ -147,9 +147,9 @@ def train_epoch(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
     """One pass over the training videos; returns the mean batch loss.
 
     The shuffle depends only on (seed, epoch_index), so resumed runs replay
-    the exact same batch order. Each batch's forward pass, loss, backward
-    pass and Adam step run under ``numeric_failure`` (epoch and 1-based
-    batch)."""
+    the exact same batch order. A batch's loss node takes the videos'
+    scores as its inputs. Each batch's forward pass, loss, backward pass and
+    Adam step run under ``numeric_failure`` (epoch and 1-based batch)."""
     if not train_seqs:
         raise ValueError("training set is empty")
     order = np.random.default_rng([cfg.seed, epoch_index]).permutation(len(train_seqs))
@@ -158,9 +158,8 @@ def train_epoch(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
         batch = [train_seqs[i] for i in order[lo:lo + cfg.batch_size]]
         with numeric_failure(f"epoch {epoch_index + 1}, batch {number}"):
             with Graph() as graph:
-                preds = ad.concat_rows([model.forward(s.features) for s in batch])
-                targets = Tensor(np.array([[s.mos] for s in batch]))
-                loss = total_loss(preds, targets, cfg.loss)
+                loss = total_loss([model.forward(s.features) for s in batch],
+                                  [s.mos for s in batch], cfg.loss)
             value = loss.item()
             if not math.isfinite(value):
                 raise FloatingPointError(f"non-finite training loss {value}")
@@ -175,9 +174,8 @@ def validation_loss(model: DCVQEModel, val_seqs: Sequence[FeatureSequence],
     """Total loss over the whole validation set, no graph retained."""
     if not val_seqs:
         raise ValueError("validation set is empty")
-    preds = np.array([[model.predict(s.features)] for s in val_seqs])
-    targets = np.array([[s.mos] for s in val_seqs])
-    return total_loss(Tensor(preds), Tensor(targets), loss_cfg).item()
+    return total_loss([model.predict(s.features) for s in val_seqs],
+                      [s.mos for s in val_seqs], loss_cfg).item()
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +430,10 @@ def gradcheck_suite(seed: int = 0) -> ad.GradCheckReport:
     rng = np.random.default_rng(seed)
     model = DCVQEModel.initialize(TINY_CONFIG, seed=seed, init_scale=0.5)
     videos = [rng.normal(0.0, 1.0, (10, TINY_CONFIG.input_dim)) for _ in range(3)]
-    targets = Tensor(rng.uniform(1.0, 5.0, (3, 1)))
+    targets = rng.uniform(1.0, 5.0, (3, 1))
     loss_cfg = LossConfig(alpha=0.7, beta=0.3, variant="correlation")
 
     def objective() -> Tensor:
-        preds = ad.concat_rows([model.forward(v) for v in videos])
-        return total_loss(preds, targets, loss_cfg)
+        return total_loss([model.forward(v) for v in videos], targets, loss_cfg)
 
     return ad.gradient_check(objective, model.parameters(), h=1e-5)

@@ -507,19 +507,6 @@ class TestSoftmaxMasked:
 
 
 class TestStructural:
-    def test_concat_rows_roundtrip(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(4, 6))
-        parts = [Tensor(x[:1]), Tensor(x[1:]), Tensor(x[1:3])]
-        g = rng.normal(size=(6, 6))
-        with Graph() as graph:
-            out = ad.concat_rows(parts)
-        np.testing.assert_array_equal(out.data, np.vstack([x, x[1:3]]))
-        (node,) = graph.nodes
-        first, middle, last = node.backward_fn(g)
-        assert np.array_equal(first, g[:1]) and np.array_equal(middle, g[1:4])
-        assert np.array_equal(last, g[4:])
-
     def test_structural_ops_reject_bad_operands(self):
         t = Tensor(np.zeros((4, 6)))
         w = Tensor(np.zeros((6, 6)))
@@ -529,8 +516,6 @@ class TestStructural:
             ad.conquer_attention(t, w, w, Tensor(np.zeros((6, 3))), 2)
         with pytest.raises(ShapeError, match=r"\[n, D\]"):
             ad.conquer_attention(Tensor(np.zeros((2, 4, 6))), w, w, w, 2)
-        with pytest.raises(ShapeError, match="equal widths"):
-            ad.concat_rows([t, w, Tensor(np.zeros((2, 5)))])
 
 
 class TestBackward:
@@ -1258,5 +1243,5 @@ def test_every_tape_op_has_a_caller_in_the_package():
     ops = tape_ops()
     assert ops == {"linear": "autodiff", "positional": "autodiff",
                    "divide_attention": "autodiff", "conquer_attention": "autodiff",
-                   "concat_rows": "autodiff", "total_loss": "losses"}
+                   "total_loss": "losses"}
     assert sorted(op for op, module in ops.items() if op not in names_used_outside(module)) == []

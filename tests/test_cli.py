@@ -204,6 +204,17 @@ class TestExitCodes:
         assert "Traceback" not in out + err and len(err.splitlines()) == 1
         assert "scale_max must be finite" in err
 
+    def test_manifest_integer_past_the_int_digit_limit_is_two(self, tmp_path, trained_checkpoint,
+                                                              capsys):
+        bad = tmp_path / "manifest.jsonl"
+        bad.write_text('{"scale_min": 1, "scale_max": 5}\n'
+                       '{"video_id": "a", "feature_path": "a.dcvq", "mos": %s}\n' % ("9" * 5000))
+        assert main(["eval", "--manifest", str(bad),
+                     "--checkpoint", str(trained_checkpoint)]) == 2
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err and len(err.splitlines()) == 1
+        assert "mos inf of 'a' outside" in err
+
     def test_corrupt_feature_file_is_two(self, tmp_path, trained_checkpoint, capsys):
         bad = tmp_path / "bad.dcvq"
         bad.write_bytes(b"NOPE" + b"\x00" * 20)

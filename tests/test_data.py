@@ -245,6 +245,21 @@ class TestManifest:
         with pytest.raises(FormatError, match=key):
             load_manifest(path)
 
+    @pytest.mark.parametrize("digits", [401, 5000], ids=["past_float_range", "past_int_limit"])
+    @pytest.mark.parametrize("key", ["mos", "scale_max"])
+    def test_integer_past_the_float_range_is_format_error_naming_its_key(self, tmp_path, key,
+                                                                         digits):
+        # a JSON integer reads as a float, so 401 digits is inf and 5,000
+        # digits, past Python's int conversion limit, is inf too
+        value = "9" * digits
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"scale_min": 1, "scale_max": %s}\n'
+                        '{"video_id": "a", "feature_path": "a.dcvq", "mos": %s}\n'
+                        % (value if key == "scale_max" else "5", value if key == "mos" else "2"))
+        with pytest.raises(FormatError, match=f": {key} ") as exc:
+            load_manifest(path)
+        assert "99999" not in str(exc.value)
+
     @pytest.mark.parametrize("scale", [(math.nan, 5.0), (1.0, math.inf), (-math.inf, 5.0)])
     def test_scale_bounds_must_be_finite(self, tmp_path, scale):
         with pytest.raises(ValueError, match="finite"):

@@ -2,6 +2,7 @@
 equivalence between the double-sum and mean-deviation correlation forms."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -68,6 +69,18 @@ class TestL1:
     def test_length_mismatch(self):
         with pytest.raises(ad.ShapeError):
             total_loss([1.0], [1.0, 2.0], L1)
+        with pytest.raises(ad.ShapeError, match="got 3 and 2"):
+            total_loss([Tensor([[1.0]]), Tensor([2.0, 3.0])], [1.0, 2.0], L1)
+
+    @pytest.mark.parametrize("p, g", [
+        (np.zeros((2, 2)), [1.0, 2.0]),
+        ([Tensor([[1.0]]), Tensor([[2.0, 3.0]])], [1.0, 2.0, 3.0]),
+        ([1.0, [[2.0, 3.0]]], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0], np.zeros((2, 2))),
+    ], ids=["one_array", "tensor_item", "array_item", "ground_truths"])
+    def test_two_columns_raise(self, p, g):
+        with pytest.raises(ad.ShapeError, match=r"must be vectors, got shape \(\d, 2\)"):
+            total_loss(p, g, L1)
 
 
 class TestCorrelationLoss:
@@ -187,11 +200,13 @@ class TestPairwiseRanking:
 
         assert ad.gradient_check(f, [p], h=1e-6).max_rel_error <= 1e-6
 
-    @pytest.mark.parametrize("n, tied", [(2, False), (3, True), (8, False), (33, True)])
+    @pytest.mark.parametrize("n, tied", [(2, False), (3, True), (5, False), (8, False),
+                                         (16, True), (33, True), (50, False)])
     def test_selector_matches_the_double_loop(self, n, tied):
         # the pairs and signs built pair by pair, in row-major order, give
-        # the same loss and prediction gradient bit for bit, the gradient
-        # mapped to the predictions as (d.T @ select).T
+        # the same loss and prediction gradient bit for bit: the forward's
+        # indexed differences equal select @ p, and the gradient is mapped
+        # to the predictions as (d.T @ select).T
         rng = np.random.default_rng(n)
         pv = rng.normal(size=(n, 1)) * 10.0
         gv = rng.uniform(1, 5, n).round() if tied else rng.uniform(1, 5, n)
@@ -211,6 +226,18 @@ class TestPairwiseRanking:
         (dp,) = backward(loss, g, [p])
         assert loss.item() == want_loss
         assert np.array_equal(dp, (d.T @ select).T)
+
+    def test_no_pair_selector_without_a_graph(self):
+        # the [P, N] selector of 300 videos would take 215 MB
+        rng = np.random.default_rng(9)
+        p, g = rng.normal(size=300), rng.uniform(1, 5, 300)
+        tracemalloc.start()
+        try:
+            total_loss(p, g, PWRL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     @pytest.mark.parametrize("gap", [0.0, 709.0, 710.0, 1e3, 1e307])
     def test_large_gaps_raise_no_overflow_warning(self, gap):
@@ -344,10 +371,57 @@ class TestLossNode:
         assert active.any() and not active.all()
         assert np.array_equal(dp, want)
 
+    @CASES
+    def test_gradient_check_over_several_inputs(self, variant, alpha, beta):
+        parts = [Tensor([[1.3]], name="a"), Tensor([0.2, 4.0], name="b"),
+                 Tensor([[2.6], [-0.7], [0.9]], name="c")]
+        g = [1.0, 2.0, 3.5, 2.0, 0.5, 3.0]
+        cfg = LossConfig(alpha=alpha, beta=beta, variant=variant)
+        report = ad.gradient_check(lambda: total_loss(parts, g, cfg), parts, h=1e-6)
+        assert all(p.flagged_nonsmooth == 0 for p in report.per_parameter)
+        assert report.max_rel_error <= 1e-4
+
+    @CASES
+    def test_several_inputs_match_one_vector(self, variant, alpha, beta):
+        # the same value bit for bit, and each input's rows of the gradient;
+        # an array item is a constant, not an input
+        rng = np.random.default_rng(5)
+        pv, gv = rng.normal(size=(7, 1)), rng.uniform(1, 5, 7)
+        cfg = LossConfig(alpha, beta, variant)
+        whole = Tensor(pv)
+        with Graph() as g:
+            want = total_loss(whole, gv, cfg)
+        (dw,) = backward(want, g, [whole])
+        parts = [Tensor(pv[:1]), Tensor(pv[1:3, 0]), pv[3], Tensor(pv[4:])]
+        with Graph() as g:
+            got = total_loss(parts, gv, cfg)
+        (node,) = g.nodes
+        assert node.inputs == (parts[0], parts[1], parts[3])
+        assert got.data.tobytes() == want.data.tobytes()
+        grads = backward(got, g, node.inputs)
+        for grad, rows in zip(grads, (dw[:1], dw[1:3, 0], dw[4:])):
+            assert grad.shape == rows.shape and np.array_equal(grad, rows)
+
+    def test_a_tensor_passed_twice_gets_both_its_slices(self):
+        t, u = Tensor([[0.5], [1.5]]), Tensor([[-1.0]])
+        gv = [1.0, 4.0, 2.0, 3.0, 5.0]
+        cfg = LossConfig(0.7, 0.3)
+        whole = Tensor(np.concatenate([t.data, u.data, t.data]))
+        with Graph() as g:
+            want = total_loss(whole, gv, cfg)
+        (dw,) = backward(want, g, [whole])
+        with Graph() as g:
+            got = total_loss([t, u, t], gv, cfg)
+        dt, du = backward(got, g, [t, u])
+        assert got.item() == want.item()
+        assert np.array_equal(dt, dw[0:2] + dw[3:5]) and np.array_equal(du, dw[2:3])
+
     @pytest.mark.parametrize("cfg", [L1, CORRELATION, PWRL, LossConfig()])
     def test_empty_input_raises(self, cfg):
-        with pytest.raises(ad.ShapeError, match="N >= 1"):
-            total_loss([], [], cfg)
+        # an empty list or tuple, an empty vector and a list of one empty item
+        for p in ([], (), np.zeros((0, 1)), [Tensor(np.zeros(0))]):
+            with pytest.raises(ad.ShapeError, match="N >= 1"):
+                total_loss(p, [], cfg)
 
     @given(st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False,
                               allow_infinity=False), min_size=1, max_size=20))

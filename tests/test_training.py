@@ -173,7 +173,7 @@ class TestTrainStepOnTwoThreads:
             rng = np.random.default_rng(8)
             videos = [rng.standard_normal((n, 4096), dtype=np.float32) for n in (60, 33, 121, 16)]
             with ad.Graph() as graph:
-                preds = ad.concat_rows([model.forward(v) for v in videos])
+                preds = [model.forward(v) for v in videos]
                 loss = total_loss(preds, Tensor(rng.uniform(1, 5, size=(4, 1))), LossConfig())
             grads = ad.backward(loss, graph, model.parameters())
             adam_step(model.named_parameters(), grads, state, 1e-3)
