@@ -325,14 +325,10 @@ def linear(x, w: Tensor, b: Tensor) -> Tensor:
     split = (n_rows * width * n_out >= SPLIT_MACS and n_rows >= 2 * SPLIT_ROWS
              and _two_cores())
 
-    wide = (rows if rows.dtype == np.float64 and rows.flags.c_contiguous
-            else np.empty(rows.shape))
     out = np.empty((n_rows, n_out))
 
     def project(part):
-        if wide is not rows:
-            wide[part] = rows[part]
-        np.matmul(wide[part], w.data, out=out[part])
+        np.matmul(rows[part], w.data, out=out[part])
         out[part] += b.data
 
     if split:

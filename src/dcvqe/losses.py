@@ -12,14 +12,13 @@ ordered pairs with g_n != g_m.
 
 ``total_loss`` is one tape node with a numpy forward and one hand-written
 VJP per term; its inputs are the predictions, whose rows it joins, and
-the ground truths are constants. For an incoming gradient c the VJPs sum
-in the order of the elementwise graph that the node replaced, whose bits
-they keep: L1 (c * alpha / N) * sign(p - g); correlation
-h = ((c * beta * N) * [hinge > 0]) * -1 * (g - mean(g)), then
-h + (-sum(h) / N) through the prediction mean; pwrl
-d = ((c * beta / P) * sigmoid(z)) * s over the P untied pairs, then
-(d.T @ select).T with the [P, N] pair selector, which only the VJP builds
-(the forward indexes p). Each input gets its rows of the gradient. A batch
+the ground truths are constants. For an incoming gradient c the VJPs are
+L1 (c * alpha / N) * sign(p - g); correlation h - mean(h) with
+h = (c * beta * N) * [hinge > 0] * -(g - mean(g)), the mean coming through
+the prediction mean; pwrl, over the P untied pairs (n, m), the pair
+gradients d = (c * beta / P) * sigmoid(z) * s, each added to n's gradient
+and subtracted from m's by ``np.bincount`` (no [P, N] pair selector is
+built). Each input gets its rows of the gradient. A batch
 without an untied pair (one video, or every ground truth tied) has nothing
 to rank: its pwrl term is 0 with a zero gradient, as the correlation term
 is for one video. The order term's gradient comes first and the L1
@@ -76,7 +75,7 @@ def _l1_term(p: np.ndarray, g: np.ndarray, alpha: float):
     sign = np.sign(diff)
 
     def vjp(c):
-        return np.full(p.shape, (c * alpha).item() / p.size) * sign
+        return (c.item() * alpha / p.size) * sign
 
     return _mean(np.abs(diff)) * alpha, vjp
 
@@ -86,8 +85,8 @@ def _correlation_term(p: np.ndarray, g: np.ndarray, beta: float):
     hinge = (p - _mean(p)) * dev_g * -1.0
 
     def vjp(c):
-        h = np.full(p.shape, (c * beta * float(p.size)).item()) * (hinge > 0) * -1.0 * dev_g
-        return h + np.full(p.shape, -h.sum() / p.size)
+        h = (c.item() * beta * p.size) * (hinge > 0) * -dev_g
+        return h - h.mean()
 
     return np.maximum(hinge, 0.0).sum() * float(p.size) * beta, vjp
 
@@ -104,10 +103,8 @@ def _pairwise_term(p: np.ndarray, g: np.ndarray, beta: float):
     sigmoid = 1.0 / (1.0 + np.exp(-np.clip(z, -700, 700)))
 
     def vjp(c):
-        d = np.full(z.shape, (c * beta).item() / z.size) * sigmoid * neg_sign
-        select = np.zeros((a.size, len(p)))  # +1 at n and -1 at m in the row of pair (n, m)
-        select[np.arange(a.size), a], select[np.arange(a.size), b] = 1.0, -1.0
-        return (d.T @ select).T
+        d = ((c.item() * beta / a.size) * sigmoid * neg_sign).ravel()
+        return (np.bincount(a, d, len(p)) - np.bincount(b, d, len(p))).reshape(-1, 1)
 
     return _mean(softplus) * beta, vjp
 

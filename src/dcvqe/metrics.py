@@ -34,7 +34,7 @@ def _vector(x, what: str, min_len: int) -> np.ndarray:
     if v.size < min_len:
         raise ValueError(f"{what} needs at least {min_len} samples, got {v.size}")
     bad = np.flatnonzero(~np.isfinite(v))
-    if bad.size:  # NaN != NaN would stall the tie scan of _average_ranks
+    if bad.size:
         raise DegenerateInputError(f"{what} hold a non-finite value {v[bad[0]]} at index "
                                    f"{bad[0]}")
     return v
@@ -50,16 +50,8 @@ def _pair(p, g, min_len: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     # ties get the mean of the rank span they occupy (1-based ranks)
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size)
-    i = 0
-    while i < x.size:
-        j = i + 1  # always advances, even past a value unequal to itself
-        while j < x.size and x[order[j]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0
-        i = j
-    return ranks
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True, equal_nan=False)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def _pearson(x: np.ndarray, y: np.ndarray, errors: str = "raise") -> float:

@@ -336,7 +336,8 @@ def fit(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
     ``start_epoch``/``state`` allow resuming from a prior checkpoint's final
     state (its ``adam``, which the run updates in place); the shuffle
     schedule depends only on (seed, epoch), so a resumed run reproduces the
-    unbroken trajectory. Validation runs under ``numeric_failure`` too.
+    unbroken run's parameters, but its ``best`` covers only the epochs that
+    it ran. Validation runs under ``numeric_failure`` too.
     """
     if not val_seqs:
         raise ValueError("validation set is empty")

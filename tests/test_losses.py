@@ -205,27 +205,33 @@ class TestPairwiseRanking:
     def test_selector_matches_the_double_loop(self, n, tied):
         # the pairs and signs built pair by pair, in row-major order, give
         # the same loss and prediction gradient bit for bit: the forward's
-        # indexed differences equal select @ p, and the gradient is mapped
-        # to the predictions as (d.T @ select).T
+        # indexed differences equal select @ p, and the gradient d of pair
+        # (a, b) is summed into a's running sum and into b's, pair by pair
+        # in row-major order, and the second sum is taken from the first
         rng = np.random.default_rng(n)
         pv = rng.normal(size=(n, 1)) * 10.0
         gv = rng.uniform(1, 5, n).round() if tied else rng.uniform(1, 5, n)
-        rows, signs = [], []
+        pairs, rows, signs = [], [], []
         for a in range(n):
             for b in range(n):
                 if a != b and gv[a] != gv[b]:
+                    pairs.append((a, b))
                     rows.append(np.eye(n)[a] - np.eye(n)[b])
                     signs.append(-np.sign(gv[a] - gv[b]))
         select, signs = np.array(rows), np.array(signs).reshape(-1, 1)
         z = (select @ pv) * signs
         want_loss = (np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))).mean()
         d = np.full(z.shape, 1.0 / z.size) * (1.0 / (1.0 + np.exp(-z))) * signs
+        as_first, as_second = np.zeros(n), np.zeros(n)
+        for (a, b), d_ab in zip(pairs, d.ravel()):
+            as_first[a] += d_ab
+            as_second[b] += d_ab
         p = Tensor(pv)
         with Graph() as g:
             loss = total_loss(p, gv, PWRL)
         (dp,) = backward(loss, g, [p])
         assert loss.item() == want_loss
-        assert np.array_equal(dp, (d.T @ select).T)
+        assert np.array_equal(dp, (as_first - as_second).reshape(-1, 1))
 
     def test_no_pair_selector_without_a_graph(self):
         # the [P, N] selector of 300 videos would take 215 MB
@@ -237,6 +243,23 @@ class TestPairwiseRanking:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    def test_backward_builds_no_pair_selector(self):
+        # 300 videos' scores as the loss node's inputs: the [P, N] selector
+        # of the gradient would take 215 MB
+        rng = np.random.default_rng(9)
+        p = [Tensor(np.array([[x]])) for x in rng.normal(size=300)]
+        g = rng.uniform(1, 5, 300)
+        tracemalloc.start()
+        try:
+            with Graph() as graph:
+                loss = total_loss(p, g, PWRL)
+            grads = backward(loss, graph, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grads) == 300 and all(grad.shape == (1, 1) for grad in grads)
         assert peak < 16 * 2 ** 20
 
     @pytest.mark.parametrize("gap", [0.0, 709.0, 710.0, 1e3, 1e307])

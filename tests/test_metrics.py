@@ -46,6 +46,17 @@ class TestSRCC:
         want = scipy.stats.spearmanr(p, g).statistic
         assert math.isclose(srcc(p, g), want, rel_tol=1e-12, abs_tol=1e-12)
 
+    @settings(max_examples=60)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=1, max_value=60))
+    def test_average_ranks_are_the_definition(self, seed, n):
+        # rank i is 1 + #{x_j < x_i} + (#{x_j == x_i} - 1) / 2, bit for bit;
+        # the grid of halves forces ties, and -0.0 ties with 0.0
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-4, 5, n) / 2.0
+        x[(x == 0.0) & (rng.random(n) < 0.5)] = -0.0
+        want = np.array([1 + np.sum(x < v) + (np.sum(x == v) - 1) / 2 for v in x])
+        assert np.array_equal(_average_ranks(x), want)
+
 
 class TestKRCC:
     def test_identical_order(self):

@@ -1,8 +1,10 @@
 """The package ships nothing for the tests alone: every public function,
 class and method of ``dcvqe`` has a caller in the package or in the
-benchmark harness (``perfbench/``)."""
+benchmark harness (``perfbench/``). And numpy is its one runtime
+dependency: it imports nothing else outside the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import dcvqe
@@ -88,3 +90,24 @@ def uncalled() -> list[str]:
 def test_every_public_definition_has_a_caller_outside_the_tests():
     assert PERFBENCH.is_dir()
     assert uncalled() == []
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Top-level names of the modules that ``tree`` imports anywhere, in a
+    function body too; a relative import counts as ``dcvqe``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add("dcvqe" if node.level else node.module.split(".")[0])
+    return names
+
+
+def test_numpy_is_the_only_dependency_outside_the_standard_library():
+    imports = {module: imported_modules(tree)
+               for module, tree in parse(PACKAGE.glob("*.py")).items()}
+    assert {"numpy", "dcvqe", "dataclasses"} <= imports["losses"]
+    allowed = sys.stdlib_module_names | {"numpy", "dcvqe"}
+    assert {module: names - allowed for module, names in imports.items()
+            if names - allowed} == {}
