@@ -64,10 +64,6 @@ class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
 
 
-class GraphError(ValueError):
-    """Backward invoked with a non-scalar loss, or a malformed tape."""
-
-
 class Tensor:
     """A dense float64 array and its name; a tensor holds no gradient.
 
@@ -90,8 +86,9 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
+        """The one element as a float; any other size is a ``ShapeError``."""
         if self.data.size != 1:
-            raise GraphError(f"item() needs a single-element tensor, got shape {self.shape}")
+            raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
@@ -115,12 +112,14 @@ class Node:
     weights: tuple[np.ndarray, ...] = ()
 
 
-_graph_stack = threading.local()
+class _Entered(threading.local):
+    """The graphs that this thread has entered, innermost last."""
+
+    def __init__(self):
+        self.graphs: list[Graph] = []
 
 
-def _active_graph() -> "Graph | None":
-    stack = getattr(_graph_stack, "stack", None)
-    return stack[-1] if stack else None
+_entered = _Entered()
 
 
 class Graph:
@@ -135,15 +134,11 @@ class Graph:
         self.nodes: list[Node] = []
 
     def __enter__(self) -> "Graph":
-        stack = getattr(_graph_stack, "stack", None)
-        if stack is None:
-            stack = []
-            _graph_stack.stack = stack
-        stack.append(self)
+        _entered.graphs.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        _graph_stack.stack.pop()
+        _entered.graphs.pop()
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -152,9 +147,9 @@ class Graph:
 def _record_many(op: str, inputs: tuple[Tensor, ...], out_data: tuple[np.ndarray, ...],
                  backward_fn: Callable[..., tuple], weights: tuple = ()) -> tuple[Tensor, ...]:
     outs = tuple(Tensor(d) for d in out_data)
-    graph = _active_graph()
-    if graph is not None:
-        graph.nodes.append(Node(inputs, outs, backward_fn, op, weights))
+    graphs = _entered.graphs
+    if graphs:
+        graphs[-1].nodes.append(Node(inputs, outs, backward_fn, op, weights))
     return outs
 
 
@@ -169,6 +164,7 @@ def backward(loss: Tensor, graph: Graph, wrt: Sequence[Tensor]) -> list[np.ndarr
     loss does not reach. ``wrt`` holds leaves, inputs of recorded ops that no
     recorded op produced; an op's output gets zeros. Nothing is written to
     any tensor, so graphs over shared parameters may run on several threads.
+    A loss of more than one element is a ``ShapeError``.
 
     When a second gradient reaches a tensor, the engine allocates the sum
     and adds every later one into it in place, so a weight that every video
@@ -179,7 +175,7 @@ def backward(loss: Tensor, graph: Graph, wrt: Sequence[Tensor]) -> list[np.ndarr
     inputs. An engine-owned total in C order is returned without a copy.
     """
     if loss.data.size != 1:
-        raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
+        raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     owned: set[int] = set()  # tensors whose flowing sum this call allocated
     for node in reversed(graph.nodes):

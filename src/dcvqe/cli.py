@@ -25,7 +25,6 @@ import sys
 import time
 from pathlib import Path
 
-from . import autodiff as ad
 from . import data as data_io
 from .data import FormatError
 from .losses import VARIANTS, LossConfig
@@ -256,10 +255,9 @@ def _cmd_train(args) -> int:
         print(f"epoch {rec.epoch}: train {rec.train_loss:.4f} "
               f"val {rec.val_loss:.4f} ({rec.wall_time_s:.1f}s)")
 
-    result = fit(model, train_seqs, val_seqs, train_cfg, on_epoch=on_epoch)
-    save_checkpoint(args.out, result.best)
-    print(f"best epoch {result.best.epoch} (val loss {result.best.best_val_loss:.4f}) "
-          f"-> {args.out}")
+    best = fit(model, train_seqs, val_seqs, train_cfg, on_epoch=on_epoch)
+    save_checkpoint(args.out, best)
+    print(f"best epoch {best.epoch} (val loss {best.best_val_loss:.4f}) -> {args.out}")
     return EXIT_OK
 
 
@@ -382,10 +380,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FloatingPointError, DegenerateInputError, ad.GraphError) as exc:
+    except (FloatingPointError, DegenerateInputError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FormatError, OSError, ad.ShapeError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:  # FormatError, ShapeError: ValueErrors
         print(f"data error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_DATA
 

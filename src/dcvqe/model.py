@@ -23,10 +23,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 
-class SequenceLengthError(ValueError):
-    """Input sequence is empty or longer than the configured maximum."""
-
-
 @dataclass(frozen=True)
 class DCVQEConfig:
     """Architecture hyperparameters.
@@ -220,15 +216,14 @@ class DCVQEModel:
         """Affine map from raw per-frame features [S, input_dim] (array or
         tensor) to the model width, one ``autodiff.linear`` node: the float32
         rows of a ``FeatureSequence`` are widened to float64, exactly, only
-        inside the projection's GEMMs. Before any product, a non-2-d input or
-        a wrong width is a ``ShapeError`` and a length outside
-        1..``max_seq_len`` a ``SequenceLengthError``."""
+        inside the projection's GEMMs. Before any product, a non-2-d input, a
+        wrong width or a length outside 1..``max_seq_len`` is a ``ShapeError``."""
         shape, cfg = features.shape, self.config
         if len(shape) != 2 or shape[1] != cfg.input_dim:
             raise ad.ShapeError(f"features must be [S,{cfg.input_dim}], got {shape}")
         if not 1 <= shape[0] <= cfg.max_seq_len:
-            raise SequenceLengthError(f"sequence length {shape[0]} is outside 1.."
-                                      f"{cfg.max_seq_len} (max_seq_len); truncate first")
+            raise ad.ShapeError(f"sequence length {shape[0]} is outside 1.."
+                                f"{cfg.max_seq_len} (max_seq_len); truncate first")
         return ad.linear(features, self.params["input.weight"], self.params["input.bias"])
 
     def add_positional(self, frames: Tensor) -> tuple[Tensor, Tensor]:

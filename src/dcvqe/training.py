@@ -320,30 +320,26 @@ class EpochRecord:
     wall_time_s: float
 
 
-@dataclass
-class FitResult:
-    best: Checkpoint      # lowest validation loss (ties: earlier epoch)
-    final: Checkpoint     # state after the last epoch, for resuming
-    history: list[EpochRecord]
-
-
 def fit(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
         val_seqs: Sequence[FeatureSequence], cfg: TrainConfig,
         start_epoch: int = 0, state: AdamState | None = None,
-        on_epoch: Callable[[EpochRecord], None] | None = None) -> FitResult:
-    """Train for up to ``max_epochs`` epochs with per-epoch validation.
+        on_epoch: Callable[[EpochRecord], None] | None = None) -> Checkpoint:
+    """Train for up to ``max_epochs`` epochs with per-epoch validation and
+    return the checkpoint of the lowest validation loss (ties: the earlier
+    epoch), or, when no epoch runs, a snapshot at an infinite loss.
 
-    ``start_epoch``/``state`` allow resuming from a prior checkpoint's final
-    state (its ``adam``, which the run updates in place); the shuffle
-    schedule depends only on (seed, epoch), so a resumed run reproduces the
-    unbroken run's parameters, but its ``best`` covers only the epochs that
-    it ran. Validation runs under ``numeric_failure`` too.
+    ``model`` and ``state`` (a fresh ``AdamState`` when None) are updated in
+    place and hold the final state; each epoch's record reaches the caller
+    only through ``on_epoch``. A run resumes at ``start_epoch`` with the
+    ``state`` it trained with. The shuffle schedule depends only on (seed,
+    epoch), so a resumed run reproduces the unbroken run's parameters, but
+    its best checkpoint covers only the epochs that it ran. Validation runs
+    under ``numeric_failure`` too.
     """
     if not val_seqs:
         raise ValueError("validation set is empty")
     if state is None:
         state = AdamState.for_model(model)
-    history: list[EpochRecord] = []
     best: Checkpoint | None = None
     for epoch_index in range(start_epoch, cfg.max_epochs):
         t0 = time.perf_counter()
@@ -352,19 +348,14 @@ def fit(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
             val_loss = validation_loss(model, val_seqs, cfg.loss)
             if not math.isfinite(val_loss):  # a NaN would never compare as worse than "best"
                 raise FloatingPointError(f"non-finite validation loss {val_loss}")
-        record = EpochRecord(epoch=epoch_index + 1, train_loss=train_loss,
-                             val_loss=val_loss, wall_time_s=time.perf_counter() - t0)
-        history.append(record)
         if on_epoch is not None:
-            on_epoch(record)
+            on_epoch(EpochRecord(epoch=epoch_index + 1, train_loss=train_loss,
+                                 val_loss=val_loss, wall_time_s=time.perf_counter() - t0))
         if best is None or val_loss < best.best_val_loss:
             best = Checkpoint.snapshot(model, state, val_loss, epoch_index + 1)
-    final = Checkpoint.snapshot(model, state,
-                                history[-1].val_loss if history else math.inf,
-                                history[-1].epoch if history else start_epoch)
-    if best is None:  # start_epoch beyond max_epochs: nothing trained
-        best = final
-    return FitResult(best=best, final=final, history=history)
+    if best is None:  # start_epoch at or beyond max_epochs: nothing trained
+        best = Checkpoint.snapshot(model, state, math.inf, start_epoch)
+    return best
 
 
 def evaluate(model: DCVQEModel, test_seqs: Sequence[FeatureSequence]) -> MetricsReport:
@@ -405,7 +396,7 @@ def run_repetitions(manifest: DatasetManifest, model_cfg: DCVQEConfig,
         val_seqs = data_io.load_sequences(va_m, max_len=model_cfg.max_seq_len)
         test_seqs = data_io.load_sequences(te_m, max_len=model_cfg.max_seq_len)
         model = DCVQEModel.initialize(model_cfg, seed=seed_r)
-        best = fit(model, train_seqs, val_seqs, replace(train_cfg, seed=seed_r)).best
+        best = fit(model, train_seqs, val_seqs, replace(train_cfg, seed=seed_r))
         runs.append(RepetitionRun(seed=seed_r, report=evaluate(best.build_model(), test_seqs)))
     return RepetitionResult(median=median_report([run.report for run in runs]), runs=runs)
 

@@ -189,8 +189,8 @@ def test_criterion_08_synthetic_end_to_end(synth500):
     test_seqs = data_io.load_sequences(te, max_len=600)
 
     model = DCVQEModel.initialize(cfg, seed=7)
-    result = fit(model, train_seqs, val_seqs, train_cfg)
-    report = evaluate(result.best.build_model(), test_seqs)
+    best = fit(model, train_seqs, val_seqs, train_cfg)
+    report = evaluate(best.build_model(), test_seqs)
     elapsed = time.perf_counter() - t0
 
     ok = report.srcc >= 0.90 and report.plcc >= 0.90 and elapsed <= 600.0
@@ -264,9 +264,10 @@ def test_criterion_11_determinism(tmp_path_factory):
 
     def run(path):
         model = DCVQEModel.initialize(cfg, seed=9)
-        result = fit(model, train_seqs, val_seqs, train_cfg)
-        save_checkpoint(path, result.best)
-        return result.history
+        history = []
+        save_checkpoint(path, fit(model, train_seqs, val_seqs, train_cfg,
+                                  on_epoch=history.append))
+        return history
 
     h1 = run(root / "run1.ckpt")
     h2 = run(root / "run2.ckpt")

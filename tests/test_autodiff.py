@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcvqe import autodiff as ad
-from dcvqe.autodiff import Graph, GraphError, ShapeError, Tensor, backward, gradient_check
+from dcvqe.autodiff import Graph, ShapeError, Tensor, backward, gradient_check
 from dcvqe.losses import LossConfig, total_loss
 from dcvqe.model import DCVQEConfig, DCVQEModel
 from dcvqe.training import TINY_CONFIG
@@ -517,6 +517,11 @@ class TestStructural:
         with pytest.raises(ShapeError, match=r"\[n, D\]"):
             ad.conquer_attention(Tensor(np.zeros((2, 4, 6))), w, w, w, 2)
 
+    def test_item_needs_a_single_element(self):
+        assert Tensor([[2.5]]).item() == 2.5
+        with pytest.raises(ShapeError, match=re.escape("(2, 2)")):
+            Tensor(np.ones((2, 2))).item()
+
 
 class TestBackward:
     def test_grad_of_sum_is_ones(self):
@@ -626,7 +631,7 @@ class TestBackward:
         x = Tensor(np.ones((2, 2)))
         with Graph() as g:
             y = product(x, x)
-        with pytest.raises(GraphError):
+        with pytest.raises(ShapeError, match="scalar loss"):
             backward(y, g, [x])
 
     def test_empty_graph_is_noop(self):
@@ -642,6 +647,16 @@ class TestBackward:
         n_inside = len(g)
         weighted_sum((x, 1.0))
         assert n_inside == 1 and len(g) == 1
+
+    def test_a_nested_graph_records_while_it_is_the_innermost(self):
+        x = Tensor(np.ones(3))
+        with Graph() as outer:
+            weighted_sum((x, 1.0))
+            with Graph() as inner:
+                weighted_sum((x, 1.0))
+                weighted_sum((x, 1.0))
+            weighted_sum((x, 1.0))  # the outer graph records again
+        assert (len(outer), len(inner)) == (2, 2)
 
     def test_every_tensor_an_op_uses_gets_its_gradient(self):
         # a plain Tensor is differentiated like any other: the array operand

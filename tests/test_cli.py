@@ -2,9 +2,11 @@
 diagnostic subcommands, exit codes, and config/flag/env precedence."""
 
 import dataclasses
+import importlib
 import json
 import math
 import os
+import pkgutil
 import struct
 import subprocess
 import sys
@@ -15,11 +17,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import dcvqe
 from dcvqe import cli, training
 from dcvqe import data as data_io
+from dcvqe.autodiff import ShapeError
 from dcvqe.cli import _FIELD_NAMES, CONFIG_KEYS, _configs, _settings, build_parser, main
 from dcvqe.losses import LossConfig
-from dcvqe.metrics import MetricsReport
+from dcvqe.metrics import DegenerateInputError, MetricsReport
 from dcvqe.model import DCVQEConfig, DCVQEModel
 from dcvqe.training import (AdamState, Checkpoint, TrainConfig, load_checkpoint,
                             save_checkpoint)
@@ -66,6 +70,18 @@ def run_cli(*args):
     test at the timeout instead of stalling the suite."""
     return subprocess.run([sys.executable, "-m", "dcvqe", *map(str, args)],
                           capture_output=True, text=True, timeout=120, env=CHILD_ENV)
+
+
+def package_exceptions() -> list[type]:
+    """Every exception class that a module of the package defines."""
+    found = []
+    for info in pkgutil.iter_modules(dcvqe.__path__):
+        if not info.name.startswith("_"):  # importing __main__ would run the CLI
+            module = importlib.import_module(f"dcvqe.{info.name}")
+            found += [obj for obj in vars(module).values()
+                      if isinstance(obj, type) and issubclass(obj, BaseException)
+                      and obj.__module__ == module.__name__]
+    return found
 
 
 def edited_checkpoint(src, dst, name, value):
@@ -182,6 +198,24 @@ class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert main(["train", "--nonsense"]) == 1
         assert main([]) == 1
+
+    def test_the_package_defines_the_exceptions_that_main_sorts(self):
+        assert {cli.UsageError, data_io.FormatError, DegenerateInputError,
+                ShapeError} <= set(package_exceptions())
+
+    @pytest.mark.parametrize("exc_type", [*package_exceptions(), FloatingPointError, OSError,
+                                          MemoryError], ids=lambda t: t.__name__)
+    def test_each_exception_class_exits_with_its_documented_code(self, exc_type, monkeypatch,
+                                                                 capsys):
+        def failing(args):
+            raise exc_type("the command failed")
+
+        monkeypatch.setitem(cli._COMMANDS, "gradcheck", failing)
+        code = {cli.UsageError: 1, FloatingPointError: 3, DegenerateInputError: 3}
+        assert main(["gradcheck"]) == code.get(exc_type, 2)
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(": the command failed\n") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_missing_manifest_is_two(self, tmp_path, dataset_dir, capsys):
         code = main(["train", "--manifest", str(tmp_path / "missing.jsonl"),

@@ -1,6 +1,7 @@
 """The package ships nothing for the tests alone: every public function,
 class and method of ``dcvqe`` has a caller in the package or in the
-benchmark harness (``perfbench/``). And numpy is its one runtime
+benchmark harness (``perfbench/``), and each of their parameters with a
+default is passed by some call there. And numpy is its one runtime
 dependency: it imports nothing else outside the standard library."""
 
 import ast
@@ -90,6 +91,68 @@ def uncalled() -> list[str]:
 def test_every_public_definition_has_a_caller_outside_the_tests():
     assert PERFBENCH.is_dir()
     assert uncalled() == []
+
+
+# the parameters with a default that no call passes, by function, with the reason
+UNPASSED: dict[str, tuple[set[str], str]] = {
+    "cli.main": ({"argv"}, "the tests drive the CLI in process; the console script passes none"),
+    "training.fit": ({"start_epoch", "state"}, "train --resume (ROADMAP D9) will pass them"),
+}
+
+
+def defaulted(node: ast.FunctionDef, method: bool):
+    """(name, position) of each parameter of ``node`` that has a default;
+    the position counts the arguments a call writes, so a method's first
+    parameter (``self`` or ``cls``) has none, and a keyword-only
+    parameter's is None."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args]
+    offset = 1 if method else 0
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, i - offset
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` passes the parameter ``name`` by keyword, by
+    position, or through an unpacked ``*args`` or ``**kwargs``."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(
+        isinstance(a, ast.Starred) for a in call.args[:position + 1])
+
+
+def unpassed() -> list[str]:
+    """Parameters with a default, of the package's public functions and
+    methods, that no call in the package or in ``perfbench/`` passes. A call
+    counts by the name it calls, bare or as an attribute (``module.name``,
+    ``obj.method``)."""
+    package = parse(PACKAGE.glob("*.py"))
+    callers = [*package.values(), *parse(PERFBENCH.glob("*.py")).values()]
+    missing = []
+    for module, tree in package.items():
+        for qualname, node, method in definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                continue
+            name = qualname.rsplit(".", 1)[-1]
+            calls = [n for caller in callers for n in nodes_outside(caller, node)
+                     if isinstance(n, ast.Call)
+                     and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+            missing += [f"{module}.{qualname}({param})"
+                        for param, position in defaulted(node, method)
+                        if not any(passes(c, param, position) for c in calls)]
+    return missing
+
+
+def test_every_optional_parameter_is_passed_outside_the_tests():
+    assert sorted(unpassed()) == sorted(f"{function}({param})"
+                                        for function, (params, _) in UNPASSED.items()
+                                        for param in params)
 
 
 def imported_modules(tree: ast.Module) -> set[str]:

@@ -288,23 +288,29 @@ class TestFit:
     def test_single_epoch_returns_epoch_one(self, small_splits):
         train_seqs, val_seqs, _ = small_splits
         model = DCVQEModel.initialize(SMALL_CFG, seed=4)
-        result = fit(model, train_seqs, val_seqs, small_train_cfg(max_epochs=1))
-        assert result.best.epoch == 1
-        assert len(result.history) == 1
+        history = []
+        best = fit(model, train_seqs, val_seqs, small_train_cfg(max_epochs=1),
+                   on_epoch=history.append)
+        assert best.epoch == 1
+        assert len(history) == 1
 
     def test_retains_first_argmin_of_validation_loss(self, small_splits):
         train_seqs, val_seqs, _ = small_splits
         model = DCVQEModel.initialize(SMALL_CFG, seed=5)
-        result = fit(model, train_seqs, val_seqs, small_train_cfg(max_epochs=4))
-        val_losses = [r.val_loss for r in result.history]
-        assert result.best.best_val_loss == min(val_losses)
-        assert result.best.epoch == val_losses.index(min(val_losses)) + 1
+        history = []
+        best = fit(model, train_seqs, val_seqs, small_train_cfg(max_epochs=4),
+                   on_epoch=history.append)
+        val_losses = [r.val_loss for r in history]
+        assert best.best_val_loss == min(val_losses)
+        assert best.epoch == val_losses.index(min(val_losses)) + 1
 
     def test_best_no_worse_than_first_epoch(self, small_splits):
         train_seqs, val_seqs, _ = small_splits
         model = DCVQEModel.initialize(SMALL_CFG, seed=6)
-        result = fit(model, train_seqs, val_seqs, small_train_cfg(max_epochs=3))
-        assert result.best.best_val_loss <= result.history[0].val_loss
+        history = []
+        best = fit(model, train_seqs, val_seqs, small_train_cfg(max_epochs=3),
+                   on_epoch=history.append)
+        assert best.best_val_loss <= history[0].val_loss
 
     def test_nonfinite_validation_loss_names_epoch(self, small_splits, monkeypatch):
         train_seqs, val_seqs, _ = small_splits
@@ -317,17 +323,20 @@ class TestFit:
         train_seqs, val_seqs, _ = small_splits
         cfg = small_train_cfg(max_epochs=4)
 
-        model_a = DCVQEModel.initialize(SMALL_CFG, seed=7)
-        full = fit(model_a, train_seqs, val_seqs, cfg)
+        model_a, full = DCVQEModel.initialize(SMALL_CFG, seed=7), []
+        fit(model_a, train_seqs, val_seqs, cfg, on_epoch=full.append)
 
-        model_b = DCVQEModel.initialize(SMALL_CFG, seed=7)
-        first = fit(model_b, train_seqs, val_seqs, small_train_cfg(max_epochs=2))
-        resumed_model = first.final.build_model()
-        second = fit(resumed_model, train_seqs, val_seqs, cfg,
-                     start_epoch=2, state=first.final.adam)
+        model_b, first = DCVQEModel.initialize(SMALL_CFG, seed=7), []
+        state_b = AdamState.for_model(model_b)
+        fit(model_b, train_seqs, val_seqs, small_train_cfg(max_epochs=2), state=state_b,
+            on_epoch=first.append)
+        final = Checkpoint.snapshot(model_b, state_b, first[-1].val_loss, 2)
+        resumed_model, second = final.build_model(), []
+        fit(resumed_model, train_seqs, val_seqs, cfg, start_epoch=2, state=final.adam,
+            on_epoch=second.append)
 
-        joined = [(r.epoch, r.train_loss, r.val_loss) for r in first.history + second.history]
-        reference = [(r.epoch, r.train_loss, r.val_loss) for r in full.history]
+        joined = [(r.epoch, r.train_loss, r.val_loss) for r in first + second]
+        reference = [(r.epoch, r.train_loss, r.val_loss) for r in full]
         assert joined == reference
         for name in model_a.params:
             assert np.array_equal(model_a.params[name].data, resumed_model.params[name].data)
@@ -499,14 +508,13 @@ class TestCheckpointIO:
                                                                epochs):
         train_seqs, val_seqs, _ = small_splits
         model = DCVQEModel.initialize(SMALL_CFG, seed=6)
-        result = fit(model, train_seqs, val_seqs, small_train_cfg(max_epochs=2),
-                     start_epoch=2 - epochs)
-        assert (result.best.best_val_loss == math.inf) == (epochs == 0)
-        for which, cp in (("best", result.best), ("final", result.final)):
-            first, second = tmp_path / f"{which}.ckpt", tmp_path / f"{which}-again.ckpt"
-            save_checkpoint(first, cp)
-            save_checkpoint(second, load_checkpoint(first))
-            assert first.read_bytes() == second.read_bytes(), which
+        best = fit(model, train_seqs, val_seqs, small_train_cfg(max_epochs=2),
+                   start_epoch=2 - epochs)
+        assert (best.best_val_loss == math.inf) == (epochs == 0)
+        first, second = tmp_path / "best.ckpt", tmp_path / "best-again.ckpt"
+        save_checkpoint(first, best)
+        save_checkpoint(second, load_checkpoint(first))
+        assert first.read_bytes() == second.read_bytes()
 
     def test_a_write_that_fails_leaves_the_previous_checkpoint(self, tmp_path):
         """The bytes go to a temporary file that replaces the checkpoint only
@@ -574,7 +582,7 @@ class TestEvaluate:
         """Independent re-run of the evaluation pipeline with scipy metrics."""
         train_seqs, val_seqs, test_seqs = small_splits
         model = DCVQEModel.initialize(SMALL_CFG, seed=8)
-        model = fit(model, train_seqs, val_seqs, small_train_cfg(max_epochs=2)).best.build_model()
+        model = fit(model, train_seqs, val_seqs, small_train_cfg(max_epochs=2)).build_model()
         report = evaluate(model, test_seqs)
 
         preds = np.array([model.forward(s.features).item() for s in test_seqs])
