@@ -2,9 +2,11 @@
 
 All model, loss, and metric math in this package runs on these primitives.
 A ``Graph`` records every operation executed inside its context, and no
-tensor opts out; ``backward(loss, graph, wrt)`` replays the tape in reverse
-and returns the gradient of each tensor of ``wrt``. A tensor holds no
-gradient, so a graph's backward changes no state that another graph sees.
+tensor opts out; ``backward(loss, graph, wrt, seed=None)`` replays the tape
+in reverse from the gradient ``seed`` at ``loss`` (ones for a scalar loss)
+and returns the gradient of each tensor of ``wrt``, read-only. A tensor
+holds no gradient, so a graph's backward changes no state that another
+graph sees.
 Code that must stay off a caller's tape runs inside a graph of its own.
 ``gradient_check`` compares those gradients against central finite
 differences and is the ground truth the rest of the package is validated
@@ -18,8 +20,9 @@ the videos' scores. ``linear`` is the one matrix product. It keeps a
 float32 ``x`` as it is: its float64 copy lives only inside the forward GEMM,
 and the weight gradient widens it one column block at a time. When a second
 core is free, its large products (the paper-shape input projection) run on
-two threads with the bits of one. ``backward`` sums the gradients that
-reach one tensor in place, in arrays that it allocated itself.
+two threads with the bits of one, unless ``_each_on_two_threads`` already
+keeps both threads busy with whole videos. ``backward`` sums the gradients
+that reach one tensor in place, in arrays that it allocated itself.
 
 The attention ops share one forward and backward, ``_attend``, whose
 boolean [m, n] mask's rows are the query rows that it evaluates, the first
@@ -158,13 +161,20 @@ def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     return _record_many(op, inputs, (out_data,), backward_fn, weights)[0]
 
 
-def backward(loss: Tensor, graph: Graph, wrt: Sequence[Tensor]) -> list[np.ndarray]:
-    """The gradients of the scalar ``loss`` with respect to the tensors of
-    ``wrt``, in its order: new C-contiguous float64 arrays, zeros where the
-    loss does not reach. ``wrt`` holds leaves, inputs of recorded ops that no
-    recorded op produced; an op's output gets zeros. Nothing is written to
-    any tensor, so graphs over shared parameters may run on several threads.
-    A loss of more than one element is a ``ShapeError``.
+def backward(loss: Tensor, graph: Graph, wrt: Sequence[Tensor],
+             seed=None) -> list[np.ndarray]:
+    """The gradients of ``loss`` with respect to the tensors of ``wrt``, in
+    its order: read-only float64 arrays of the tensors' shapes, zeros where
+    the loss does not reach. ``wrt`` holds leaves, inputs of recorded ops
+    that no recorded op produced; an op's output gets zeros. Nothing is
+    written to any tensor, so graphs over shared parameters may run on
+    several threads.
+
+    ``seed`` is the gradient that enters at ``loss``, of its shape; None
+    stands for ones, which only a loss of one element may take. A loss of
+    more than one element without a seed, or a seed of another shape, is a
+    ``ShapeError``. A batch's training step seeds each video's graph with
+    its score's row of the loss gradient.
 
     When a second gradient reaches a tensor, the engine allocates the sum
     and adds every later one into it in place, so a weight that every video
@@ -172,11 +182,20 @@ def backward(loss: Tensor, graph: Graph, wrt: Sequence[Tensor]) -> list[np.ndarr
     memory order of its terms: adding F-ordered gradients into a C-ordered
     buffer costs several times a contiguous add. It never adds into an
     array that a rule returned: a rule may hand the same array to several
-    inputs. An engine-owned total in C order is returned without a copy.
+    inputs. Each result is a read-only view of the engine's total, in its
+    memory order (``linear``'s weight gradients are F-ordered), not a copy:
+    a caller that sums the gradients of several graphs adds them into an
+    array of its own.
     """
-    if loss.data.size != 1:
-        raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    if seed is None:
+        if loss.data.size != 1:
+            raise ShapeError(f"backward needs a scalar loss or a seed, got shape {loss.shape}")
+        seed = np.ones_like(loss.data)
+    else:
+        seed = np.asarray(seed, dtype=np.float64)
+        if seed.shape != loss.shape:
+            raise ShapeError(f"the seed's shape {seed.shape} is not the loss's {loss.shape}")
+    flowing: dict[int, np.ndarray] = {id(loss): seed}
     owned: set[int] = set()  # tensors whose flowing sum this call allocated
     for node in reversed(graph.nodes):
         grads_out = [flowing.pop(id(out), None) for out in node.outputs]
@@ -195,10 +214,11 @@ def backward(loss: Tensor, graph: Graph, wrt: Sequence[Tensor]) -> list[np.ndarr
             else:
                 flowing[tid] = held + grad
                 owned.add(tid)
-    totals = [flowing.get(id(t)) for t in wrt]
-    return [np.zeros(t.shape) if total is None
-            else total if id(t) in owned and total.flags.c_contiguous else total.copy()
-            for t, total in zip(wrt, totals)]
+    totals = [np.zeros(t.shape) if id(t) not in flowing else flowing[id(t)].view()
+              for t in wrt]
+    for total in totals:
+        total.flags.writeable = False
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +302,50 @@ def _on_two_threads(here: Callable[[], None], there: Callable[[], None]) -> None
     pending.result()
 
 
+# set inside ``_each_on_two_threads``: both threads are already busy there,
+# so ``linear`` keeps every product on the thread that calls it
+_unsplit = contextvars.ContextVar("unsplit", default=False)
+
+
+def _each_on_two_threads(work: Callable[[object], None], items: Sequence,
+                         after: Callable[[], None]) -> None:
+    """Call ``work(item)`` for each of ``items`` on this thread and the
+    helper thread, which take the items in order, each the next one when it
+    is free. This thread calls ``after()`` after each of its own items and
+    once when both threads have finished. ``linear`` splits no product on
+    either thread meanwhile, so nothing that runs on the helper waits for
+    it. At the first exception neither thread takes a further item, and the
+    exception propagates as in ``_on_two_threads``."""
+    taken, lock, failed = iter(items), threading.Lock(), threading.Event()
+
+    def take(then):
+        try:
+            while not failed.is_set():
+                with lock:
+                    item = next(taken, taken)
+                if item is taken:
+                    return
+                work(item)
+                then()
+        except BaseException:
+            failed.set()
+            raise
+
+    token = _unsplit.set(True)
+    try:
+        _on_two_threads(lambda: take(after), lambda: take(lambda: None))
+    finally:
+        _unsplit.reset(token)
+    after()
+
+
+def _large(rows, n_out: int) -> bool:
+    """Whether ``linear`` splits the product of the rows [S, K] and a
+    [K, n_out] weight over two threads when the second core is free."""
+    return (np.ndim(rows) == 2 and rows.shape[0] >= 2 * SPLIT_ROWS
+            and rows.shape[0] * rows.shape[1] * n_out >= SPLIT_MACS)
+
+
 def linear(x, w: Tensor, b: Tensor) -> Tensor:
     """``x`` [S, K] @ ``w`` [K, N] plus the bias row ``b`` [1, N], one node.
 
@@ -318,8 +382,7 @@ def linear(x, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear needs x [S, K], w [K, N] and b [1, N], got "
                          f"{np.shape(rows)}, {w.shape} and {b.shape}")
     (n_rows, width), n_out = rows.shape, w.shape[1]
-    split = (n_rows * width * n_out >= SPLIT_MACS and n_rows >= 2 * SPLIT_ROWS
-             and _two_cores())
+    split = _large(rows, n_out) and not _unsplit.get() and _two_cores()
 
     out = np.empty((n_rows, n_out))
 
@@ -661,7 +724,7 @@ def gradient_check(f: Callable[[], Tensor], params: Sequence[Tensor],
     f0 = loss.item()
     if not math.isfinite(f0):
         raise FloatingPointError(f"objective is non-finite: {f0}")
-    analytic = backward(loss, graph, params)
+    analytic = [g.reshape(-1) for g in backward(loss, graph, params)]  # C order, as ``flat``
 
     report = GradCheckReport()
     for idx, p in enumerate(params):
@@ -684,7 +747,7 @@ def gradient_check(f: Callable[[], Tensor], params: Sequence[Tensor],
                 flagged += 1
                 continue
             numeric = (f_plus - f_minus) / (2.0 * h)
-            a = float(analytic[idx].reshape(-1)[i])
+            a = float(analytic[idx][i])
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
             worst = max(worst, rel)
         report.per_parameter.append(

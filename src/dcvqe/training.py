@@ -1,9 +1,13 @@
 """Optimizer, training loop, best-checkpoint retention, and repetitions.
 
-Batches are formed over whole videos; each video in a batch runs its forward
-pass sequentially on one shared graph so the correlation term of the loss
-sees the entire batch, as its definition requires. Validation after every
-epoch retains the checkpoint with the lowest validation loss (ties keep the
+Batches are formed over whole videos. Each video's forward records on a
+graph of its own, and the loss on one more whose inputs are all the
+batch's scores, so the correlation term sees the entire batch, as its
+definition requires. Each video's backward is seeded with its score's
+gradient of the loss, and the sum of the videos' gradients keeps the bits
+of one graph over the whole batch. At the paper shape, with a second core
+free, a batch's videos run on two threads. Validation after every epoch
+retains the checkpoint with the lowest validation loss (ties keep the
 earlier epoch).
 """
 
@@ -147,9 +151,8 @@ def train_epoch(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
     """One pass over the training videos; returns the mean batch loss.
 
     The shuffle depends only on (seed, epoch_index), so resumed runs replay
-    the exact same batch order. A batch's loss node takes the videos'
-    scores as its inputs. Each batch's forward pass, loss, backward pass and
-    Adam step run under ``numeric_failure`` (epoch and 1-based batch)."""
+    the exact same batch order. Each batch's step (``_batch_step``) and Adam
+    update run under ``numeric_failure`` (epoch and 1-based batch)."""
     if not train_seqs:
         raise ValueError("training set is empty")
     order = np.random.default_rng([cfg.seed, epoch_index]).permutation(len(train_seqs))
@@ -157,16 +160,77 @@ def train_epoch(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
     for number, lo in enumerate(range(0, len(order), cfg.batch_size), start=1):
         batch = [train_seqs[i] for i in order[lo:lo + cfg.batch_size]]
         with numeric_failure(f"epoch {epoch_index + 1}, batch {number}"):
-            with Graph() as graph:
-                loss = total_loss([model.forward(s.features) for s in batch],
-                                  [s.mos for s in batch], cfg.loss)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise FloatingPointError(f"non-finite training loss {value}")
-            grads = ad.backward(loss, graph, model.parameters())
+            value, grads = _batch_step(model, batch, cfg.loss)
             adam_step(model.named_parameters(), grads, state, cfg.learning_rate)
         losses.append(value)
     return float(np.mean(losses))
+
+
+def _batch_step(model: DCVQEModel, batch: Sequence[FeatureSequence],
+                loss_cfg: LossConfig) -> tuple[float, list[np.ndarray]]:
+    """The loss of one batch and its gradient for each model parameter.
+
+    Each video's forward records on a graph of its own and the loss on one
+    more, whose inputs are the videos' scores; the loss is the one term
+    that couples the videos. Each video's backward is then seeded with its
+    score's row of the loss gradient, taken last video first, and its graph
+    is dropped. The per-video gradients are summed as ``backward`` sums
+    them over one graph of the whole batch, ``((g_B + g_B-1) + ...) + g_1``,
+    each as soon as its turn comes, so the bits are those of that graph.
+
+    When the second core is free and ``linear`` would split every video's
+    input projection (``autodiff._large``), the forwards, and then the
+    backwards, are shared between this thread and autodiff's helper thread,
+    each taking the next video when it is free, and ``linear`` splits
+    nothing meanwhile. The loss and the sum stay on this thread. A
+    non-finite loss raises ``FloatingPointError``."""
+    params = model.parameters()
+    n = len(batch)
+    graphs, scores, grads = [None] * n, [None] * n, [None] * n
+    total: list[np.ndarray] = []  # the sum over videos n - 1, ..., n - added
+    added = 0
+    both = (n > 1 and ad._two_cores()
+            and all(ad._large(s.features, model.config.model_dim) for s in batch))
+
+    def each(work, items, after=lambda: None):
+        if both:
+            ad._each_on_two_threads(work, items, after)
+        else:
+            for item in items:
+                work(item)
+                after()
+
+    def forward(i):
+        with Graph() as graphs[i]:
+            scores[i] = model.forward(batch[i].features)
+
+    each(forward, range(n))
+    with Graph() as graph:
+        loss = total_loss(scores, [s.mos for s in batch], loss_cfg)
+    value = loss.item()
+    if not math.isfinite(value):
+        raise FloatingPointError(f"non-finite training loss {value}")
+    seeds = ad.backward(loss, graph, scores)
+
+    def backward(i):
+        grads[i] = ad.backward(scores[i], graphs[i], params, seed=seeds[i])
+        graphs[i] = None
+
+    def add_ready():  # the next term of the sum, and any after it, if ready
+        nonlocal added, total
+        while added < n and grads[n - 1 - added] is not None:
+            term, grads[n - 1 - added] = grads[n - 1 - added], None
+            if not added:
+                total = term
+            elif added == 1:  # the backward's arrays are read-only: the sum gets its own
+                total = [acc + g for acc, g in zip(total, term)]
+            else:
+                for acc, g in zip(total, term):
+                    acc += g
+            added += 1
+
+    each(backward, range(n - 1, -1, -1), add_ready)
+    return value, total
 
 
 def validation_loss(model: DCVQEModel, val_seqs: Sequence[FeatureSequence],

@@ -9,6 +9,8 @@ out the seeded parameter draw of ``DCVQEModel.initialize`` one parameter at
 a time. ``krcc_pairs`` is Kendall tau-b from the full matrix of pair signs.
 ``clip_maps`` reads the per-clip attention weights off a tape, and
 ``record`` every layer's activations and attention maps.
+``train_epoch_one_graph`` is the training epoch with each batch on one
+graph, the reference that ``training.train_epoch`` keeps the bits of.
 """
 
 import math
@@ -18,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from dcvqe import autodiff as ad
-from dcvqe import metrics
+from dcvqe import metrics, training
 from dcvqe.data import DatasetManifest, load_sequences
+from dcvqe.losses import total_loss
 from dcvqe.model import AttentionMask, layer_clip_len, split_clips, transformer_c, transformer_d
 
 
@@ -171,3 +174,24 @@ def krcc_pairs(p, g) -> float:
     ties_p = int((dp == 0).sum())
     ties_g = int((dg == 0).sum())
     return (concordant - discordant) / float(np.sqrt(float(n0 - ties_p) * float(n0 - ties_g)))
+
+
+def train_epoch_one_graph(model, train_seqs, cfg, state, epoch_index: int) -> float:
+    """``training.train_epoch`` with each batch's forwards and loss recorded
+    on one graph and one backward over it, on this thread; ``linear`` still
+    splits its large products when the second core is free."""
+    order = np.random.default_rng([cfg.seed, epoch_index]).permutation(len(train_seqs))
+    losses = []
+    for number, lo in enumerate(range(0, len(order), cfg.batch_size), start=1):
+        batch = [train_seqs[i] for i in order[lo:lo + cfg.batch_size]]
+        with training.numeric_failure(f"epoch {epoch_index + 1}, batch {number}"):
+            with ad.Graph() as graph:
+                loss = total_loss([model.forward(s.features) for s in batch],
+                                  [s.mos for s in batch], cfg.loss)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise FloatingPointError(f"non-finite training loss {value}")
+            grads = ad.backward(loss, graph, model.parameters())
+            training.adam_step(model.named_parameters(), grads, state, cfg.learning_rate)
+        losses.append(value)
+    return float(np.mean(losses))

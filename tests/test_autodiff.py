@@ -407,6 +407,33 @@ class TestLinearOnTwoThreads:
             with np.errstate(over="raise"):
                 ad._on_two_threads(lambda: None, lambda: np.exp(np.array([1e3])))
 
+    def test_each_item_runs_once_when_callers_share_the_helper(self):
+        # three callers hand their items to the one helper at once, with
+        # thread switches as often as the interpreter can make them: every
+        # item runs exactly once, linear splits nothing meanwhile, and only
+        # the caller's own thread runs its ``after``
+        def run(first):
+            seen, afters = [], []
+
+            def work(item):
+                seen.append((item, ad._unsplit.get()))
+
+            ad._each_on_two_threads(work, range(first, first + 500),
+                                    lambda: afters.append(threading.current_thread()))
+            return seen, afters, threading.current_thread(), ad._unsplit.get()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=3) as pool:
+                results = list(pool.map(run, (0, 1000, 2000), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for first, (seen, afters, caller, unsplit_after) in zip((0, 1000, 2000), results):
+            assert sorted(item for item, _ in seen) == list(range(first, first + 500))
+            assert all(unsplit for _, unsplit in seen) and not unsplit_after
+            assert afters and set(afters) == {caller}
+
     def test_forked_child_starts_a_helper_of_its_own(self, second_core):
         second_core.force(True)
         rows, w, b = paper_projection(64)
@@ -602,8 +629,9 @@ class TestBackward:
         assert np.array_equal(dx, d + d + (c + c) @ w.data.T)
         assert all(np.array_equal(r, kept) for r, kept in returned)
 
-    def test_leaf_gradients_are_c_contiguous(self):
-        # linear hands back F-ordered weight gradients; their sum is returned C-ordered
+    def test_leaf_gradients_are_read_only_views_of_the_sum(self):
+        # linear hands back F-ordered weight gradients; their sum comes back
+        # as the engine holds it, F-ordered and read-only, with no copy
         rng = np.random.default_rng(11)
         w = Tensor(rng.normal(size=(256, 16)))
         rows = [rng.normal(size=(n, 256)) for n in (40, 7)]
@@ -613,8 +641,10 @@ class TestBackward:
         expected = rows[0].T @ weights[0] + rows[1].T @ weights[1]
         for _ in range(2):
             (dw,) = backward(loss, g, [w])
-            assert dw.flags.c_contiguous
+            assert dw.flags.f_contiguous and not dw.flags.writeable
             assert np.array_equal(dw, expected)
+            with pytest.raises(ValueError, match="read-only"):
+                dw += 1.0
 
     def test_single_matmul_leaf_gradient_is_a_t_g(self):
         rng = np.random.default_rng(12)
@@ -624,15 +654,46 @@ class TestBackward:
         with Graph() as g:
             loss = weighted_sum((product(a, w), c))
         (dw,) = backward(loss, g, [w])
-        assert dw.flags.c_contiguous
+        assert not dw.flags.writeable
         assert np.array_equal(dw, a.T @ c)
 
     def test_non_scalar_loss_raises(self):
         x = Tensor(np.ones((2, 2)))
         with Graph() as g:
             y = product(x, x)
-        with pytest.raises(ShapeError, match="scalar loss"):
+        with pytest.raises(ShapeError, match="scalar loss or a seed"):
             backward(y, g, [x])
+
+    def test_a_seed_enters_at_a_non_scalar_output(self):
+        # d(sum(s * (x @ w)))/dw = x.T @ s: the seed is the output's gradient
+        rng = np.random.default_rng(19)
+        x, s = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+        w = Tensor(rng.normal(size=(3, 2)))
+        with Graph() as g:
+            y = product(x, w)
+        (dw,) = backward(y, g, [w], seed=s)
+        with Graph() as g:
+            loss = weighted_sum((product(x, w), s))
+        assert np.array_equal(dw, backward(loss, g, [w])[0])
+
+    @pytest.mark.parametrize("seed_shape", [(), (5,), (2, 5), (5, 2, 1)])
+    def test_a_seed_of_another_shape_raises(self, seed_shape):
+        x = Tensor(np.ones((5, 2)))
+        with Graph() as g:
+            y = product(np.ones((5, 5)), x)
+        with pytest.raises(ShapeError, match=re.escape(f"{seed_shape}")):
+            backward(y, g, [x], seed=np.ones(seed_shape))
+
+    def test_a_scalar_loss_without_a_seed_is_seeded_with_one(self):
+        rng = np.random.default_rng(20)
+        x = Tensor(rng.normal(size=(4, 3)))
+        with Graph() as g:
+            loss = weighted_sum((x, rng.normal(size=(4, 3))), power=2)
+        got = backward(loss, g, [x])[0]
+        assert np.array_equal(got, backward(loss, g, [x], seed=np.ones(loss.shape))[0])
+        assert np.array_equal(2 * got, backward(loss, g, [x], seed=np.full(loss.shape, 2.0))[0])
+        with pytest.raises(ShapeError, match="seed"):
+            backward(loss, g, [x], seed=np.ones((1, 1, 1)))
 
     def test_empty_graph_is_noop(self):
         x = Tensor(np.ones((2, 3)))

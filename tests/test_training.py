@@ -5,6 +5,9 @@ import json
 import math
 import re
 import struct
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from dcvqe.model import DCVQEConfig, DCVQEModel, parameter_shapes
 from dcvqe.training import (ADAM_BLOCK, AdamState, Checkpoint, TrainConfig, adam_step,
                             evaluate, fit, load_checkpoint, run_repetitions,
                             save_checkpoint, train_epoch, validation_loss)
-from oracles import record
+from oracles import record, train_epoch_one_graph
 
 SMALL_CFG = DCVQEConfig(input_dim=6, model_dim=8, num_heads=2, num_layers=2,
                         base_clip_len=4, temporal_range=2, max_seq_len=12)
@@ -186,6 +189,187 @@ class TestTrainStepOnTwoThreads:
         assert second_core.splits == 2 * 3  # forward and weight gradient of 3 videos
         assert len(two_threads) == len(one_thread) == 1 + 4 * len(parameter_shapes(DCVQEConfig()))
         assert all(np.array_equal(a, b) for a, b in zip(one_thread, two_threads))
+
+
+ACCEPTANCE_08 = DCVQEConfig(input_dim=64, model_dim=32, num_heads=4, num_layers=3,
+                            base_clip_len=30, temporal_range=15, max_seq_len=600)
+LOSSES = {"correlation": LossConfig(0.7, 0.3), "pwrl": LossConfig(0.7, 0.3, "pwrl"),
+          "l1": LossConfig(1.0, 0.0, "l1")}
+
+
+def videos(config, lengths, seed=0):
+    rng = np.random.default_rng(seed)
+    return [FeatureSequence(f"v{k}", rng.standard_normal((n, config.input_dim),
+                                                         dtype=np.float32),
+                            float(rng.uniform(1.0, 5.0))) for k, n in enumerate(lengths)]
+
+
+def trained(epoch, config, seqs, cfgs, path):
+    """The losses, Adam step count and checkpoint bytes after one epoch of
+    ``epoch`` per train config of ``cfgs``, from one seeded model."""
+    model = DCVQEModel.initialize(config, seed=5)
+    state = AdamState.for_model(model)
+    losses = [epoch(model, seqs, cfg, state, e) for e, cfg in enumerate(cfgs)]
+    save_checkpoint(path, Checkpoint.snapshot(model, state, losses[-1], len(cfgs)))
+    return losses, state.step, path.read_bytes()
+
+
+def helper_thread() -> bool:
+    return threading.current_thread().name.startswith("dcvqe-linear")
+
+
+class TestOneTapePerVideo:
+    """``train_epoch`` records each video on a graph of its own and seeds its
+    backward from the loss: the losses, parameters, Adam moments and
+    checkpoint bytes are those of the whole batch on one graph, and so are
+    they when the videos run on two threads."""
+
+    @pytest.mark.parametrize("loss, batch_size", [
+        ("correlation", 5), ("correlation", 16), ("pwrl", 5), ("pwrl", 16),
+        ("l1", 1), ("l1", 5), ("l1", 16)])
+    def test_keeps_the_bits_of_one_graph(self, loss, batch_size, tmp_path):
+        # 21 videos of 1..600 frames: batches of 5 leave a last batch of 1,
+        # and batches of 16 one of 5
+        lengths = np.random.default_rng(3).integers(1, 601, size=21)
+        seqs = videos(ACCEPTANCE_08, lengths)
+        cfg = TrainConfig(batch_size=batch_size, learning_rate=1e-3, loss=LOSSES[loss], seed=4)
+        want = trained(train_epoch_one_graph, ACCEPTANCE_08, seqs, [cfg, cfg], tmp_path / "a")
+        assert trained(train_epoch, ACCEPTANCE_08, seqs, [cfg, cfg], tmp_path / "b") == want
+
+    @pytest.fixture(scope="class")
+    def paper_videos(self):
+        # remainder clips at every layer, and a video of 31 frames, whose
+        # projection linear never splits: the batch that holds it runs on
+        # one thread
+        return videos(DCVQEConfig(), [45, 33, 61, 40, 31, 52, 36, 90], seed=6)
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("two_cores", [False, True])
+    def test_paper_shape_keeps_the_bits_on_two_threads(self, loss, two_cores, paper_videos,
+                                                       second_core, tmp_path):
+        cfg = TrainConfig(batch_size=4, learning_rate=1e-3, loss=LOSSES[loss], seed=4)
+        want = trained(train_epoch_one_graph, DCVQEConfig(), paper_videos, [cfg],
+                       tmp_path / "a")
+        assert second_core.splits == 0
+        second_core.force(two_cores)
+        got = trained(train_epoch, DCVQEConfig(), paper_videos, [cfg], tmp_path / "b")
+        # on two cores, one batch runs its forwards and then its backwards on
+        # both threads; the other holds the 31-frame video and runs on one,
+        # where linear splits the forward and weight gradient of 3 videos
+        assert second_core.splits == two_cores * (2 + 2 * 3)
+        assert got == want
+
+    def test_a_tape_per_video_and_one_for_the_loss(self, paper_videos, second_core,
+                                                   monkeypatch):
+        # the loss graph's backward comes first, then each video's, last
+        # video first, seeded with the [1, 1] row of its score
+        second_core.force(True)
+        calls = []
+        backward = ad.backward
+
+        def spy(loss, graph, wrt, seed=None):
+            calls.append((len(graph), [n.op for n in graph.nodes].count("total_loss"),
+                          None if seed is None else seed.shape, len(wrt)))
+            return backward(loss, graph, wrt, seed)
+
+        monkeypatch.setattr(ad, "backward", spy)
+        model = DCVQEModel.initialize(DCVQEConfig(), seed=2)
+        batch = [paper_videos[k] for k in (0, 1, 2, 3)]
+        train_epoch(model, batch, TrainConfig(batch_size=4, seed=4, learning_rate=1e-3),
+                    AdamState.for_model(model), 0)
+        n_params = len(parameter_shapes(DCVQEConfig()))
+        # per video: the input projection and the regressor, the positional
+        # table, one divide and one conquer node per layer
+        assert calls == [(1, 1, None, 4)] + [(9, 0, (1, 1), n_params)] * 4
+        assert second_core.splits == 2
+
+    @staticmethod
+    def fail_second_video(monkeypatch, fail, on_helper):
+        """Patch ``forward`` so that the second video to start runs
+        ``fail(features)`` first. With ``on_helper`` that is the helper's first
+        video: the calling thread's first video waits until the helper has
+        failed, then gives its failure time to land. Returns the names of
+        the threads, one per video started."""
+        forward = DCVQEModel.forward
+        started, failed = [], threading.Event()
+
+        def spy(self, features):
+            started.append(threading.current_thread().name)
+            second = helper_thread() if on_helper else len(started) == 2
+            if second:
+                failed.set()
+                fail(features)
+            elif on_helper:
+                assert failed.wait(30)
+                time.sleep(0.2)
+            return forward(self, features)
+
+        monkeypatch.setattr(DCVQEModel, "forward", spy)
+        return started
+
+    def overflow(features):
+        np.exp(np.array([1e3]))
+
+    def wrong_width(features):
+        DCVQEModel.initialize(DCVQEConfig(), seed=0).project_input(features[:, :-1])
+
+    @pytest.mark.parametrize("fail, code, message", [
+        (overflow, 3, "numeric failure: overflow encountered in exp in epoch 1, batch 1\n"),
+        (wrong_width, 2, "data error: features must be [S,4096], got ")])
+    def test_a_failure_on_the_helper_stops_the_batch(self, fail, code, message, second_core,
+                                                     monkeypatch, tmp_path, capsys):
+        forward = DCVQEModel.forward
+        root = tmp_path / "data"
+        data_io.synth_dataset(root, n_videos=16, len_range=(32, 48), dim=4096, seed=8)
+        config = tmp_path / "paper.json"
+        config.write_text(json.dumps({"epochs": 1, "batch_size": 6, "seed": 8}))
+        results = []
+        for on_helper in (False, True):
+            second_core.force(on_helper)
+            started = self.fail_second_video(monkeypatch, fail, on_helper)
+            out = tmp_path / f"m{on_helper}.ckpt"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                results.append(main(["train", "--manifest", str(root / "manifest.jsonl"),
+                                     "--out", str(out), "--config", str(config)]))
+            assert [str(w.message) for w in caught] == []
+            err = capsys.readouterr().err
+            assert err.startswith(message)
+            results.append(err)
+            assert not out.exists() and not (tmp_path / f"m{on_helper}.ckpt.log").exists()
+            # the calling thread finishes its video and takes no further one
+            assert len(started) == 2
+            assert sum(map(str.startswith, started, ["dcvqe-linear"] * 2)) == on_helper
+        assert results[0] == code and results[:2] == results[2:]
+        # the helper is free: a batch on both threads and a split product run
+        monkeypatch.setattr(DCVQEModel, "forward", forward)
+        second_core.force(True)
+        second_core.splits = 0
+        seqs = videos(DCVQEConfig(), [40, 33, 35], seed=9)
+        model = DCVQEModel.initialize(DCVQEConfig(), seed=1)
+        cfg = TrainConfig(batch_size=3, learning_rate=1e-3, seed=1)
+        assert math.isfinite(train_epoch(model, seqs, cfg, AdamState.for_model(model), 0))
+        assert second_core.splits == 2
+        rows = seqs[0].features
+        got = ad.linear(rows, model.params["input.weight"], model.params["input.bias"]).data
+        assert second_core.splits == 3
+        assert np.array_equal(got, ad.linear(rows.astype(np.float64),
+                                             model.params["input.weight"],
+                                             model.params["input.bias"]).data)
+
+    def test_paper_shape_training_starts_no_thread_but_the_helper(self, paper_videos,
+                                                                  second_core):
+        second_core.force(True)
+        before = set(threading.enumerate())
+        model = DCVQEModel.initialize(DCVQEConfig(), seed=3)
+        state = AdamState.for_model(model)
+        cfg = TrainConfig(batch_size=4, learning_rate=1e-3, seed=2)
+        for epoch in range(2):
+            train_epoch(model, paper_videos, cfg, state, epoch)
+        assert second_core.splits == 2 * (2 + 2 * 3)
+        new = set(threading.enumerate()) - before
+        assert len(new) <= 1 and all(t.name.startswith("dcvqe-linear") for t in new)
+        assert threading.active_count() <= len(before) + 1
 
 
 class TestTrainEpoch:
