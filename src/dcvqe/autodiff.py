@@ -20,9 +20,10 @@ the videos' scores. ``linear`` is the one matrix product. It keeps a
 float32 ``x`` as it is: its float64 copy lives only inside the forward GEMM,
 and the weight gradient widens it one column block at a time. When a second
 core is free, its large products (the paper-shape input projection) run on
-two threads with the bits of one, unless ``_each_on_two_threads`` already
-keeps both threads busy with whole videos. ``backward`` sums the gradients
-that reach one tensor in place, in arrays that it allocated itself.
+two threads with the bits of one, through ``_each_on_two_threads``, the one
+primitive that runs work on the helper thread, unless whole videos already
+keep both threads busy there. ``backward`` sums the gradients that reach
+one tensor in place, in arrays that it allocated itself.
 
 The attention ops share one forward and backward, ``_attend``, whose
 boolean [m, n] mask's rows are the query rows that it evaluates, the first
@@ -279,43 +280,28 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _on_two_threads(here: Callable[[], None], there: Callable[[], None]) -> None:
-    """Run ``there`` on the one helper thread that every caller shares,
-    started at its first use, while ``here`` runs on this thread, and return
-    when both have finished: if ``here`` raises, its exception propagates,
-    else that of ``there``. ``there`` runs in a copy of this thread's
-    context, so ``np.errstate`` holds there too. Nothing that runs on the
-    helper may wait for it."""
-    # imported here, not with the module: with the logging module it pulls
-    # in, it adds 0.4 MB to the peak of every process, split or not
-    from concurrent import futures
-
-    global _helper
-    with _helper_lock:
-        if _helper is None:
-            _helper = futures.ThreadPoolExecutor(1, thread_name_prefix="dcvqe-linear")
-        pending = _helper.submit(contextvars.copy_context().run, there)
-    try:
-        here()
-    finally:
-        futures.wait((pending,))
-    pending.result()
-
-
 # set inside ``_each_on_two_threads``: both threads are already busy there,
 # so ``linear`` keeps every product on the thread that calls it
 _unsplit = contextvars.ContextVar("unsplit", default=False)
 
 
 def _each_on_two_threads(work: Callable[[object], None], items: Sequence,
-                         after: Callable[[], None]) -> None:
-    """Call ``work(item)`` for each of ``items`` on this thread and the
-    helper thread, which take the items in order, each the next one when it
-    is free. This thread calls ``after()`` after each of its own items and
-    once when both threads have finished. ``linear`` splits no product on
-    either thread meanwhile, so nothing that runs on the helper waits for
-    it. At the first exception neither thread takes a further item, and the
-    exception propagates as in ``_on_two_threads``."""
+                         after: Callable[[], None] = lambda: None) -> None:
+    """Call ``work(item)`` for each of ``items`` on this thread and on the one
+    helper thread that every caller shares, started at its first use. The
+    threads take the items in order, each the next one when it is free.
+    This thread calls ``after()`` after each of its own items and once when
+    both threads have finished. The helper runs in a copy of this thread's
+    context, so ``np.errstate`` holds there too, and ``linear`` splits no
+    product on either thread meanwhile: nothing that runs on the helper may
+    wait for it. At the first exception neither thread takes a further
+    item; the call returns when both have stopped, and this thread's
+    exception propagates, else the helper's."""
+    # imported here, not with the module: with the logging module it pulls
+    # in, it adds 0.4 MB to the peak of every process, split or not
+    from concurrent import futures
+
+    global _helper
     taken, lock, failed = iter(items), threading.Lock(), threading.Event()
 
     def take(then):
@@ -333,9 +319,17 @@ def _each_on_two_threads(work: Callable[[object], None], items: Sequence,
 
     token = _unsplit.set(True)
     try:
-        _on_two_threads(lambda: take(after), lambda: take(lambda: None))
+        with _helper_lock:
+            if _helper is None:
+                _helper = futures.ThreadPoolExecutor(1, thread_name_prefix="dcvqe-linear")
+            pending = _helper.submit(contextvars.copy_context().run, take, lambda: None)
+        try:
+            take(after)
+        finally:
+            futures.wait((pending,))
     finally:
         _unsplit.reset(token)
+    pending.result()
     after()
 
 
@@ -367,14 +361,15 @@ def linear(x, w: Tensor, b: Tensor) -> Tensor:
     2 * ``SPLIT_ROWS`` rows (the paper-shape input projection of 32 frames
     or more) run on two threads when the second core is free for them: the
     process may run on two CPUs or more and numpy's OpenBLAS runs one
-    thread. The forward gives each thread half of the rows. The weight
-    gradient gives each thread one half of every full column block, so two
-    widened half blocks take the memory of one block; a last, narrower block
-    runs whole on the calling thread after both, since halving it could
-    change its bits. Every element still comes from the same BLAS kernel on
-    the same operands, so the bits are those of one thread. ``taskset -c
-    0``, a BLAS thread count above 1 or a BLAS other than numpy's bundled
-    OpenBLAS keeps every product on the calling thread."""
+    thread. The two threads take their items in turn through
+    ``_each_on_two_threads``: the forward's items are the two halves of the
+    rows, the weight gradient's the halves of every full column block, so
+    two widened half blocks take the memory of one block; a last, narrower
+    block runs whole on the calling thread after both, since halving it
+    could change its bits. Every element still comes from the same BLAS
+    kernel on the same operands, so the bits are those of one thread.
+    ``taskset -c 0``, a BLAS thread count above 1 or a BLAS other than
+    numpy's bundled OpenBLAS keeps every product on the calling thread."""
     is_tensor = isinstance(x, Tensor)
     rows = x.data if is_tensor else x
     if (np.ndim(rows) != 2 or w.data.ndim != 2 or rows.shape[1] != w.shape[0]
@@ -392,29 +387,28 @@ def linear(x, w: Tensor, b: Tensor) -> Tensor:
 
     if split:
         half = n_rows // 2
-        _on_two_threads(lambda: project(slice(half)), lambda: project(slice(half, None)))
+        _each_on_two_threads(project, (slice(half), slice(half, None)))
     else:
         project(slice(None))
 
     def weight_grad(g):
         buf = np.empty((n_out, width))
 
-        def blocks(starts, cols):
-            for start in starts:
-                part = slice(start, start + cols)
-                np.matmul(g.T, np.ascontiguousarray(rows[:, part], dtype=np.float64),
-                          out=buf[:, part])
+        def block(start, cols):
+            part = slice(start, start + cols)
+            np.matmul(g.T, np.ascontiguousarray(rows[:, part], dtype=np.float64),
+                      out=buf[:, part])
 
         starts = range(0, width, WGRAD_COLS)
         if split and width >= WGRAD_COLS:
-            # each thread takes one half of every full block; a last, narrower
+            # the threads take the halves of the full blocks; a last, narrower
             # block runs whole, here, once both are done: as two blocks its
             # bits could differ
             halves = range(0, width - width % WGRAD_COLS, WGRAD_COLS // 2)
-            _on_two_threads(lambda: blocks(halves[::2], WGRAD_COLS // 2),
-                            lambda: blocks(halves[1::2], WGRAD_COLS // 2))
+            _each_on_two_threads(lambda start: block(start, WGRAD_COLS // 2), halves)
             starts = starts[len(halves) // 2:]
-        blocks(starts, WGRAD_COLS)
+        for start in starts:
+            block(start, WGRAD_COLS)
         return buf.T  # F-ordered
 
     def bw(g):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import re
 import sys
@@ -31,7 +30,7 @@ from .losses import VARIANTS, LossConfig
 from .metrics import DegenerateInputError
 from .model import DCVQEConfig, DCVQEModel
 from .training import (TrainConfig, evaluate, fit, gradcheck_suite, load_checkpoint,
-                       numeric_failure, run_repetitions, save_checkpoint)
+                       run_repetitions, save_checkpoint, score_each)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -270,8 +269,7 @@ def _cmd_eval(args) -> int:
         manifest = dict(zip(("train", "val", "test"), parts))[args.split]
     _check_width(data_io.manifest_feature_dim(manifest), f"manifest {args.manifest}", cp,
                  args.checkpoint)
-    seqs = data_io.load_sequences(manifest, max_len=cp.config.max_seq_len)
-    report = evaluate(cp.build_model(), seqs)
+    report = evaluate(cp.build_model(), data_io.read_sequences(manifest, cp.config.max_seq_len))
     print(f"srcc={report.srcc:.4f} krcc={report.krcc:.4f} plcc={report.plcc:.4f} "
           f"rmse={report.rmse:.4f} n={report.n}")
     return EXIT_OK
@@ -281,14 +279,10 @@ def _cmd_predict(args) -> int:
     cp = load_checkpoint(args.checkpoint)
     for path in args.features:  # every width is checked before the first payload is read
         _check_width(data_io.read_header(path)[1], f"file {path}", cp, args.checkpoint)
-    model = cp.build_model()
-    for path in args.features:
-        seq = data_io.truncate(data_io.read_features(path), cp.config.max_seq_len)
-        with numeric_failure(f"file {path}"):
-            score = model.predict(seq.features)
-        if not math.isfinite(score):
-            raise FloatingPointError(f"non-finite score {score} for {path}")
-        print(f"{path}\t{score:.6f}")
+    seqs = (data_io.truncate(data_io.read_features(path, video_id=str(path)),
+                             cp.config.max_seq_len) for path in args.features)
+    for seq, score in score_each(cp.build_model(), seqs, name=lambda s: f"file {s.video_id}"):
+        print(f"{seq.video_id}\t{score:.6f}")
     return EXIT_OK
 
 
@@ -306,18 +300,14 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_dump_embeddings(args) -> int:
     _check_out(args.out)
     cp = load_checkpoint(args.checkpoint)
-    model = cp.build_model()
     manifest = data_io.load_manifest(args.manifest)
     _check_width(data_io.manifest_feature_dim(manifest), f"manifest {args.manifest}", cp,
                  args.checkpoint)
-    lines = []  # written only once every video has been read and embedded
-    for seq in data_io.load_sequences(manifest, max_len=cp.config.max_seq_len):
-        with numeric_failure(f"video {seq.video_id!r}"):
-            embedding = model.embed(seq.features).data.reshape(-1).tolist()
-        if not all(map(math.isfinite, embedding)):
-            raise FloatingPointError(f"non-finite embedding for video {seq.video_id!r}")
-        lines.append(json.dumps({"video_id": seq.video_id, "mos": seq.mos,
-                                 "embedding": embedding}) + "\n")
+    seqs = data_io.read_sequences(manifest, cp.config.max_seq_len)
+    # the file is written only once every video has been read and embedded
+    lines = [json.dumps({"video_id": seq.video_id, "mos": seq.mos,
+                         "embedding": embedding.tolist()}) + "\n"
+             for seq, embedding in score_each(cp.build_model(), seqs, embed=True)]
     with open(args.out, "w") as fh:
         fh.writelines(lines)
     print(f"wrote {len(lines)} embeddings to {args.out}")

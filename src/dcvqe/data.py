@@ -23,6 +23,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -260,20 +261,23 @@ def manifest_feature_dim(manifest: DatasetManifest) -> int:
     return first[1]
 
 
-def load_sequences(manifest: DatasetManifest, max_len: int) -> list[FeatureSequence]:
-    """Read every video of the manifest, cut to ``max_len`` frames.
-
-    The sequences are kept for a whole run, so a cut sequence holds a copy
-    of its first rows rather than a view that would keep the cut frames
-    resident too.
-    """
-    seqs = []
+def read_sequences(manifest: DatasetManifest, max_len: int) -> Iterator[FeatureSequence]:
+    """The manifest's videos, read one at a time and in order, each cut to
+    ``max_len`` frames (``truncate``) as it is read."""
     for e in manifest.entries:
         seq = read_features(manifest.resolve(e), mos=e.mos, video_id=e.video_id)
-        cut = truncate(seq, max_len)
-        if cut is not seq:
-            cut.features = cut.features.copy()
-        seqs.append(cut)
+        yield truncate(seq, max_len)
+
+
+def load_sequences(manifest: DatasetManifest, max_len: int) -> list[FeatureSequence]:
+    """Every video of ``read_sequences``, kept for a whole run: a cut
+    sequence holds a copy of its first rows rather than a view of the file's
+    values that would keep the cut frames resident too."""
+    seqs = []
+    for seq in read_sequences(manifest, max_len):
+        if seq.features.base.size > seq.features.size:  # the file's values were cut
+            seq.features = seq.features.copy()
+        seqs.append(seq)
     return seqs
 
 

@@ -8,7 +8,7 @@ gradient of the loss, and the sum of the videos' gradients keeps the bits
 of one graph over the whole batch. At the paper shape, with a second core
 free, a batch's videos run on two threads. Validation after every epoch
 retains the checkpoint with the lowest validation loss (ties keep the
-earlier epoch).
+earlier epoch). Validation and every scoring command run ``score_each``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import struct
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -233,13 +233,28 @@ def _batch_step(model: DCVQEModel, batch: Sequence[FeatureSequence],
     return value, total
 
 
+def score_each(model: DCVQEModel, seqs: Iterable[FeatureSequence], embed: bool = False,
+               name=lambda s: f"video {s.video_id!r}") -> Iterator[tuple]:
+    """Each of ``seqs`` in turn with its score (``model.predict``), or with
+    its flat embedding if ``embed``, computed with no graph under
+    ``numeric_failure(name(seq))``; a non-finite result raises
+    ``FloatingPointError`` naming it too. Every scored video runs here."""
+    for seq in seqs:
+        where = name(seq)
+        with numeric_failure(where):
+            out = (model.embed(seq.features).data.reshape(-1) if embed
+                   else model.predict(seq.features))
+        if not np.isfinite(out).all():
+            raise FloatingPointError(f"non-finite {'embedding' if embed else 'score'} "
+                                     f"for {where}")
+        yield seq, out
+
+
 def validation_loss(model: DCVQEModel, val_seqs: Sequence[FeatureSequence],
                     loss_cfg: LossConfig) -> float:
-    """Total loss over the whole validation set, no graph retained."""
-    if not val_seqs:
-        raise ValueError("validation set is empty")
-    return total_loss([model.predict(s.features) for s in val_seqs],
-                      [s.mos for s in val_seqs], loss_cfg).item()
+    """Total loss over the whole validation set, scored by ``score_each``."""
+    scored = list(score_each(model, val_seqs))
+    return total_loss([p for _, p in scored], [s.mos for s, _ in scored], loss_cfg).item()
 
 
 # ---------------------------------------------------------------------------
@@ -422,17 +437,12 @@ def fit(model: DCVQEModel, train_seqs: Sequence[FeatureSequence],
     return best
 
 
-def evaluate(model: DCVQEModel, test_seqs: Sequence[FeatureSequence]) -> MetricsReport:
-    """Per-video inference (no graphs), each video under ``numeric_failure``,
-    then the four criteria."""
-    if len(test_seqs) < 2:
-        raise ValueError(f"evaluate needs >= 2 videos, got {len(test_seqs)}")
-    preds = []
-    for s in test_seqs:
-        with numeric_failure(f"video {s.video_id!r}"):
-            preds.append(model.predict(s.features))
-    targets = [s.mos for s in test_seqs]
-    return compute_report(preds, targets)
+def evaluate(model: DCVQEModel, test_seqs: Iterable[FeatureSequence]) -> MetricsReport:
+    """The four criteria over the videos of ``test_seqs``, each scored in
+    turn by ``score_each`` and dropped: ``test_seqs`` may read them one at
+    a time (``data.read_sequences``)."""
+    scored = [(p, s.mos) for s, p in score_each(model, test_seqs)]
+    return compute_report([p for p, _ in scored], [g for _, g in scored])
 
 
 @dataclass

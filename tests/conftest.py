@@ -10,19 +10,22 @@ from dcvqe import autodiff as ad
 
 @pytest.fixture
 def second_core(monkeypatch):
-    """``autodiff.linear``'s two-thread split, forced on or off whatever the
-    machine and its BLAS thread count: ``second_core.force(True)``. Counts in
-    ``splits`` the products that ran on two threads."""
+    """The second core forced free or busy, whatever the machine and its BLAS
+    thread count: ``second_core.force(True)``. Counts in ``splits`` the calls
+    of ``autodiff._each_on_two_threads``, the one primitive that runs work
+    on the helper thread: one per product that ``linear`` splits, and two
+    (the forwards, then the backwards) per training batch whose videos run
+    on two threads."""
     state = SimpleNamespace(splits=0)
-    on_two_threads = ad._on_two_threads
+    each_on_two_threads = ad._each_on_two_threads
     lock = threading.Lock()  # callers on several threads count
 
-    def counted(here, there):
+    def counted(*args, **kwargs):
         with lock:
             state.splits += 1
-        on_two_threads(here, there)
+        each_on_two_threads(*args, **kwargs)
 
-    monkeypatch.setattr(ad, "_on_two_threads", counted)
+    monkeypatch.setattr(ad, "_each_on_two_threads", counted)
     state.force = lambda on: monkeypatch.setattr(ad, "_two_cores", lambda: on)
     state.force(False)
     return state

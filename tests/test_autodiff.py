@@ -382,6 +382,22 @@ class TestLinearOnTwoThreads:
         if getter is not None:
             assert getter() >= 1
 
+    @staticmethod
+    def one_item_each(here, there):
+        """``_each_on_two_threads`` over two items, of which the helper runs
+        ``there`` and this thread ``here``, once the helper has started."""
+        caller, started = threading.current_thread(), threading.Event()
+
+        def work(item):
+            if threading.current_thread() is caller:
+                assert started.wait(timeout=60)
+                here()
+            else:
+                started.set()
+                there()
+
+        ad._each_on_two_threads(work, range(2))
+
     def test_waits_for_the_helper_when_its_own_half_raises(self):
         finished = threading.Event()
 
@@ -390,22 +406,22 @@ class TestLinearOnTwoThreads:
             finished.set()
 
         def fails():
-            raise ValueError("this half")
+            raise ValueError("this item")
 
-        with pytest.raises(ValueError, match="this half"):
-            ad._on_two_threads(fails, slow)
+        with pytest.raises(ValueError, match="this item"):
+            self.one_item_each(fails, slow)
         assert finished.is_set()
-        with pytest.raises(ValueError, match="this half"):
-            ad._on_two_threads(lambda: None, fails)
+        with pytest.raises(ValueError, match="this item"):
+            self.one_item_each(lambda: None, fails)
 
     def test_helper_runs_in_the_callers_errstate(self):
         seen = []
         with np.errstate(over="raise", under="ignore"):
-            ad._on_two_threads(lambda: None, lambda: seen.append(np.geterr()))
+            self.one_item_each(lambda: None, lambda: seen.append(np.geterr()))
             assert seen == [np.geterr()]
         with pytest.raises(FloatingPointError, match="overflow"):
             with np.errstate(over="raise"):
-                ad._on_two_threads(lambda: None, lambda: np.exp(np.array([1e3])))
+                self.one_item_each(lambda: None, lambda: np.exp(np.array([1e3])))
 
     def test_each_item_runs_once_when_callers_share_the_helper(self):
         # three callers hand their items to the one helper at once, with

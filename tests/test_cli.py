@@ -10,6 +10,7 @@ import pkgutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -480,7 +481,7 @@ class TestExitCodes:
             self, tmp_path, trained_checkpoint, command, monkeypatch, capsys):
         data_io.synth_dataset(tmp_path, n_videos=6, len_range=(4, 8), dim=5, seed=3)
         manifest, first = tmp_path / "manifest.jsonl", tmp_path / "synth00000.dcvq"
-        monkeypatch.setattr(data_io, "load_sequences",
+        monkeypatch.setattr(data_io, "read_features",
                             lambda *a, **k: pytest.fail("payloads were read"))
         out = tmp_path / "e.jsonl"
         argv = {"eval": ["--manifest", manifest],
@@ -493,6 +494,47 @@ class TestExitCodes:
             f"data error: {source} has feature width 5, but checkpoint {trained_checkpoint} "
             f"takes 6\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "dump-embeddings"])
+    def test_scoring_stops_at_the_first_failing_video_in_manifest_order(
+            self, tmp_path, trained_checkpoint, command, capsys):
+        # each video is read, scored and dropped in turn: an overflow in the
+        # first video is the failure even though the fourth file is malformed,
+        # and that file fails only once the videos before it have been scored
+        data_io.synth_dataset(tmp_path, n_videos=6, len_range=(4, 8), dim=6, seed=3)
+        bad = tmp_path / "synth00003.dcvq"
+        raw = bytearray(bad.read_bytes())
+        raw[16:20] = struct.pack("<f", math.nan)
+        bad.write_bytes(bytes(raw))
+        huge = edited_checkpoint(trained_checkpoint, tmp_path / "huge.ckpt", "input.weight",
+                                 1e300)
+        out = tmp_path / "e.jsonl"
+        for ckpt, code, err in [
+                (huge, 3, "numeric failure: overflow encountered in matmul in video "
+                          "'synth00000'\n"),
+                (trained_checkpoint, 2, f"data error: non-finite value at element 0 of {bad} "
+                                        f"(byte offset 16)\n")]:
+            scored = []  # each scored video is embedded once, by either command
+            with pytest.MonkeyPatch.context() as mp:
+                embed = DCVQEModel.embed
+                mp.setattr(DCVQEModel, "embed", lambda m, f: scored.append(1) or embed(m, f))
+                argv = [command, "--manifest", tmp_path / "manifest.jsonl", "--checkpoint",
+                        ckpt, *(["--out", out] if command == "dump-embeddings" else [])]
+                assert main(list(map(str, argv))) == code
+            assert capsys.readouterr() == ("", err)
+            assert len(scored) == (1 if code == 3 else 3)
+            assert not out.exists()
+
+    def test_eval_of_one_video_is_two(self, tmp_path, trained_checkpoint, capsys):
+        data_io.synth_dataset(tmp_path, n_videos=5, len_range=(4, 8), dim=6, seed=3)
+        manifest = data_io.load_manifest(tmp_path / "manifest.jsonl")
+        manifest.entries[1:] = []
+        data_io.save_manifest(manifest, tmp_path / "manifest.jsonl")
+        code = main(["eval", "--manifest", str(tmp_path / "manifest.jsonl"),
+                     "--checkpoint", str(trained_checkpoint)])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "data error: predictions needs at least 2 samples, got 1\n")
 
     def test_predict_checks_every_width_before_it_reads_or_scores(
             self, tmp_path, dataset_dir, trained_checkpoint, monkeypatch, capsys):
@@ -738,6 +780,52 @@ class TestDumpEmbeddings:
             # JSON floats round-trip exactly, so this compares every bit
             assert row["embedding"] == model.embed(seq.features).data.reshape(-1).tolist()
 
+
+class TestScoringMemory:
+    """``eval`` and ``dump-embeddings`` read, score and drop one video at a
+    time: their peak grows with the manifest's entries and results, not
+    with its features."""
+
+    @pytest.fixture(scope="class")
+    def scored_dataset(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("many")
+        manifest = data_io.synth_dataset(root, n_videos=200, len_range=(20, 40), dim=256,
+                                         seed=5)
+        entries = manifest.entries
+        manifest.entries = entries[:20]
+        data_io.save_manifest(manifest, root / "m20.jsonl")
+        manifest.entries = entries
+        data_io.save_manifest(manifest, root / "m200.jsonl")
+        model = DCVQEModel.initialize(DCVQEConfig(input_dim=256, model_dim=8, num_heads=2,
+                                                  num_layers=2, base_clip_len=8,
+                                                  max_seq_len=64), seed=0)
+        save_checkpoint(root / "model.ckpt", Checkpoint.snapshot(
+            model, AdamState.for_model(model), val_loss=0.0, epoch=1))
+        extra = sum(data_io.read_header(root / e.feature_path)[0] * 256 * 4
+                    for e in entries[20:])
+        return root, extra
+
+    @pytest.mark.parametrize("command", ["eval", "dump-embeddings"])
+    def test_peak_grows_by_a_tenth_of_the_features_at_most(self, scored_dataset, command,
+                                                           capsys):
+        root, extra = scored_dataset
+
+        def peak(videos):
+            argv = [command, "--manifest", root / f"m{videos}.jsonl", "--checkpoint",
+                    root / "model.ckpt", *(["--out", root / "e.jsonl"]
+                                           if command == "dump-embeddings" else [])]
+            tracemalloc.start()
+            try:
+                assert main(list(map(str, argv))) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(20)  # imports and first-use caches stay out of the measurement
+        growth = peak(200) - peak(20)
+        # holding the 180 extra videos' float32 features, as a whole-manifest
+        # load does, alone grows the peak by ``extra`` (5.5 MB)
+        assert growth <= extra / 10, (growth, extra)
 
 class TestAblate:
     def test_five_point_alpha_beta_grid(self, tmp_path, dataset_dir, capsys):

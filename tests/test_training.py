@@ -503,6 +503,17 @@ class TestFit:
         with pytest.raises(FloatingPointError, match="validation loss nan in epoch 1"):
             fit(model, train_seqs, val_seqs, small_train_cfg(max_epochs=2))
 
+    def test_a_validation_overflow_names_the_video_and_the_epoch(self, small_splits,
+                                                                  monkeypatch):
+        train_seqs, val_seqs, _ = small_splits
+        monkeypatch.setattr(training, "train_epoch", lambda *args: 0.0)
+        model = DCVQEModel.initialize(SMALL_CFG, seed=4)
+        model.params["input.weight"].data[:] = 1e300
+        message = (f"overflow encountered in matmul in video {val_seqs[0].video_id!r} "
+                   f"in epoch 1, validation")
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+            fit(model, train_seqs, val_seqs, small_train_cfg(max_epochs=2))
+
     def test_resume_replays_unbroken_trajectory(self, small_splits):
         train_seqs, val_seqs, _ = small_splits
         cfg = small_train_cfg(max_epochs=4)
